@@ -15,8 +15,9 @@ Config keys carry their SI units explicitly. Example cylinder config:
     }
 
 A sphere config uses "geometry": {"a_m": ...} and "e0_volt_per_m".
-Unknown keys are rejected. Exit codes: 0 on success, 2 on config errors,
-3 when residual tolerances are exceeded (reports are still written).
+Unknown keys and non-finite numbers are rejected. Exit codes: 0 on
+success, 2 on config errors, 3 when residual tolerances are exceeded
+(reports are still written).
 """
 
 from __future__ import annotations
@@ -42,16 +43,19 @@ from .cylinder import (
 from .forms import DomainError, evaluate
 from .junction import covariant_jump_residual, gibbs_jump_residual
 from .media import EMDecomposition, MaterialParams
-from .solutions import FieldSolution, MatchingError, verify_solution
+from .solutions import (
+    EXACT_RESIDUAL_TOL,
+    FIRST_ORDER_K_CAP,
+    FieldSolution,
+    MatchingError,
+    verify_solution,
+)
 from .spacetime import lab_frame
 from .sphere import SphereScenario, solve_sphere, sphere_interface_events
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
-
-JUNCTION_REL_TOL_EXACT = 1e-10
-JUNCTION_K_CAP = 10.0
 
 
 class ConfigError(ValueError):
@@ -73,7 +77,17 @@ def _number(section: dict, key: str, where: str) -> float:
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    # also rejects NaN, and integers too large for a float
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     return float(value)
+
+
+def _integer(section: dict, key: str, where: str, default: int, minimum: int) -> int:
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{where}.{key} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -147,9 +161,9 @@ class RunConfig:
             e0_volt_per_m=e0,
             eps_r=_number(material, "eps_r", "material"),
             mu_r=_number(material, "mu_r", "material"),
-            radial_points=int(sampling.get("radial_points", 64)),
-            angular_points=int(sampling.get("angular_points", 16)),
-            seed=int(sampling.get("seed", 0)),
+            radial_points=_integer(sampling, "radial_points", "sampling", 64, 1),
+            angular_points=_integer(sampling, "angular_points", "sampling", 16, 1),
+            seed=_integer(sampling, "seed", "sampling", 0, 0),
             profile_csv=str(outputs.get("profile_csv", "profile.csv")),
             observables_json=str(outputs.get("observables_json", "observables.json")),
             verification_json=str(outputs.get("verification_json", "verification.json")),
@@ -294,13 +308,6 @@ def sphere_profile(sc: SphereScenario, sol: FieldSolution, radial_points: int, a
     return header, rows
 
 
-def profile_csv(sc, sol: FieldSolution, radial_points: int = 64, angular_points: int = 16):
-    """Profile rows for a solved scenario: (header, rows), CSV-ready."""
-    if isinstance(sc, CylinderScenario):
-        return cylinder_profile(sc, sol, radial_points)
-    return sphere_profile(sc, sol, radial_points, angular_points)
-
-
 def _junction_reports(sc, sol: FieldSolution, samples: int, seed: int):
     metric = sol.chart.metric
     frame = lab_frame(sol.chart)
@@ -341,6 +348,12 @@ def run(
 
     seed = cfg.seed if seed is None else seed
     n_samples = 64 if samples is None else samples
+    if n_samples < 1 or seed < 0:
+        print(
+            f"error: need samples >= 1 and seed >= 0, got {n_samples} and {seed}",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
 
     def out_path(name: str) -> str:
         return os.path.join(out_dir, name) if out_dir else name
@@ -358,11 +371,9 @@ def run(
     junctions, gibbs = _junction_reports(sc, sol, n_samples, seed)
 
     if sol.order == "exact":
-        junction_tol = JUNCTION_REL_TOL_EXACT
+        junction_tol = EXACT_RESIDUAL_TOL
     else:
-        junction_tol = max(
-            JUNCTION_K_CAP * sol.expansion_parameter**2, JUNCTION_REL_TOL_EXACT
-        )
+        junction_tol = max(FIRST_ORDER_K_CAP * sol.expansion_parameter**2, EXACT_RESIDUAL_TOL)
     junction_ok = all(rep.max_rel <= junction_tol for rep in junctions)
     within_tolerance = maxwell.passed and junction_ok
 

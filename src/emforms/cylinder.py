@@ -9,7 +9,7 @@ by least squares on sampled junction residuals and cross-checked against
 the closed forms before a solution is returned.
 
 Observables: the radial potential difference across the shell (exact
-line integral and its non-relativistic leading term) and, for
+closed form and its non-relativistic leading term) and, for
 side-by-side reporting only, the historically falsified rotating-frame
 comparator field.
 """
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fields import ScalarField
 from .forms import (
@@ -29,10 +28,9 @@ from .forms import (
     evaluate,
     form,
     hodge_star,
+    linear_combine,
     scale,
-    subtract,
     wedge,
-    zero_form,
 )
 from .junction import Interface
 from .media import MaterialParams, apply_constitutive
@@ -41,14 +39,12 @@ from .solutions import (
     FieldSolution,
     MatchingError,
     Region,
+    sample_box,
+    solve_matching_system,
 )
 from .spacetime import Chart, cylindrical_chart, rotating_velocity
 
 AZIMUTH_AXIS = 2  # theta slot of the cylindrical chart
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -71,18 +67,6 @@ class CylinderScenario:
 
     def chart(self) -> Chart:
         return cylindrical_chart(self.mat.c)
-
-
-def _interior_maxwell_form(sc: CylinderScenario, chart: Chart) -> DifferentialForm:
-    """Closed-form interior F after the junction constants are inserted."""
-    c, om, b0 = sc.mat.c, sc.omega, sc.b0
-    eps_r = sc.mat.eps_r
-    em = eps_r * sc.mat.mu_r
-    r = ScalarField.coordinate(1)
-    denom = r * r * (om * om) - c * c
-    alpha = (c**3 * b0 * om * (1.0 - em) / eps_r) * r / denom
-    beta = (c * b0 / eps_r) * r * (r * r * (om * om) - c * c * em) / denom
-    return form(2, chart.name, {(0, 1): alpha, (1, 2): beta})
 
 
 def exterior_maxwell_form(sc: CylinderScenario, chart: Chart | None = None) -> DifferentialForm:
@@ -115,17 +99,14 @@ def interface_sample_events(
         theta = 2.0 * math.pi * j / max(half, 1)
         z = sc.r2 * (-1.0 if j % 2 else 1.0)
         events.append((0.0, radius, theta, z))
-    rng = np.random.default_rng(seed)
-    for _ in range(n - half):
-        events.append(
-            (
-                float(rng.uniform(0.0, sc.r2 / sc.mat.c)),
-                radius,
-                float(rng.uniform(0.0, 2.0 * math.pi)),
-                float(rng.uniform(-sc.r2, sc.r2)),
-            )
-        )
+    events += sample_box(_sampling_box(sc, radius), n - half, np.random.default_rng(seed))
     return events
+
+
+def _sampling_box(sc: CylinderScenario, radius) -> tuple:
+    """Coordinate box of sampled events: one light crossing of r2 in time,
+    a full turn, |z| <= r2, and the given radius (fixed or a range)."""
+    return ((0.0, sc.r2 / sc.mat.c), radius, (0.0, 2.0 * math.pi), (-sc.r2, sc.r2))
 
 
 def _interior_family(sc: CylinderScenario, chart: Chart):
@@ -218,19 +199,7 @@ def match_cylinder_amplitudes(
                     rows.append([col[idx] for col in cols])
                     rhs.append(target[idx])
 
-    a = np.asarray(rows, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    row_scale = np.maximum(np.abs(a).max(axis=1), np.abs(b))
-    keep = row_scale > 0.0
-    if not keep.any():
-        return 0.0, 0.0
-    a, b = a[keep] / row_scale[keep, None], b[keep] / row_scale[keep]
-    solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < 2:
-        raise MatchingError(f"junction system rank {rank} < 2")
-    residual = np.abs(a @ solution - b).max()
-    if residual > 1e-8:
-        raise MatchingError(f"junction match residual {residual:.3e} did not vanish")
+    solution = solve_matching_system(rows, rhs, "junction")
     return float(solution[0] * units[0]), float(solution[1] * units[1])
 
 
@@ -270,38 +239,29 @@ def solve_cylinder(
 
     The integration constants come out of the numeric junction match and
     are cross-checked against their closed forms; disagreement raises
-    :class:`MatchingError`. The returned excitation is the constitutive
-    image of the interior Maxwell form.
+    :class:`MatchingError`. The interior Maxwell form is the interior
+    family at the closed-form amplitudes (k1, k2) = (0, eps0 c B0), and the
+    returned excitation is its constitutive image.
     """
     chart = sc.chart()
     metric = chart.metric
     velocity = rotating_velocity(chart, sc.omega, AZIMUTH_AXIS)
 
     k1, k2 = match_cylinder_amplitudes(sc, samples_per_interface, seed)
-    k2_expected = sc.mat.eps0 * sc.mat.c * sc.b0
-    k_scale = max(abs(k2_expected), sc.mat.eps0 * sc.mat.c * abs(sc.b0), 1e-300)
-    if abs(k1) > 1e-9 * k_scale or abs(k2 - k2_expected) > 1e-9 * k_scale:
+    closed_k = (0.0, sc.mat.eps0 * sc.mat.c * sc.b0)
+    k_scale = max(abs(closed_k[1]), 1e-300)
+    if abs(k1) > 1e-9 * k_scale or abs(k2 - closed_k[1]) > 1e-9 * k_scale:
         raise MatchingError(
             f"matched amplitudes ({k1:.6e}, {k2:.6e}) disagree with closed forms"
         )
     constants = closed_form_constants(sc)
 
-    f_in = _interior_maxwell_form(sc, chart)
+    f_basis, _ = _interior_family(sc, chart)
+    f_in = linear_combine(closed_k, f_basis)
     g_in = apply_constitutive(f_in, velocity, sc.mat, metric)
     f_out = exterior_maxwell_form(sc, chart)
     g_out = scale(sc.mat.eps0, f_out)
     r1, r2 = sc.r1, sc.r2
-
-    def sample_radial(lo: float, hi: float):
-        def draw(rng: np.random.Generator):
-            return (
-                float(rng.uniform(0.0, r2 / sc.mat.c)),
-                float(rng.uniform(lo, hi)),
-                float(rng.uniform(0.0, 2.0 * math.pi)),
-                float(rng.uniform(-r2, r2)),
-            )
-
-        return draw
 
     solution = FieldSolution(
         chart=chart,
@@ -314,9 +274,9 @@ def solve_cylinder(
         order="exact",
         in_medium=lambda ev: r1 < ev[1] < r2,
         regions=(
-            Region("medium", True, sample_radial(1.001 * r1, 0.999 * r2)),
-            Region("vacuum_inner", False, sample_radial(0.05 * r1, 0.999 * r1)),
-            Region("vacuum_outer", False, sample_radial(1.001 * r2, 3.0 * r2)),
+            Region("medium", True, _sampling_box(sc, (1.001 * r1, 0.999 * r2))),
+            Region("vacuum_inner", False, _sampling_box(sc, (0.05 * r1, 0.999 * r1))),
+            Region("vacuum_outer", False, _sampling_box(sc, (1.001 * r2, 3.0 * r2))),
         ),
         length_scale=r2,
         expansion_parameter=0.0,
@@ -324,25 +284,17 @@ def solve_cylinder(
     return solution, constants
 
 
-def radial_field_profile(sc: CylinderScenario):
-    """Closed-form radial electric component e_r(r) inside the shell."""
-    c, om, b0 = sc.mat.c, sc.omega, sc.b0
-    eps_r = sc.mat.eps_r
-    em = eps_r * sc.mat.mu_r
-
-    def e_r(r: float) -> float:
-        return -(c * c) * b0 * om * (em - 1.0) * r / (eps_r * (r * r * om * om - c * c))
-
-    return e_r
-
-
 def wilson_wilson_V12(sc: CylinderScenario, mode: str = "exact") -> float:
     """Radial potential difference across the shell, in volts.
 
     ``mode="leading"`` evaluates the non-relativistic closed form
-    mu_r (1 - 1/(mu_r eps_r)) (omega/2) B0 (r2^2 - r1^2); ``mode="exact"``
-    integrates the exact radial field by adaptive quadrature at 1e-12
-    relative tolerance.
+    mu_r (1 - 1/(mu_r eps_r)) (omega/2) B0 (r2^2 - r1^2). ``mode="exact"``
+    is the line integral of the exact interior radial field from r1 to r2,
+    in closed form:
+
+        -(c^2 B0 (eps_r mu_r - 1) / (2 eps_r omega)) log1p((x1 - x2) / (1 - x1))
+
+    with xi = (ri omega / c)^2; it is 0 at omega = 0.
     """
     mu_r, eps_r = sc.mat.mu_r, sc.mat.eps_r
     if mode == "leading":
@@ -351,14 +303,14 @@ def wilson_wilson_V12(sc: CylinderScenario, mode: str = "exact") -> float:
         )
     if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'leading', got {mode!r}")
-    e_r = radial_field_profile(sc)
-    result = quad(e_r, sc.r1, sc.r2, epsabs=0.0, epsrel=1e-12, limit=200, full_output=1)
-    value, abserr = result[0], result[1]
-    if len(result) > 3 or abserr > 1e-12 * abs(value) + 1e-300:
-        raise QuadratureError(
-            f"quadrature did not converge: value {value:.6e}, error {abserr:.3e}"
-        )
-    return value
+    if sc.omega == 0.0:
+        return 0.0
+    c, om = sc.mat.c, sc.omega
+    x1 = (sc.r1 * om / c) ** 2
+    # x1 - x2 factored so that a thin shell keeps full relative precision
+    x1_minus_x2 = (sc.r1 - sc.r2) * (sc.r1 + sc.r2) * (om / c) ** 2
+    pref = c * c * sc.b0 * (eps_r * mu_r - 1.0) / (2.0 * eps_r * om)
+    return -pref * math.log1p(x1_minus_x2 / (1.0 - x1))
 
 
 def pellegrini_swift_field(sc: CylinderScenario, r: float) -> float:

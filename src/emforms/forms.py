@@ -24,12 +24,13 @@ never dropped.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .dual import real
 from .dual import sqrt as dual_sqrt
-from .fields import Event, ScalarField, absolute, coerce, sqrt
+from .fields import Event, ScalarField, coerce
 
 DIM = 4
 
@@ -317,12 +318,25 @@ def evaluate(
     return out
 
 
+def max_or_nan(values) -> float:
+    """Largest of ``values`` and 0.0, or NaN when any value is NaN.
+
+    The builtin ``max`` keeps a NaN only when it comes first, which would
+    let a non-finite residual pass a tolerance check.
+    """
+    out = 0.0
+    for v in values:
+        if math.isnan(v):
+            return math.nan
+        if v > out:
+            out = v
+    return out
+
+
 def component_max(a: DifferentialForm, event: Event) -> float:
-    """Largest absolute component value at one event."""
-    if not a.components:
-        return 0.0
+    """Largest absolute component value at one event; NaN if any is NaN."""
     ev = tuple(float(x) for x in event)
-    return max(abs(f.eval(ev)) for f in a.components.values())
+    return max_or_nan(abs(f.eval(ev)) for f in a.components.values())
 
 
 def lower_index(g: DiagonalMetric, v: VectorField4) -> DifferentialForm:
@@ -332,8 +346,3 @@ def lower_index(g: DiagonalMetric, v: VectorField4) -> DifferentialForm:
         comps[(i,)] = g.diag[i] * v.components[i]
     return DifferentialForm(1, comps, v.chart)
 
-
-def volume_scale(g: DiagonalMetric) -> ScalarField:
-    """sqrt(|det g|) as a scalar field."""
-    det = g.diag[0] * g.diag[1] * g.diag[2] * g.diag[3]
-    return sqrt(absolute(det))

@@ -31,6 +31,7 @@ from .forms import (
     evaluate,
     exterior_derivative,
     hodge_star,
+    max_or_nan,
     subtract,
     wedge,
 )
@@ -80,11 +81,11 @@ class JumpReport:
 
     @property
     def max_abs(self) -> float:
-        return max((max(v) for v in self.residuals.values() if v), default=0.0)
+        return max_or_nan(x for v in self.residuals.values() for x in v)
 
     @property
     def max_rel(self) -> float:
-        return max((max(v) for v in self.residuals_rel.values() if v), default=0.0)
+        return max_or_nan(x for v in self.residuals_rel.values() for x in v)
 
     def to_json_dict(self) -> dict:
         return {

@@ -41,7 +41,14 @@ from .forms import (
 )
 from .junction import Interface
 from .media import MaterialParams, apply_constitutive
-from .solutions import FieldSolution, MatchingError, Region, SphereConstants
+from .solutions import (
+    FieldSolution,
+    MatchingError,
+    Region,
+    SphereConstants,
+    sample_box,
+    solve_matching_system,
+)
 from .spacetime import Chart, lab_frame, metric_dual, rotating_velocity, spherical_chart
 
 AZIMUTH_AXIS = 3  # phi slot of the spherical chart
@@ -142,17 +149,20 @@ def sphere_interface_events(
         theta = _POLE_MARGIN + (math.pi - 2.0 * _POLE_MARGIN) * (j + 0.5) / max(half, 1)
         phi = 2.0 * math.pi * j / max(half, 1)
         events.append((0.0, sc.a, theta, phi))
-    rng = np.random.default_rng(seed)
-    for _ in range(n - half):
-        events.append(
-            (
-                float(rng.uniform(0.0, sc.a / sc.mat.c)),
-                sc.a,
-                float(rng.uniform(_POLE_MARGIN, math.pi - _POLE_MARGIN)),
-                float(rng.uniform(0.0, 2.0 * math.pi)),
-            )
-        )
+    events += sample_box(_sampling_box(sc, sc.a), n - half, np.random.default_rng(seed))
     return events
+
+
+def _sampling_box(sc: SphereScenario, radius) -> tuple:
+    """Coordinate box of sampled events: one light crossing of a in time,
+    polar angles clear of the axis, a full turn, and the given radius
+    (fixed or a range)."""
+    return (
+        (0.0, sc.a / sc.mat.c),
+        radius,
+        (_POLE_MARGIN, math.pi - _POLE_MARGIN),
+        (0.0, 2.0 * math.pi),
+    )
 
 
 def sphere_interface(sc: SphereScenario, chart: Chart | None = None) -> Interface:
@@ -220,17 +230,7 @@ def match_sphere_constants(
                 rows.append([cv[idx] - base_vals[idx] for cv in col_vals])
                 rhs.append(-base_vals[idx])
 
-    a = np.asarray(rows, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    row_scale = np.maximum(np.abs(a).max(axis=1), np.abs(b))
-    keep = row_scale > 0.0
-    a, b = a[keep] / row_scale[keep, None], b[keep] / row_scale[keep]
-    solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < 4:
-        raise MatchingError(f"sphere junction system rank {rank} < 4")
-    residual = np.abs(a @ solution - b).max()
-    if residual > 1e-8:
-        raise MatchingError(f"sphere junction residual {residual:.3e} did not vanish")
+    solution = solve_matching_system(rows, rhs, "sphere junction")
     return SphereConstants(*(float(x * u) for x, u in zip(solution, unit_vec)))
 
 
@@ -304,17 +304,6 @@ def solve_sphere(
 
     a_rad = sc.a
 
-    def sample_radial(lo: float, hi: float):
-        def draw(rng: np.random.Generator):
-            return (
-                float(rng.uniform(0.0, a_rad / sc.mat.c)),
-                float(rng.uniform(lo, hi)),
-                float(rng.uniform(_POLE_MARGIN, math.pi - _POLE_MARGIN)),
-                float(rng.uniform(0.0, 2.0 * math.pi)),
-            )
-
-        return draw
-
     solution = FieldSolution(
         chart=chart,
         f_in=f_in,
@@ -326,8 +315,8 @@ def solve_sphere(
         order="first-order",
         in_medium=lambda ev: ev[1] < a_rad,
         regions=(
-            Region("medium", True, sample_radial(0.05 * a_rad, 0.999 * a_rad)),
-            Region("vacuum", False, sample_radial(1.001 * a_rad, 10.0 * a_rad)),
+            Region("medium", True, _sampling_box(sc, (0.05 * a_rad, 0.999 * a_rad))),
+            Region("vacuum", False, _sampling_box(sc, (1.001 * a_rad, 10.0 * a_rad))),
         ),
         length_scale=a_rad,
         expansion_parameter=sc.expansion_parameter,

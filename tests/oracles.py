@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's production code paths:
 finite differences instead of dual numbers, the full Levi-Civita
-permutation sum instead of the closed-form diagonal Hodge rule, and
-plain componentwise arithmetic for metric contractions.
+permutation sum instead of the closed-form diagonal Hodge rule, plain
+componentwise arithmetic for metric contractions, and adaptive
+quadrature instead of the closed-form shell voltage.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 from emforms.fields import ScalarField
 from emforms.forms import DifferentialForm, basis_indices
@@ -118,6 +120,24 @@ def lowered_components(metric, v, event) -> tuple[float, ...]:
     return tuple(
         metric.diag[a].eval(event) * v.components[a].eval(event) for a in range(4)
     )
+
+
+def v12_quadrature(sc) -> float:
+    """Shell voltage: adaptive quadrature of the exact interior radial field.
+
+    e_r(r) = c^2 B0 omega (eps_r mu_r - 1) r / (eps_r (c^2 - r^2 omega^2)),
+    integrated from r1 to r2 at 1e-12 relative tolerance.
+    """
+    c, om, b0 = sc.mat.c, sc.omega, sc.b0
+    eps_r, em = sc.mat.eps_r, sc.mat.eps_r * sc.mat.mu_r
+
+    def e_r(r: float) -> float:
+        return c * c * b0 * om * (em - 1.0) * r / (eps_r * (c * c - r * r * om * om))
+
+    value, abserr = quad(e_r, sc.r1, sc.r2, epsabs=0.0, epsrel=1e-12, limit=200)
+    if abserr > 1e-12 * abs(value) + 1e-300:
+        raise RuntimeError(f"quadrature did not converge: {value:.6e} +- {abserr:.3e}")
+    return value
 
 
 # -- random smooth fields and forms --------------------------------------

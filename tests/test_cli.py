@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -122,6 +126,47 @@ def test_missing_section_rejected(tmp_path):
 def test_invalid_geometry_rejected(tmp_path):
     path, _ = cylinder_config(tmp_path, geometry={"r1_m": 0.04, "r2_m": 0.02})
     assert run(path) == 2
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"omega_rad_per_s": math.nan},
+        {"material": {"eps_r": math.inf, "mu_r": 1.0}},
+        {"b0_tesla": 10**400},
+        {"sampling": {"radial_points": 2.7}},
+        {"sampling": {"angular_points": -3}},
+        {"sampling": {"seed": -1}},
+    ],
+)
+def test_bad_numbers_exit_2_without_outputs(tmp_path, overrides):
+    path, _ = cylinder_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert run(path, out_dir=str(out)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples, seed", [(0, None), (-5, None), (8, -1)])
+def test_bad_samples_or_seed_exit_2_without_outputs(tmp_path, samples, seed):
+    path, _ = cylinder_config(tmp_path)
+    out = tmp_path / "out"
+    assert run(path, samples=samples, seed=seed, out_dir=str(out)) == 2
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    import emforms
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(emforms.__file__)))
+    code = "import sys, emforms.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -1,12 +1,13 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from emforms.forms import evaluate, interior_product, hodge_star, scale
 from emforms.media import EMDecomposition, MaterialParams, bound_sources, polarization
 from emforms.cylinder import (
     CylinderScenario,
-    QuadratureError,
     closed_form_constants,
     cylinder_bound_sources,
     interface_sample_events,
@@ -16,8 +17,10 @@ from emforms.cylinder import (
     solve_cylinder,
     wilson_wilson_V12,
 )
-from emforms.solutions import verify_solution
+from emforms.solutions import MatchingError, solve_matching_system, verify_solution
 from emforms.spacetime import lab_frame
+
+from oracles import v12_quadrature
 
 C = 299792458.0
 EPS0 = MaterialParams.vacuum().eps0
@@ -187,6 +190,21 @@ def test_maxwell_residuals_exact(rng):
         assert entry["dstar_g_max_rel"] <= 1e-10
 
 
+def test_non_finite_samples_fail_verification():
+    sol, _ = solve_cylinder(scenario())
+    report = verify_solution(replace(sol, f_in=scale(math.nan, sol.f_in)), samples_per_region=8)
+    assert not report.passed
+    assert math.isnan(report.regions["medium"]["df_max_rel"])
+    assert report.regions["vacuum_outer"]["df_max_rel"] <= 1e-10
+
+
+def test_non_finite_matching_rows_raise():
+    with pytest.raises(MatchingError, match="non-finite"):
+        solve_matching_system([[1.0, 0.0], [0.0, 1.0], [math.nan, 1.0]], [1.0, 2.0, 3.0], "test")
+    with pytest.raises(MatchingError):
+        solve_cylinder(scenario(omega=math.nan))
+
+
 def test_exterior_field_is_closed_exactly():
     sc = scenario()
     sol, _ = solve_cylinder(sc)
@@ -262,6 +280,16 @@ def test_v12_exact_against_log_oracle():
             (sc.r2**2 - sc.r1**2) * om**2 / (c * c - sc.r2**2 * om**2)
         )
         assert wilson_wilson_V12(sc, "exact") == pytest.approx(oracle, rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "eps_r, mu_r, r1",
+    [(6.0, 2.0, 0.02), (1.5, 0.5, 0.02), (10.0, 1.0, 0.005), (2.0, 3.0, 0.0399)],
+)
+def test_v12_closed_form_against_quadrature(eps_r, mu_r, r1):
+    for beta in (0.0, 1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.9, 0.99, 0.999):
+        sc = scenario(eps_r=eps_r, mu_r=mu_r, omega=beta * C / 0.04, r1=r1)
+        assert wilson_wilson_V12(sc, "exact") == pytest.approx(v12_quadrature(sc), rel=1e-12)
 
 
 def test_v12_zero_rotation_and_antisymmetry():
@@ -344,7 +372,11 @@ def test_interface_samples_deterministic():
     assert a == b
     assert len(a) == 64
     assert all(ev[1] == sc.r2 for ev in a)
-
-
-def test_quadrature_error_type_exists():
-    assert issubclass(QuadratureError, RuntimeError)
+    # the seeded half keeps the reference draw order: t, theta, z per event
+    rng = np.random.default_rng(9)
+    ref = [
+        (float(rng.uniform(0.0, sc.r2 / C)), sc.r2, float(rng.uniform(0.0, 2.0 * math.pi)),
+         float(rng.uniform(-sc.r2, sc.r2)))
+        for _ in range(32)
+    ]
+    assert a[32:] == ref

@@ -10,6 +10,7 @@ from emforms.junction import (
     DegenerateInterfaceError,
     Interface,
     InterfaceSampleError,
+    JumpReport,
     covariant_jump_residual,
     gibbs_jump_residual,
     interface_normal_velocity,
@@ -175,6 +176,13 @@ def test_report_max_is_order_invariant(shell, rng):
     )
     assert rep.max_abs == rep2.max_abs
     assert rep.max_rel == rep2.max_rel
+
+
+def test_report_max_keeps_a_late_nan():
+    values = {"f_jump": [1e-20, math.nan], "star_g_jump": [0.0]}
+    rep = JumpReport(interface="x", samples=[], residuals=values, residuals_rel=values)
+    assert math.isnan(rep.max_abs)
+    assert math.isnan(rep.max_rel)
 
 
 def test_report_serializes(shell):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from emforms.forms import component_max, evaluate
@@ -229,5 +230,13 @@ def test_interface_events_deterministic():
     b = sphere_interface_events(sc, 32, seed=5)
     assert a == b and len(a) == 32
     assert all(ev[1] == sc.a for ev in a)
+    # the seeded half keeps the reference draw order: t, theta, phi per event
+    rng = np.random.default_rng(5)
+    ref = [
+        (float(rng.uniform(0.0, sc.a / sc.mat.c)), sc.a, float(rng.uniform(0.1, math.pi - 0.1)),
+         float(rng.uniform(0.0, 2.0 * math.pi)))
+        for _ in range(16)
+    ]
+    assert a[16:] == ref
     surface = sphere_interface(sc)
     assert surface.phi.eval((0.0, sc.a, 1.0, 0.0)) == 0.0
