@@ -16,8 +16,10 @@ Config keys carry their SI units explicitly. Example cylinder config:
 
 A sphere config uses "geometry": {"a_m": ...} and "e0_volt_per_m".
 Unknown keys and non-finite numbers are rejected. Exit codes: 0 on
-success, 2 on config errors, 3 when residual tolerances are exceeded
-(reports are still written).
+success; 2 on config errors, including geometry so small that the metric
+degenerates (no outputs are written); 3 when residual tolerances are
+exceeded (reports are still written); 4 when an output file cannot be
+written.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .cylinder import (
     solve_cylinder,
     wilson_wilson_V12,
 )
-from .forms import DomainError, evaluate
+from .forms import DegenerateMetricError, DomainError
 from .junction import covariant_jump_residual, gibbs_jump_residual
 from .media import EMDecomposition, MaterialParams
 from .solutions import (
@@ -56,6 +58,7 @@ from .sphere import SphereScenario, solve_sphere, sphere_interface_events
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
+EXIT_OUTPUT = 4
 
 
 class ConfigError(ValueError):
@@ -248,6 +251,16 @@ def write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _by_side(dec_in, dec_out, inside, events, attr: str, idx) -> np.ndarray:
+    """One component of a frame field over the events, each decomposition
+    evaluated only on its own side (the interior one raises past the light
+    cylinder, which the exterior profile may reach)."""
+    out = np.empty(len(events))
+    for dec, mask in ((dec_in, inside), (dec_out, ~inside)):
+        out[mask] = getattr(dec, attr).component(idx).eval_batch(events[mask])
+    return out
+
+
 def cylinder_profile(sc: CylinderScenario, sol: FieldSolution, radial_points: int):
     """Radial profile across all three regions, physical SI components."""
     header = ["r", "e_r", "b_z", "d_r", "h_z", "p_r", "m_z", "rho_bound", "j_bound"]
@@ -258,24 +271,26 @@ def cylinder_profile(sc: CylinderScenario, sol: FieldSolution, radial_points: in
     current, rho, p_form, m_form = cylinder_bound_sources(sc)
 
     radii = np.linspace(0.5 * sc.r1, 1.5 * sc.r2, radial_points)
-    rows = []
-    for r in radii:
-        ev = (0.0, float(r), 0.0, 0.0)
-        inside = sc.r1 < r < sc.r2
-        dec = dec_in if inside else dec_out
-        e_r = evaluate(dec.e, ev)[(1,)]
-        b_z = evaluate(dec.b, ev)[(3,)]
-        d_r = evaluate(dec.d, ev)[(1,)]
-        h_z = evaluate(dec.h, ev)[(3,)]
-        if inside:
-            p_r = evaluate(p_form, ev)[(1,)]
-            m_z = evaluate(m_form, ev)[(3,)]
-            rho_b = evaluate(rho, ev)[(1, 2, 3)] / r  # scalar density: rho / (r dr^dth^dz)
-            j_b = -evaluate(current, ev)[(1, 3)]  # azimuthal flux density on dz^dr
-        else:
-            p_r = m_z = rho_b = j_b = 0.0
-        rows.append([r, e_r, b_z, d_r, h_z, p_r, m_z, rho_b, j_b])
-    return header, rows
+    events = np.zeros((radial_points, 4))
+    events[:, 1] = radii
+    inside = (sc.r1 < radii) & (radii < sc.r2)
+    medium = events[inside]
+    sources = np.zeros((4, radial_points))  # p_r, m_z, rho_bound, j_bound; zero outside
+    sources[0, inside] = p_form.component((1,)).eval_batch(medium)
+    sources[1, inside] = m_form.component((3,)).eval_batch(medium)
+    # scalar density: rho / (r dr^dth^dz)
+    sources[2, inside] = rho.component((1, 2, 3)).eval_batch(medium) / radii[inside]
+    # azimuthal flux density on dz^dr
+    sources[3, inside] = -current.component((1, 3)).eval_batch(medium)
+    columns = [
+        radii,
+        _by_side(dec_in, dec_out, inside, events, "e", (1,)),
+        _by_side(dec_in, dec_out, inside, events, "b", (3,)),
+        _by_side(dec_in, dec_out, inside, events, "d", (1,)),
+        _by_side(dec_in, dec_out, inside, events, "h", (3,)),
+        *sources,
+    ]
+    return header, np.column_stack(columns).tolist()
 
 
 def sphere_profile(sc: SphereScenario, sol: FieldSolution, radial_points: int, angular_points: int):
@@ -288,24 +303,19 @@ def sphere_profile(sc: SphereScenario, sol: FieldSolution, radial_points: int, a
 
     radii = np.linspace(0.1 * sc.a, 2.0 * sc.a, radial_points)
     thetas = np.linspace(0.15, math.pi - 0.15, angular_points)
-    rows = []
-    for r in radii:
-        for th in thetas:
-            ev = (0.0, float(r), float(th), 0.0)
-            dec = dec_in if r < sc.a else dec_out
-            e_vals = evaluate(dec.e, ev)
-            b_vals = evaluate(dec.b, ev)
-            rows.append(
-                [
-                    r,
-                    th,
-                    e_vals[(1,)],
-                    e_vals[(2,)] / r,
-                    b_vals[(1,)],
-                    b_vals[(2,)] / r,
-                ]
-            )
-    return header, rows
+    r = np.repeat(radii, angular_points)  # rows run over theta within each radius
+    th = np.tile(thetas, radial_points)
+    events = np.column_stack([np.zeros_like(r), r, th, np.zeros_like(r)])
+    inside = r < sc.a
+    columns = [
+        r,
+        th,
+        _by_side(dec_in, dec_out, inside, events, "e", (1,)),
+        _by_side(dec_in, dec_out, inside, events, "e", (2,)) / r,
+        _by_side(dec_in, dec_out, inside, events, "b", (1,)),
+        _by_side(dec_in, dec_out, inside, events, "b", (2,)) / r,
+    ]
+    return header, np.column_stack(columns).tolist()
 
 
 def _junction_reports(sc, sol: FieldSolution, samples: int, seed: int):
@@ -363,12 +373,14 @@ def run(
             sol, constants = solve_cylinder(sc, seed=seed)
         else:
             sol, constants = solve_sphere(sc, seed=seed)
+        maxwell = verify_solution(sol, samples_per_region=n_samples, seed=seed)
+        junctions, gibbs = _junction_reports(sc, sol, n_samples, seed)
     except (MatchingError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    maxwell = verify_solution(sol, samples_per_region=n_samples, seed=seed)
-    junctions, gibbs = _junction_reports(sc, sol, n_samples, seed)
+    except DegenerateMetricError as exc:
+        print(f"error: geometry too small for the metric floor: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     if sol.order == "exact":
         junction_tol = EXACT_RESIDUAL_TOL
@@ -385,7 +397,6 @@ def run(
         "junction_gibbs": [rep.to_json_dict() for rep in gibbs],
         "within_tolerance": within_tolerance,
     }
-    _write_json(out_path(cfg.verification_json), verification)
 
     if not verify_only:
         if isinstance(sc, CylinderScenario):
@@ -416,8 +427,18 @@ def run(
                 },
             }
             header, rows = sphere_profile(sc, sol, cfg.radial_points, cfg.angular_points)
-        _write_json(out_path(cfg.observables_json), observables)
-        write_csv(out_path(cfg.profile_csv), header, rows)
+
+    path = out_path(cfg.verification_json)
+    try:
+        _write_json(path, verification)
+        if not verify_only:
+            path = out_path(cfg.observables_json)
+            _write_json(path, observables)
+            path = out_path(cfg.profile_csv)
+            write_csv(path, header, rows)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
     return EXIT_OK if within_tolerance else EXIT_TOLERANCE
 

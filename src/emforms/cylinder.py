@@ -24,8 +24,7 @@ import numpy as np
 from .fields import ScalarField
 from .forms import (
     DifferentialForm,
-    basis_indices,
-    evaluate,
+    evaluate_batch,
     form,
     hodge_star,
     linear_combine,
@@ -39,6 +38,7 @@ from .solutions import (
     FieldSolution,
     MatchingError,
     Region,
+    junction_rows,
     sample_box,
     solve_matching_system,
 )
@@ -99,8 +99,8 @@ def interface_sample_events(
         theta = 2.0 * math.pi * j / max(half, 1)
         z = sc.r2 * (-1.0 if j % 2 else 1.0)
         events.append((0.0, radius, theta, z))
-    events += sample_box(_sampling_box(sc, radius), n - half, np.random.default_rng(seed))
-    return events
+    drawn = sample_box(_sampling_box(sc, radius), n - half, np.random.default_rng(seed))
+    return events + [tuple(ev) for ev in drawn.tolist()]
 
 
 def _sampling_box(sc: CylinderScenario, radius) -> tuple:
@@ -190,16 +190,17 @@ def match_cylinder_amplitudes(
             wedge(f_out, dphi),
             wedge(hodge_star(metric, g_out), dphi),
         ]
-        events = interface_sample_events(sc, radius, samples_per_interface, seed)
-        for ev in events:
-            for basis_forms, rhs_form in zip(cond_basis, cond_rhs):
-                cols = [evaluate(b, ev) for b in basis_forms]
-                target = evaluate(rhs_form, ev)
-                for idx in basis_indices(3):
-                    rows.append([col[idx] for col in cols])
-                    rhs.append(target[idx])
+        events = np.array(interface_sample_events(sc, radius, samples_per_interface, seed))
+        iface_rows, iface_rhs = junction_rows(
+            [
+                ([evaluate_batch(b, events) for b in basis_forms], evaluate_batch(rhs_form, events))
+                for basis_forms, rhs_form in zip(cond_basis, cond_rhs)
+            ]
+        )
+        rows.append(iface_rows)
+        rhs.append(iface_rhs)
 
-    solution = solve_matching_system(rows, rhs, "junction")
+    solution = solve_matching_system(np.concatenate(rows), np.concatenate(rhs), "junction")
     return float(solution[0] * units[0]), float(solution[1] * units[1])
 
 

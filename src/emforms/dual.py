@@ -1,4 +1,4 @@
-"""Forward-mode automatic differentiation on plain Python numbers.
+"""Forward-mode automatic differentiation on Python floats or float arrays.
 
 A :class:`Dual` carries a value and the coefficient of one infinitesimal,
 identified by a tag. Tags keep nested derivative passes apart, so stacking
@@ -6,12 +6,18 @@ two passes yields exact mixed second partials instead of the classic
 perturbation-confusion garbage. Field coefficients must call the elementary
 functions defined here (``sin``, ``sqrt``, ...) rather than ``math``, so
 that they stay differentiable.
+
+Coefficients are floats for one event, or float arrays holding one value
+per event of a batch. The elementary functions use ``math`` on floats and
+numpy only on arrays, so the one-event path stays at float speed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 _tags = itertools.count(1)  # count.__next__ is atomic, so passes stay thread-safe
 
@@ -32,6 +38,9 @@ class Dual:
     """``a + b*eps`` with ``eps**2 == 0``; coefficients may nest."""
 
     __slots__ = ("a", "b", "tag")
+
+    # numpy defers to the reflected operators, so array * Dual is a Dual
+    __array_ufunc__ = None
 
     def __init__(self, a, b, tag):
         self.a = a
@@ -101,7 +110,10 @@ class Dual:
         return exp(n * log(self))
 
     def __abs__(self):
-        return self if real(self.a) >= 0.0 else -self
+        nonnegative = real(self.a) >= 0.0
+        if isinstance(nonnegative, np.ndarray):
+            return self * np.where(nonnegative, 1.0, -1.0)
+        return self if nonnegative else -self
 
     # comparisons act on the real parts; this is what domain guards need
     def __lt__(self, other):
@@ -130,12 +142,16 @@ def _inv(x):
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.a), cos(x.a) * x.b, x.tag)
+    if isinstance(x, np.ndarray):
+        return np.sin(x)
     return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.a), -sin(x.a) * x.b, x.tag)
+    if isinstance(x, np.ndarray):
+        return np.cos(x)
     return math.cos(x)
 
 
@@ -143,12 +159,16 @@ def exp(x):
     if isinstance(x, Dual):
         e = exp(x.a)
         return Dual(e, e * x.b, x.tag)
+    if isinstance(x, np.ndarray):
+        return np.exp(x)
     return math.exp(x)
 
 
 def log(x):
     if isinstance(x, Dual):
         return Dual(log(x.a), x.b / x.a, x.tag)
+    if isinstance(x, np.ndarray):
+        return np.log(x)
     return math.log(x)
 
 
@@ -156,6 +176,8 @@ def sqrt(x):
     if isinstance(x, Dual):
         r = sqrt(x.a)
         return Dual(r, x.b / (2.0 * r), x.tag)
+    if isinstance(x, np.ndarray):
+        return np.sqrt(x)
     return math.sqrt(x)
 
 

@@ -4,6 +4,8 @@ A :class:`ScalarField` wraps a callable of one event ``(x0, x1, x2, x3)``.
 The callable must be written in terms of the :mod:`emforms.dual`
 elementary functions (or plain arithmetic), so that partial derivatives
 come out of a dual-number pass exactly, not from finite differences.
+Called with four coordinate arrays instead of four floats, the same
+callable evaluates a whole batch of events at once.
 
 Fields close under arithmetic. Constants are folded so that the zero
 constant stays structurally recognisable: form containers drop
@@ -15,10 +17,37 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import dual
 from .dual import Dual, real
 
 Event = Sequence[float]
+
+
+def event_array(events) -> np.ndarray:
+    """``events`` as an (N, 4) float array; no events give shape (0, 4)."""
+    arr = np.asarray(events, dtype=float)
+    if arr.size == 0:
+        return arr.reshape(0, 4)
+    if arr.ndim != 2 or arr.shape[1] != 4:
+        raise ValueError(f"events must have shape (N, 4), got {arr.shape}")
+    return arr
+
+
+def first_bad_event(bad, event) -> tuple[float, ...] | None:
+    """The first event at which ``bad`` holds, or None when it holds nowhere.
+
+    For one event ``bad`` is a bool. For a batch, ``event`` holds the four
+    coordinate arrays (possibly with dual parts) and ``bad`` is a bool array
+    over the batch; only this case calls numpy.
+    """
+    if not isinstance(bad, np.ndarray):
+        return tuple(float(real(x)) for x in event) if bad else None
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    return tuple(float(real(x)[k]) for x in event)
 
 
 class ScalarField:
@@ -63,6 +92,13 @@ class ScalarField:
 
     def eval(self, event: Event) -> float:
         return float(real(self.fn(event)))
+
+    def eval_batch(self, events) -> np.ndarray:
+        """Values at the rows of an (N, 4) event array, one closure walk."""
+        events = event_array(events)
+        out = np.empty(len(events))
+        out[...] = real(self.fn(tuple(events.T)))
+        return out
 
     def partial(self, axis: int, event: Event) -> float:
         tag = dual.fresh_tag()

@@ -24,13 +24,14 @@ never dropped.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .dual import real
 from .dual import sqrt as dual_sqrt
-from .fields import Event, ScalarField, coerce
+from .fields import Event, ScalarField, coerce, event_array, first_bad_event
 
 DIM = 4
 
@@ -242,10 +243,10 @@ def _hodge_coefficient(g: DiagonalMetric, idx: MultiIndex) -> ScalarField:
     def fn(event):
         vals = [diag[i](event) for i in range(DIM)]
         for i, v in enumerate(vals):
-            if abs(real(v)) < _METRIC_FLOOR:
+            where = first_bad_event(abs(real(v)) < _METRIC_FLOOR, event)
+            if where is not None:
                 raise DegenerateMetricError(
-                    f"metric component g_{i}{i} vanishes at event "
-                    f"{tuple(real(x) for x in event)}"
+                    f"metric component g_{i}{i} vanishes at event {where}"
                 )
         det = vals[0] * vals[1] * vals[2] * vals[3]
         out = dual_sqrt(abs(det))
@@ -318,25 +319,44 @@ def evaluate(
     return out
 
 
+def evaluate_batch(a: DifferentialForm, events) -> dict[MultiIndex, np.ndarray]:
+    """Component values over an (N, 4) event array, zeros for absent indices.
+
+    The batch form of :func:`evaluate`: each component's closure tree is
+    walked once with coordinate arrays in place of floats.
+    """
+    events = event_array(events)
+    out: dict[MultiIndex, np.ndarray] = {}
+    for idx in basis_indices(a.grade):
+        f = a.components.get(idx)
+        out[idx] = np.zeros(len(events)) if f is None else f.eval_batch(events)
+    return out
+
+
 def max_or_nan(values) -> float:
     """Largest of ``values`` and 0.0, or NaN when any value is NaN.
 
     The builtin ``max`` keeps a NaN only when it comes first, which would
     let a non-finite residual pass a tolerance check.
     """
-    out = 0.0
-    for v in values:
-        if math.isnan(v):
-            return math.nan
-        if v > out:
-            out = v
-    return out
+    if not isinstance(values, np.ndarray):
+        values = np.fromiter(values, dtype=float)
+    return float(values.max(initial=0.0))
 
 
 def component_max(a: DifferentialForm, event: Event) -> float:
     """Largest absolute component value at one event; NaN if any is NaN."""
     ev = tuple(float(x) for x in event)
     return max_or_nan(abs(f.eval(ev)) for f in a.components.values())
+
+
+def component_max_batch(a: DifferentialForm, events) -> np.ndarray:
+    """:func:`component_max` at each row of an (N, 4) event array."""
+    events = event_array(events)
+    out = np.zeros(len(events))
+    for f in a.components.values():
+        out = np.maximum(out, np.abs(f.eval_batch(events)))  # propagates NaN
+    return out
 
 
 def lower_index(g: DiagonalMetric, v: VectorField4) -> DifferentialForm:

@@ -21,14 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fields import Event, ScalarField, coerce
+import numpy as np
+
+from .fields import Event, ScalarField, coerce, event_array, first_bad_event
 from .forms import (
     DiagonalMetric,
     DifferentialForm,
     GradeMismatchError,
     VectorField4,
-    component_max,
-    evaluate,
+    component_max_batch,
+    evaluate_batch,
     exterior_derivative,
     hodge_star,
     max_or_nan,
@@ -98,14 +100,24 @@ class JumpReport:
         }
 
 
-def _check_on_interface(iface: Interface, event) -> tuple[float, ...]:
-    ev = tuple(float(x) for x in event)
-    value = iface.phi.eval(ev)
-    if abs(value) > ON_INTERFACE_TOL:
+def _on_interface(iface: Interface, samples) -> np.ndarray:
+    """``samples`` as an (N, 4) event array, each checked to lie on the interface."""
+    events = event_array(samples)
+    phi = iface.phi.eval_batch(events)
+    off = np.abs(phi) > ON_INTERFACE_TOL
+    if off.any():
+        k = int(off.argmax())
         raise InterfaceSampleError(
-            f"event {ev} is off interface {iface.name!r}: Phi = {value:.3e}"
+            f"event {tuple(events[k].tolist())} is off interface {iface.name!r}: "
+            f"Phi = {phi[k]:.3e}"
         )
-    return ev
+    return events
+
+
+def _require_nondegenerate(bad: np.ndarray, events: np.ndarray, what: str) -> None:
+    where = first_bad_event(bad, events.T)
+    if where is not None:
+        raise DegenerateInterfaceError(f"dPhi {what} at {where}")
 
 
 def interface_normal_velocity(
@@ -120,23 +132,35 @@ def interface_normal_velocity(
     induced spatial metric; v_N = -(i_U dPhi) c / |projection| is positive
     for an interface moving toward the Phi > 0 side.
     """
-    ev = tuple(float(x) for x in event)
-    dphi = evaluate(iface.gradient(), ev)
+    normal, v_n = interface_normal_velocity_batch(iface, frame, g, [event])
+    return tuple(float(n[0]) for n in normal), float(v_n[0])
+
+
+def interface_normal_velocity_batch(
+    iface: Interface,
+    frame: VectorField4,
+    g: DiagonalMetric,
+    events,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`interface_normal_velocity` at the rows of an (N, 4) event array.
+
+    Returns the four normal components and v_N, each an array over events.
+    """
+    events = event_array(events)
+    dphi = evaluate_batch(iface.gradient(), events)
     dphi_vec = [dphi[(a,)] for a in range(4)]
-    u_vec = [frame.components[a].eval(ev) for a in range(4)]
-    g_vec = [g.diag[a].eval(ev) for a in range(4)]
-    scale_dphi = max(abs(x) for x in dphi_vec)
-    if scale_dphi <= 0.0:
-        raise DegenerateInterfaceError(f"dPhi vanishes at {ev}")
+    u_vec = [frame.components[a].eval_batch(events) for a in range(4)]
+    g_vec = [g.diag[a].eval_batch(events) for a in range(4)]
+    scale_dphi = np.max(np.abs(dphi_vec), axis=0)
+    _require_nondegenerate(scale_dphi <= 0.0, events, "vanishes")
     contracted = sum(d * u for d, u in zip(dphi_vec, u_vec))
     u_flat = [gv * uv for gv, uv in zip(g_vec, u_vec)]
     projected = [d + contracted * uf for d, uf in zip(dphi_vec, u_flat)]
     norm_sq = sum(p * p / gv for p, gv in zip(projected, g_vec))
-    if norm_sq <= (1e-14 * scale_dphi) ** 2:
-        raise DegenerateInterfaceError(f"dPhi is purely temporal at {ev}")
+    _require_nondegenerate(norm_sq <= (1e-14 * scale_dphi) ** 2, events, "is purely temporal")
     norm = norm_sq**0.5
     c = (-g_vec[0]) ** 0.5
-    normal = tuple(p / norm for p in projected)
+    normal = [p / norm for p in projected]
     v_n = -contracted * c / norm
     return normal, v_n
 
@@ -164,26 +188,32 @@ def covariant_jump_residual(
     star_g_out = hodge_star(metric, g_out)
     jump_g = wedge(subtract(star_g_out, hodge_star(metric, g_in)), dphi)
 
-    events, abs_f, abs_g, rel_f, rel_g = [], [], [], [], []
-    for event in samples:
-        ev = _check_on_interface(iface, event)
-        dphi_scale = component_max(dphi, ev)
-        if dphi_scale <= 0.0:
-            raise DegenerateInterfaceError(f"dPhi vanishes at {ev}")
-        rf = component_max(jump_f, ev)
-        rg = component_max(jump_g, ev)
-        sf = component_max(f_out, ev) * dphi_scale
-        sg = component_max(star_g_out, ev) * dphi_scale
-        events.append(ev)
-        abs_f.append(rf)
-        abs_g.append(rg)
-        rel_f.append(rf / max(sf, _SCALE_FLOOR))
-        rel_g.append(rg / max(sg, _SCALE_FLOOR))
+    events = _on_interface(iface, samples)
+    dphi_scale = component_max_batch(dphi, events)
+    _require_nondegenerate(dphi_scale <= 0.0, events, "vanishes")
+    rf = component_max_batch(jump_f, events)
+    rg = component_max_batch(jump_g, events)
+    sf = component_max_batch(f_out, events) * dphi_scale
+    sg = component_max_batch(star_g_out, events) * dphi_scale
+    return _report(
+        iface,
+        events,
+        {"f_jump": rf, "star_g_jump": rg},
+        {
+            "f_jump": rf / np.maximum(sf, _SCALE_FLOOR),
+            "star_g_jump": rg / np.maximum(sg, _SCALE_FLOOR),
+        },
+    )
+
+
+def _report(
+    iface: Interface, events: np.ndarray, residuals: dict, residuals_rel: dict
+) -> JumpReport:
     return JumpReport(
         interface=iface.name,
-        samples=events,
-        residuals={"f_jump": abs_f, "star_g_jump": abs_g},
-        residuals_rel={"f_jump": rel_f, "star_g_jump": rel_g},
+        samples=[tuple(ev) for ev in events.tolist()],
+        residuals={k: v.tolist() for k, v in residuals.items()},
+        residuals_rel={k: v.tolist() for k, v in residuals_rel.items()},
     )
 
 
@@ -193,12 +223,12 @@ def _require_lab_aligned(frame: VectorField4, event) -> None:
         raise ValueError("Gibbs residuals are implemented for lab-aligned frames only")
 
 
-def _orthonormal_spatial(one_form: DifferentialForm, event, g_vec) -> list[float]:
-    vals = evaluate(one_form, event)
+def _orthonormal_spatial(one_form: DifferentialForm, events, g_vec) -> list[np.ndarray]:
+    vals = evaluate_batch(one_form, events)
     return [vals[(i,)] / g_vec[i] ** 0.5 for i in (1, 2, 3)]
 
 
-def _cross(x: Sequence[float], y: Sequence[float]) -> list[float]:
+def _cross(x: Sequence, y: Sequence) -> list:
     rh = [
         x[1] * y[2] - x[2] * y[1],
         x[2] * y[0] - x[0] * y[2],
@@ -221,55 +251,49 @@ def gibbs_jump_residual(
     residuals are normalised per condition by the larger of the two
     sides' field scales at the sample.
     """
-    events = [_check_on_interface(iface, ev) for ev in samples]
-    if events:
-        _require_lab_aligned(frame, events[0])
-    names = ("normal_d", "tangential_h", "normal_b", "tangential_e")
-    abs_res = {n: [] for n in names}
-    rel_res = {n: [] for n in names}
-    for ev in events:
-        g_vec = [g.diag[a].eval(ev) for a in range(4)]
-        c = (-g_vec[0]) ** 0.5
-        normal, v_n = interface_normal_velocity(iface, frame, g, ev)
-        n_hat = [normal[i] / g_vec[i] ** 0.5 for i in (1, 2, 3)]
+    events = _on_interface(iface, samples)
+    if len(events):
+        _require_lab_aligned(frame, tuple(events[0].tolist()))
+    g_vec = [g.diag[a].eval_batch(events) for a in range(4)]
+    c = (-g_vec[0]) ** 0.5
+    normal, v_n = interface_normal_velocity_batch(iface, frame, g, events)
+    n_hat = [normal[i] / g_vec[i] ** 0.5 for i in (1, 2, 3)]
 
-        def jump_and_scale(attr):
-            a = _orthonormal_spatial(getattr(dec_in, attr), ev, g_vec)
-            b = _orthonormal_spatial(getattr(dec_out, attr), ev, g_vec)
-            jump = [bv - av for av, bv in zip(a, b)]
-            scale = max(max(abs(v) for v in a), max(abs(v) for v in b))
-            return jump, scale
+    def jump_and_scale(attr):
+        a = _orthonormal_spatial(getattr(dec_in, attr), events, g_vec)
+        b = _orthonormal_spatial(getattr(dec_out, attr), events, g_vec)
+        jump = [bv - av for av, bv in zip(a, b)]
+        scale = np.maximum(np.max(np.abs(a), axis=0), np.max(np.abs(b), axis=0))
+        return jump, scale
 
-        je, se = jump_and_scale("e")
-        jb, sb = jump_and_scale("b")
-        jd, sd = jump_and_scale("d")
-        jh, sh = jump_and_scale("h")
+    je, se = jump_and_scale("e")
+    jb, sb = jump_and_scale("b")
+    jd, sd = jump_and_scale("d")
+    jh, sh = jump_and_scale("h")
 
-        normal_d = abs(sum(n * v for n, v in zip(n_hat, jd)))
-        tang_h = max(
-            abs(v_n * dv + cv) for dv, cv in zip(jd, _cross(n_hat, jh))
-        )
-        normal_b = abs(sum(n * v for n, v in zip(n_hat, jb)))
-        tang_e = max(
-            abs(v_n * bv - cv) for bv, cv in zip(jb, _cross(n_hat, je))
-        )
+    normal_d = abs(sum(n * v for n, v in zip(n_hat, jd)))
+    tang_h = np.max([abs(v_n * dv + cv) for dv, cv in zip(jd, _cross(n_hat, jh))], axis=0)
+    normal_b = abs(sum(n * v for n, v in zip(n_hat, jb)))
+    tang_e = np.max([abs(v_n * bv - cv) for bv, cv in zip(jb, _cross(n_hat, je))], axis=0)
 
-        # Unified field-pair scales: d and h/c share units, so do e and c b.
-        # Normalising per condition against the pair keeps the relative
-        # residual meaningful when one field vanishes identically.
-        scale_g = max(sd, sh / c)
-        scale_f = max(se, c * sb)
-        abs_res["normal_d"].append(normal_d)
-        abs_res["tangential_h"].append(tang_h)
-        abs_res["normal_b"].append(normal_b)
-        abs_res["tangential_e"].append(tang_e)
-        rel_res["normal_d"].append(normal_d / max(scale_g, _SCALE_FLOOR))
-        rel_res["tangential_h"].append(tang_h / max(c * scale_g, _SCALE_FLOOR))
-        rel_res["normal_b"].append(normal_b / max(scale_f / c, _SCALE_FLOOR))
-        rel_res["tangential_e"].append(tang_e / max(scale_f, _SCALE_FLOOR))
-    return JumpReport(
-        interface=iface.name,
-        samples=events,
-        residuals=abs_res,
-        residuals_rel=rel_res,
+    # Unified field-pair scales: d and h/c share units, so do e and c b.
+    # Normalising per condition against the pair keeps the relative
+    # residual meaningful when one field vanishes identically.
+    scale_g = np.maximum(sd, sh / c)
+    scale_f = np.maximum(se, c * sb)
+    return _report(
+        iface,
+        events,
+        {
+            "normal_d": normal_d,
+            "tangential_h": tang_h,
+            "normal_b": normal_b,
+            "tangential_e": tang_e,
+        },
+        {
+            "normal_d": normal_d / np.maximum(scale_g, _SCALE_FLOOR),
+            "tangential_h": tang_h / np.maximum(c * scale_g, _SCALE_FLOOR),
+            "normal_b": normal_b / np.maximum(scale_f / c, _SCALE_FLOOR),
+            "tangential_e": tang_e / np.maximum(scale_f, _SCALE_FLOOR),
+        },
     )

@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fields import ScalarField, sqrt
+import numpy as np
+
+from .fields import ScalarField, event_array, sqrt
 from .forms import (
     ChartMismatchError,
     DiagonalMetric,
@@ -28,12 +30,13 @@ from .forms import (
     GradeMismatchError,
     VectorField4,
     add,
-    component_max,
+    component_max_batch,
     exterior_derivative,
     hodge_star,
     interior_product,
     linear_combine,
     lower_index,
+    max_or_nan,
     scale,
     subtract,
     wedge,
@@ -128,20 +131,22 @@ def recompose(
     """
     if e.grade != 1 or b.grade != 1:
         raise GradeMismatchError("recompose expects two 1-forms")
-    if check_events:
+    if check_events is not None and len(check_events):
+        events = event_array(check_events)
         scale_ref = max(
-            max(component_max(e, ev) for ev in check_events),
-            max(component_max(b, ev) for ev in check_events),
+            max_or_nan(np.maximum(component_max_batch(e, events), component_max_batch(b, events))),
             1e-300,
         )
-        for ev in check_events:
-            res_e = abs(interior_product(frame, e).component(()).eval(ev))
-            res_b = abs(interior_product(frame, b).component(()).eval(ev))
-            if max(res_e, res_b) > 1e-9 * scale_ref:
-                raise TransversalityError(
-                    f"inputs not frame-transverse at {tuple(ev)}: "
-                    f"residual {max(res_e, res_b):.3e}"
-                )
+        res_e = np.abs(interior_product(frame, e).component(()).eval_batch(events))
+        res_b = np.abs(interior_product(frame, b).component(()).eval_batch(events))
+        residual = np.maximum(res_e, res_b)
+        bad = ~(residual <= 1e-9 * scale_ref)  # a NaN residual or scale fails too
+        if bad.any():
+            k = int(bad.argmax())
+            raise TransversalityError(
+                f"inputs not frame-transverse at {tuple(events[k].tolist())}: "
+                f"residual {residual[k]:.3e}"
+            )
     u_flat = lower_index(g, frame)
     cb = scale(light_speed_field(g), b)
     return subtract(wedge(e, u_flat), hodge_star(g, wedge(cb, u_flat)))

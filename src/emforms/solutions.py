@@ -10,7 +10,8 @@ import numpy as np
 from .forms import (
     DifferentialForm,
     VectorField4,
-    component_max,
+    basis_indices,
+    component_max_batch,
     exterior_derivative,
     hodge_star,
     max_or_nan,
@@ -60,17 +61,39 @@ class Region:
     box: tuple[BoxSlot, BoxSlot, BoxSlot, BoxSlot]
 
 
-def sample_box(box: Sequence[BoxSlot], n: int, rng: np.random.Generator) -> list[tuple]:
-    """``n`` events drawn uniformly from a coordinate box.
+def sample_box(box: Sequence[BoxSlot], n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` events drawn uniformly from a coordinate box, as an (n, 4) array.
 
     Ranges are drawn in slot order, one event after another; a fixed slot
     draws no random number, so pinning a coordinate leaves the draws of the
-    others unchanged.
+    others unchanged. One ``rng.random`` draw of shape (n, number of
+    ranges), mapped as ``lo + (hi - lo) * u``, gives the same numbers as one
+    ``rng.uniform(lo, hi)`` call per range and event.
     """
-    return [
-        tuple(float(rng.uniform(*s)) if isinstance(s, tuple) else float(s) for s in box)
-        for _ in range(n)
-    ]
+    draws = iter(rng.random((n, sum(isinstance(s, tuple) for s in box))).T)
+    events = np.empty((n, len(box)))
+    for i, s in enumerate(box):
+        if isinstance(s, tuple):
+            lo, hi = s
+            events[:, i] = lo + (hi - lo) * next(draws)
+        else:
+            events[:, i] = s
+    return events
+
+
+def junction_rows(conditions) -> tuple[np.ndarray, np.ndarray]:
+    """Matching rows and right-hand sides from batched 3-form values.
+
+    ``conditions`` holds one ``(columns, target)`` pair per junction
+    condition: ``columns`` has one :func:`~emforms.forms.evaluate_batch`
+    result per unknown, ``target`` the right-hand side's. Rows run event by
+    event, then condition, then 3-form component.
+    """
+    idxs = basis_indices(3)
+    a = np.array([[[col[i] for col in columns] for i in idxs] for columns, _ in conditions])
+    b = np.array([[target[i] for i in idxs] for _, target in conditions])
+    # (condition, component, unknown, event) -> event-major rows
+    return a.transpose(3, 0, 1, 2).reshape(-1, a.shape[2]), b.transpose(2, 0, 1).reshape(-1)
 
 
 def solve_matching_system(rows, rhs, what: str) -> np.ndarray:
@@ -190,8 +213,7 @@ def verify_solution(
         sg = star_g[region.interior]
         events = sample_box(region.box, samples_per_region, rng)
         max_df, max_f, max_dsg, max_sg = (
-            max_or_nan([component_max(form, ev) for ev in events])
-            for form in (df, f_form, dsg, sg)
+            max_or_nan(component_max_batch(form, events)) for form in (df, f_form, dsg, sg)
         )
         rel_df = sol.length_scale * max_df / max(max_f, 1e-300)
         rel_dsg = sol.length_scale * max_dsg / max(max_sg, 1e-300)

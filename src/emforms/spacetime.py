@@ -13,7 +13,7 @@ from typing import Callable
 
 from . import dual
 from .dual import real
-from .fields import Event, ScalarField, sin
+from .fields import Event, ScalarField, first_bad_event, sin
 from .forms import (
     ChartMismatchError,
     DiagonalMetric,
@@ -118,10 +118,9 @@ def rotating_velocity(chart: Chart, omega: float, azimuth_axis: int) -> VectorFi
 
     def root(event):
         arg = c * c - g_az(event) * (omega * omega)
-        if real(arg) <= 0.0:
-            raise LightConeError(
-                f"rotation reaches light speed at event {tuple(real(x) for x in event)}"
-            )
+        where = first_bad_event(real(arg) <= 0.0, event)
+        if where is not None:
+            raise LightConeError(f"rotation reaches light speed at event {where}")
         return dual.sqrt(arg)
 
     comps = [ScalarField.zero()] * 4

@@ -28,8 +28,7 @@ from .forms import (
     DifferentialForm,
     VectorField4,
     add,
-    basis_indices,
-    evaluate,
+    evaluate_batch,
     exterior_derivative,
     form,
     hodge_star,
@@ -46,6 +45,7 @@ from .solutions import (
     MatchingError,
     Region,
     SphereConstants,
+    junction_rows,
     sample_box,
     solve_matching_system,
 )
@@ -73,9 +73,10 @@ class SphereScenario:
                 f"rim speed {abs(self.omega) * self.a:.3e} m/s reaches light speed"
             )
         if abs(self.omega) * self.a > 0.1 * self.mat.c:
+            # level 2 is the generated dataclass __init__; 3 is its caller
             warnings.warn(
                 "rim speed above 0.1 c: the first-order solution degrades",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def chart(self) -> Chart:
@@ -149,8 +150,8 @@ def sphere_interface_events(
         theta = _POLE_MARGIN + (math.pi - 2.0 * _POLE_MARGIN) * (j + 0.5) / max(half, 1)
         phi = 2.0 * math.pi * j / max(half, 1)
         events.append((0.0, sc.a, theta, phi))
-    events += sample_box(_sampling_box(sc, sc.a), n - half, np.random.default_rng(seed))
-    return events
+    drawn = sample_box(_sampling_box(sc, sc.a), n - half, np.random.default_rng(seed))
+    return events + [tuple(ev) for ev in drawn.tolist()]
 
 
 def _sampling_box(sc: SphereScenario, radius) -> tuple:
@@ -191,7 +192,7 @@ def match_sphere_constants(
     omega = sc.omega if sc.omega != 0.0 else 0.01 * sc.mat.c / sc.a
     iface = sphere_interface(sc, chart)
     dphi = iface.gradient()
-    events = sphere_interface_events(sc, 2 * theta_points, seed)
+    events = np.array(sphere_interface_events(sc, 2 * theta_points, seed))
 
     def assemble(k0: float, k1: float, p0: float, p1: float):
         f0_in = scale(k0, basis["uniform_t"])
@@ -220,15 +221,18 @@ def match_sphere_constants(
         assemble(0.0, 0.0, 0.0, unit_vec[3]),
     ]
 
-    rows, rhs = [], []
-    for ev in events:
-        for cond in range(2):
-            base_vals = evaluate(base[cond], ev)
-            col_vals = [evaluate(col[cond], ev) for col in columns]
-            for idx in basis_indices(3):
-                # residual(x) = base + sum_j x_j (col_j - base); move base right
-                rows.append([cv[idx] - base_vals[idx] for cv in col_vals])
-                rhs.append(-base_vals[idx])
+    conditions = []
+    for cond in range(2):
+        base_vals = evaluate_batch(base[cond], events)
+        col_vals = [evaluate_batch(col[cond], events) for col in columns]
+        # residual(x) = base + sum_j x_j (col_j - base); move base right
+        conditions.append(
+            (
+                [{idx: v - base_vals[idx] for idx, v in cv.items()} for cv in col_vals],
+                {idx: -v for idx, v in base_vals.items()},
+            )
+        )
+    rows, rhs = junction_rows(conditions)
 
     solution = solve_matching_system(rows, rhs, "sphere junction")
     return SphereConstants(*(float(x * u) for x, u in zip(solution, unit_vec)))

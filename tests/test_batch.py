@@ -1,0 +1,287 @@
+"""The batched evaluation path against the one-event reference path.
+
+``evaluate_batch`` and ``component_max_batch`` walk each closure tree once
+with coordinate arrays; ``evaluate`` and ``component_max`` walk it once per
+event on floats and serve as the reference here.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from emforms import dual, solutions
+from emforms.cylinder import CylinderScenario, solve_cylinder
+from emforms.dual import Dual
+from emforms.fields import ScalarField
+from emforms.forms import (
+    DegenerateMetricError,
+    basis_indices,
+    component_max,
+    component_max_batch,
+    evaluate,
+    evaluate_batch,
+    exterior_derivative,
+    form,
+    hodge_star,
+    wedge,
+    zero_form,
+)
+from emforms.junction import (
+    DegenerateInterfaceError,
+    Interface,
+    InterfaceSampleError,
+    covariant_jump_residual,
+    gibbs_jump_residual,
+    interface_normal_velocity,
+    interface_normal_velocity_batch,
+)
+from emforms.media import EMDecomposition, MaterialParams
+from emforms.solutions import junction_rows, sample_box, verify_solution
+from emforms.spacetime import LightConeError, cylindrical_chart, lab_frame, rotating_velocity
+from emforms.sphere import SphereScenario, solve_sphere
+
+C = 299792458.0
+REL_TOL = 1e-13
+
+
+@pytest.fixture(scope="module")
+def shell():
+    sc = CylinderScenario(r1=0.02, r2=0.04, omega=100.0, b0=1.0, mat=MaterialParams(6.0, 1.0))
+    sol, _ = solve_cylinder(sc, samples_per_interface=4)
+    return sc, sol
+
+
+def five_events(bad, good=(0.0, 0.03, 0.4, 0.01)):
+    """Five events whose middle one is ``bad``."""
+    events = np.array([good] * 5, dtype=float)
+    events[1:4, 2] = (0.5, 0.6, 0.7)
+    events[2] = bad
+    return events
+
+
+# -- kernel ------------------------------------------------------------------
+
+
+def test_dual_defers_to_reflected_operators_and_abs_is_elementwise():
+    tag = dual.fresh_tag()
+    x = Dual(np.array([-2.0, 3.0]), 1.0, tag)
+    y = np.array([2.0, 2.0]) * x
+    assert isinstance(y, Dual)
+    assert y.a.tolist() == [-4.0, 6.0]
+    z = abs(x)
+    assert z.a.tolist() == [2.0, 3.0]
+    assert z.b.tolist() == [-1.0, 1.0]
+
+
+def test_elementary_functions_keep_math_for_floats():
+    for fn in (dual.sin, dual.cos, dual.exp, dual.log, dual.sqrt):
+        assert type(fn(0.7)) is float
+        assert isinstance(fn(np.array([0.7])), np.ndarray)
+
+
+def test_empty_batch(shell):
+    _, sol = shell
+    out = evaluate_batch(sol.g_in, np.empty((0, 4)))
+    assert all(v.shape == (0,) for v in out.values())
+    assert component_max_batch(sol.f_in, []).shape == (0,)
+
+
+def scenario_forms(sol):
+    """(interior, name, form, reference) for F, G, dF and d*G on each side.
+
+    F and G components compare against their own batch maximum; dF and
+    d*G, which nearly vanish, against the field scale over the length
+    scale (``reference``) that the Maxwell verification divides them by.
+    """
+    metric = sol.chart.metric
+    for interior, (f, g) in ((True, (sol.f_in, sol.g_in)), (False, (sol.f_out, sol.g_out))):
+        star_g = hodge_star(metric, g)
+        yield interior, "F", f, None
+        yield interior, "G", g, None
+        yield interior, "dF", exterior_derivative(f), (f, sol.length_scale)
+        yield interior, "d*G", exterior_derivative(star_g), (star_g, sol.length_scale)
+
+
+def assert_batch_matches_reference(sol, seed):
+    rng = np.random.default_rng(seed)
+    for region in sol.regions:
+        events = sample_box(region.box, 6, rng)
+        for interior, name, a, parent in scenario_forms(sol):
+            if interior != region.interior:
+                continue
+            got = evaluate_batch(a, events)
+            ref = [evaluate(a, ev) for ev in events]
+            if parent is not None:
+                parent_form, length = parent
+                field_scale = max(component_max(parent_form, ev) for ev in events) / length
+            for idx, values in got.items():
+                want = np.array([r[idx] for r in ref])
+                scale = np.abs(want).max() if parent is None else field_scale
+                err = np.abs(values - want).max()
+                assert err <= REL_TOL * max(scale, 1e-300), (region.name, name, idx, err, scale)
+
+
+@given(
+    r1=st.floats(0.005, 0.05),
+    ratio=st.floats(1.5, 4.0),
+    beta=st.floats(1e-6, 0.3),
+    b0=st.floats(0.1, 5.0),
+    eps_r=st.floats(1.1, 10.0),
+    mu_r=st.floats(0.3, 4.0),
+    seed=st.integers(0, 2**31),
+)
+def test_batch_matches_reference_cylinder(r1, ratio, beta, b0, eps_r, mu_r, seed):
+    r2 = r1 * ratio
+    sc = CylinderScenario(r1, r2, beta * C / r2, b0, MaterialParams(eps_r, mu_r))
+    sol, _ = solve_cylinder(sc, samples_per_interface=4)
+    assert_batch_matches_reference(sol, seed)
+
+
+@given(
+    a=st.floats(0.01, 0.5),
+    beta=st.floats(1e-7, 0.05),
+    e0=st.floats(10.0, 1e5),
+    eps_r=st.floats(1.1, 10.0),
+    mu_r=st.floats(0.3, 4.0),
+    seed=st.integers(0, 2**31),
+)
+def test_batch_matches_reference_sphere(a, beta, e0, eps_r, mu_r, seed):
+    sc = SphereScenario(a, beta * C / a, e0, MaterialParams(eps_r, mu_r))
+    sol, _ = solve_sphere(sc, theta_points=3)
+    assert_batch_matches_reference(sol, seed)
+
+
+def test_junction_rows_keep_the_per_event_order(shell):
+    sc, sol = shell
+    dphi = sol.interfaces[0].gradient()
+    star = hodge_star(sol.chart.metric, sol.g_in)
+    f_jump, g_jump = wedge(sol.f_in, dphi), wedge(star, dphi)
+    conditions = [([f_jump, g_jump], wedge(sol.f_out, dphi)), ([g_jump, f_jump], g_jump)]
+    events = five_events((0.0, sc.r1, 2.0, -0.01), good=(1e-10, sc.r1, 0.4, 0.01))
+    rows, rhs = junction_rows(
+        [
+            ([evaluate_batch(b, events) for b in cols], evaluate_batch(target, events))
+            for cols, target in conditions
+        ]
+    )
+    ref_rows, ref_rhs = [], []
+    for ev in events:
+        for cols, target in conditions:
+            col_vals = [evaluate(b, ev) for b in cols]
+            target_vals = evaluate(target, ev)
+            for idx in basis_indices(3):
+                ref_rows.append([v[idx] for v in col_vals])
+                ref_rhs.append(target_vals[idx])
+    assert rows.tolist() == ref_rows
+    assert rhs.tolist() == ref_rhs
+
+
+def test_normal_velocity_is_the_one_event_batch(shell):
+    sc, sol = shell
+    iface = sol.interfaces[1]
+    frame = lab_frame(sol.chart)
+    events = five_events((0.0, sc.r2, 2.0, -0.01), good=(1e-10, sc.r2, 0.4, 0.01))
+    normal, v_n = interface_normal_velocity_batch(iface, frame, sol.chart.metric, events)
+    for k, ev in enumerate(events):
+        one_normal, one_v = interface_normal_velocity(iface, frame, sol.chart.metric, ev)
+        assert one_normal == tuple(n[k] for n in normal)
+        assert one_v == v_n[k]
+
+
+# -- guards name the first offending event --------------------------------------
+
+
+def assert_names_event(excinfo, event):
+    assert repr(tuple(float(x) for x in event)) in str(excinfo.value)
+
+
+def test_metric_floor_guard_names_event():
+    cyl = cylindrical_chart(C)
+    f = form(2, cyl.name, {(0, 1): ScalarField.coordinate(3), (1, 2): 1.0})
+    events = five_events((0.0, 0.0, 0.6, 0.01))
+    for a in (hodge_star(cyl.metric, f), exterior_derivative(hodge_star(cyl.metric, f))):
+        with pytest.raises(DegenerateMetricError, match="g_22") as excinfo:
+            evaluate_batch(a, events)
+        assert_names_event(excinfo, events[2])
+
+
+def test_light_cone_guard_names_event():
+    cyl = cylindrical_chart(C)
+    velocity = rotating_velocity(cyl, 1000.0, 2)
+    events = five_events((0.0, 2.0 * C / 1000.0, 0.6, 0.01))
+    with pytest.raises(LightConeError) as excinfo:
+        velocity.components[0].eval_batch(events)
+    assert_names_event(excinfo, events[2])
+
+
+def test_off_interface_guard_names_event(shell):
+    sc, sol = shell
+    events = five_events((0.0, 1.5 * sc.r1, 0.6, 0.01), good=(0.0, sc.r1, 0.4, 0.01))
+    args = (sol.f_in, sol.f_out, sol.g_in, sol.g_out, sol.interfaces[0], sol.chart.metric)
+    with pytest.raises(InterfaceSampleError) as excinfo:
+        covariant_jump_residual(*args, events)
+    assert_names_event(excinfo, events[2])
+
+
+def test_degenerate_dphi_guards_name_event():
+    cyl = cylindrical_chart(C)
+    r, z, t = (ScalarField.coordinate(i) for i in (1, 3, 0))
+    two = zero_form(2, cyl.name)
+    frame = lab_frame(cyl)
+    # dPhi = z dr + (r - 1) dz vanishes on r = 1 only where z = 0
+    vanishing = Interface(phi=(r - 1.0) * z, chart=cyl.name)
+    events = five_events((0.0, 1.0, 0.6, 0.0), good=(0.0, 1.0, 0.4, 0.5))
+    with pytest.raises(DegenerateInterfaceError, match="vanishes") as excinfo:
+        covariant_jump_residual(two, two, two, two, vanishing, cyl.metric, events)
+    assert_names_event(excinfo, events[2])
+    with pytest.raises(DegenerateInterfaceError, match="vanishes") as excinfo:
+        interface_normal_velocity_batch(vanishing, frame, cyl.metric, events)
+    assert_names_event(excinfo, events[2])
+    # dPhi = dt + z dr + (r - 1) dz is purely temporal on r = 1 where z = 0
+    temporal = Interface(phi=(t - 1.0) + (r - 1.0) * z, chart=cyl.name)
+    events = five_events((1.0, 1.0, 0.6, 0.0), good=(1.0, 1.0, 0.4, 0.5))
+    with pytest.raises(DegenerateInterfaceError, match="purely temporal") as excinfo:
+        interface_normal_velocity_batch(temporal, frame, cyl.metric, events)
+    assert_names_event(excinfo, events[2])
+
+
+# -- one NaN event fails its region or interface ------------------------------------
+
+
+def test_nan_event_fails_its_region(shell, monkeypatch):
+    _, sol = shell
+    drawn = solutions.sample_box
+
+    def with_nan(box, n, rng):
+        events = drawn(box, n, rng)
+        events[n // 2, 1] = math.nan
+        return events
+
+    monkeypatch.setattr(solutions, "sample_box", with_nan)
+    report = verify_solution(sol, samples_per_region=5)
+    assert not report.passed
+    for entry in report.regions.values():
+        assert math.isnan(entry["df_max_rel"])
+        assert math.isnan(entry["dstar_g_max_rel"])
+
+
+def test_nan_event_fails_its_interface(shell):
+    sc, sol = shell
+    metric = sol.chart.metric
+    frame = lab_frame(sol.chart)
+    iface = sol.interfaces[0]
+    events = five_events((0.0, math.nan, 0.6, 0.01), good=(0.0, sc.r1, 0.4, 0.01))
+    covariant = covariant_jump_residual(
+        sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, events
+    )
+    dec_in = EMDecomposition.of(sol.f_in, sol.g_in, frame, metric)
+    dec_out = EMDecomposition.of(sol.f_out, sol.g_out, frame, metric)
+    gibbs = gibbs_jump_residual(dec_in, dec_out, iface, frame, metric, events)
+    for report in (covariant, gibbs):
+        assert math.isnan(report.max_rel)
+        assert not report.max_rel <= 1e-10
+        rel = np.array(list(report.residuals_rel.values()))
+        assert np.isfinite(rel).all(axis=0).tolist() == [True, True, False, True, True]

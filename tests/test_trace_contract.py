@@ -1,0 +1,42 @@
+"""The benchmark tracer must find every function it wraps.
+
+``perfbench/tracer.py`` rebinds emforms functions by name; renaming one
+would otherwise surface only in a traced benchmark run.
+"""
+
+import importlib.util
+import pathlib
+
+from emforms import cli, fields, forms, junction
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls():
+    tracer = load_tracer()
+    originals = (
+        forms.evaluate,
+        junction.interface_normal_velocity,
+        cli.cylinder_profile,
+        fields.ScalarField.eval,
+    )
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        assert forms.evaluate is not originals[0]
+    finally:
+        t.uninstall()
+    restored = (
+        forms.evaluate,
+        junction.interface_normal_velocity,
+        cli.cylinder_profile,
+        fields.ScalarField.eval,
+    )
+    assert all(a is b for a, b in zip(originals, restored))
