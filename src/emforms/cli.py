@@ -14,7 +14,9 @@ Config keys carry their SI units explicitly. Example cylinder config:
                   "verification_json": "verification.json"}
     }
 
-A sphere config uses "geometry": {"a_m": ...} and "e0_volt_per_m".
+Each scenario declares its own geometry keys and drive key; a sphere
+config uses "geometry": {"a_m": ...} and "e0_volt_per_m". The driver
+reaches a scenario only through the interface of :class:`Scenario`.
 Unknown keys and non-finite numbers are rejected. Exit codes: 0 on
 success; 2 on config errors, including geometry so small that the metric
 degenerates (no outputs are written); 3 when residual tolerances are
@@ -26,22 +28,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from typing import ClassVar, Protocol
 
-import numpy as np
-
-from .cylinder import (
-    CylinderScenario,
-    cylinder_bound_sources,
-    interface_sample_events,
-    pellegrini_swift_field,
-    solve_cylinder,
-    wilson_wilson_V12,
-)
+# The profile builders live with their scenarios and stay importable from here.
+from .cylinder import CylinderScenario, cylinder_profile  # noqa: F401
 from .forms import DegenerateMetricError, DomainError
 from .junction import covariant_jump_residual, gibbs_jump_residual
 from .media import EMDecomposition, MaterialParams
@@ -53,7 +47,7 @@ from .solutions import (
     verify_solution,
 )
 from .spacetime import lab_frame
-from .sphere import SphereScenario, solve_sphere, sphere_interface_events
+from .sphere import SphereScenario, sphere_profile  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,19 +87,35 @@ def _integer(section: dict, key: str, where: str, default: int, minimum: int) ->
     return value
 
 
+class Scenario(Protocol):
+    """What the driver needs of a scenario. The config is read and echoed
+    through ``GEOMETRY_KEYS`` (geometry key -> field) and ``DRIVE_KEY``
+    (config key, field); ``interface_events`` gives one event list per
+    interface, in ``FieldSolution.interfaces`` order, and ``profile`` the
+    CSV header and rows from the (interior, exterior) lab-frame
+    decompositions."""
+
+    GEOMETRY_KEYS: ClassVar[dict[str, str]]
+    DRIVE_KEY: ClassVar[tuple[str, str]]
+    omega: float
+    mat: MaterialParams
+
+    def solve(self, seed: int) -> tuple[FieldSolution, object]: ...
+    def interface_events(self, samples: int, seed: int) -> list[list[tuple]]: ...
+    def profile(self, decs, radial_points: int, angular_points: int) -> tuple[list, list]: ...
+    def observables(self, constants) -> dict: ...
+
+
+SCENARIOS: dict[str, type[Scenario]] = {"cylinder": CylinderScenario, "sphere": SphereScenario}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated scenario configuration; mirrors the JSON schema."""
+    """Validated run configuration: the scenario, its name, sampling and
+    output file names; mirrors the JSON schema."""
 
     kind: str
-    r1_m: float | None
-    r2_m: float | None
-    a_m: float | None
-    omega_rad_per_s: float
-    b0_tesla: float | None
-    e0_volt_per_m: float | None
-    eps_r: float
-    mu_r: float
+    scenario: Scenario
     radial_points: int = 64
     angular_points: int = 16
     seed: int = 0
@@ -115,31 +125,24 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        """Validate a config dict; a scenario's own range check raises ValueError."""
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        allowed = {"scenario", "geometry", "omega_rad_per_s", "material", "sampling", "outputs"}
         kind = raw.get("scenario")
-        if kind == "cylinder":
-            allowed |= {"b0_tesla"}
-        elif kind == "sphere":
-            allowed |= {"e0_volt_per_m"}
-        else:
-            raise ConfigError(f"scenario must be 'cylinder' or 'sphere', got {kind!r}")
-        required = allowed - {"sampling", "outputs"}
-        _require_keys(raw, allowed, required, "config")
+        if not isinstance(kind, str) or kind not in SCENARIOS:
+            names = " or ".join(repr(name) for name in SCENARIOS)
+            raise ConfigError(f"scenario must be {names}, got {kind!r}")
+        scenario_cls = SCENARIOS[kind]
+        drive_key, drive_field = scenario_cls.DRIVE_KEY
+        required = {"scenario", "geometry", "omega_rad_per_s", drive_key, "material"}
+        optional = {"sampling", "outputs"}
+        _require_keys(raw, required | optional, required, "config")
 
         geometry = raw["geometry"]
-        if kind == "cylinder":
-            _require_keys(geometry, {"r1_m", "r2_m"}, {"r1_m", "r2_m"}, "geometry")
-            r1, r2, a = _number(geometry, "r1_m", "geometry"), _number(geometry, "r2_m", "geometry"), None
-            b0 = _number(raw, "b0_tesla", "config")
-            e0 = None
-        else:
-            _require_keys(geometry, {"a_m"}, {"a_m"}, "geometry")
-            r1 = r2 = None
-            a = _number(geometry, "a_m", "geometry")
-            b0 = None
-            e0 = _number(raw, "e0_volt_per_m", "config")
+        keys = scenario_cls.GEOMETRY_KEYS
+        _require_keys(geometry, set(keys), set(keys), "geometry")
+        kwargs = {field: _number(geometry, key, "geometry") for key, field in keys.items()}
+        kwargs[drive_field] = _number(raw, drive_key, "config")
 
         material = raw["material"]
         _require_keys(material, {"eps_r", "mu_r"}, {"eps_r", "mu_r"}, "material")
@@ -154,36 +157,31 @@ class RunConfig:
             "outputs",
         )
 
+        kwargs["omega"] = _number(raw, "omega_rad_per_s", "config")
+        eps_r = _number(material, "eps_r", "material")
+        mu_r = _number(material, "mu_r", "material")
         return cls(
             kind=kind,
-            r1_m=r1,
-            r2_m=r2,
-            a_m=a,
-            omega_rad_per_s=_number(raw, "omega_rad_per_s", "config"),
-            b0_tesla=b0,
-            e0_volt_per_m=e0,
-            eps_r=_number(material, "eps_r", "material"),
-            mu_r=_number(material, "mu_r", "material"),
             radial_points=_integer(sampling, "radial_points", "sampling", 64, 1),
             angular_points=_integer(sampling, "angular_points", "sampling", 16, 1),
             seed=_integer(sampling, "seed", "sampling", 0, 0),
             profile_csv=str(outputs.get("profile_csv", "profile.csv")),
             observables_json=str(outputs.get("observables_json", "observables.json")),
             verification_json=str(outputs.get("verification_json", "verification.json")),
+            # built last, after every config value has been validated
+            scenario=scenario_cls(mat=MaterialParams(eps_r=eps_r, mu_r=mu_r), **kwargs),
         )
 
     def echo(self) -> dict:
         """Field-for-field echo of the parsed config for the reports."""
-        geometry = (
-            {"r1_m": self.r1_m, "r2_m": self.r2_m}
-            if self.kind == "cylinder"
-            else {"a_m": self.a_m}
-        )
-        out = {
+        sc = self.scenario
+        drive_key, drive_field = sc.DRIVE_KEY
+        return {
             "scenario": self.kind,
-            "geometry": geometry,
-            "omega_rad_per_s": self.omega_rad_per_s,
-            "material": {"eps_r": self.eps_r, "mu_r": self.mu_r},
+            "geometry": {key: getattr(sc, field) for key, field in sc.GEOMETRY_KEYS.items()},
+            "omega_rad_per_s": sc.omega,
+            drive_key: getattr(sc, drive_field),
+            "material": {"eps_r": sc.mat.eps_r, "mu_r": sc.mat.mu_r},
             "sampling": {
                 "radial_points": self.radial_points,
                 "angular_points": self.angular_points,
@@ -195,21 +193,6 @@ class RunConfig:
                 "verification_json": self.verification_json,
             },
         }
-        if self.kind == "cylinder":
-            out["b0_tesla"] = self.b0_tesla
-        else:
-            out["e0_volt_per_m"] = self.e0_volt_per_m
-        return out
-
-    def scenario(self):
-        mat = MaterialParams(eps_r=self.eps_r, mu_r=self.mu_r)
-        if self.kind == "cylinder":
-            return CylinderScenario(
-                r1=self.r1_m, r2=self.r2_m, omega=self.omega_rad_per_s, b0=self.b0_tesla, mat=mat
-            )
-        return SphereScenario(
-            a=self.a_m, omega=self.omega_rad_per_s, e0=self.e0_volt_per_m, mat=mat
-        )
 
 
 def load_config(path: str) -> RunConfig:
@@ -251,96 +234,6 @@ def write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _by_side(dec_in, dec_out, inside, events, attr: str, idx) -> np.ndarray:
-    """One component of a frame field over the events, each decomposition
-    evaluated only on its own side (the interior one raises past the light
-    cylinder, which the exterior profile may reach)."""
-    out = np.empty(len(events))
-    for dec, mask in ((dec_in, inside), (dec_out, ~inside)):
-        out[mask] = getattr(dec, attr).component(idx).eval_batch(events[mask])
-    return out
-
-
-def cylinder_profile(sc: CylinderScenario, sol: FieldSolution, radial_points: int):
-    """Radial profile across all three regions, physical SI components."""
-    header = ["r", "e_r", "b_z", "d_r", "h_z", "p_r", "m_z", "rho_bound", "j_bound"]
-    metric = sol.chart.metric
-    frame = lab_frame(sol.chart)
-    dec_in = EMDecomposition.of(sol.f_in, sol.g_in, frame, metric)
-    dec_out = EMDecomposition.of(sol.f_out, sol.g_out, frame, metric)
-    current, rho, p_form, m_form = cylinder_bound_sources(sc)
-
-    radii = np.linspace(0.5 * sc.r1, 1.5 * sc.r2, radial_points)
-    events = np.zeros((radial_points, 4))
-    events[:, 1] = radii
-    inside = (sc.r1 < radii) & (radii < sc.r2)
-    medium = events[inside]
-    sources = np.zeros((4, radial_points))  # p_r, m_z, rho_bound, j_bound; zero outside
-    sources[0, inside] = p_form.component((1,)).eval_batch(medium)
-    sources[1, inside] = m_form.component((3,)).eval_batch(medium)
-    # scalar density: rho / (r dr^dth^dz)
-    sources[2, inside] = rho.component((1, 2, 3)).eval_batch(medium) / radii[inside]
-    # azimuthal flux density on dz^dr
-    sources[3, inside] = -current.component((1, 3)).eval_batch(medium)
-    columns = [
-        radii,
-        _by_side(dec_in, dec_out, inside, events, "e", (1,)),
-        _by_side(dec_in, dec_out, inside, events, "b", (3,)),
-        _by_side(dec_in, dec_out, inside, events, "d", (1,)),
-        _by_side(dec_in, dec_out, inside, events, "h", (3,)),
-        *sources,
-    ]
-    return header, np.column_stack(columns).tolist()
-
-
-def sphere_profile(sc: SphereScenario, sol: FieldSolution, radial_points: int, angular_points: int):
-    """(r, theta) grid of orthonormal field components, in SI over c."""
-    header = ["r", "theta", "e_r", "e_theta", "b_r", "b_theta"]
-    metric = sol.chart.metric
-    frame = lab_frame(sol.chart)
-    dec_in = EMDecomposition.of(sol.f_in, sol.g_in, frame, metric)
-    dec_out = EMDecomposition.of(sol.f_out, sol.g_out, frame, metric)
-
-    radii = np.linspace(0.1 * sc.a, 2.0 * sc.a, radial_points)
-    thetas = np.linspace(0.15, math.pi - 0.15, angular_points)
-    r = np.repeat(radii, angular_points)  # rows run over theta within each radius
-    th = np.tile(thetas, radial_points)
-    events = np.column_stack([np.zeros_like(r), r, th, np.zeros_like(r)])
-    inside = r < sc.a
-    columns = [
-        r,
-        th,
-        _by_side(dec_in, dec_out, inside, events, "e", (1,)),
-        _by_side(dec_in, dec_out, inside, events, "e", (2,)) / r,
-        _by_side(dec_in, dec_out, inside, events, "b", (1,)),
-        _by_side(dec_in, dec_out, inside, events, "b", (2,)) / r,
-    ]
-    return header, np.column_stack(columns).tolist()
-
-
-def _junction_reports(sc, sol: FieldSolution, samples: int, seed: int):
-    metric = sol.chart.metric
-    frame = lab_frame(sol.chart)
-    dec_in = EMDecomposition.of(sol.f_in, sol.g_in, frame, metric)
-    dec_out = EMDecomposition.of(sol.f_out, sol.g_out, frame, metric)
-    covariant, gibbs = [], []
-    if isinstance(sc, CylinderScenario):
-        radii = (sc.r1, sc.r2)
-        event_sets = [interface_sample_events(sc, r, samples, seed) for r in radii]
-    else:
-        event_sets = [sphere_interface_events(sc, samples, seed)]
-    for iface, events in zip(sol.interfaces, event_sets):
-        covariant.append(
-            covariant_jump_residual(
-                sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, events
-            )
-        )
-        gibbs.append(
-            gibbs_jump_residual(dec_in, dec_out, iface, frame, metric, events)
-        )
-    return covariant, gibbs
-
-
 def run(
     config_path: str,
     verify_only: bool = False,
@@ -351,10 +244,10 @@ def run(
     """Load a config, solve, verify, and write the reports."""
     try:
         cfg = load_config(config_path)
-        sc = cfg.scenario()
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError or a scenario's range check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    sc = cfg.scenario
 
     seed = cfg.seed if seed is None else seed
     n_samples = 64 if samples is None else samples
@@ -369,12 +262,22 @@ def run(
         return os.path.join(out_dir, name) if out_dir else name
 
     try:
-        if isinstance(sc, CylinderScenario):
-            sol, constants = solve_cylinder(sc, seed=seed)
-        else:
-            sol, constants = solve_sphere(sc, seed=seed)
+        sol, constants = sc.solve(seed)
         maxwell = verify_solution(sol, samples_per_region=n_samples, seed=seed)
-        junctions, gibbs = _junction_reports(sc, sol, n_samples, seed)
+        metric, frame = sol.chart.metric, lab_frame(sol.chart)
+        # one frame decomposition per side, shared by the Gibbs check and the profile
+        decs = tuple(
+            EMDecomposition.of(f, g, frame, metric)
+            for f, g in ((sol.f_in, sol.g_in), (sol.f_out, sol.g_out))
+        )
+        junctions, gibbs = [], []
+        for iface, events in zip(sol.interfaces, sc.interface_events(n_samples, seed)):
+            junctions.append(
+                covariant_jump_residual(
+                    sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, events
+                )
+            )
+            gibbs.append(gibbs_jump_residual(*decs, iface, frame, metric, events))
     except (MatchingError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -399,34 +302,8 @@ def run(
     }
 
     if not verify_only:
-        if isinstance(sc, CylinderScenario):
-            mid = 0.5 * (sc.r1 + sc.r2)
-            observables = {
-                "config": cfg.echo(),
-                "matching_constants": {"C1": constants.c1, "C2": constants.c2},
-                "v12_leading_volts": wilson_wilson_V12(sc, mode="leading"),
-                "v12_exact_volts": wilson_wilson_V12(sc, mode="exact"),
-                "radial_field_mid_volts_per_m": {
-                    "wilson_wilson": sc.mat.mu_r
-                    * (1.0 - 1.0 / (sc.mat.mu_r * sc.mat.eps_r))
-                    * mid
-                    * sc.omega
-                    * sc.b0,
-                    "pellegrini_swift_falsified": pellegrini_swift_field(sc, mid),
-                },
-            }
-            header, rows = cylinder_profile(sc, sol, cfg.radial_points)
-        else:
-            observables = {
-                "config": cfg.echo(),
-                "matching_constants": {
-                    "K0": constants.k0,
-                    "K1": constants.k1,
-                    "P0": constants.p0,
-                    "P1": constants.p1,
-                },
-            }
-            header, rows = sphere_profile(sc, sol, cfg.radial_points, cfg.angular_points)
+        observables = {"config": cfg.echo(), **sc.observables(constants)}
+        header, rows = sc.profile(decs, cfg.radial_points, cfg.angular_points)
 
     path = out_path(cfg.verification_json)
     try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,8 +39,9 @@ from .solutions import (
     FieldSolution,
     MatchingError,
     Region,
+    by_side,
+    grid_and_box_events,
     junction_rows,
-    sample_box,
     solve_matching_system,
 )
 from .spacetime import Chart, cylindrical_chart, rotating_velocity
@@ -50,6 +52,9 @@ AZIMUTH_AXIS = 2  # theta slot of the cylindrical chart
 @dataclass(frozen=True)
 class CylinderScenario:
     """Rotating shell geometry, drive field and material, strict SI."""
+
+    GEOMETRY_KEYS: ClassVar[dict[str, str]] = {"r1_m": "r1", "r2_m": "r2"}
+    DRIVE_KEY: ClassVar[tuple[str, str]] = ("b0_tesla", "b0")
 
     r1: float
     r2: float
@@ -67,6 +72,30 @@ class CylinderScenario:
 
     def chart(self) -> Chart:
         return cylindrical_chart(self.mat.c)
+
+    def solve(self, seed: int) -> tuple[FieldSolution, CylinderConstants]:
+        return solve_cylinder(self, seed=seed)
+
+    def interface_events(self, samples: int, seed: int) -> list[list[tuple]]:
+        return [interface_sample_events(self, r, samples, seed) for r in (self.r1, self.r2)]
+
+    def profile(self, decs, radial_points: int, angular_points: int):
+        return cylinder_profile(self, decs, radial_points)
+
+    def observables(self, constants: CylinderConstants) -> dict:
+        """Matched constants, the shell voltage V12 (leading and exact) and
+        the mid-shell radial field next to the falsified comparator."""
+        mid = 0.5 * (self.r1 + self.r2)
+        mu_r, eps_r = self.mat.mu_r, self.mat.eps_r
+        return {
+            "matching_constants": {"C1": constants.c1, "C2": constants.c2},
+            "v12_leading_volts": wilson_wilson_V12(self, mode="leading"),
+            "v12_exact_volts": wilson_wilson_V12(self, mode="exact"),
+            "radial_field_mid_volts_per_m": {
+                "wilson_wilson": mu_r * (1.0 - 1.0 / (mu_r * eps_r)) * mid * self.omega * self.b0,
+                "pellegrini_swift_falsified": pellegrini_swift_field(self, mid),
+            },
+        }
 
 
 def exterior_maxwell_form(sc: CylinderScenario, chart: Chart | None = None) -> DifferentialForm:
@@ -93,14 +122,11 @@ def interface_sample_events(
 ) -> list[tuple[float, float, float, float]]:
     """Deterministic interface events: an angular/axial grid plus a seeded
     pseudorandom set, all at the given radius."""
-    half = n // 2
-    events = []
-    for j in range(half):
-        theta = 2.0 * math.pi * j / max(half, 1)
-        z = sc.r2 * (-1.0 if j % 2 else 1.0)
-        events.append((0.0, radius, theta, z))
-    drawn = sample_box(_sampling_box(sc, radius), n - half, np.random.default_rng(seed))
-    return events + [tuple(ev) for ev in drawn.tolist()]
+
+    def grid(j, half):
+        return (0.0, radius, 2.0 * math.pi * j / half, sc.r2 * (-1.0 if j % 2 else 1.0))
+
+    return grid_and_box_events(grid, _sampling_box(sc, radius), n, seed)
 
 
 def _sampling_box(sc: CylinderScenario, radius) -> tuple:
@@ -273,7 +299,6 @@ def solve_cylinder(
         interfaces=cylinder_interfaces(sc, chart),
         medium_velocity=velocity,
         order="exact",
-        in_medium=lambda ev: r1 < ev[1] < r2,
         regions=(
             Region("medium", True, _sampling_box(sc, (1.001 * r1, 0.999 * r2))),
             Region("vacuum_inner", False, _sampling_box(sc, (0.05 * r1, 0.999 * r1))),
@@ -323,6 +348,35 @@ def pellegrini_swift_field(sc: CylinderScenario, r: float) -> float:
     if not sc.r1 <= r <= sc.r2:
         raise ValueError(f"radius {r} outside shell [{sc.r1}, {sc.r2}]")
     return sc.mat.mu_r * (1.0 / sc.mat.eps_r - 1.0) * r * sc.omega * sc.b0
+
+
+def cylinder_profile(sc: CylinderScenario, decs, radial_points: int):
+    """Radial profile across all three regions, physical SI components,
+    from the (interior, exterior) lab-frame decompositions ``decs``."""
+    header = ["r", "e_r", "b_z", "d_r", "h_z", "p_r", "m_z", "rho_bound", "j_bound"]
+    current, rho, p_form, m_form = cylinder_bound_sources(sc)
+
+    radii = np.linspace(0.5 * sc.r1, 1.5 * sc.r2, radial_points)
+    events = np.zeros((radial_points, 4))
+    events[:, 1] = radii
+    inside = (sc.r1 < radii) & (radii < sc.r2)
+    medium = events[inside]
+    sources = np.zeros((4, radial_points))  # p_r, m_z, rho_bound, j_bound; zero outside
+    sources[0, inside] = p_form.component((1,)).eval_batch(medium)
+    sources[1, inside] = m_form.component((3,)).eval_batch(medium)
+    # scalar density: rho / (r dr^dth^dz)
+    sources[2, inside] = rho.component((1, 2, 3)).eval_batch(medium) / radii[inside]
+    # azimuthal flux density on dz^dr
+    sources[3, inside] = -current.component((1, 3)).eval_batch(medium)
+    columns = [
+        radii,
+        by_side(decs, inside, events, "e", (1,)),
+        by_side(decs, inside, events, "b", (3,)),
+        by_side(decs, inside, events, "d", (1,)),
+        by_side(decs, inside, events, "h", (3,)),
+        *sources,
+    ]
+    return header, np.column_stack(columns).tolist()
 
 
 def cylinder_bound_sources(

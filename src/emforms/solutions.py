@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,6 +81,25 @@ def sample_box(box: Sequence[BoxSlot], n: int, rng: np.random.Generator) -> np.n
     return events
 
 
+def grid_and_box_events(grid, box: Sequence[BoxSlot], n: int, seed: int) -> list[tuple]:
+    """``n`` deterministic events as 4-tuples: ``grid(j, half)`` for each
+    ``j < half = n // 2``, then ``n - half`` drawn from ``box`` by
+    :func:`sample_box` with a generator seeded by ``seed``."""
+    half = n // 2
+    drawn = sample_box(box, n - half, np.random.default_rng(seed))
+    return [grid(j, half) for j in range(half)] + [tuple(ev) for ev in drawn.tolist()]
+
+
+def by_side(decs, inside: np.ndarray, events: np.ndarray, attr: str, idx) -> np.ndarray:
+    """One component of a frame field over the events, each of the (interior,
+    exterior) decompositions ``decs`` evaluated only on its own side (the
+    interior one raises past the light cylinder, which a profile may reach)."""
+    out = np.empty(len(events))
+    for dec, mask in zip(decs, (inside, ~inside)):
+        out[mask] = getattr(dec, attr).component(idx).eval_batch(events[mask])
+    return out
+
+
 def junction_rows(conditions) -> tuple[np.ndarray, np.ndarray]:
     """Matching rows and right-hand sides from batched 3-form values.
 
@@ -142,7 +161,6 @@ class FieldSolution:
     interfaces: tuple[Interface, ...]
     medium_velocity: VectorField4
     order: str
-    in_medium: Callable[[tuple], bool]
     regions: tuple[Region, ...]
     length_scale: float
     expansion_parameter: float = 0.0

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,8 +46,9 @@ from .solutions import (
     MatchingError,
     Region,
     SphereConstants,
+    by_side,
+    grid_and_box_events,
     junction_rows,
-    sample_box,
     solve_matching_system,
 )
 from .spacetime import Chart, lab_frame, metric_dual, rotating_velocity, spherical_chart
@@ -59,6 +61,9 @@ _POLE_MARGIN = 0.1  # radians kept clear of the coordinate axis
 @dataclass(frozen=True)
 class SphereScenario:
     """Rotating sphere geometry, drive field and material, strict SI."""
+
+    GEOMETRY_KEYS: ClassVar[dict[str, str]] = {"a_m": "a"}
+    DRIVE_KEY: ClassVar[tuple[str, str]] = ("e0_volt_per_m", "e0")
 
     a: float
     omega: float
@@ -85,6 +90,26 @@ class SphereScenario:
     @property
     def expansion_parameter(self) -> float:
         return abs(self.omega) * self.a / self.mat.c
+
+    def solve(self, seed: int) -> tuple[FieldSolution, SphereConstants]:
+        return solve_sphere(self, seed=seed)
+
+    def interface_events(self, samples: int, seed: int) -> list[list[tuple]]:
+        return [sphere_interface_events(self, samples, seed)]
+
+    def profile(self, decs, radial_points: int, angular_points: int):
+        return sphere_profile(self, decs, radial_points, angular_points)
+
+    def observables(self, constants: SphereConstants) -> dict:
+        """The matched multipole amplitudes."""
+        return {
+            "matching_constants": {
+                "K0": constants.k0,
+                "K1": constants.k1,
+                "P0": constants.p0,
+                "P1": constants.p1,
+            },
+        }
 
 
 def _potential_basis(chart: Chart) -> dict[str, DifferentialForm]:
@@ -144,14 +169,12 @@ def sphere_interface_events(
     seed: int = 0,
 ) -> list[tuple[float, float, float, float]]:
     """Deterministic events on r = a: a polar grid plus a seeded random set."""
-    half = n // 2
-    events = []
-    for j in range(half):
-        theta = _POLE_MARGIN + (math.pi - 2.0 * _POLE_MARGIN) * (j + 0.5) / max(half, 1)
-        phi = 2.0 * math.pi * j / max(half, 1)
-        events.append((0.0, sc.a, theta, phi))
-    drawn = sample_box(_sampling_box(sc, sc.a), n - half, np.random.default_rng(seed))
-    return events + [tuple(ev) for ev in drawn.tolist()]
+
+    def grid(j, half):
+        theta = _POLE_MARGIN + (math.pi - 2.0 * _POLE_MARGIN) * (j + 0.5) / half
+        return (0.0, sc.a, theta, 2.0 * math.pi * j / half)
+
+    return grid_and_box_events(grid, _sampling_box(sc, sc.a), n, seed)
 
 
 def _sampling_box(sc: SphereScenario, radius) -> tuple:
@@ -306,8 +329,6 @@ def solve_sphere(
     g_in = apply_constitutive(f_in, velocity, sc.mat, metric)
     g_out = scale(sc.mat.eps0, f_out)
 
-    a_rad = sc.a
-
     solution = FieldSolution(
         chart=chart,
         f_in=f_in,
@@ -317,12 +338,32 @@ def solve_sphere(
         interfaces=(sphere_interface(sc, chart),),
         medium_velocity=velocity,
         order="first-order",
-        in_medium=lambda ev: ev[1] < a_rad,
         regions=(
-            Region("medium", True, _sampling_box(sc, (0.05 * a_rad, 0.999 * a_rad))),
-            Region("vacuum", False, _sampling_box(sc, (1.001 * a_rad, 10.0 * a_rad))),
+            Region("medium", True, _sampling_box(sc, (0.05 * sc.a, 0.999 * sc.a))),
+            Region("vacuum", False, _sampling_box(sc, (1.001 * sc.a, 10.0 * sc.a))),
         ),
-        length_scale=a_rad,
+        length_scale=sc.a,
         expansion_parameter=sc.expansion_parameter,
     )
     return solution, closed
+
+
+def sphere_profile(sc: SphereScenario, decs, radial_points: int, angular_points: int):
+    """(r, theta) grid of orthonormal field components, in SI over c, from
+    the (interior, exterior) lab-frame decompositions ``decs``."""
+    header = ["r", "theta", "e_r", "e_theta", "b_r", "b_theta"]
+    radii = np.linspace(0.1 * sc.a, 2.0 * sc.a, radial_points)
+    thetas = np.linspace(0.15, math.pi - 0.15, angular_points)
+    r = np.repeat(radii, angular_points)  # rows run over theta within each radius
+    th = np.tile(thetas, radial_points)
+    events = np.column_stack([np.zeros_like(r), r, th, np.zeros_like(r)])
+    inside = r < sc.a
+    columns = [
+        r,
+        th,
+        by_side(decs, inside, events, "e", (1,)),
+        by_side(decs, inside, events, "e", (2,)) / r,
+        by_side(decs, inside, events, "b", (1,)),
+        by_side(decs, inside, events, "b", (2,)) / r,
+    ]
+    return header, np.column_stack(columns).tolist()

@@ -48,6 +48,11 @@ def sphere_config(tmp_path, eps_r=1.0, mu_r=1.0):
     return str(path), cfg
 
 
+BOTH_SCENARIOS = pytest.mark.parametrize(
+    "make_config", [cylinder_config, sphere_config], ids=["cylinder", "sphere"]
+)
+
+
 def test_cylinder_run_observables(tmp_path):
     path, cfg = cylinder_config(tmp_path)
     out = tmp_path / "out"
@@ -62,8 +67,9 @@ def test_cylinder_run_observables(tmp_path):
     assert obs["matching_constants"]["C1"] == 0.0
 
 
-def test_config_echo_round_trip(tmp_path):
-    path, cfg = cylinder_config(tmp_path)
+@BOTH_SCENARIOS
+def test_config_echo_round_trip(tmp_path, make_config):
+    path, cfg = make_config(tmp_path)
     out = tmp_path / "out"
     assert run(path, samples=8, out_dir=str(out)) == 0
     ver = json.loads((out / "ver.json").read_text())
@@ -146,6 +152,14 @@ def test_bad_numbers_exit_2_without_outputs(tmp_path, overrides):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", [None, ["cylinder"], {"sphere": 1}])
+def test_scenario_name_not_a_known_string_exits_2(tmp_path, name):
+    path, _ = cylinder_config(tmp_path, scenario=name)
+    out = tmp_path / "out"
+    assert run(path, out_dir=str(out)) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples, seed", [(0, None), (-5, None), (8, -1)])
 def test_bad_samples_or_seed_exit_2_without_outputs(tmp_path, samples, seed):
     path, _ = cylinder_config(tmp_path)
@@ -169,8 +183,9 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def test_determinism_byte_identical(tmp_path):
-    path, _ = cylinder_config(tmp_path)
+@BOTH_SCENARIOS
+def test_determinism_byte_identical(tmp_path, make_config):
+    path, _ = make_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(path, samples=8, out_dir=str(out1)) == 0
     assert run(path, samples=8, out_dir=str(out2)) == 0
@@ -238,8 +253,8 @@ def test_run_config_parsing_types(tmp_path):
     cfg = load_config(path)
     assert isinstance(cfg, RunConfig)
     assert cfg.kind == "cylinder"
-    assert cfg.r1_m == 0.02
-    sc = cfg.scenario()
+    assert cfg.scenario.r1 == 0.02
+    sc = cfg.scenario
     assert sc.r2 == 0.04
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"scenario": "triangle"})
