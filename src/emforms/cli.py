@@ -32,6 +32,8 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 from typing import ClassVar, Protocol
 
 # The profile builders live with their scenarios and stay importable from here.
@@ -53,6 +55,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
 EXIT_OUTPUT = 4
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class ConfigError(ValueError):
@@ -220,17 +224,82 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
+def _float_items(o, inner: str) -> str:
+    """Items of a JSON array of floats, or of rows of floats, that starts a
+    line after ``inner``, each float formatted in one pass; TypeError if
+    ``o`` is neither. NaN and infinities get the stdlib ``json`` tokens."""
+    if isinstance(o[0], (list, tuple)):
+        lengths = []
+        for row in o:
+            if not isinstance(row, (list, tuple)):
+                raise TypeError("not a row")
+            lengths.append(len(row))
+        texts = map(float.__repr__, chain.from_iterable(o))
+        row_inner = inner + "  "
+        sep = "," + row_inner
+        text = ("," + inner).join(
+            ["[" + row_inner + sep.join(islice(texts, n)) + inner + "]" if n else "[]" for n in lengths]
+        )
+    else:
+        text = ("," + inner).join(map(float.__repr__, o))
+    if "n" in text:  # only the reprs nan, inf and -inf have an "n"
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _json_text(o, nl: str = "\n") -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)`` for a value whose line
+    starts after ``nl``; a dict key that is not a ``str`` raises TypeError.
+
+    ``json.dumps`` with an indent walks every value through Python
+    generators; here a list of floats, or of rows of floats, is formatted
+    and joined at once.
+    """
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NON_FINITE.get(text, text)
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        try:
+            items = _float_items(o, inner)
+        except TypeError:
+            items = ("," + inner).join([_json_text(v, inner) for v in o])
+        return "[" + inner + items + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        for key in o:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = ("," + inner).join(
+            [encode_basestring_ascii(key) + ": " + _json_text(o[key], inner) for key in sorted(o)]
+        )
+        return "{" + inner + items + nl + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    _atomic_write(path, _json_text(payload) + "\n")
 
 
 def write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
+    """Each value as ``format(float(x), ".17g")``; a row whose width differs
+    from the header's raises TypeError."""
+    row_format = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(row_format % tuple(row) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -19,6 +19,8 @@ lab-aligned observer as a cross-check, with N the outward unit normal
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -81,18 +83,19 @@ class JumpReport:
     residuals: dict[str, list[float]]
     residuals_rel: dict[str, list[float]]
 
-    @property
+    # each maximum is computed once, on first use; the residuals must not change after it
+    @cached_property
     def max_abs(self) -> float:
-        return max_or_nan(x for v in self.residuals.values() for x in v)
+        return max_or_nan(chain.from_iterable(self.residuals.values()))
 
-    @property
+    @cached_property
     def max_rel(self) -> float:
-        return max_or_nan(x for v in self.residuals_rel.values() for x in v)
+        return max_or_nan(chain.from_iterable(self.residuals_rel.values()))
 
     def to_json_dict(self) -> dict:
         return {
             "interface": self.interface,
-            "samples": [list(ev) for ev in self.samples],
+            "samples": self.samples,
             "residuals": self.residuals,
             "residuals_rel": self.residuals_rel,
             "max_abs": self.max_abs,

@@ -215,12 +215,10 @@ def verify_solution(
         True: (sol.f_in, sol.g_in),
         False: (sol.f_out, sol.g_out),
     }
+    star_g = {interior: hodge_star(metric, g) for interior, (_, g) in pairs.items()}
     derivatives = {
-        interior: (exterior_derivative(f), exterior_derivative(hodge_star(metric, g)))
-        for interior, (f, g) in pairs.items()
-    }
-    star_g = {
-        interior: hodge_star(metric, g) for interior, (_, g) in pairs.items()
+        interior: (exterior_derivative(f), exterior_derivative(star_g[interior]))
+        for interior, (f, _) in pairs.items()
     }
 
     regions: dict[str, dict[str, float]] = {}

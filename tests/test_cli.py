@@ -268,3 +268,21 @@ def test_run_config_parsing_types(tmp_path):
                 "material": {"eps_r": 2.0, "mu_r": 1.0},
             }
         )
+
+
+@BOTH_SCENARIOS
+@pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
+def test_outputs_are_stdlib_json_and_17g_csv(tmp_path, make_config, verify_only):
+    path, _ = make_config(tmp_path)
+    out = tmp_path / "out"
+    assert run(path, verify_only=verify_only, samples=8, out_dir=str(out)) == 0
+    written = sorted(p.name for p in out.iterdir())
+    assert written == (["ver.json"] if verify_only else ["obs.json", "profile.csv", "ver.json"])
+    for name in written:
+        text = (out / name).read_text(encoding="ascii")
+        if name.endswith(".json"):
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        else:
+            for line in text.splitlines()[1:]:
+                for cell in line.split(","):
+                    assert cell == format(float(cell), ".17g")

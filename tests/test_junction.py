@@ -199,6 +199,30 @@ def test_report_serializes(shell):
     assert payload["max_abs"] >= 0.0
 
 
+def test_report_maxima_are_computed_once(monkeypatch):
+    import emforms.junction as junction
+
+    calls = []
+    max_or_nan = junction.max_or_nan
+
+    def counted(values):
+        calls.append(1)
+        return max_or_nan(values)
+
+    monkeypatch.setattr(junction, "max_or_nan", counted)
+    rep = JumpReport(
+        interface="x",
+        samples=[(0.0, 1.0, 0.0, 0.0)],
+        residuals={"f_jump": [1.0], "star_g_jump": [math.nan, 2.0]},
+        residuals_rel={"f_jump": [0.5], "star_g_jump": [0.25]},
+    )
+    for _ in range(3):
+        payload = rep.to_json_dict()
+        assert math.isnan(rep.max_abs) and rep.max_rel == 0.5
+    assert len(calls) == 2
+    assert payload["samples"] is rep.samples  # written by the encoder as arrays, not copied
+
+
 # -- Gibbs 3-vector form ------------------------------------------------------
 
 

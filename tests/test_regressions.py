@@ -64,3 +64,17 @@ def test_rim_speed_warning_points_at_the_caller():
     with pytest.warns(UserWarning, match="rim speed") as record:
         SphereScenario(a=0.05, omega=0.2 * mat.c / 0.05, e0=1000.0, mat=mat)
     assert record[0].filename == __file__
+
+
+def test_verify_solution_builds_each_star_g_once(monkeypatch):
+    import emforms.solutions as solutions
+    from emforms.cylinder import CylinderScenario, solve_cylinder
+
+    sc = CylinderScenario(r1=0.02, r2=0.04, omega=100.0, b0=1.0, mat=MaterialParams(eps_r=6.0, mu_r=2.0))
+    sol, _ = solve_cylinder(sc)
+    built = []
+    hodge_star = solutions.hodge_star
+    monkeypatch.setattr(solutions, "hodge_star", lambda g, form: built.append(form) or hodge_star(g, form))
+    report = solutions.verify_solution(sol, samples_per_region=4)
+    assert report.passed
+    assert built == [sol.g_in, sol.g_out]  # one star G per side
