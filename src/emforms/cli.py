@@ -20,21 +20,23 @@ reaches a scenario only through the interface of :class:`Scenario`.
 Unknown keys and non-finite numbers are rejected. Exit codes: 0 on
 success; 2 on config errors, including geometry so small that the metric
 degenerates (no outputs are written); 3 when residual tolerances are
-exceeded (reports are still written); 4 when an output file cannot be
-written.
+exceeded or a region's sampled field scale vanishes (reports are still
+written); 4 when an output file cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from typing import ClassVar, Protocol
+from typing import Callable, ClassVar, Protocol
+
+import numpy as np
 
 # The profile builders live with their scenarios and stay importable from here.
 from .cylinder import CylinderScenario, cylinder_profile  # noqa: F401
@@ -55,8 +57,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
 EXIT_OUTPUT = 4
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class ConfigError(ValueError):
@@ -106,7 +106,7 @@ class Scenario(Protocol):
 
     def solve(self, seed: int) -> tuple[FieldSolution, object]: ...
     def interface_events(self, samples: int, seed: int) -> list[list[tuple]]: ...
-    def profile(self, decs, radial_points: int, angular_points: int) -> tuple[list, list]: ...
+    def profile(self, decs, radial_points: int, angular_points: int) -> tuple[list[str], np.ndarray]: ...
     def observables(self, constants) -> dict: ...
 
 
@@ -224,37 +224,53 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _float_items(o, inner: str) -> str:
-    """Items of a JSON array of floats, or of rows of floats, that starts a
-    line after ``inner``, each float formatted in one pass; TypeError if
-    ``o`` is neither. NaN and infinities get the stdlib ``json`` tokens."""
-    if isinstance(o[0], (list, tuple)):
-        lengths = []
-        for row in o:
-            if not isinstance(row, (list, tuple)):
-                raise TypeError("not a row")
-            lengths.append(len(row))
-        texts = map(float.__repr__, chain.from_iterable(o))
-        row_inner = inner + "  "
-        sep = "," + row_inner
-        text = ("," + inner).join(
-            ["[" + row_inner + sep.join(islice(texts, n)) + inner + "]" if n else "[]" for n in lengths]
-        )
-    else:
-        text = ("," + inner).join(map(float.__repr__, o))
+def _json_numbers(text: str) -> str:
+    """Float reprs with the stdlib ``json`` tokens for NaN and infinities."""
     if "n" in text:  # only the reprs nan, inf and -inf have an "n"
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
     return text
 
 
-def _json_text(o, nl: str = "\n") -> str:
+def _float_texts(values: np.ndarray, memo: dict, fmt: Callable[[float], str]) -> list[str]:
+    """``fmt`` of each value of a float64 array, flattened in C order.
+
+    ``memo`` maps a value's bit pattern to its text and is shared by a whole
+    file, so each distinct value is formatted once per file; keying by bits
+    keeps 0.0 and -0.0 apart and lets every NaN find its entry.
+    """
+    keys = values.view(np.uint64).ravel().tolist()
+    new = list(set(keys).difference(memo))
+    if new:
+        memo.update(zip(new, map(fmt, np.array(new, dtype=np.uint64).view(np.float64).tolist())))
+    return list(map(memo.__getitem__, keys))
+
+
+def _nested(texts: list[str], shape: tuple[int, ...], nl: str) -> str:
+    """The JSON array of ``shape`` whose leaves are ``texts`` in C order,
+    starting a line after ``nl``; built innermost axis first."""
+    for axis in range(len(shape) - 1, -1, -1):
+        n = shape[axis]
+        if not n:
+            texts = ["[]"] * math.prod(shape[:axis])
+            continue
+        outer = nl + "  " * axis
+        inner = outer + "  "
+        sep = "," + inner
+        texts = ["[" + inner + sep.join(texts[k : k + n]) + outer + "]" for k in range(0, len(texts), n)]
+    return texts[0]
+
+
+def _json_text(o, nl: str = "\n", memo: dict | None = None) -> str:
     """``json.dumps(o, indent=2, sort_keys=True)`` for a value whose line
-    starts after ``nl``; a dict key that is not a ``str`` raises TypeError.
+    starts after ``nl``, with each float64 ndarray written as its
+    ``tolist()``; a dict key that is not a ``str`` raises TypeError.
 
     ``json.dumps`` with an indent walks every value through Python
-    generators; here a list of floats, or of rows of floats, is formatted
-    and joined at once.
+    generators; here a list of floats or an array is formatted at once,
+    through a ``memo`` shared by every array of the value.
     """
+    if memo is None:
+        memo = {}
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -266,25 +282,22 @@ def _json_text(o, nl: str = "\n") -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        text = float.__repr__(o)
-        return _NON_FINITE.get(text, text)
-    inner = nl + "  "
+        return _json_numbers(float.__repr__(o))
+    if isinstance(o, (list, tuple)) and o and all(isinstance(v, float) for v in o):
+        o = np.array(o)
+    if isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim:
+        return _json_numbers(_nested(_float_texts(o, memo, float.__repr__), o.shape, nl))
     if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        try:
-            items = _float_items(o, inner)
-        except TypeError:
-            items = ("," + inner).join([_json_text(v, inner) for v in o])
-        return "[" + inner + items + nl + "]"
+        return _nested([_json_text(v, nl + "  ", memo) for v in o], (len(o),), nl)
     if isinstance(o, dict):
         if not o:
             return "{}"
         for key in o:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = nl + "  "
         items = ("," + inner).join(
-            [encode_basestring_ascii(key) + ": " + _json_text(o[key], inner) for key in sorted(o)]
+            [encode_basestring_ascii(key) + ": " + _json_text(o[key], inner, memo) for key in sorted(o)]
         )
         return "{" + inner + items + nl + "}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -294,13 +307,25 @@ def _write_json(path: str, payload: dict) -> None:
     _atomic_write(path, _json_text(payload) + "\n")
 
 
-def write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
-    """Each value as ``format(float(x), ".17g")``; a row whose width differs
-    from the header's raises TypeError."""
-    row_format = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(row_format % tuple(row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Each value as ``format(float(x), ".17g")``; ``rows`` is a table of
+    ``len(header)`` columns, as an array or as rows of numbers. A row
+    whose width differs from the header's raises TypeError."""
+    width = len(header)
+    try:
+        table = np.asarray(rows, dtype=np.float64).reshape(-1, width)
+    except ValueError as exc:
+        raise TypeError(f"rows must have the header's width {width}") from exc
+    if len(table) != len(rows):
+        raise TypeError(f"rows must have the header's width {width}")
+    memo: dict = {}
+    columns = [_float_texts(column, memo, "%.17g".__mod__) for column in table.T]
+    # each stage is dropped once the next holds the text, so that a large
+    # profile does not keep its keys and texts alive twice over
+    del memo
+    lines = [",".join(header), *map(",".join, zip(*columns)), ""]
+    del columns
+    _atomic_write(path, "\n".join(lines))
 
 
 def run(

@@ -376,7 +376,7 @@ def cylinder_profile(sc: CylinderScenario, decs, radial_points: int):
         by_side(decs, inside, events, "h", (3,)),
         *sources,
     ]
-    return header, np.column_stack(columns).tolist()
+    return header, np.column_stack(columns)
 
 
 def cylinder_bound_sources(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -76,21 +75,25 @@ class Interface:
 
 @dataclass
 class JumpReport:
-    """Sampled junction-condition residuals on one interface."""
+    """Sampled junction-condition residuals on one interface.
+
+    ``samples`` is the (N, 4) event array and each residual an array over
+    those events. The residual functions store them read-only, so the
+    maxima, computed once on first use, cannot go stale.
+    """
 
     interface: str
-    samples: list[tuple[float, float, float, float]]
-    residuals: dict[str, list[float]]
-    residuals_rel: dict[str, list[float]]
+    samples: np.ndarray
+    residuals: dict[str, np.ndarray]
+    residuals_rel: dict[str, np.ndarray]
 
-    # each maximum is computed once, on first use; the residuals must not change after it
     @cached_property
     def max_abs(self) -> float:
-        return max_or_nan(chain.from_iterable(self.residuals.values()))
+        return max_or_nan(np.concatenate(list(self.residuals.values())))
 
     @cached_property
     def max_rel(self) -> float:
-        return max_or_nan(chain.from_iterable(self.residuals_rel.values()))
+        return max_or_nan(np.concatenate(list(self.residuals_rel.values())))
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,8 +107,8 @@ class JumpReport:
 
 
 def _on_interface(iface: Interface, samples) -> np.ndarray:
-    """``samples`` as an (N, 4) event array, each checked to lie on the interface."""
-    events = event_array(samples)
+    """``samples`` as a new (N, 4) event array, each checked to lie on the interface."""
+    events = event_array(np.array(samples, dtype=float))
     phi = iface.phi.eval_batch(events)
     off = np.abs(phi) > ON_INTERFACE_TOL
     if off.any():
@@ -150,10 +153,18 @@ def interface_normal_velocity_batch(
     Returns the four normal components and v_N, each an array over events.
     """
     events = event_array(events)
-    dphi = evaluate_batch(iface.gradient(), events)
-    dphi_vec = [dphi[(a,)] for a in range(4)]
     u_vec = [frame.components[a].eval_batch(events) for a in range(4)]
     g_vec = [g.diag[a].eval_batch(events) for a in range(4)]
+    return _normal_velocity(iface, u_vec, g_vec, events)
+
+
+def _normal_velocity(
+    iface: Interface, u_vec, g_vec, events: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`interface_normal_velocity_batch` from the frame and metric
+    components already evaluated at the events."""
+    dphi = evaluate_batch(iface.gradient(), events)
+    dphi_vec = [dphi[(a,)] for a in range(4)]
     scale_dphi = np.max(np.abs(dphi_vec), axis=0)
     _require_nondegenerate(scale_dphi <= 0.0, events, "vanishes")
     contracted = sum(d * u for d, u in zip(dphi_vec, u_vec))
@@ -212,18 +223,25 @@ def covariant_jump_residual(
 def _report(
     iface: Interface, events: np.ndarray, residuals: dict, residuals_rel: dict
 ) -> JumpReport:
+    for values in (events, *residuals.values(), *residuals_rel.values()):
+        values.setflags(write=False)
     return JumpReport(
         interface=iface.name,
-        samples=[tuple(ev) for ev in events.tolist()],
-        residuals={k: v.tolist() for k, v in residuals.items()},
-        residuals_rel={k: v.tolist() for k, v in residuals_rel.items()},
+        samples=events,
+        residuals=residuals,
+        residuals_rel=residuals_rel,
     )
 
 
-def _require_lab_aligned(frame: VectorField4, event) -> None:
-    comps = [frame.components[a].eval(event) for a in range(4)]
-    if max(abs(c) for c in comps[1:]) > 1e-12 * abs(comps[0]):
-        raise ValueError("Gibbs residuals are implemented for lab-aligned frames only")
+def _require_lab_aligned(u_vec, events: np.ndarray) -> None:
+    """Raise unless the frame components ``u_vec`` have no spatial part at any event."""
+    bad = np.max(np.abs(u_vec[1:]), axis=0) > 1e-12 * np.abs(u_vec[0])
+    where = first_bad_event(bad, events.T)
+    if where is not None:
+        raise ValueError(
+            "Gibbs residuals are implemented for lab-aligned frames only; "
+            f"the frame is not lab-aligned at {where}"
+        )
 
 
 def _orthonormal_spatial(one_form: DifferentialForm, events, g_vec) -> list[np.ndarray]:
@@ -255,11 +273,11 @@ def gibbs_jump_residual(
     sides' field scales at the sample.
     """
     events = _on_interface(iface, samples)
-    if len(events):
-        _require_lab_aligned(frame, tuple(events[0].tolist()))
+    u_vec = [frame.components[a].eval_batch(events) for a in range(4)]
+    _require_lab_aligned(u_vec, events)
     g_vec = [g.diag[a].eval_batch(events) for a in range(4)]
     c = (-g_vec[0]) ** 0.5
-    normal, v_n = interface_normal_velocity_batch(iface, frame, g, events)
+    normal, v_n = _normal_velocity(iface, u_vec, g_vec, events)
     n_hat = [normal[i] / g_vec[i] ** 0.5 for i in (1, 2, 3)]
 
     def jump_and_scale(attr):

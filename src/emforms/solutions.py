@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -201,7 +202,9 @@ def verify_solution(
     field scale and the solution's length scale. Exact solutions must
     sit below ``EXACT_RESIDUAL_TOL``; first-order solutions must keep
     residual / expansion_parameter^2 below ``FIRST_ORDER_K_CAP`` for the
-    excitation equation. A non-finite sample fails its region.
+    excitation equation. A non-finite sample fails its region, and so does
+    a region whose sampled field scale, max |F| or max |star G|, is not a
+    positive normal float: residuals over a vanishing field check nothing.
     """
     metric = sol.chart.metric
     rng = np.random.default_rng(seed)
@@ -243,6 +246,8 @@ def verify_solution(
             entry["dstar_g_rel_over_eps2"] = rel_dsg / sol.expansion_parameter**2
         regions[region.name] = entry
         if not (rel_df <= tol_f and rel_dsg <= max(tol_g, EXACT_RESIDUAL_TOL)):
+            passed = False
+        if not all(sys.float_info.min <= scale <= sys.float_info.max for scale in (max_f, max_sg)):
             passed = False
     return MaxwellReport(
         order=sol.order,

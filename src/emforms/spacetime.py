@@ -18,7 +18,6 @@ from .forms import (
     ChartMismatchError,
     DiagonalMetric,
     DifferentialForm,
-    DomainError,
     VectorField4,
     lower_index,
 )
@@ -40,12 +39,6 @@ class Chart:
 
     def contains(self, event: Event) -> bool:
         return bool(self.domain(tuple(float(x) for x in event)))
-
-    def require_valid(self, event: Event) -> None:
-        if not self.contains(event):
-            raise DomainError(
-                f"event {tuple(float(x) for x in event)} outside {self.name} chart domain"
-            )
 
 
 def _require_positive_c(c: float) -> float:

@@ -366,4 +366,4 @@ def sphere_profile(sc: SphereScenario, decs, radial_points: int, angular_points:
         by_side(decs, inside, events, "b", (1,)),
         by_side(decs, inside, events, "b", (2,)) / r,
     ]
-    return header, np.column_stack(columns).tolist()
+    return header, np.column_stack(columns)

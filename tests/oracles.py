@@ -3,13 +3,15 @@
 Everything here deliberately avoids the package's production code paths:
 finite differences instead of dual numbers, the full Levi-Civita
 permutation sum instead of the closed-form diagonal Hodge rule, plain
-componentwise arithmetic for metric contractions, and adaptive
-quadrature instead of the closed-form shell voltage.
+componentwise arithmetic for metric contractions, adaptive quadrature
+instead of the closed-form shell voltage, and the stdlib ``json`` encoder
+instead of the report writer.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -175,3 +177,15 @@ def random_event(rng: np.random.Generator) -> tuple[float, float, float, float]:
         float(rng.uniform(0.4, 2.7)),
         float(rng.uniform(-1.0, 1.0)),
     )
+
+
+def _array_as_list(o):
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def stdlib_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` with each ndarray
+    written as its ``tolist()``: the text a report file must hold."""
+    return json.dumps(value, indent=2, sort_keys=True, default=_array_as_list)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from oracles import stdlib_json
 
 from emforms.cli import ConfigError, RunConfig, load_config, run
 
@@ -29,7 +30,7 @@ def cylinder_config(tmp_path, **overrides):
     return str(path), cfg
 
 
-def sphere_config(tmp_path, eps_r=1.0, mu_r=1.0):
+def sphere_config(tmp_path, eps_r=1.0, mu_r=1.0, **overrides):
     cfg = {
         "scenario": "sphere",
         "geometry": {"a_m": 0.05},
@@ -43,6 +44,7 @@ def sphere_config(tmp_path, eps_r=1.0, mu_r=1.0):
             "verification_json": "ver.json",
         },
     }
+    cfg.update(overrides)
     path = tmp_path / "sphere.json"
     path.write_text(json.dumps(cfg))
     return str(path), cfg
@@ -286,3 +288,57 @@ def test_outputs_are_stdlib_json_and_17g_csv(tmp_path, make_config, verify_only)
             for line in text.splitlines()[1:]:
                 for cell in line.split(","):
                     assert cell == format(float(cell), ".17g")
+
+
+@BOTH_SCENARIOS
+@pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
+def test_written_json_is_json_dumps_of_the_payload(tmp_path, monkeypatch, make_config, verify_only):
+    # a round trip through json.loads cannot tell -0.0 written as 0.0; this compares with
+    # the in-memory payload, whose sample and residual arrays are written as their lists
+    import emforms.cli as cli_mod
+
+    written = []
+    real_write = cli_mod._write_json
+
+    def capture(path, payload):
+        written.append((path, payload))
+        real_write(path, payload)
+
+    monkeypatch.setattr(cli_mod, "_write_json", capture)
+    path, _ = make_config(tmp_path)
+    out = tmp_path / "out"
+    assert run(path, verify_only=verify_only, samples=8, out_dir=str(out)) == 0
+    names = [os.path.basename(p) for p, _ in written]
+    assert names == (["ver.json"] if verify_only else ["ver.json", "obs.json"])
+    for file_path, payload in written:
+        with open(file_path, encoding="ascii") as fh:
+            assert fh.read() == stdlib_json(payload) + "\n"
+    samples = written[0][1]["junction"][0]["samples"]
+    assert samples.shape == (8, 4) and not samples.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make_config, overrides",
+    [
+        (cylinder_config, {"b0_tesla": 0.0}),
+        (cylinder_config, {"b0_tesla": 5e-324}),
+        (sphere_config, {"e0_volt_per_m": 0.0}),
+    ],
+    ids=["b0-zero", "b0-subnormal", "e0-zero"],
+)
+def test_vanishing_field_scale_fails_closed(tmp_path, make_config, overrides):
+    # every residual is 0 over a zero (or subnormal) field, so nothing was checked
+    path, _ = make_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert run(path, samples=8, out_dir=str(out)) == 3
+    ver = json.loads((out / "ver.json").read_text())
+    assert ver["within_tolerance"] is False
+    assert ver["maxwell"]["passed"] is False
+    assert all(v == 0.0 for region in ver["maxwell"]["regions"].values() for v in region.values())
+
+
+def test_tiny_but_normal_field_scale_still_passes(tmp_path):
+    path, _ = cylinder_config(tmp_path, b0_tesla=1e-300)
+    out = tmp_path / "out"
+    assert run(path, samples=8, out_dir=str(out)) == 0
+    assert json.loads((out / "ver.json").read_text())["maxwell"]["passed"] is True

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from emforms.cli import _json_text
 from emforms.fields import ScalarField
 from emforms.forms import evaluate, form, scale, zero_form
 from emforms.junction import (
@@ -192,7 +193,7 @@ def test_report_serializes(shell):
     rep = covariant_jump_residual(
         sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, sol.chart.metric, events
     )
-    payload = json.loads(json.dumps(rep.to_json_dict()))
+    payload = json.loads(_json_text(rep.to_json_dict()))
     assert payload["interface"] == "inner"
     assert set(payload["residuals"]) == {"f_jump", "star_g_jump"}
     assert len(payload["samples"]) == 4
@@ -221,6 +222,34 @@ def test_report_maxima_are_computed_once(monkeypatch):
         assert math.isnan(rep.max_abs) and rep.max_rel == 0.5
     assert len(calls) == 2
     assert payload["samples"] is rep.samples  # written by the encoder as arrays, not copied
+
+
+def test_report_arrays_are_read_only(shell):
+    sc, sol = shell
+    events = np.array(interface_sample_events(sc, sc.r1, 6, seed=0))
+    u = lab_frame(sol.chart)
+    decs = [
+        EMDecomposition.of(f, g, u, sol.chart.metric)
+        for f, g in ((sol.f_in, sol.g_in), (sol.f_out, sol.g_out))
+    ]
+    reports = [
+        covariant_jump_residual(
+            sol.f_in, sol.f_out, sol.g_in, sol.g_out, sol.interfaces[0], sol.chart.metric, events
+        ),
+        gibbs_jump_residual(*decs, sol.interfaces[0], u, sol.chart.metric, events),
+    ]
+    for rep in reports:
+        max_abs, max_rel = rep.max_abs, rep.max_rel
+        assert isinstance(rep.samples, np.ndarray) and rep.samples.shape == (6, 4)
+        for values in (rep.samples, *rep.residuals.values(), *rep.residuals_rel.values()):
+            assert isinstance(values, np.ndarray)
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+        assert (rep.max_abs, rep.max_rel) == (max_abs, max_rel)
+        # the caller's event array is copied, not frozen
+        assert rep.samples is not events
+    events[0, 0] = 1.0
+    assert reports[0].samples[0, 0] == 0.0
 
 
 # -- Gibbs 3-vector form ------------------------------------------------------
@@ -258,6 +287,25 @@ def test_gibbs_identical_decompositions_vanish(cyl, rng):
     dec = EMDecomposition.of(f, g, u, cyl.metric)
     iface = radial_interface(cyl.name, 1.0)
     rep = gibbs_jump_residual(dec, dec, iface, u, cyl.metric, [(0, 1.0, 0.5, 0.2)])
+    assert rep.max_abs == 0.0
+
+
+def test_gibbs_requires_a_lab_aligned_frame_at_every_event(cyl, rng):
+    from oracles import random_form
+    from emforms.forms import VectorField4
+
+    f = random_form(rng, 2, cyl.name)
+    dec = EMDecomposition.of(f, scale(EPS0, f), lab_frame(cyl), cyl.metric)
+    iface = radial_interface(cyl.name, 1.0)
+    # lab-aligned where z = 0.2 only: the first event passes, the second does not
+    zero = ScalarField.zero()
+    tilted = VectorField4(
+        (ScalarField.constant(1.0 / C), zero, zero, ScalarField.coordinate(3) - 0.2), cyl.name
+    )
+    events = [(0.0, 1.0, 0.5, 0.2), (0.0, 1.0, 0.5, 0.7), (0.0, 1.0, 0.9, 0.9)]
+    with pytest.raises(ValueError, match=r"lab-aligned.*\(0\.0, 1\.0, 0\.5, 0\.7\)"):
+        gibbs_jump_residual(dec, dec, iface, tilted, cyl.metric, events)
+    rep = gibbs_jump_residual(dec, dec, iface, lab_frame(cyl), cyl.metric, events)
     assert rep.max_abs == 0.0
 
 

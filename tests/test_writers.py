@@ -1,19 +1,24 @@
 """The report writers against the stdlib formatting they replace.
 
 ``cli._json_text`` must give exactly ``json.dumps(v, indent=2,
-sort_keys=True)``, and ``cli.write_csv`` exactly the per-cell
-``format(float(x), ".17g")`` join.
+sort_keys=True)``, with each float64 array written as its ``tolist()``,
+and ``cli.write_csv`` exactly the per-cell ``format(float(x), ".17g")``
+join. Both format each distinct value once per file through a memo keyed
+by bit pattern, so the duplicate-heavy strategies below make it hit.
 """
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emforms.cli import _json_text, _write_json, write_csv
+from oracles import stdlib_json
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e-7]
 
@@ -120,3 +125,102 @@ def test_write_csv_equals_per_cell_format(tmp_path_factory, table):
 def test_write_csv_rejects_a_row_of_the_wrong_width(tmp_path, row):
     with pytest.raises(TypeError):
         write_csv(str(tmp_path / "p.csv"), ["a", "b"], [[0.0, 1.0], row])
+
+
+# -- float64 arrays, duplicate-heavy ------------------------------------------
+
+
+def nan_with_payload(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+POOL = [
+    0.0,
+    -0.0,
+    math.nan,
+    nan_with_payload(0x7FF8000000000001),
+    nan_with_payload(0xFFF8000000000000),  # sign bit set
+    math.inf,
+    -math.inf,
+    5e-324,
+    0.02,
+]
+pool_floats = st.sampled_from(POOL)
+array_floats = floats | pool_floats
+vectors = arrays(np.float64, st.integers(0, 12), elements=array_floats)
+duplicate_vectors = arrays(np.float64, st.integers(0, 12), elements=pool_floats)
+events = arrays(np.float64, st.tuples(st.integers(0, 6), st.just(4)), elements=array_floats)
+duplicate_events = arrays(np.float64, st.tuples(st.integers(0, 6), st.just(4)), elements=pool_floats)
+float_arrays = vectors | duplicate_vectors | events | duplicate_events
+
+
+@settings(max_examples=150)
+@given(float_arrays)
+def test_json_text_of_an_array_equals_json_dumps_of_its_list(arr):
+    assert _json_text(arr) == stdlib(arr.tolist())
+
+
+@settings(max_examples=100)
+@given(st.dictionaries(st.text(max_size=3), float_arrays | float_lists | floats, max_size=5))
+def test_arrays_in_one_payload_share_a_memo(payload):
+    assert _json_text(payload) == stdlib_json(payload)
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_signed_zeros_stay_apart_under_one_memo(first, second):
+    payload = {"a": np.array([first]), "b": np.array([[second, first, 0.5, second]])}
+    assert _json_text(payload) == stdlib_json(payload)
+    memo = {}
+    assert _json_text(np.array([first]), memo=memo) == stdlib([first])
+    assert _json_text(np.array([second, 1.0]), memo=memo) == stdlib([second, 1.0])
+    assert _json_text([first, second], memo=memo) == stdlib([first, second])
+
+
+def test_nan_payloads_and_infinities_share_the_json_tokens():
+    arr = np.array([POOL[2], POOL[3], POOL[4], math.inf, -math.inf, POOL[3]])
+    assert _json_text(arr) == stdlib(arr.tolist())
+    assert "NaN" in _json_text(arr) and "nan" not in _json_text(arr)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 4), (3, 0), (2, 3, 2)])
+def test_json_text_of_empty_and_higher_rank_arrays(shape):
+    arr = np.arange(math.prod(shape), dtype=np.float64).reshape(shape) - 1.5
+    assert _json_text(arr) == stdlib(arr.tolist())
+
+
+@pytest.mark.parametrize("arr", [np.arange(3), np.zeros(2, dtype=np.float32), np.array(1.0)])
+def test_json_text_rejects_other_arrays(arr):
+    with pytest.raises(TypeError):
+        _json_text({"a": arr})
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda width: arrays(
+            np.float64, st.tuples(st.integers(0, 8), st.just(width)), elements=array_floats
+        )
+    )
+)
+def test_write_csv_of_an_array_equals_per_cell_format(tmp_path_factory, table):
+    header = [f"c{k}" for k in range(table.shape[1])]
+    path = tmp_path_factory.mktemp("csv") / "profile.csv"
+    write_csv(str(path), header, table)
+    assert path.read_text(encoding="utf-8") == csv_reference(header, table.tolist())
+
+
+def test_write_csv_keeps_signed_zeros_apart(tmp_path):
+    table = np.array([[0.0, -0.0], [-0.0, 0.0], [POOL[3], math.nan]])
+    path = tmp_path / "p.csv"
+    write_csv(str(path), ["a", "b"], table)
+    assert path.read_text(encoding="utf-8") == "a,b\n0,-0\n-0,0\nnan,nan\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[0.0, 1.0], [1.0]], [[0.0], [1.0, 2.0]], np.zeros((2, 3)), np.zeros(4)],
+    ids=["short-row", "long-row", "wide-array", "flat-array"],
+)
+def test_write_csv_rejects_a_ragged_or_wrong_width_table(tmp_path, rows):
+    with pytest.raises(TypeError):
+        write_csv(str(tmp_path / "p.csv"), ["a", "b"], rows)
