@@ -42,6 +42,7 @@ from .solutions import (
     by_side,
     grid_and_box_events,
     junction_rows,
+    require_finite,
     solve_matching_system,
 )
 from .spacetime import Chart, cylindrical_chart, rotating_velocity
@@ -266,7 +267,8 @@ def solve_cylinder(
 
     The integration constants come out of the numeric junction match and
     are cross-checked against their closed forms; disagreement raises
-    :class:`MatchingError`. The interior Maxwell form is the interior
+    :class:`MatchingError`, and so does a matched amplitude or a closed-form
+    constant that is not finite. The interior Maxwell form is the interior
     family at the closed-form amplitudes (k1, k2) = (0, eps0 c B0), and the
     returned excitation is its constitutive image.
     """
@@ -275,13 +277,15 @@ def solve_cylinder(
     velocity = rotating_velocity(chart, sc.omega, AZIMUTH_AXIS)
 
     k1, k2 = match_cylinder_amplitudes(sc, samples_per_interface, seed)
+    constants = closed_form_constants(sc)
+    require_finite("matched", k1=k1, k2=k2)
+    require_finite("closed-form", C1=constants.c1, C2=constants.c2)
     closed_k = (0.0, sc.mat.eps0 * sc.mat.c * sc.b0)
     k_scale = max(abs(closed_k[1]), 1e-300)
     if abs(k1) > 1e-9 * k_scale or abs(k2 - closed_k[1]) > 1e-9 * k_scale:
         raise MatchingError(
             f"matched amplitudes ({k1:.6e}, {k2:.6e}) disagree with closed forms"
         )
-    constants = closed_form_constants(sc)
 
     f_basis, _ = _interior_family(sc, chart)
     f_in = linear_combine(closed_k, f_basis)

@@ -11,6 +11,14 @@ Fields close under arithmetic. Constants are folded so that the zero
 constant stays structurally recognisable: form containers drop
 structurally zero components, and numeric zero is never inferred from
 sampling.
+
+Each field also carries a dependency mask, ``deps``: bit k is set when its
+value may depend on coordinate k. A coordinate sets its own bit, a
+constant none, and arithmetic and the lifted functions take the union of
+their operands' bits. A raw ``ScalarField(fn)`` is assumed to read all four
+coordinates unless it declares what it reads. A partial derivative along an
+axis whose bit is clear is the structural zero, so no derivative pass is
+ever spent on a coordinate the field does not read.
 """
 
 from __future__ import annotations
@@ -50,14 +58,18 @@ def first_bad_event(bad, event) -> tuple[float, ...] | None:
     return tuple(float(real(x)[k]) for x in event)
 
 
+ALL_AXES = 0b1111
+
+
 class ScalarField:
     """Real-valued function of an event, differentiable by dual numbers."""
 
-    __slots__ = ("fn", "const")
+    __slots__ = ("fn", "const", "deps")
 
-    def __init__(self, fn: Callable, const: float | None = None):
+    def __init__(self, fn: Callable, const: float | None = None, deps: int = ALL_AXES):
         self.fn = fn
         self.const = const
+        self.deps = 0 if const is not None else deps
 
     # -- constructors ----------------------------------------------------
 
@@ -78,7 +90,7 @@ class ScalarField:
     def coordinate(axis: int) -> "ScalarField":
         if axis not in (0, 1, 2, 3):
             raise ValueError(f"coordinate axis must be 0..3, got {axis}")
-        return ScalarField(lambda event: event[axis])
+        return ScalarField(lambda event: event[axis], deps=1 << axis)
 
     # -- evaluation ------------------------------------------------------
 
@@ -101,17 +113,15 @@ class ScalarField:
         return out
 
     def partial(self, axis: int, event: Event) -> float:
-        tag = dual.fresh_tag()
-        seeded = list(event)
-        seeded[axis] = Dual(seeded[axis], 1.0, tag)
-        return float(real(dual.extract(self.fn(seeded), tag)))
+        return self.partial_field(axis).eval(event)
 
     def partials(self, event: Event) -> tuple[float, float, float, float]:
         return tuple(self.partial(axis, event) for axis in range(4))
 
     def partial_field(self, axis: int) -> "ScalarField":
-        """The partial derivative along one axis, as a field."""
-        if self.const is not None:
+        """The partial derivative along one axis, as a field; the structural
+        zero when the field does not read that coordinate."""
+        if not self.deps >> axis & 1:
             return ZERO
         fn = self.fn
 
@@ -121,7 +131,7 @@ class ScalarField:
             seeded[axis] = Dual(seeded[axis], 1.0, tag)
             return dual.extract(fn(seeded), tag)
 
-        return ScalarField(dfn)
+        return ScalarField(dfn, deps=self.deps)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -134,7 +144,7 @@ class ScalarField:
         if self.const is not None and other.const is not None:
             return ScalarField.constant(self.const + other.const)
         f, g = self.fn, other.fn
-        return ScalarField(lambda event: f(event) + g(event))
+        return ScalarField(lambda event: f(event) + g(event), deps=self.deps | other.deps)
 
     __radd__ = __add__
 
@@ -142,7 +152,7 @@ class ScalarField:
         if self.const is not None:
             return ScalarField.constant(-self.const)
         f = self.fn
-        return ScalarField(lambda event: -f(event))
+        return ScalarField(lambda event: -f(event), deps=self.deps)
 
     def __sub__(self, other):
         return self + (-coerce(other))
@@ -161,7 +171,7 @@ class ScalarField:
         if other.const == 1.0:
             return self
         f, g = self.fn, other.fn
-        return ScalarField(lambda event: f(event) * g(event))
+        return ScalarField(lambda event: f(event) * g(event), deps=self.deps | other.deps)
 
     __rmul__ = __mul__
 
@@ -172,14 +182,14 @@ class ScalarField:
         if self.is_zero:
             return ZERO
         f, g = self.fn, other.fn
-        return ScalarField(lambda event: f(event) / g(event))
+        return ScalarField(lambda event: f(event) / g(event), deps=self.deps | other.deps)
 
     def __rtruediv__(self, other):
         other = coerce(other)
         if other.is_zero:
             return ZERO
         f, g = other.fn, self.fn
-        return ScalarField(lambda event: f(event) / g(event))
+        return ScalarField(lambda event: f(event) / g(event), deps=self.deps | other.deps)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -189,7 +199,7 @@ class ScalarField:
         if self.const is not None:
             return ScalarField.constant(self.const**n)
         f = self.fn
-        return ScalarField(lambda event: f(event) ** n)
+        return ScalarField(lambda event: f(event) ** n, deps=self.deps)
 
 
 ZERO = ScalarField(lambda event: 0.0, const=0.0)
@@ -212,7 +222,7 @@ def _lift(mf, df):
         if field.const is not None:
             return ScalarField.constant(mf(field.const))
         f = field.fn
-        return ScalarField(lambda event: df(f(event)))
+        return ScalarField(lambda event: df(f(event)), deps=field.deps)
 
     return apply
 

@@ -254,7 +254,7 @@ def _hodge_coefficient(g: DiagonalMetric, idx: MultiIndex) -> ScalarField:
             out = out / vals[i]
         return out
 
-    return ScalarField(fn)
+    return ScalarField(fn, deps=diag[0].deps | diag[1].deps | diag[2].deps | diag[3].deps)
 
 
 def hodge_star(g: DiagonalMetric, a: DifferentialForm) -> DifferentialForm:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -143,6 +144,17 @@ def solve_matching_system(rows, rhs, what: str) -> np.ndarray:
     if residual > MATCH_RESIDUAL_TOL:
         raise MatchingError(f"{what} residual {residual:.3e} did not vanish")
     return solution
+
+
+def require_finite(what: str, **constants: float) -> None:
+    """Raise :class:`MatchingError` when a named constant is NaN or infinite.
+
+    A tolerance comparison against a NaN is false, so without this a
+    non-finite constant would pass its cross-check.
+    """
+    for name, value in constants.items():
+        if not math.isfinite(value):
+            raise MatchingError(f"{what} {name} = {value!r} is not finite")
 
 
 @dataclass(frozen=True, eq=False)

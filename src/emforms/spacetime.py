@@ -117,8 +117,8 @@ def rotating_velocity(chart: Chart, omega: float, azimuth_axis: int) -> VectorFi
         return dual.sqrt(arg)
 
     comps = [ScalarField.zero()] * 4
-    comps[0] = ScalarField(lambda ev: 1.0 / root(ev))
-    comps[azimuth_axis] = ScalarField(lambda ev: omega / root(ev))
+    comps[0] = ScalarField(lambda ev: 1.0 / root(ev), deps=g_az.deps)
+    comps[azimuth_axis] = ScalarField(lambda ev: omega / root(ev), deps=g_az.deps)
     return VectorField4(tuple(comps), chart.name)
 
 

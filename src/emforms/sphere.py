@@ -49,6 +49,7 @@ from .solutions import (
     by_side,
     grid_and_box_events,
     junction_rows,
+    require_finite,
     solve_matching_system,
 )
 from .spacetime import Chart, lab_frame, metric_dual, rotating_velocity, spherical_chart
@@ -207,7 +208,9 @@ def match_sphere_constants(
     system raises :class:`MatchingError` rather than being regularised.
     At omega = 0 the first-order amplitudes decouple from the data, so a
     small probe rotation rate is used; the matched constants do not
-    depend on it.
+    depend on it. The system is linear in the drive, so it is matched at
+    unit drive and the amplitudes are scaled by E0: a tiny drive would
+    otherwise make the column units (K1's is E0/c^2) subnormal.
     """
     chart = sc.chart()
     metric = chart.metric
@@ -220,7 +223,7 @@ def match_sphere_constants(
     def assemble(k0: float, k1: float, p0: float, p1: float):
         f0_in = scale(k0, basis["uniform_t"])
         f1_in = scale(k1, basis["quad_in"])
-        f0_out = add(scale(sc.e0, basis["uniform_t"]), scale(p0, basis["dipole_t"]))
+        f0_out = add(basis["uniform_t"], scale(p0, basis["dipole_t"]))
         f1_out = scale(p1, basis["quad_out"])
         g_in = truncated_excitation(f0_in, f1_in, omega, sc.mat, chart)
         g_out = scale(sc.mat.eps0, add(f0_out, scale(omega, f1_out)))
@@ -234,7 +237,7 @@ def match_sphere_constants(
     # Columns carry one physical unit of each amplitude so every row's
     # entries are commensurate; otherwise the weak rotational coupling
     # falls below working precision after row equilibration.
-    units = _constant_scales(sc)
+    units = _constant_scales(sc, 1.0)
     unit_vec = [max(u, 1e-300) for u in (units.k0, units.k1, units.p0, units.p1)]
     base = assemble(0.0, 0.0, 0.0, 0.0)
     columns = [
@@ -258,7 +261,7 @@ def match_sphere_constants(
     rows, rhs = junction_rows(conditions)
 
     solution = solve_matching_system(rows, rhs, "sphere junction")
-    return SphereConstants(*(float(x * u) for x, u in zip(solution, unit_vec)))
+    return SphereConstants(*(float(x) * u * sc.e0 for x, u in zip(solution, unit_vec)))
 
 
 def closed_form_constants(sc: SphereScenario) -> SphereConstants:
@@ -282,13 +285,15 @@ def closed_form_constants(sc: SphereScenario) -> SphereConstants:
     )
 
 
-def _constant_scales(sc: SphereScenario) -> SphereConstants:
+def _constant_scales(sc: SphereScenario, e0: float) -> SphereConstants:
+    """One physical unit of each amplitude at drive ``e0``."""
     c = sc.mat.c
+    e0 = abs(e0)
     return SphereConstants(
-        k0=abs(sc.e0),
-        k1=abs(sc.e0) / (c * c),
-        p0=abs(sc.e0) * sc.a**3,
-        p1=abs(sc.e0) * sc.a**5 / (c * c),
+        k0=e0,
+        k1=e0 / (c * c),
+        p0=e0 * sc.a**3,
+        p1=e0 * sc.a**5 / (c * c),
     )
 
 
@@ -300,7 +305,8 @@ def solve_sphere(
     """First-order matched solution of the rotating sphere.
 
     Constants are matched numerically and cross-checked against their
-    closed forms. The shipped interior excitation uses the exact
+    closed forms; a constant that is not finite raises
+    :class:`MatchingError`. The shipped interior excitation uses the exact
     constitutive map with the exact rotation 4-velocity, so Maxwell and
     junction residuals of the returned solution are O((a omega / c)^2).
     """
@@ -308,7 +314,9 @@ def solve_sphere(
     metric = chart.metric
     matched = match_sphere_constants(sc, theta_points, seed)
     closed = closed_form_constants(sc)
-    scales = _constant_scales(sc)
+    require_finite("matched", **vars(matched))
+    require_finite("closed-form", **vars(closed))
+    scales = _constant_scales(sc, sc.e0)
     for name in ("k0", "k1", "p0", "p1"):
         got, want, ref = (getattr(x, name) for x in (matched, closed, scales))
         if abs(got - want) > 1e-8 * max(abs(want), ref, 1e-300):

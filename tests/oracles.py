@@ -1,7 +1,8 @@
 """Independent numerical oracles used to pin expected values.
 
 Everything here deliberately avoids the package's production code paths:
-finite differences instead of dual numbers, the full Levi-Civita
+finite differences instead of dual numbers, a dual pass on the raw closure
+instead of the dependency-pruned partial derivative, the full Levi-Civita
 permutation sum instead of the closed-form diagonal Hodge rule, plain
 componentwise arithmetic for metric contractions, adaptive quadrature
 instead of the closed-form shell voltage, and the stdlib ``json`` encoder
@@ -17,7 +18,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from emforms.fields import ScalarField
+from emforms import dual
+from emforms.fields import ScalarField, event_array
 from emforms.forms import DifferentialForm, basis_indices
 
 
@@ -32,6 +34,19 @@ def central_difference_partials(field: ScalarField, event) -> tuple[float, ...]:
         minus[axis] -= h
         out.append((field.eval(plus) - field.eval(minus)) / (2.0 * h))
     return tuple(out)
+
+
+def dense_partial(field: ScalarField, axis: int, events) -> np.ndarray:
+    """The partial along ``axis`` at the rows of an (N, 4) event array, by one
+    dual pass seeded on ``field.fn`` itself. The field's dependency mask is
+    ignored, so an axis it declares unread is differentiated all the same."""
+    events = event_array(events)
+    tag = dual.fresh_tag()
+    seeded = list(events.T)
+    seeded[axis] = dual.Dual(seeded[axis], 1.0, tag)
+    out = np.empty(len(events))
+    out[...] = dual.real(dual.extract(field.fn(tuple(seeded)), tag))
+    return out
 
 
 def levi_civita_symbol() -> np.ndarray:

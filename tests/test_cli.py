@@ -342,3 +342,49 @@ def test_tiny_but_normal_field_scale_still_passes(tmp_path):
     out = tmp_path / "out"
     assert run(path, samples=8, out_dir=str(out)) == 0
     assert json.loads((out / "ver.json").read_text())["maxwell"]["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "make_config, most", [(cylinder_config, 18), (sphere_config, 80)], ids=["cylinder", "sphere"]
+)
+def test_derivative_passes_per_run_stay_pruned(tmp_path, monkeypatch, make_config, most):
+    # one dual pass per walk of a partial-derivative closure; a derivative along
+    # an axis no field reads is a structural zero and costs none
+    from emforms import dual
+
+    passes = []
+    fresh_tag = dual.fresh_tag
+    monkeypatch.setattr(dual, "fresh_tag", lambda: passes.append(None) or fresh_tag())
+    path, _ = make_config(tmp_path)
+    assert run(path, samples=8, out_dir=str(tmp_path / "out")) == 0
+    assert 0 < len(passes) <= most
+
+
+def test_sphere_tiny_drive_reaches_verification(tmp_path, capsys):
+    # matched at unit drive: K1's column unit e0/c^2 would be subnormal at e0 = 1e-300
+    path, _ = sphere_config(tmp_path, eps_r=4.0, mu_r=2.0, e0_volt_per_m=1e-300)
+    out = tmp_path / "out"
+    assert run(path, samples=8, out_dir=str(out)) == 3
+    assert capsys.readouterr().err == ""
+    maxwell = json.loads((out / "ver.json").read_text())["maxwell"]
+    assert maxwell["passed"] is False
+    # every residual is within tolerance: the verdict comes from the vanishing
+    # field scale, max |star G| being subnormal
+    for region in maxwell["regions"].values():
+        assert region["df_max_rel"] <= maxwell["tolerance_f"]
+        assert region["dstar_g_max_rel"] <= maxwell["tolerance_g"]
+        assert 0.0 < region["dstar_g_max_abs"] < sys.float_info.min
+
+
+def test_sphere_small_normal_drive_still_passes(tmp_path):
+    path, _ = sphere_config(tmp_path, eps_r=4.0, mu_r=2.0, e0_volt_per_m=1e-285)
+    assert run(path, samples=8, out_dir=str(tmp_path / "out")) == 0
+
+
+def test_overflowing_closed_form_constant_exits_2(tmp_path, capsys):
+    # C2 = c^3 B0 omega (eps_r mu_r - 1) / eps_r overflows while every matching row stays finite
+    path, _ = cylinder_config(tmp_path, b0_tesla=1e290, omega_rad_per_s=1e9)
+    out = tmp_path / "out"
+    assert run(path, samples=8, out_dir=str(out)) == 2
+    assert "closed-form C2 = inf is not finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -205,6 +205,13 @@ def test_non_finite_matching_rows_raise():
         solve_cylinder(scenario(omega=math.nan))
 
 
+def test_non_finite_closed_form_constant_raises():
+    # omega enters neither dPhi = dr nor the excitation basis, so the matching
+    # rows stay finite and only the closed-form C2 carries the NaN
+    with pytest.raises(MatchingError, match="closed-form C2 = nan is not finite"):
+        solve_cylinder(scenario(omega=math.nan))
+
+
 def test_exterior_field_is_closed_exactly():
     sc = scenario()
     sol, _ = solve_cylinder(sc)

@@ -6,7 +6,7 @@ import pytest
 from emforms.forms import component_max, evaluate
 from emforms.junction import covariant_jump_residual
 from emforms.media import EMDecomposition, MaterialParams, apply_constitutive
-from emforms.solutions import verify_solution
+from emforms.solutions import MatchingError, verify_solution
 from emforms.spacetime import lab_frame, rotating_velocity
 from emforms.sphere import (
     AZIMUTH_AXIS,
@@ -46,6 +46,15 @@ def test_scenario_validation():
         SphereScenario(a=1.0, omega=mat.c, e0=1.0, mat=mat)
     with pytest.warns(UserWarning):
         SphereScenario(a=1.0, omega=0.2 * mat.c, e0=1.0, mat=mat)
+
+
+def test_non_finite_constants_raise():
+    mat = MaterialParams(4.0, 2.0)
+    with pytest.raises(MatchingError):
+        solve_sphere(SphereScenario(a=0.05, omega=math.nan, e0=1000.0, mat=mat))
+    # matched at unit drive the rows stay finite; P0 = -E0 a^3 (eps_r - 1)/(eps_r + 2) overflows
+    with pytest.raises(MatchingError, match="matched p0 = -inf is not finite"):
+        solve_sphere(SphereScenario(a=10.0, omega=1.0, e0=1e308, mat=mat))
 
 
 def test_vacuum_sphere_constants():
