@@ -13,7 +13,6 @@ from .forms import (
     DegenerateMetricError,
     DiagonalMetric,
     DifferentialForm,
-    DomainError,
     GradeMismatchError,
     MultiIndex,
     VectorField4,
@@ -125,7 +124,6 @@ __all__ = [
     "verify_solution",
     "ChartMismatchError",
     "GradeMismatchError",
-    "DomainError",
     "DegenerateMetricError",
     "LightConeError",
     "TransversalityError",

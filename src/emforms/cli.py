@@ -40,7 +40,7 @@ import numpy as np
 
 # The profile builders live with their scenarios and stay importable from here.
 from .cylinder import CylinderScenario, cylinder_profile  # noqa: F401
-from .forms import DegenerateMetricError, DomainError
+from .forms import DegenerateMetricError
 from .junction import covariant_jump_residual, gibbs_jump_residual
 from .media import EMDecomposition, MaterialParams
 from .solutions import (
@@ -356,23 +356,27 @@ def run(
         return os.path.join(out_dir, name) if out_dir else name
 
     try:
-        sol, constants = sc.solve(seed)
-        maxwell = verify_solution(sol, samples_per_region=n_samples, seed=seed)
-        metric, frame = sol.chart.metric, lab_frame(sol.chart)
-        # one frame decomposition per side, shared by the Gibbs check and the profile
-        decs = tuple(
-            EMDecomposition.of(f, g, frame, metric)
-            for f, g in ((sol.f_in, sol.g_in), (sol.f_out, sol.g_out))
-        )
-        junctions, gibbs = [], []
-        for iface, events in zip(sol.interfaces, sc.interface_events(n_samples, seed)):
-            junctions.append(
-                covariant_jump_residual(
-                    sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, events
-                )
+        # Non-finite values fail the run through the explicit checks (a
+        # MatchingError or a failed tolerance); numpy's floating-point
+        # warnings would only print ahead of that message.
+        with np.errstate(all="ignore"):
+            sol, constants = sc.solve(seed)
+            maxwell = verify_solution(sol, samples_per_region=n_samples, seed=seed)
+            metric, frame = sol.chart.metric, lab_frame(sol.chart)
+            # one frame decomposition per side, shared by the Gibbs check and the profile
+            decs = tuple(
+                EMDecomposition.of(f, g, frame, metric)
+                for f, g in ((sol.f_in, sol.g_in), (sol.f_out, sol.g_out))
             )
-            gibbs.append(gibbs_jump_residual(*decs, iface, frame, metric, events))
-    except (MatchingError, DomainError) as exc:
+            junctions, gibbs = [], []
+            for iface, events in zip(sol.interfaces, sc.interface_events(n_samples, seed)):
+                junctions.append(
+                    covariant_jump_residual(
+                        sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, events
+                    )
+                )
+                gibbs.append(gibbs_jump_residual(*decs, iface, frame, metric, events))
+    except MatchingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DegenerateMetricError as exc:

@@ -25,7 +25,7 @@ import numpy as np
 from .fields import ScalarField
 from .forms import (
     DifferentialForm,
-    evaluate_batch,
+    evaluate,
     form,
     hodge_star,
     linear_combine,
@@ -220,7 +220,7 @@ def match_cylinder_amplitudes(
         events = np.array(interface_sample_events(sc, radius, samples_per_interface, seed))
         iface_rows, iface_rhs = junction_rows(
             [
-                ([evaluate_batch(b, events) for b in basis_forms], evaluate_batch(rhs_form, events))
+                ([evaluate(b, events) for b in basis_forms], evaluate(rhs_form, events))
                 for basis_forms, rhs_form in zip(cond_basis, cond_rhs)
             ]
         )
@@ -366,12 +366,12 @@ def cylinder_profile(sc: CylinderScenario, decs, radial_points: int):
     inside = (sc.r1 < radii) & (radii < sc.r2)
     medium = events[inside]
     sources = np.zeros((4, radial_points))  # p_r, m_z, rho_bound, j_bound; zero outside
-    sources[0, inside] = p_form.component((1,)).eval_batch(medium)
-    sources[1, inside] = m_form.component((3,)).eval_batch(medium)
+    sources[0, inside] = p_form.component((1,)).eval(medium)
+    sources[1, inside] = m_form.component((3,)).eval(medium)
     # scalar density: rho / (r dr^dth^dz)
-    sources[2, inside] = rho.component((1, 2, 3)).eval_batch(medium) / radii[inside]
+    sources[2, inside] = rho.component((1, 2, 3)).eval(medium) / radii[inside]
     # azimuthal flux density on dz^dr
-    sources[3, inside] = -current.component((1, 3)).eval_batch(medium)
+    sources[3, inside] = -current.component((1, 3)).eval(medium)
     columns = [
         radii,
         by_side(decs, inside, events, "e", (1,)),

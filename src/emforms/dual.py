@@ -1,4 +1,4 @@
-"""Forward-mode automatic differentiation on Python floats or float arrays.
+"""Forward-mode automatic differentiation on float arrays.
 
 A :class:`Dual` carries a value and the coefficient of one infinitesimal,
 identified by a tag. Tags keep nested derivative passes apart, so stacking
@@ -7,15 +7,14 @@ perturbation-confusion garbage. Field coefficients must call the elementary
 functions defined here (``sin``, ``sqrt``, ...) rather than ``math``, so
 that they stay differentiable.
 
-Coefficients are floats for one event, or float arrays holding one value
-per event of a batch. The elementary functions use ``math`` on floats and
-numpy only on arrays, so the one-event path stays at float speed.
+Coefficients are float arrays holding one value per event of a batch, or
+plain numbers where a value is the same at every event. The elementary
+functions apply numpy to anything that is not a :class:`Dual`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -110,12 +109,9 @@ class Dual:
         return exp(n * log(self))
 
     def __abs__(self):
-        nonnegative = real(self.a) >= 0.0
-        if isinstance(nonnegative, np.ndarray):
-            return self * np.where(nonnegative, 1.0, -1.0)
-        return self if nonnegative else -self
+        return self * np.where(real(self.a) >= 0.0, 1.0, -1.0)
 
-    # comparisons act on the real parts; this is what domain guards need
+    # comparisons act on the real parts, as the evaluation guards need
     def __lt__(self, other):
         return real(self) < real(other)
 
@@ -142,43 +138,33 @@ def _inv(x):
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.a), cos(x.a) * x.b, x.tag)
-    if isinstance(x, np.ndarray):
-        return np.sin(x)
-    return math.sin(x)
+    return np.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.a), -sin(x.a) * x.b, x.tag)
-    if isinstance(x, np.ndarray):
-        return np.cos(x)
-    return math.cos(x)
+    return np.cos(x)
 
 
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.a)
         return Dual(e, e * x.b, x.tag)
-    if isinstance(x, np.ndarray):
-        return np.exp(x)
-    return math.exp(x)
+    return np.exp(x)
 
 
 def log(x):
     if isinstance(x, Dual):
         return Dual(log(x.a), x.b / x.a, x.tag)
-    if isinstance(x, np.ndarray):
-        return np.log(x)
-    return math.log(x)
+    return np.log(x)
 
 
 def sqrt(x):
     if isinstance(x, Dual):
         r = sqrt(x.a)
         return Dual(r, x.b / (2.0 * r), x.tag)
-    if isinstance(x, np.ndarray):
-        return np.sqrt(x)
-    return math.sqrt(x)
+    return np.sqrt(x)
 
 
 def derivative(f, x: float) -> float:

@@ -1,11 +1,10 @@
 """Scalar fields over 4-coordinate events with exact partial derivatives.
 
-A :class:`ScalarField` wraps a callable of one event ``(x0, x1, x2, x3)``.
-The callable must be written in terms of the :mod:`emforms.dual`
+A :class:`ScalarField` wraps a callable of the four coordinate arrays
+``(x0, x1, x2, x3)`` of a batch of events, so one call evaluates the whole
+batch. The callable must be written in terms of the :mod:`emforms.dual`
 elementary functions (or plain arithmetic), so that partial derivatives
 come out of a dual-number pass exactly, not from finite differences.
-Called with four coordinate arrays instead of four floats, the same
-callable evaluates a whole batch of events at once.
 
 Fields close under arithmetic. Constants are folded so that the zero
 constant stays structurally recognisable: form containers drop
@@ -46,16 +45,15 @@ def event_array(events) -> np.ndarray:
 def first_bad_event(bad, event) -> tuple[float, ...] | None:
     """The first event at which ``bad`` holds, or None when it holds nowhere.
 
-    For one event ``bad`` is a bool. For a batch, ``event`` holds the four
-    coordinate arrays (possibly with dual parts) and ``bad`` is a bool array
-    over the batch; only this case calls numpy.
+    ``event`` holds the four coordinate arrays of a batch (possibly with
+    dual parts) and ``bad`` is a bool array over the batch, or one bool,
+    which holds at every event of the batch or at none.
     """
-    if not isinstance(bad, np.ndarray):
-        return tuple(float(real(x)) for x in event) if bad else None
-    if not bad.any():
+    if not np.asarray(bad).any():
         return None
-    k = int(bad.argmax())
-    return tuple(float(real(x)[k]) for x in event)
+    coords = [real(x) for x in event]
+    rows = np.flatnonzero(np.broadcast_to(bad, np.shape(coords[0])))
+    return tuple(float(x[rows[0]]) for x in coords) if rows.size else None
 
 
 ALL_AXES = 0b1111
@@ -102,21 +100,12 @@ class ScalarField:
         # dual-friendly entry point; events may carry Dual coordinates
         return self.fn(event)
 
-    def eval(self, event: Event) -> float:
-        return float(real(self.fn(event)))
-
-    def eval_batch(self, events) -> np.ndarray:
+    def eval(self, events) -> np.ndarray:
         """Values at the rows of an (N, 4) event array, one closure walk."""
         events = event_array(events)
         out = np.empty(len(events))
         out[...] = real(self.fn(tuple(events.T)))
         return out
-
-    def partial(self, axis: int, event: Event) -> float:
-        return self.partial_field(axis).eval(event)
-
-    def partials(self, event: Event) -> tuple[float, float, float, float]:
-        return tuple(self.partial(axis, event) for axis in range(4))
 
     def partial_field(self, axis: int) -> "ScalarField":
         """The partial derivative along one axis, as a field; the structural

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dual import real
 from .dual import sqrt as dual_sqrt
-from .fields import Event, ScalarField, coerce, event_array, first_bad_event
+from .fields import ScalarField, coerce, event_array, first_bad_event
 
 DIM = 4
 
@@ -46,10 +46,6 @@ class ChartMismatchError(ValueError):
 
 class GradeMismatchError(ValueError):
     """Operands have incompatible grades."""
-
-
-class DomainError(ValueError):
-    """Event lies outside the chart's valid domain."""
 
 
 class DegenerateMetricError(ValueError):
@@ -303,33 +299,16 @@ def subtract(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     return linear_combine([1.0, -1.0], [a, b])
 
 
-def evaluate(
-    a: DifferentialForm,
-    event: Event,
-    domain: Callable[[Event], bool] | None = None,
-) -> dict[MultiIndex, float]:
-    """Numeric component values at one event, zeros for absent indices."""
-    ev = tuple(float(x) for x in event)
-    if domain is not None and not domain(ev):
-        raise DomainError(f"event {ev} is outside the chart's valid domain")
-    out: dict[MultiIndex, float] = {}
-    for idx in basis_indices(a.grade):
-        f = a.components.get(idx)
-        out[idx] = 0.0 if f is None else f.eval(ev)
-    return out
-
-
-def evaluate_batch(a: DifferentialForm, events) -> dict[MultiIndex, np.ndarray]:
+def evaluate(a: DifferentialForm, events) -> dict[MultiIndex, np.ndarray]:
     """Component values over an (N, 4) event array, zeros for absent indices.
 
-    The batch form of :func:`evaluate`: each component's closure tree is
-    walked once with coordinate arrays in place of floats.
+    Each component's closure tree is walked once, with coordinate arrays.
     """
     events = event_array(events)
     out: dict[MultiIndex, np.ndarray] = {}
     for idx in basis_indices(a.grade):
         f = a.components.get(idx)
-        out[idx] = np.zeros(len(events)) if f is None else f.eval_batch(events)
+        out[idx] = np.zeros(len(events)) if f is None else f.eval(events)
     return out
 
 
@@ -344,18 +323,13 @@ def max_or_nan(values) -> float:
     return float(values.max(initial=0.0))
 
 
-def component_max(a: DifferentialForm, event: Event) -> float:
-    """Largest absolute component value at one event; NaN if any is NaN."""
-    ev = tuple(float(x) for x in event)
-    return max_or_nan(abs(f.eval(ev)) for f in a.components.values())
-
-
-def component_max_batch(a: DifferentialForm, events) -> np.ndarray:
-    """:func:`component_max` at each row of an (N, 4) event array."""
+def component_max(a: DifferentialForm, events) -> np.ndarray:
+    """Largest absolute component value at each row of an (N, 4) event
+    array; NaN where any component is NaN."""
     events = event_array(events)
     out = np.zeros(len(events))
     for f in a.components.values():
-        out = np.maximum(out, np.abs(f.eval_batch(events)))  # propagates NaN
+        out = np.maximum(out, np.abs(f.eval(events)))  # propagates NaN
     return out
 
 

@@ -30,8 +30,8 @@ from .forms import (
     DifferentialForm,
     GradeMismatchError,
     VectorField4,
-    component_max_batch,
-    evaluate_batch,
+    component_max,
+    evaluate,
     exterior_derivative,
     hodge_star,
     max_or_nan,
@@ -109,7 +109,7 @@ class JumpReport:
 def _on_interface(iface: Interface, samples) -> np.ndarray:
     """``samples`` as a new (N, 4) event array, each checked to lie on the interface."""
     events = event_array(np.array(samples, dtype=float))
-    phi = iface.phi.eval_batch(events)
+    phi = iface.phi.eval(events)
     off = np.abs(phi) > ON_INTERFACE_TOL
     if off.any():
         k = int(off.argmax())
@@ -130,40 +130,27 @@ def interface_normal_velocity(
     iface: Interface,
     frame: VectorField4,
     g: DiagonalMetric,
-    event: Event,
-) -> tuple[tuple[float, float, float, float], float]:
-    """Unit spatial normal 1-form (coordinate components) and normal speed.
+    events,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Unit spatial normal 1-form (coordinate components) and normal speed
+    at the rows of an (N, 4) event array, each an array over the events.
 
     N is the frame-orthogonal projection of dPhi, normalised in the
     induced spatial metric; v_N = -(i_U dPhi) c / |projection| is positive
     for an interface moving toward the Phi > 0 side.
     """
-    normal, v_n = interface_normal_velocity_batch(iface, frame, g, [event])
-    return tuple(float(n[0]) for n in normal), float(v_n[0])
-
-
-def interface_normal_velocity_batch(
-    iface: Interface,
-    frame: VectorField4,
-    g: DiagonalMetric,
-    events,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """:func:`interface_normal_velocity` at the rows of an (N, 4) event array.
-
-    Returns the four normal components and v_N, each an array over events.
-    """
     events = event_array(events)
-    u_vec = [frame.components[a].eval_batch(events) for a in range(4)]
-    g_vec = [g.diag[a].eval_batch(events) for a in range(4)]
+    u_vec = [frame.components[a].eval(events) for a in range(4)]
+    g_vec = [g.diag[a].eval(events) for a in range(4)]
     return _normal_velocity(iface, u_vec, g_vec, events)
 
 
 def _normal_velocity(
     iface: Interface, u_vec, g_vec, events: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """:func:`interface_normal_velocity_batch` from the frame and metric
+    """:func:`interface_normal_velocity` from the frame and metric
     components already evaluated at the events."""
-    dphi = evaluate_batch(iface.gradient(), events)
+    dphi = evaluate(iface.gradient(), events)
     dphi_vec = [dphi[(a,)] for a in range(4)]
     scale_dphi = np.max(np.abs(dphi_vec), axis=0)
     _require_nondegenerate(scale_dphi <= 0.0, events, "vanishes")
@@ -203,12 +190,12 @@ def covariant_jump_residual(
     jump_g = wedge(subtract(star_g_out, hodge_star(metric, g_in)), dphi)
 
     events = _on_interface(iface, samples)
-    dphi_scale = component_max_batch(dphi, events)
+    dphi_scale = component_max(dphi, events)
     _require_nondegenerate(dphi_scale <= 0.0, events, "vanishes")
-    rf = component_max_batch(jump_f, events)
-    rg = component_max_batch(jump_g, events)
-    sf = component_max_batch(f_out, events) * dphi_scale
-    sg = component_max_batch(star_g_out, events) * dphi_scale
+    rf = component_max(jump_f, events)
+    rg = component_max(jump_g, events)
+    sf = component_max(f_out, events) * dphi_scale
+    sg = component_max(star_g_out, events) * dphi_scale
     return _report(
         iface,
         events,
@@ -245,7 +232,7 @@ def _require_lab_aligned(u_vec, events: np.ndarray) -> None:
 
 
 def _orthonormal_spatial(one_form: DifferentialForm, events, g_vec) -> list[np.ndarray]:
-    vals = evaluate_batch(one_form, events)
+    vals = evaluate(one_form, events)
     return [vals[(i,)] / g_vec[i] ** 0.5 for i in (1, 2, 3)]
 
 
@@ -273,9 +260,9 @@ def gibbs_jump_residual(
     sides' field scales at the sample.
     """
     events = _on_interface(iface, samples)
-    u_vec = [frame.components[a].eval_batch(events) for a in range(4)]
+    u_vec = [frame.components[a].eval(events) for a in range(4)]
     _require_lab_aligned(u_vec, events)
-    g_vec = [g.diag[a].eval_batch(events) for a in range(4)]
+    g_vec = [g.diag[a].eval(events) for a in range(4)]
     c = (-g_vec[0]) ** 0.5
     normal, v_n = _normal_velocity(iface, u_vec, g_vec, events)
     n_hat = [normal[i] / g_vec[i] ** 0.5 for i in (1, 2, 3)]

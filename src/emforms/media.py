@@ -30,7 +30,7 @@ from .forms import (
     GradeMismatchError,
     VectorField4,
     add,
-    component_max_batch,
+    component_max,
     exterior_derivative,
     hodge_star,
     interior_product,
@@ -134,11 +134,11 @@ def recompose(
     if check_events is not None and len(check_events):
         events = event_array(check_events)
         scale_ref = max(
-            max_or_nan(np.maximum(component_max_batch(e, events), component_max_batch(b, events))),
+            max_or_nan(np.maximum(component_max(e, events), component_max(b, events))),
             1e-300,
         )
-        res_e = np.abs(interior_product(frame, e).component(()).eval_batch(events))
-        res_b = np.abs(interior_product(frame, b).component(()).eval_batch(events))
+        res_e = np.abs(interior_product(frame, e).component(()).eval(events))
+        res_b = np.abs(interior_product(frame, b).component(()).eval(events))
         residual = np.maximum(res_e, res_b)
         bad = ~(residual <= 1e-9 * scale_ref)  # a NaN residual or scale fails too
         if bad.any():

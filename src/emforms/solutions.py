@@ -13,7 +13,7 @@ from .forms import (
     DifferentialForm,
     VectorField4,
     basis_indices,
-    component_max_batch,
+    component_max,
     exterior_derivative,
     hodge_star,
     max_or_nan,
@@ -98,15 +98,15 @@ def by_side(decs, inside: np.ndarray, events: np.ndarray, attr: str, idx) -> np.
     interior one raises past the light cylinder, which a profile may reach)."""
     out = np.empty(len(events))
     for dec, mask in zip(decs, (inside, ~inside)):
-        out[mask] = getattr(dec, attr).component(idx).eval_batch(events[mask])
+        out[mask] = getattr(dec, attr).component(idx).eval(events[mask])
     return out
 
 
 def junction_rows(conditions) -> tuple[np.ndarray, np.ndarray]:
-    """Matching rows and right-hand sides from batched 3-form values.
+    """Matching rows and right-hand sides from 3-form values over events.
 
     ``conditions`` holds one ``(columns, target)`` pair per junction
-    condition: ``columns`` has one :func:`~emforms.forms.evaluate_batch`
+    condition: ``columns`` has one :func:`~emforms.forms.evaluate`
     result per unknown, ``target`` the right-hand side's. Rows run event by
     event, then condition, then 3-form component.
     """
@@ -244,7 +244,7 @@ def verify_solution(
         sg = star_g[region.interior]
         events = sample_box(region.box, samples_per_region, rng)
         max_df, max_f, max_dsg, max_sg = (
-            max_or_nan(component_max_batch(form, events)) for form in (df, f_form, dsg, sg)
+            max_or_nan(component_max(form, events)) for form in (df, f_form, dsg, sg)
         )
         rel_df = sol.length_scale * max_df / max(max_f, 1e-300)
         rel_dsg = sol.length_scale * max_dsg / max(max_sg, 1e-300)

@@ -7,13 +7,11 @@ azimuthal coordinate sits at index 2 (cylindrical theta) or index 3
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 from . import dual
 from .dual import real
-from .fields import Event, ScalarField, first_bad_event, sin
+from .fields import ScalarField, first_bad_event, sin
 from .forms import (
     ChartMismatchError,
     DiagonalMetric,
@@ -29,16 +27,12 @@ class LightConeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Chart:
-    """A named coordinate chart with its metric and valid domain."""
+    """A named coordinate chart with its metric."""
 
     name: str
     coords: tuple[str, str, str, str]
     metric: DiagonalMetric
-    domain: Callable[[Event], bool]
     light_speed: float
-
-    def contains(self, event: Event) -> bool:
-        return bool(self.domain(tuple(float(x) for x in event)))
 
 
 def _require_positive_c(c: float) -> float:
@@ -52,40 +46,27 @@ def cartesian_chart(c: float) -> Chart:
     """(t, x, y, z) with metric diag(-c^2, 1, 1, 1)."""
     c = _require_positive_c(c)
     metric = DiagonalMetric((ScalarField.constant(-c * c), 1.0, 1.0, 1.0))
-    return Chart("cartesian", ("t", "x", "y", "z"), metric, lambda ev: True, c)
+    return Chart("cartesian", ("t", "x", "y", "z"), metric, c)
 
 
 def cylindrical_chart(c: float) -> Chart:
-    """(t, r, theta, z) with metric diag(-c^2, 1, r^2, 1), domain r > 0."""
+    """(t, r, theta, z) with metric diag(-c^2, 1, r^2, 1), valid for r > 0."""
     c = _require_positive_c(c)
     r = ScalarField.coordinate(1)
     metric = DiagonalMetric((ScalarField.constant(-c * c), 1.0, r * r, 1.0))
-    return Chart(
-        "cylindrical",
-        ("t", "r", "theta", "z"),
-        metric,
-        lambda ev: ev[1] > 0.0,
-        c,
-    )
+    return Chart("cylindrical", ("t", "r", "theta", "z"), metric, c)
 
 
 def spherical_chart(c: float) -> Chart:
     """(t, r, theta, phi), metric diag(-c^2, 1, r^2, r^2 sin^2 theta).
 
-    Domain r > 0 and 0 < theta < pi; the axis is excluded because the
-    metric degenerates there.
+    Valid for r > 0 and 0 < theta < pi; the metric degenerates on the axis.
     """
     c = _require_positive_c(c)
     r = ScalarField.coordinate(1)
     rs = r * sin(ScalarField.coordinate(2))
     metric = DiagonalMetric((ScalarField.constant(-c * c), 1.0, r * r, rs * rs))
-    return Chart(
-        "spherical",
-        ("t", "r", "theta", "phi"),
-        metric,
-        lambda ev: ev[1] > 0.0 and 0.0 < ev[2] < math.pi,
-        c,
-    )
+    return Chart("spherical", ("t", "r", "theta", "phi"), metric, c)
 
 
 def lab_frame(chart: Chart) -> VectorField4:

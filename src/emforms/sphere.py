@@ -29,7 +29,7 @@ from .forms import (
     DifferentialForm,
     VectorField4,
     add,
-    evaluate_batch,
+    evaluate,
     exterior_derivative,
     form,
     hodge_star,
@@ -249,8 +249,8 @@ def match_sphere_constants(
 
     conditions = []
     for cond in range(2):
-        base_vals = evaluate_batch(base[cond], events)
-        col_vals = [evaluate_batch(col[cond], events) for col in columns]
+        base_vals = evaluate(base[cond], events)
+        col_vals = [evaluate(col[cond], events) for col in columns]
         # residual(x) = base + sum_j x_j (col_j - base); move base right
         conditions.append(
             (

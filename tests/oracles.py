@@ -21,6 +21,7 @@ from scipy.integrate import quad
 from emforms import dual
 from emforms.fields import ScalarField, event_array
 from emforms.forms import DifferentialForm, basis_indices
+from one_event import value
 
 
 def central_difference_partials(field: ScalarField, event) -> tuple[float, ...]:
@@ -32,7 +33,7 @@ def central_difference_partials(field: ScalarField, event) -> tuple[float, ...]:
         minus = list(event)
         plus[axis] += h
         minus[axis] -= h
-        out.append((field.eval(plus) - field.eval(minus)) / (2.0 * h))
+        out.append((value(field, plus) - value(field, minus)) / (2.0 * h))
     return tuple(out)
 
 
@@ -75,7 +76,7 @@ def hodge_star_oracle(metric, form: DifferentialForm, event) -> dict:
     """
     p = form.grade
     q = 4 - p
-    g_vals = np.array([metric.diag[i].eval(event) for i in range(4)])
+    g_vals = np.array([value(metric.diag[i], event) for i in range(4)])
     det = float(np.prod(g_vals))
     root = math.sqrt(abs(det))
 
@@ -84,11 +85,11 @@ def hodge_star_oracle(metric, form: DifferentialForm, event) -> dict:
         perm = list(metric.orientation)
         eps = np.transpose(_EPS4, perm)  # orientation order carries +1
 
-    tensor = np.zeros((4,) * p) if p else np.array(form.component(()).eval(event))
+    tensor = np.zeros((4,) * p) if p else np.array(value(form.component(()), event))
     if p:
         for idx in basis_indices(p):
-            value = form.component(idx).eval(event)
-            if value == 0.0:
+            comp = value(form.component(idx), event)
+            if comp == 0.0:
                 continue
             for perm in itertools.permutations(range(p)):
                 sign = 1
@@ -97,7 +98,7 @@ def hodge_star_oracle(metric, form: DifferentialForm, event) -> dict:
                     for j in range(i + 1, p):
                         if pl[i] > pl[j]:
                             sign = -sign
-                tensor[tuple(idx[k] for k in perm)] = sign * value
+                tensor[tuple(idx[k] for k in perm)] = sign * comp
 
     # raise indices with the inverse diagonal metric
     raised = np.array(tensor, dtype=float)
@@ -126,16 +127,16 @@ def metric_contraction(metric, u, v, event) -> float:
     total = 0.0
     for a in range(4):
         total += (
-            metric.diag[a].eval(event)
-            * u.components[a].eval(event)
-            * v.components[a].eval(event)
+            value(metric.diag[a], event)
+            * value(u.components[a], event)
+            * value(v.components[a], event)
         )
     return total
 
 
 def lowered_components(metric, v, event) -> tuple[float, ...]:
     return tuple(
-        metric.diag[a].eval(event) * v.components[a].eval(event) for a in range(4)
+        value(metric.diag[a], event) * value(v.components[a], event) for a in range(4)
     )
 
 

@@ -12,8 +12,6 @@ import pytest
 
 from emforms.forms import (
     basis_indices,
-    component_max,
-    evaluate,
     exterior_derivative,
     form,
     hodge_star,
@@ -48,6 +46,7 @@ from emforms.sphere import (
     solve_sphere,
 )
 
+from one_event import component_max, evaluate
 from oracles import hodge_star_oracle, random_event, random_form, random_poly_trig_field
 
 C = 299792458.0

@@ -1,8 +1,9 @@
-"""The batched evaluation path against the one-event reference path.
+"""The evaluation kernel over many events against each event alone.
 
-``evaluate_batch`` and ``component_max_batch`` walk each closure tree once
-with coordinate arrays; ``evaluate`` and ``component_max`` walk it once per
-event on floats and serve as the reference here.
+``evaluate``, ``component_max`` and ``interface_normal_velocity`` walk each
+closure tree once with coordinate arrays. The reference here is the same
+kernel on the one-row array of each event, so a row that leaks into
+another, where batching goes wrong, shows as a difference.
 """
 
 import math
@@ -20,9 +21,7 @@ from emforms.forms import (
     DegenerateMetricError,
     basis_indices,
     component_max,
-    component_max_batch,
     evaluate,
-    evaluate_batch,
     exterior_derivative,
     form,
     hodge_star,
@@ -36,12 +35,19 @@ from emforms.junction import (
     covariant_jump_residual,
     gibbs_jump_residual,
     interface_normal_velocity,
-    interface_normal_velocity_batch,
 )
 from emforms.media import EMDecomposition, MaterialParams
 from emforms.solutions import junction_rows, sample_box, verify_solution
-from emforms.spacetime import LightConeError, cylindrical_chart, lab_frame, rotating_velocity
+from emforms.spacetime import (
+    LightConeError,
+    cartesian_chart,
+    cylindrical_chart,
+    lab_frame,
+    rotating_velocity,
+)
 from emforms.sphere import SphereScenario, solve_sphere
+
+import one_event
 
 C = 299792458.0
 REL_TOL = 1e-13
@@ -76,17 +82,39 @@ def test_dual_defers_to_reflected_operators_and_abs_is_elementwise():
     assert z.b.tolist() == [-1.0, 1.0]
 
 
-def test_elementary_functions_keep_math_for_floats():
+def test_elementary_functions_use_numpy_for_any_non_dual():
     for fn in (dual.sin, dual.cos, dual.exp, dual.log, dual.sqrt):
-        assert type(fn(0.7)) is float
         assert isinstance(fn(np.array([0.7])), np.ndarray)
+        assert isinstance(fn(0.7), np.float64)
 
 
 def test_empty_batch(shell):
     _, sol = shell
-    out = evaluate_batch(sol.g_in, np.empty((0, 4)))
+    out = evaluate(sol.g_in, np.empty((0, 4)))
     assert all(v.shape == (0,) for v in out.values())
-    assert component_max_batch(sol.f_in, []).shape == (0,)
+    assert component_max(sol.f_in, []).shape == (0,)
+
+
+def test_constant_metric_hodge_star_over_a_batch():
+    """Every metric component of the cartesian chart is constant, so the
+    metric-floor guard sees plain floats, not arrays over the batch."""
+    cart = cartesian_chart(C)
+    x, y = ScalarField.coordinate(1), ScalarField.coordinate(2)
+    f = form(2, cart.name, {(0, 1): x * y, (1, 2): 3.0 * y, (2, 3): x})
+    star = hodge_star(cart.metric, f)
+    events = five_events((0.5, 2.0, -1.0, 0.25))
+    vals = evaluate(star, events)
+    xs, ys = events[:, 1], events[:, 2]
+    # star(dt^dx) = -dy^dz / c, star(dx^dy) = c dt^dz, star(dy^dz) = c dt^dx
+    assert np.allclose(vals[(2, 3)], -xs * ys / C, rtol=1e-15, atol=0.0)
+    assert np.allclose(vals[(0, 3)], C * 3.0 * ys, rtol=1e-15, atol=0.0)
+    assert np.allclose(vals[(0, 1)], C * xs, rtol=1e-15, atol=0.0)
+    d_star = evaluate(exterior_derivative(star), events)
+    # d(-x y / c dy^dz) = -(y / c) dx^dy^dz; d(3 c y dt^dz) = -3 c dt^dy^dz
+    assert np.allclose(d_star[(1, 2, 3)], -ys / C, rtol=1e-15, atol=0.0)
+    assert np.allclose(d_star[(0, 2, 3)], np.full(5, -3.0 * C), rtol=1e-15, atol=0.0)
+    for k, ev in enumerate(events):
+        assert one_event.evaluate(star, ev) == {idx: v[k] for idx, v in vals.items()}
 
 
 def scenario_forms(sol):
@@ -112,11 +140,11 @@ def assert_batch_matches_reference(sol, seed):
         for interior, name, a, parent in scenario_forms(sol):
             if interior != region.interior:
                 continue
-            got = evaluate_batch(a, events)
-            ref = [evaluate(a, ev) for ev in events]
+            got = evaluate(a, events)
+            ref = [one_event.evaluate(a, ev) for ev in events]
             if parent is not None:
                 parent_form, length = parent
-                field_scale = max(component_max(parent_form, ev) for ev in events) / length
+                field_scale = max(one_event.component_max(parent_form, ev) for ev in events) / length
             for idx, values in got.items():
                 want = np.array([r[idx] for r in ref])
                 scale = np.abs(want).max() if parent is None else field_scale
@@ -163,15 +191,15 @@ def test_junction_rows_keep_the_per_event_order(shell):
     events = five_events((0.0, sc.r1, 2.0, -0.01), good=(1e-10, sc.r1, 0.4, 0.01))
     rows, rhs = junction_rows(
         [
-            ([evaluate_batch(b, events) for b in cols], evaluate_batch(target, events))
+            ([evaluate(b, events) for b in cols], evaluate(target, events))
             for cols, target in conditions
         ]
     )
     ref_rows, ref_rhs = [], []
     for ev in events:
         for cols, target in conditions:
-            col_vals = [evaluate(b, ev) for b in cols]
-            target_vals = evaluate(target, ev)
+            col_vals = [one_event.evaluate(b, ev) for b in cols]
+            target_vals = one_event.evaluate(target, ev)
             for idx in basis_indices(3):
                 ref_rows.append([v[idx] for v in col_vals])
                 ref_rhs.append(target_vals[idx])
@@ -184,9 +212,9 @@ def test_normal_velocity_is_the_one_event_batch(shell):
     iface = sol.interfaces[1]
     frame = lab_frame(sol.chart)
     events = five_events((0.0, sc.r2, 2.0, -0.01), good=(1e-10, sc.r2, 0.4, 0.01))
-    normal, v_n = interface_normal_velocity_batch(iface, frame, sol.chart.metric, events)
+    normal, v_n = interface_normal_velocity(iface, frame, sol.chart.metric, events)
     for k, ev in enumerate(events):
-        one_normal, one_v = interface_normal_velocity(iface, frame, sol.chart.metric, ev)
+        one_normal, one_v = one_event.interface_normal_velocity(iface, frame, sol.chart.metric, ev)
         assert one_normal == tuple(n[k] for n in normal)
         assert one_v == v_n[k]
 
@@ -204,7 +232,7 @@ def test_metric_floor_guard_names_event():
     events = five_events((0.0, 0.0, 0.6, 0.01))
     for a in (hodge_star(cyl.metric, f), exterior_derivative(hodge_star(cyl.metric, f))):
         with pytest.raises(DegenerateMetricError, match="g_22") as excinfo:
-            evaluate_batch(a, events)
+            evaluate(a, events)
         assert_names_event(excinfo, events[2])
 
 
@@ -213,7 +241,7 @@ def test_light_cone_guard_names_event():
     velocity = rotating_velocity(cyl, 1000.0, 2)
     events = five_events((0.0, 2.0 * C / 1000.0, 0.6, 0.01))
     with pytest.raises(LightConeError) as excinfo:
-        velocity.components[0].eval_batch(events)
+        velocity.components[0].eval(events)
     assert_names_event(excinfo, events[2])
 
 
@@ -238,13 +266,13 @@ def test_degenerate_dphi_guards_name_event():
         covariant_jump_residual(two, two, two, two, vanishing, cyl.metric, events)
     assert_names_event(excinfo, events[2])
     with pytest.raises(DegenerateInterfaceError, match="vanishes") as excinfo:
-        interface_normal_velocity_batch(vanishing, frame, cyl.metric, events)
+        interface_normal_velocity(vanishing, frame, cyl.metric, events)
     assert_names_event(excinfo, events[2])
     # dPhi = dt + z dr + (r - 1) dz is purely temporal on r = 1 where z = 0
     temporal = Interface(phi=(t - 1.0) + (r - 1.0) * z, chart=cyl.name)
     events = five_events((1.0, 1.0, 0.6, 0.0), good=(1.0, 1.0, 0.4, 0.5))
     with pytest.raises(DegenerateInterfaceError, match="purely temporal") as excinfo:
-        interface_normal_velocity_batch(temporal, frame, cyl.metric, events)
+        interface_normal_velocity(temporal, frame, cyl.metric, events)
     assert_names_event(excinfo, events[2])
 
 

@@ -388,3 +388,20 @@ def test_overflowing_closed_form_constant_exits_2(tmp_path, capsys):
     assert run(path, samples=8, out_dir=str(out)) == 2
     assert "closed-form C2 = inf is not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overflowing_drive_exits_2_with_one_line_and_no_numpy_warning(tmp_path):
+    import emforms
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(emforms.__file__)))
+    path, _ = cylinder_config(tmp_path, b0_tesla=1e305)
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "emforms.cli", "run", path, "--samples", "8", "--out-dir", str(out)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr == "error: junction system has non-finite entries\n"
+    assert not out.exists()

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from emforms.forms import evaluate, interior_product, hodge_star, scale
+from emforms.forms import interior_product, hodge_star, scale
 from emforms.media import EMDecomposition, MaterialParams, bound_sources, polarization
 from emforms.cylinder import (
     CylinderScenario,
@@ -20,6 +20,7 @@ from emforms.cylinder import (
 from emforms.solutions import MatchingError, solve_matching_system, verify_solution
 from emforms.spacetime import lab_frame
 
+from one_event import component_max, evaluate
 from oracles import v12_quadrature
 
 C = 299792458.0
@@ -133,8 +134,6 @@ def test_decomposed_fields_match_closed_forms(rng):
 
 
 def test_interior_excitation_equals_exterior(rng):
-    from emforms.forms import component_max
-
     sc = random_scenario(rng)
     sol, _ = solve_cylinder(sc, samples_per_interface=8, seed=1)
     chi = sc.mat.eps_r + 1.0 / sc.mat.mu_r

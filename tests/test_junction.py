@@ -6,7 +6,7 @@ import pytest
 
 from emforms.cli import _json_text
 from emforms.fields import ScalarField
-from emforms.forms import evaluate, form, scale, zero_form
+from emforms.forms import form, scale, zero_form
 from emforms.junction import (
     DegenerateInterfaceError,
     Interface,
@@ -14,7 +14,6 @@ from emforms.junction import (
     JumpReport,
     covariant_jump_residual,
     gibbs_jump_residual,
-    interface_normal_velocity,
 )
 from emforms.media import EMDecomposition, MaterialParams, recompose
 from emforms.spacetime import cartesian_chart, cylindrical_chart, lab_frame
@@ -24,6 +23,7 @@ from emforms.cylinder import (
     solve_cylinder,
     _interior_family,
 )
+from one_event import evaluate, interface_normal_velocity
 
 
 C = 299792458.0

@@ -78,3 +78,9 @@ def test_verify_solution_builds_each_star_g_once(monkeypatch):
     report = solutions.verify_solution(sol, samples_per_region=4)
     assert report.passed
     assert built == [sol.g_in, sol.g_out]  # one star G per side
+
+
+def test_every_exported_name_resolves():
+    import emforms
+
+    assert [name for name in emforms.__all__ if not hasattr(emforms, name)] == []

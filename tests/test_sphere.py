@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from emforms.forms import component_max, evaluate
 from emforms.junction import covariant_jump_residual
 from emforms.media import EMDecomposition, MaterialParams, apply_constitutive
 from emforms.solutions import MatchingError, verify_solution
@@ -19,6 +18,7 @@ from emforms.sphere import (
     sphere_interface_events,
     truncated_excitation,
 )
+from one_event import component_max, evaluate, value
 
 C = 299792458.0
 
@@ -248,4 +248,4 @@ def test_interface_events_deterministic():
     ]
     assert a[16:] == ref
     surface = sphere_interface(sc)
-    assert surface.phi.eval((0.0, sc.a, 1.0, 0.0)) == 0.0
+    assert value(surface.phi, (0.0, sc.a, 1.0, 0.0)) == 0.0

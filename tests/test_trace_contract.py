@@ -40,3 +40,20 @@ def test_tracer_installs_and_uninstalls():
         fields.ScalarField.eval,
     )
     assert all(a is b for a, b in zip(originals, restored))
+
+
+def test_tracer_counts_the_kernel_calls_of_a_run(tmp_path):
+    """A traced run passes through the wrapped evaluators, so their spans
+    count the work a run does rather than reading 0."""
+    from test_cli import cylinder_config
+
+    tracer = load_tracer()
+    path, _ = cylinder_config(tmp_path)
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        assert cli.run(path, samples=8, out_dir=str(tmp_path / "out")) == 0
+    finally:
+        t.uninstall()
+    for metric in ("forms.evaluate", "forms.component_max", "fields.eval"):
+        assert t.calls[metric] > 0, metric
