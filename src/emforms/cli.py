@@ -17,11 +17,12 @@ Config keys carry their SI units explicitly. Example cylinder config:
 Each scenario declares its own geometry keys and drive key; a sphere
 config uses "geometry": {"a_m": ...} and "e0_volt_per_m". The driver
 reaches a scenario only through the interface of :class:`Scenario`.
-Unknown keys and non-finite numbers are rejected. Exit codes: 0 on
-success; 2 on config errors, including geometry so small that the metric
-degenerates (no outputs are written); 3 when residual tolerances are
-exceeded or a region's sampled field scale vanishes (reports are still
-written); 4 when an output file cannot be written.
+Unknown keys and non-finite numbers are rejected, and so are output
+names that are not non-empty strings or that name the same file. Exit
+codes: 0 on success; 2 on config errors, including geometry so small that
+the metric degenerates (no outputs are written); 3 when residual
+tolerances are exceeded or a region's sampled field scale vanishes
+(reports are still written); 4 when an output file cannot be written.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, ClassVar, Protocol
@@ -82,6 +82,21 @@ def _number(section: dict, key: str, where: str) -> float:
     if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     return float(value)
+
+
+def _output_names(outputs: dict, defaults: dict[str, str]) -> dict[str, str]:
+    """The output file names: each a non-empty string, no two naming the
+    same file once normalised (one report would overwrite another)."""
+    names = {key: outputs.get(key, default) for key, default in defaults.items()}
+    seen: dict[str, str] = {}
+    for key, name in names.items():
+        if not isinstance(name, str) or not name:
+            raise ConfigError(f"outputs.{key} must be a non-empty string, got {name!r}")
+        path = os.path.normpath(name)
+        if path in seen:
+            raise ConfigError(f"outputs.{seen[path]} and outputs.{key} both name {path!r}")
+        seen[path] = key
+    return names
 
 
 def _integer(section: dict, key: str, where: str, default: int, minimum: int) -> int:
@@ -154,12 +169,13 @@ class RunConfig:
         sampling = raw.get("sampling", {})
         _require_keys(sampling, {"radial_points", "angular_points", "seed"}, set(), "sampling")
         outputs = raw.get("outputs", {})
-        _require_keys(
-            outputs,
-            {"profile_csv", "observables_json", "verification_json"},
-            set(),
-            "outputs",
-        )
+        defaults = {
+            "profile_csv": cls.profile_csv,
+            "observables_json": cls.observables_json,
+            "verification_json": cls.verification_json,
+        }
+        _require_keys(outputs, set(defaults), set(), "outputs")
+        names = _output_names(outputs, defaults)
 
         kwargs["omega"] = _number(raw, "omega_rad_per_s", "config")
         eps_r = _number(material, "eps_r", "material")
@@ -169,9 +185,7 @@ class RunConfig:
             radial_points=_integer(sampling, "radial_points", "sampling", 64, 1),
             angular_points=_integer(sampling, "angular_points", "sampling", 16, 1),
             seed=_integer(sampling, "seed", "sampling", 0, 0),
-            profile_csv=str(outputs.get("profile_csv", "profile.csv")),
-            observables_json=str(outputs.get("observables_json", "observables.json")),
-            verification_json=str(outputs.get("verification_json", "verification.json")),
+            **names,
             # built last, after every config value has been validated
             scenario=scenario_cls(mat=MaterialParams(eps_r=eps_r, mu_r=mu_r), **kwargs),
         )
@@ -211,12 +225,17 @@ def load_config(path: str) -> RunConfig:
 
 
 def _atomic_write(path: str, data: str) -> None:
+    """Write ``data`` as UTF-8 to a new file beside ``path``, then move it
+    over ``path``. The file is created with mode 0o666 less the umask, as
+    ``open(path, "w")`` creates it; on any failure it is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".emforms-")
+    payload = data.encode("utf-8")
+    tmp = os.path.join(directory, ".emforms-" + os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+        with open(fd, "wb") as fh:
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -9,7 +9,12 @@ come out of a dual-number pass exactly, not from finite differences.
 Fields close under arithmetic. Constants are folded so that the zero
 constant stays structurally recognisable: form containers drop
 structurally zero components, and numeric zero is never inferred from
-sampling.
+sampling. A constant operand of ``+``, ``*`` or ``/`` is captured by value
+in the new closure, on the side where it stands, so evaluation never calls
+a constant's closure and each sum and product is the same IEEE operation
+as with the constant evaluated. In the same way the Hodge dual
+(:mod:`emforms.forms`) checks a constant metric component against the
+metric floor once, when the dual is built, and only the others per event.
 
 Each field also carries a dependency mask, ``deps``: bit k is set when its
 value may depend on coordinate k. A coordinate sets its own bit, a
@@ -22,6 +27,7 @@ ever spent on a coordinate the field does not read.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,7 +55,7 @@ def first_bad_event(bad, event) -> tuple[float, ...] | None:
     dual parts) and ``bad`` is a bool array over the batch, or one bool,
     which holds at every event of the batch or at none.
     """
-    if not np.asarray(bad).any():
+    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
         return None
     coords = [real(x) for x in event]
     rows = np.flatnonzero(np.broadcast_to(bad, np.shape(coords[0])))
@@ -62,12 +68,13 @@ ALL_AXES = 0b1111
 class ScalarField:
     """Real-valued function of an event, differentiable by dual numbers."""
 
-    __slots__ = ("fn", "const", "deps")
+    __slots__ = ("fn", "const", "deps", "is_zero")
 
     def __init__(self, fn: Callable, const: float | None = None, deps: int = ALL_AXES):
         self.fn = fn
         self.const = const
         self.deps = 0 if const is not None else deps
+        self.is_zero = const == 0.0
 
     # -- constructors ----------------------------------------------------
 
@@ -88,13 +95,9 @@ class ScalarField:
     def coordinate(axis: int) -> "ScalarField":
         if axis not in (0, 1, 2, 3):
             raise ValueError(f"coordinate axis must be 0..3, got {axis}")
-        return ScalarField(lambda event: event[axis], deps=1 << axis)
+        return ScalarField(operator.itemgetter(axis), deps=1 << axis)
 
     # -- evaluation ------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.const == 0.0
 
     def __call__(self, event):
         # dual-friendly entry point; events may carry Dual coordinates
@@ -125,15 +128,13 @@ class ScalarField:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = coerce(other)
+        if not isinstance(other, ScalarField):
+            other = coerce(other)
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        if self.const is not None and other.const is not None:
-            return ScalarField.constant(self.const + other.const)
-        f, g = self.fn, other.fn
-        return ScalarField(lambda event: f(event) + g(event), deps=self.deps | other.deps)
+        return _combine(operator.add, self, other)
 
     __radd__ = __add__
 
@@ -150,35 +151,32 @@ class ScalarField:
         return coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = coerce(other)
+        if not isinstance(other, ScalarField):
+            other = coerce(other)
         if self.is_zero or other.is_zero:
             return ZERO
-        if self.const is not None and other.const is not None:
-            return ScalarField.constant(self.const * other.const)
         if self.const == 1.0:
             return other
         if other.const == 1.0:
             return self
-        f, g = self.fn, other.fn
-        return ScalarField(lambda event: f(event) * g(event), deps=self.deps | other.deps)
+        return _combine(operator.mul, self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = coerce(other)
+        if not isinstance(other, ScalarField):
+            other = coerce(other)
         if other.const is not None:
             return self * (1.0 / other.const)
         if self.is_zero:
             return ZERO
-        f, g = self.fn, other.fn
-        return ScalarField(lambda event: f(event) / g(event), deps=self.deps | other.deps)
+        return _combine(operator.truediv, self, other)
 
     def __rtruediv__(self, other):
         other = coerce(other)
         if other.is_zero:
             return ZERO
-        f, g = other.fn, self.fn
-        return ScalarField(lambda event: f(event) / g(event), deps=self.deps | other.deps)
+        return _combine(operator.truediv, other, self)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -189,6 +187,20 @@ class ScalarField:
             return ScalarField.constant(self.const**n)
         f = self.fn
         return ScalarField(lambda event: f(event) ** n, deps=self.deps)
+
+
+def _combine(op, a: ScalarField, b: ScalarField) -> ScalarField:
+    """``op(a, b)`` as a field: two constants fold to one, and a constant
+    operand is captured by value on its own side of ``op``."""
+    ka, kb = a.const, b.const
+    if ka is not None and kb is not None:
+        return ScalarField.constant(op(ka, kb))
+    f, g = a.fn, b.fn
+    if ka is not None:
+        return ScalarField(lambda event: op(ka, g(event)), deps=b.deps)
+    if kb is not None:
+        return ScalarField(lambda event: op(f(event), kb), deps=a.deps)
+    return ScalarField(lambda event: op(f(event), g(event)), deps=a.deps | b.deps)
 
 
 ZERO = ScalarField(lambda event: 0.0, const=0.0)

@@ -12,6 +12,8 @@ Conventions
   with ``J`` the increasing complement of ``I`` and ``sigma`` the
   permutation ``(I, J)`` relative to the orientation order. The test
   suite checks this closed form against a brute-force Levi-Civita sum.
+  A constant diagonal component is checked against the metric floor once,
+  when the dual is built; the others at every evaluated event.
 * Degenerate grades stay total: wedges past grade 4, the exterior
   derivative of a 4-form and the interior product of a 0-form all return
   the appropriate zero form.
@@ -23,6 +25,7 @@ never dropped.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -56,6 +59,44 @@ def basis_indices(grade: int) -> tuple[MultiIndex, ...]:
     return tuple(itertools.combinations(range(DIM), grade))
 
 
+def perm_parity(seq: Sequence[int], reference: Sequence[int]) -> int:
+    """Sign of the permutation taking ``reference`` order to ``seq``."""
+    pos = [reference.index(s) for s in seq]
+    inversions = sum(
+        1 for i in range(len(pos)) for j in range(i + 1, len(pos)) if pos[i] > pos[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+# The index algebra as tables, built once at import: each grade's valid
+# increasing indices, mapped to themselves so that one lookup validates an
+# index and returns it as a tuple of ints; the increasing merge and the sign
+# of dx^I ^ dx^J for every disjoint pair (I, J); and the increasing
+# complement J of each I with that sign for (I, J).
+_VALID: tuple[dict[MultiIndex, MultiIndex], ...] = tuple(
+    {idx: idx for idx in basis_indices(grade)} for grade in range(DIM + 1)
+)
+_MERGE: dict[tuple[MultiIndex, MultiIndex], tuple[MultiIndex, int]] = {
+    (ia, ib): (tuple(sorted(ia + ib)), perm_parity(ia + ib, range(DIM)))
+    for valid in _VALID
+    for ia in valid
+    for grade in range(DIM + 1 - len(ia))
+    for ib in _VALID[grade]
+    if not set(ia) & set(ib)
+}
+_COMPLEMENT: dict[MultiIndex, tuple[MultiIndex, int]] = {
+    ia: (ib, sign) for (ia, ib), (merged, sign) in _MERGE.items() if len(merged) == DIM
+}
+
+
+@functools.cache
+def _hodge_table(orientation: tuple[int, ...]) -> dict[MultiIndex, tuple[MultiIndex, int]]:
+    """Each index I's increasing complement J, with the sign of the
+    permutation (I, J) relative to the orientation order."""
+    parity = perm_parity(orientation, range(DIM))
+    return {idx: (comp, sign * parity) for idx, (comp, sign) in _COMPLEMENT.items()}
+
+
 @dataclass(frozen=True, eq=False)
 class DifferentialForm:
     """Antisymmetric grade-p field stored over increasing multi-indices."""
@@ -67,20 +108,24 @@ class DifferentialForm:
     def __post_init__(self):
         if not 0 <= self.grade <= DIM:
             raise GradeMismatchError(f"grade must be 0..{DIM}, got {self.grade}")
+        valid = _VALID[self.grade]
         cleaned: dict[MultiIndex, ScalarField] = {}
         for idx, f in self.components.items():
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != self.grade:
-                raise GradeMismatchError(
-                    f"index {idx} has length {len(idx)}, expected grade {self.grade}"
-                )
-            if any(not 0 <= i < DIM for i in idx):
-                raise GradeMismatchError(f"index {idx} out of range 0..{DIM - 1}")
-            if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
-                raise GradeMismatchError(f"index {idx} is not strictly increasing")
-            f = coerce(f)
+            key = valid.get(idx)
+            if key is None:  # not a valid index as it stands: normalise it or say why
+                key = tuple(int(i) for i in idx)
+                if len(key) != self.grade:
+                    raise GradeMismatchError(
+                        f"index {key} has length {len(key)}, expected grade {self.grade}"
+                    )
+                if any(not 0 <= i < DIM for i in key):
+                    raise GradeMismatchError(f"index {key} out of range 0..{DIM - 1}")
+                if any(key[k] >= key[k + 1] for k in range(len(key) - 1)):
+                    raise GradeMismatchError(f"index {key} is not strictly increasing")
+            if not isinstance(f, ScalarField):
+                f = coerce(f)
             if not f.is_zero:
-                cleaned[idx] = f
+                cleaned[key] = f
         object.__setattr__(self, "components", cleaned)
 
     @property
@@ -144,20 +189,6 @@ def _accumulate(comps: dict, idx: MultiIndex, term: ScalarField) -> None:
         comps[idx] = term
 
 
-def _merge_sign(ia: MultiIndex, ib: MultiIndex) -> int:
-    inversions = sum(1 for x in ia for y in ib if x > y)
-    return -1 if inversions % 2 else 1
-
-
-def perm_parity(seq: Sequence[int], reference: Sequence[int]) -> int:
-    """Sign of the permutation taking ``reference`` order to ``seq``."""
-    pos = [reference.index(s) for s in seq]
-    inversions = sum(
-        1 for i in range(len(pos)) for j in range(i + 1, len(pos)) if pos[i] > pos[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 # -- operations ---------------------------------------------------------
 
 
@@ -175,17 +206,18 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     gathered: dict[MultiIndex, dict] = {}
     for ia, fa in a.components.items():
         for ib, fb in b.components.items():
-            if set(ia) & set(ib):
+            merge = _MERGE.get((ia, ib))
+            if merge is None:  # the indices overlap
                 continue
-            merged = tuple(sorted(ia + ib))
+            merged, sign = merge
             term = fa * fb
-            if _merge_sign(ia, ib) < 0:
+            if sign < 0:
                 term = -term
             # Contributions from (ia, ib) and (ib, ia) are exact mirror
             # terms; group them under an unordered token and sum inside
             # the group first (two-float addition commutes exactly),
             # then fold groups in token order.
-            token = (min(ia, ib), max(ia, ib))
+            token = (ia, ib) if ia <= ib else (ib, ia)
             groups = gathered.setdefault(merged, {})
             groups[token] = term if token not in groups else groups[token] + term
     comps: dict[MultiIndex, ScalarField] = {}
@@ -209,9 +241,8 @@ def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
             df = f.partial_field(axis)
             if df.is_zero:
                 continue
-            passed = sum(1 for i in idx if i < axis)
-            merged = tuple(sorted(idx + (axis,)))
-            _accumulate(comps, merged, df if passed % 2 == 0 else -df)
+            merged, sign = _MERGE[(axis,), idx]  # dx^axis ^ dx^idx
+            _accumulate(comps, merged, df if sign > 0 else -df)
     return DifferentialForm(a.grade + 1, comps, a.chart)
 
 
@@ -233,13 +264,24 @@ def interior_product(v: VectorField4, a: DifferentialForm) -> DifferentialForm:
 
 
 def _hodge_coefficient(g: DiagonalMetric, idx: MultiIndex) -> ScalarField:
-    """sqrt(|det g|) / prod_{i in idx} g_ii, guarded against degeneracy."""
+    """sqrt(|det g|) / prod_{i in idx} g_ii, guarded against degeneracy.
+
+    A constant diagonal component is checked against the floor here, once;
+    the others are checked at every evaluation, naming the first bad event.
+    """
     diag = g.diag
+    consts = [gi.const for gi in diag]
+    for i, v in enumerate(consts):
+        if v is not None and abs(v) < _METRIC_FLOOR:
+            raise DegenerateMetricError(f"metric component g_{i}{i} = {v!r} vanishes")
+    varying = [(i, gi.fn) for i, gi in enumerate(diag) if gi.const is None]
 
     def fn(event):
-        vals = [diag[i](event) for i in range(DIM)]
-        for i, v in enumerate(vals):
-            where = first_bad_event(abs(real(v)) < _METRIC_FLOOR, event)
+        vals = consts.copy()
+        for i, f in varying:
+            vals[i] = f(event)
+        for i, _ in varying:
+            where = first_bad_event(abs(real(vals[i])) < _METRIC_FLOOR, event)
             if where is not None:
                 raise DegenerateMetricError(
                     f"metric component g_{i}{i} vanishes at event {where}"
@@ -255,10 +297,10 @@ def _hodge_coefficient(g: DiagonalMetric, idx: MultiIndex) -> ScalarField:
 
 def hodge_star(g: DiagonalMetric, a: DifferentialForm) -> DifferentialForm:
     """Hodge dual for the stored orientation; grade p -> 4-p."""
+    table = _hodge_table(g.orientation)
     comps: dict[MultiIndex, ScalarField] = {}
     for idx, f in a.components.items():
-        comp = tuple(i for i in range(DIM) if i not in idx)
-        sign = perm_parity(idx + comp, g.orientation)
+        comp, sign = table[idx]
         term = _hodge_coefficient(g, idx) * f
         _accumulate(comps, comp, term if sign > 0 else -term)
     return DifferentialForm(DIM - a.grade, comps, a.chart)
@@ -306,7 +348,7 @@ def evaluate(a: DifferentialForm, events) -> dict[MultiIndex, np.ndarray]:
     """
     events = event_array(events)
     out: dict[MultiIndex, np.ndarray] = {}
-    for idx in basis_indices(a.grade):
+    for idx in _VALID[a.grade]:
         f = a.components.get(idx)
         out[idx] = np.zeros(len(events)) if f is None else f.eval(events)
     return out

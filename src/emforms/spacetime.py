@@ -89,9 +89,10 @@ def rotating_velocity(chart: Chart, omega: float, azimuth_axis: int) -> VectorFi
         return lab_frame(chart)
     c = chart.light_speed
     g_az = chart.metric.diag[azimuth_axis]
+    g_fn = g_az.fn
 
     def root(event):
-        arg = c * c - g_az(event) * (omega * omega)
+        arg = c * c - g_fn(event) * (omega * omega)
         where = first_bad_event(real(arg) <= 0.0, event)
         if where is not None:
             raise LightConeError(f"rotation reaches light speed at event {where}")

@@ -196,21 +196,18 @@ def sphere_interface(sc: SphereScenario, chart: Chart | None = None) -> Interfac
     return Interface(phi=r - sc.a, chart=chart.name, name="surface")
 
 
-def match_sphere_constants(
+def sphere_matching_system(
     sc: SphereScenario,
     theta_points: int = 12,
     seed: int = 0,
-) -> SphereConstants:
-    """Least-squares junction match of (K0, K1, P0, P1) at r = a.
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Junction rows and right-hand sides for (K0, K1, P0, P1) at r = a, at
+    unit drive, with the unknowns in the returned column units.
 
-    The residual rows are affine in the four amplitudes because the
-    truncated excitation is linear in the potentials. A rank-deficient
-    system raises :class:`MatchingError` rather than being regularised.
-    At omega = 0 the first-order amplitudes decouple from the data, so a
-    small probe rotation rate is used; the matched constants do not
-    depend on it. The system is linear in the drive, so it is matched at
-    unit drive and the amplitudes are scaled by E0: a tiny drive would
-    otherwise make the column units (K1's is E0/c^2) subnormal.
+    The junction residual is affine in the four amplitudes because the
+    truncated excitation is linear in the potentials: one residual pair
+    per amplitude, built at one unit of it alone, gives its column, and
+    the pair of the applied field alone, moved right, the right-hand side.
     """
     chart = sc.chart()
     metric = chart.metric
@@ -220,10 +217,10 @@ def match_sphere_constants(
     dphi = iface.gradient()
     events = np.array(sphere_interface_events(sc, 2 * theta_points, seed))
 
-    def assemble(k0: float, k1: float, p0: float, p1: float):
+    def assemble(k0: float, k1: float, p0: float, p1: float, drive: float):
         f0_in = scale(k0, basis["uniform_t"])
         f1_in = scale(k1, basis["quad_in"])
-        f0_out = add(basis["uniform_t"], scale(p0, basis["dipole_t"]))
+        f0_out = add(scale(drive, basis["uniform_t"]), scale(p0, basis["dipole_t"]))
         f1_out = scale(p1, basis["quad_out"])
         g_in = truncated_excitation(f0_in, f1_in, omega, sc.mat, chart)
         g_out = scale(sc.mat.eps0, add(f0_out, scale(omega, f1_out)))
@@ -239,27 +236,38 @@ def match_sphere_constants(
     # falls below working precision after row equilibration.
     units = _constant_scales(sc, 1.0)
     unit_vec = [max(u, 1e-300) for u in (units.k0, units.k1, units.p0, units.p1)]
-    base = assemble(0.0, 0.0, 0.0, 0.0)
+    applied = assemble(0.0, 0.0, 0.0, 0.0, drive=1.0)
     columns = [
-        assemble(unit_vec[0], 0.0, 0.0, 0.0),
-        assemble(0.0, unit_vec[1], 0.0, 0.0),
-        assemble(0.0, 0.0, unit_vec[2], 0.0),
-        assemble(0.0, 0.0, 0.0, unit_vec[3]),
+        assemble(*(u if k == j else 0.0 for k, u in enumerate(unit_vec)), drive=0.0)
+        for j in range(4)
     ]
-
-    conditions = []
-    for cond in range(2):
-        base_vals = evaluate(base[cond], events)
-        col_vals = [evaluate(col[cond], events) for col in columns]
-        # residual(x) = base + sum_j x_j (col_j - base); move base right
-        conditions.append(
-            (
-                [{idx: v - base_vals[idx] for idx, v in cv.items()} for cv in col_vals],
-                {idx: -v for idx, v in base_vals.items()},
-            )
+    # residual(x) = applied + sum_j x_j column_j; move applied right
+    conditions = [
+        (
+            [evaluate(col[cond], events) for col in columns],
+            {idx: -v for idx, v in evaluate(applied[cond], events).items()},
         )
+        for cond in range(2)
+    ]
     rows, rhs = junction_rows(conditions)
+    return rows, rhs, unit_vec
 
+
+def match_sphere_constants(
+    sc: SphereScenario,
+    theta_points: int = 12,
+    seed: int = 0,
+) -> SphereConstants:
+    """Least-squares junction match of (K0, K1, P0, P1) at r = a.
+
+    A rank-deficient system raises :class:`MatchingError` rather than
+    being regularised. At omega = 0 the first-order amplitudes decouple
+    from the data, so a small probe rotation rate is used; the matched
+    constants do not depend on it. The system is linear in the drive, so
+    it is matched at unit drive and the amplitudes are scaled by E0: a tiny
+    drive would otherwise make the column units (K1's is E0/c^2) subnormal.
+    """
+    rows, rhs, unit_vec = sphere_matching_system(sc, theta_points, seed)
     solution = solve_matching_system(rows, rhs, "sphere junction")
     return SphereConstants(*(float(x) * u * sc.e0 for x, u in zip(solution, unit_vec)))
 

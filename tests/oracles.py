@@ -5,8 +5,11 @@ finite differences instead of dual numbers, a dual pass on the raw closure
 instead of the dependency-pruned partial derivative, the full Levi-Civita
 permutation sum instead of the closed-form diagonal Hodge rule, plain
 componentwise arithmetic for metric contractions, adaptive quadrature
-instead of the closed-form shell voltage, and the stdlib ``json`` encoder
-instead of the report writer.
+instead of the closed-form shell voltage, the stdlib ``json`` encoder
+instead of the report writer, arithmetic nodes that call both operand
+closures instead of captured constants, the inversion count instead of the
+index tables, and five full assemblies instead of the sphere's
+per-amplitude matching rows.
 """
 
 from __future__ import annotations
@@ -205,3 +208,139 @@ def stdlib_json(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` with each ndarray
     written as its ``tolist()``: the text a report file must hold."""
     return json.dumps(value, indent=2, sort_keys=True, default=_array_as_list)
+
+
+# -- the algebra that constant capture, index tables and per-amplitude
+#    matching replace --------------------------------------------------------
+
+
+def _two_closure_add(a: ScalarField, b: ScalarField) -> ScalarField:
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    if a.const is not None and b.const is not None:
+        return ScalarField.constant(a.const + b.const)
+    f, g = a.fn, b.fn
+    return ScalarField(lambda event: f(event) + g(event), deps=a.deps | b.deps)
+
+
+def _two_closure_neg(a: ScalarField) -> ScalarField:
+    if a.const is not None:
+        return ScalarField.constant(-a.const)
+    f = a.fn
+    return ScalarField(lambda event: -f(event), deps=a.deps)
+
+
+def _two_closure_mul(a: ScalarField, b: ScalarField) -> ScalarField:
+    if a.is_zero or b.is_zero:
+        return ScalarField.zero()
+    if a.const is not None and b.const is not None:
+        return ScalarField.constant(a.const * b.const)
+    if a.const == 1.0:
+        return b
+    if b.const == 1.0:
+        return a
+    f, g = a.fn, b.fn
+    return ScalarField(lambda event: f(event) * g(event), deps=a.deps | b.deps)
+
+
+def _two_closure_div(a: ScalarField, b: ScalarField) -> ScalarField:
+    if b.const is not None:
+        return _two_closure_mul(a, ScalarField.constant(1.0 / b.const))
+    if a.is_zero:
+        return ScalarField.zero()
+    f, g = a.fn, b.fn
+    return ScalarField(lambda event: f(event) / g(event), deps=a.deps | b.deps)
+
+
+def _two_closure_rdiv(number: ScalarField, a: ScalarField) -> ScalarField:
+    if number.is_zero:
+        return ScalarField.zero()
+    if a.const is not None:
+        return ScalarField.constant(number.const / a.const)
+    f, g = number.fn, a.fn
+    return ScalarField(lambda event: f(event) / g(event), deps=a.deps | number.deps)
+
+
+def two_closure_op(op: str, a, b) -> ScalarField:
+    """``a op b`` for ``op`` in ``+ - * /``, where ``a`` or ``b`` may be a
+    plain number: the field arithmetic with every binary node calling both
+    operand closures, a constant's included. The folding rules and operand
+    orders are the field class's, reflected operators included (``k + f``
+    is ``f + k``, ``k - f`` is ``k + (-f)``, and two constants fold)."""
+    if not isinstance(a, ScalarField):
+        k = ScalarField.constant(a)
+        return {
+            "+": lambda: _two_closure_add(b, k),
+            "-": lambda: _two_closure_add(k, _two_closure_neg(b)),
+            "*": lambda: _two_closure_mul(b, k),
+            "/": lambda: _two_closure_rdiv(k, b),
+        }[op]()
+    if not isinstance(b, ScalarField):
+        b = ScalarField.constant(b)
+    return {
+        "+": lambda: _two_closure_add(a, b),
+        "-": lambda: _two_closure_add(a, _two_closure_neg(b)),
+        "*": lambda: _two_closure_mul(a, b),
+        "/": lambda: _two_closure_div(a, b),
+    }[op]()
+
+
+def merge_by_inversions(ia, ib) -> tuple[tuple[int, ...], int]:
+    """The increasing merge of two disjoint indices and the sign of
+    dx^ia ^ dx^ib, from the parity of the inversions between them."""
+    inversions = sum(1 for x in ia for y in ib if x > y)
+    return tuple(sorted(ia + ib)), -1 if inversions % 2 else 1
+
+
+def five_assembly_sphere_rows(sc, theta_points: int = 12, seed: int = 0):
+    """The sphere's junction rows and right-hand sides from five full
+    assemblies: one at zero amplitudes and one at one unit of each
+    amplitude, each column taken as its assembly minus the first."""
+    from emforms.forms import add, evaluate, hodge_star, scale, subtract, wedge
+    from emforms.solutions import junction_rows
+    from emforms.sphere import (
+        _constant_scales,
+        _field_basis,
+        sphere_interface,
+        sphere_interface_events,
+        truncated_excitation,
+    )
+
+    chart = sc.chart()
+    metric = chart.metric
+    basis = _field_basis(chart)
+    omega = sc.omega if sc.omega != 0.0 else 0.01 * sc.mat.c / sc.a
+    dphi = sphere_interface(sc, chart).gradient()
+    events = np.array(sphere_interface_events(sc, 2 * theta_points, seed))
+
+    def assemble(k0, k1, p0, p1):
+        f0_in = scale(k0, basis["uniform_t"])
+        f1_in = scale(k1, basis["quad_in"])
+        f0_out = add(basis["uniform_t"], scale(p0, basis["dipole_t"]))
+        f1_out = scale(p1, basis["quad_out"])
+        g_in = truncated_excitation(f0_in, f1_in, omega, sc.mat, chart)
+        g_out = scale(sc.mat.eps0, add(f0_out, scale(omega, f1_out)))
+        f_in = add(f0_in, scale(omega, f1_in))
+        f_out = add(f0_out, scale(omega, f1_out))
+        return (
+            wedge(subtract(f_out, f_in), dphi),
+            wedge(subtract(hodge_star(metric, g_out), hodge_star(metric, g_in)), dphi),
+        )
+
+    units = _constant_scales(sc, 1.0)
+    unit_vec = [max(u, 1e-300) for u in (units.k0, units.k1, units.p0, units.p1)]
+    base = assemble(0.0, 0.0, 0.0, 0.0)
+    columns = [assemble(*(u if k == j else 0.0 for k, u in enumerate(unit_vec))) for j in range(4)]
+    conditions = []
+    for cond in range(2):
+        base_vals = evaluate(base[cond], events)
+        col_vals = [evaluate(col[cond], events) for col in columns]
+        conditions.append(
+            (
+                [{idx: v - base_vals[idx] for idx, v in cv.items()} for cv in col_vals],
+                {idx: -v for idx, v in base_vals.items()},
+            )
+        )
+    return junction_rows(conditions)

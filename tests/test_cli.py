@@ -405,3 +405,39 @@ def test_overflowing_drive_exits_2_with_one_line_and_no_numpy_warning(tmp_path):
     assert result.returncode == 2
     assert result.stderr == "error: junction system has non-finite entries\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        (
+            {"profile_csv": "same.json", "observables_json": "same.json", "verification_json": "same.json"},
+            "outputs.profile_csv and outputs.observables_json both name 'same.json'",
+        ),
+        ({"observables_json": "obs.json", "verification_json": "./obs.json"}, "both name 'obs.json'"),
+        ({"profile_csv": "p.csv", "observables_json": "a/../p.csv"}, "both name 'p.csv'"),
+        ({"profile_csv": ""}, "outputs.profile_csv must be a non-empty string, got ''"),
+        ({"profile_csv": 5, "observables_json": None}, "outputs.profile_csv must be a non-empty string, got 5"),
+        ({"observables_json": None}, "outputs.observables_json must be a non-empty string, got None"),
+    ],
+    ids=["all-same", "dot-slash", "dot-dot", "empty", "number", "null"],
+)
+@pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
+def test_bad_output_names_exit_2_without_outputs(tmp_path, capsys, outputs, message, verify_only):
+    path, _ = cylinder_config(tmp_path, outputs=outputs)
+    out = tmp_path / "out"
+    assert run(path, samples=8, out_dir=str(out), verify_only=verify_only) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_distinct_output_names_in_a_subdirectory_are_accepted(tmp_path):
+    outputs = {"profile_csv": "p/profile.csv", "observables_json": "p/obs.json", "verification_json": "ver.json"}
+    path, _ = cylinder_config(tmp_path, outputs=outputs)
+    out = tmp_path / "out"
+    assert run(path, samples=8, out_dir=str(out)) == 0
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == [
+        "p/obs.json",
+        "p/profile.csv",
+        "ver.json",
+    ]

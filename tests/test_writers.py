@@ -9,6 +9,7 @@ by bit pattern, so the duplicate-heavy strategies below make it hit.
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emforms.cli import _json_text, _write_json, write_csv
+from emforms.cli import _atomic_write, _json_text, _write_json, write_csv
 from oracles import stdlib_json
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e-7]
@@ -224,3 +225,35 @@ def test_write_csv_keeps_signed_zeros_apart(tmp_path):
 def test_write_csv_rejects_a_ragged_or_wrong_width_table(tmp_path, rows):
     with pytest.raises(TypeError):
         write_csv(str(tmp_path / "p.csv"), ["a", "b"], rows)
+
+
+# -- the file a writer leaves ------------------------------------------------------
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_report_mode_is_0o666_less_the_umask(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        _write_json(str(tmp_path / "ver.json"), {"a": [1.0]})
+        write_csv(str(tmp_path / "profile.csv"), ["x"], [[1.0]])
+    finally:
+        os.umask(previous)
+    for name in ("ver.json", "profile.csv"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_atomic_write_replaces_an_existing_target(tmp_path):
+    target = tmp_path / "ver.json"
+    target.write_text("old contents that are longer than the new ones")
+    _atomic_write(str(target), "new \u00e9")
+    assert target.read_bytes() == "new \u00e9".encode("utf-8")
+    assert os.listdir(tmp_path) == ["ver.json"]
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    target = tmp_path / "ver.json"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        _atomic_write(str(target), "data")
+    assert os.listdir(tmp_path) == ["ver.json"]
+    assert os.listdir(target) == []
