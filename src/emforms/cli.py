@@ -43,13 +43,7 @@ from .cylinder import CylinderScenario, cylinder_profile  # noqa: F401
 from .forms import DegenerateMetricError
 from .junction import covariant_jump_residual, gibbs_jump_residual
 from .media import EMDecomposition, MaterialParams
-from .solutions import (
-    EXACT_RESIDUAL_TOL,
-    FIRST_ORDER_K_CAP,
-    FieldSolution,
-    MatchingError,
-    verify_solution,
-)
+from .solutions import FieldSolution, MatchingError, junction_tolerance, verify_solution
 from .spacetime import lab_frame
 from .sphere import SphereScenario, sphere_profile  # noqa: F401
 
@@ -109,8 +103,8 @@ def _integer(section: dict, key: str, where: str, default: int, minimum: int) ->
 class Scenario(Protocol):
     """What the driver needs of a scenario. The config is read and echoed
     through ``GEOMETRY_KEYS`` (geometry key -> field) and ``DRIVE_KEY``
-    (config key, field); ``interface_events`` gives one event list per
-    interface, in ``FieldSolution.interfaces`` order, and ``profile`` the
+    (config key, field); ``interface_events`` gives one (N, 4) event array
+    per interface, in ``FieldSolution.interfaces`` order, and ``profile`` the
     CSV header and rows from the (interior, exterior) lab-frame
     decompositions."""
 
@@ -120,7 +114,7 @@ class Scenario(Protocol):
     mat: MaterialParams
 
     def solve(self, seed: int) -> tuple[FieldSolution, object]: ...
-    def interface_events(self, samples: int, seed: int) -> list[list[tuple]]: ...
+    def interface_events(self, samples: int, seed: int) -> list[np.ndarray]: ...
     def profile(self, decs, radial_points: int, angular_points: int) -> tuple[list[str], np.ndarray]: ...
     def observables(self, constants) -> dict: ...
 
@@ -227,8 +221,11 @@ def load_config(path: str) -> RunConfig:
 def _atomic_write(path: str, data: str) -> None:
     """Write ``data`` as UTF-8 to a new file beside ``path``, then move it
     over ``path``. The file is created with mode 0o666 less the umask, as
-    ``open(path, "w")`` creates it; on any failure it is removed."""
-    directory = os.path.dirname(os.path.abspath(path))
+    ``open(path, "w")`` creates it; on any failure it is removed. The path
+    is normalised once, as output names are validated, so that ``a/../b``
+    names ``b`` whether or not a directory ``a`` exists."""
+    path = os.path.abspath(path)
+    directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     payload = data.encode("utf-8")
     tmp = os.path.join(directory, ".emforms-" + os.urandom(8).hex())
@@ -402,10 +399,7 @@ def run(
         print(f"error: geometry too small for the metric floor: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if sol.order == "exact":
-        junction_tol = EXACT_RESIDUAL_TOL
-    else:
-        junction_tol = max(FIRST_ORDER_K_CAP * sol.expansion_parameter**2, EXACT_RESIDUAL_TOL)
+    junction_tol = junction_tolerance(sol)
     junction_ok = all(rep.max_rel <= junction_tol for rep in junctions)
     within_tolerance = maxwell.passed and junction_ok
 

@@ -23,27 +23,18 @@ from typing import ClassVar
 import numpy as np
 
 from .fields import ScalarField
-from .forms import (
-    DifferentialForm,
-    evaluate,
-    form,
-    hodge_star,
-    linear_combine,
-    scale,
-    wedge,
-)
+from .forms import DifferentialForm, form, linear_combine, scale
 from .junction import Interface
 from .media import MaterialParams, apply_constitutive
 from .solutions import (
     CylinderConstants,
     FieldSolution,
-    MatchingError,
     Region,
     by_side,
+    check_closed_forms,
     grid_and_box_events,
-    junction_rows,
+    match_junctions,
     require_finite,
-    solve_matching_system,
 )
 from .spacetime import Chart, cylindrical_chart, rotating_velocity
 
@@ -77,7 +68,7 @@ class CylinderScenario:
     def solve(self, seed: int) -> tuple[FieldSolution, CylinderConstants]:
         return solve_cylinder(self, seed=seed)
 
-    def interface_events(self, samples: int, seed: int) -> list[list[tuple]]:
+    def interface_events(self, samples: int, seed: int) -> list[np.ndarray]:
         return [interface_sample_events(self, r, samples, seed) for r in (self.r1, self.r2)]
 
     def profile(self, decs, radial_points: int, angular_points: int):
@@ -120,9 +111,9 @@ def interface_sample_events(
     radius: float,
     n: int = 64,
     seed: int = 0,
-) -> list[tuple[float, float, float, float]]:
-    """Deterministic interface events: an angular/axial grid plus a seeded
-    pseudorandom set, all at the given radius."""
+) -> np.ndarray:
+    """Deterministic interface events as an (n, 4) array: an angular/axial
+    grid plus a seeded pseudorandom set, all at the given radius."""
 
     def grid(j, half):
         return (0.0, radius, 2.0 * math.pi * j / half, sc.r2 * (-1.0 if j % 2 else 1.0))
@@ -183,52 +174,28 @@ def match_cylinder_amplitudes(
     samples_per_interface: int = 16,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Least-squares junction match of the interior family amplitudes.
-
-    Assembles rows of both covariant jump conditions at sampled events on
-    both interfaces (two unknowns, heavily overdetermined) and solves
-    after row/column equilibration. Raises :class:`MatchingError` when
-    the system is rank-deficient or the residual does not vanish.
-    """
+    """Least-squares junction match of the interior family amplitudes
+    (k1, k2) at both radii, at the scenario's own B0, by
+    :func:`~emforms.solutions.match_junctions`."""
     chart = sc.chart()
-    metric = chart.metric
     f_basis, g_basis = _interior_family(sc, chart)
     f_out = exterior_maxwell_form(sc, chart)
     g_out = scale(sc.mat.eps0, f_out)
 
-    # One physical unit of each amplitude keeps row entries commensurate.
-    units = (
-        max(sc.mat.eps0 * sc.mat.c * abs(sc.b0) * sc.r2, 1e-300),
-        max(sc.mat.eps0 * sc.mat.c * abs(sc.b0), 1e-300),
-    )
-    basis_pairs = [
-        (scale(units[0], f_basis[0]), scale(units[0], g_basis[0])),
-        (scale(units[1], f_basis[1]), scale(units[1], g_basis[1])),
-    ]
-
-    rows, rhs = [], []
-    for iface, radius in zip(cylinder_interfaces(sc, chart), (sc.r1, sc.r2)):
-        dphi = iface.gradient()
-        cond_basis = [
-            [wedge(fb, dphi) for fb, _ in basis_pairs],
-            [wedge(hodge_star(metric, gb), dphi) for _, gb in basis_pairs],
-        ]
-        cond_rhs = [
-            wedge(f_out, dphi),
-            wedge(hodge_star(metric, g_out), dphi),
-        ]
-        events = np.array(interface_sample_events(sc, radius, samples_per_interface, seed))
-        iface_rows, iface_rhs = junction_rows(
-            [
-                ([evaluate(b, events) for b in basis_forms], evaluate(rhs_form, events))
-                for basis_forms, rhs_form in zip(cond_basis, cond_rhs)
-            ]
+    def build(k, drive):
+        return (
+            linear_combine(k, f_basis),
+            scale(drive, f_out),
+            linear_combine(k, g_basis),
+            scale(drive, g_out),
         )
-        rows.append(iface_rows)
-        rhs.append(iface_rhs)
 
-    solution = solve_matching_system(np.concatenate(rows), np.concatenate(rhs), "junction")
-    return float(solution[0] * units[0]), float(solution[1] * units[1])
+    # one physical unit of each amplitude
+    unit = sc.mat.eps0 * sc.mat.c * abs(sc.b0)
+    events = sc.interface_events(samples_per_interface, seed)
+    junctions = list(zip(cylinder_interfaces(sc, chart), events))
+    k1, k2 = match_junctions(build, (unit * sc.r2, unit), junctions, chart.metric, "junction")
+    return float(k1), float(k2)
 
 
 def _amplitudes_to_constants(sc: CylinderScenario, k1: float, k2: float) -> CylinderConstants:
@@ -277,15 +244,13 @@ def solve_cylinder(
     velocity = rotating_velocity(chart, sc.omega, AZIMUTH_AXIS)
 
     k1, k2 = match_cylinder_amplitudes(sc, samples_per_interface, seed)
-    constants = closed_form_constants(sc)
-    require_finite("matched", k1=k1, k2=k2)
-    require_finite("closed-form", C1=constants.c1, C2=constants.c2)
     closed_k = (0.0, sc.mat.eps0 * sc.mat.c * sc.b0)
-    k_scale = max(abs(closed_k[1]), 1e-300)
-    if abs(k1) > 1e-9 * k_scale or abs(k2 - closed_k[1]) > 1e-9 * k_scale:
-        raise MatchingError(
-            f"matched amplitudes ({k1:.6e}, {k2:.6e}) disagree with closed forms"
-        )
+    unit = abs(closed_k[1])
+    check_closed_forms(
+        {"k1": k1, "k2": k2}, {"k1": closed_k[0], "k2": closed_k[1]}, {"k1": unit, "k2": unit}
+    )
+    constants = closed_form_constants(sc)
+    require_finite("closed-form", C1=constants.c1, C2=constants.c2)
 
     f_basis, _ = _interior_family(sc, chart)
     f_in = linear_combine(closed_k, f_basis)

@@ -128,10 +128,6 @@ class DifferentialForm:
                 cleaned[key] = f
         object.__setattr__(self, "components", cleaned)
 
-    @property
-    def is_structurally_zero(self) -> bool:
-        return not self.components
-
     def component(self, idx: MultiIndex) -> ScalarField:
         return self.components.get(tuple(idx), ScalarField.zero())
 

@@ -166,6 +166,16 @@ def _normal_velocity(
     return normal, v_n
 
 
+def field_jumps(
+    f_in: DifferentialForm,
+    f_out: DifferentialForm,
+    star_g_in: DifferentialForm,
+    star_g_out: DifferentialForm,
+) -> tuple[DifferentialForm, DifferentialForm]:
+    """The jumps [F] and [star G] across an interface, outside minus inside."""
+    return subtract(f_out, f_in), subtract(star_g_out, star_g_in)
+
+
 def covariant_jump_residual(
     f_in: DifferentialForm,
     f_out: DifferentialForm,
@@ -185,9 +195,9 @@ def covariant_jump_residual(
         if f.grade != 2:
             raise GradeMismatchError("junction conditions expect grade-2 forms")
     dphi = iface.gradient()
-    jump_f = wedge(subtract(f_out, f_in), dphi)
     star_g_out = hodge_star(metric, g_out)
-    jump_g = wedge(subtract(star_g_out, hodge_star(metric, g_in)), dphi)
+    jumps = field_jumps(f_in, f_out, hodge_star(metric, g_in), star_g_out)
+    jump_f, jump_g = [wedge(jump, dphi) for jump in jumps]
 
     events = _on_interface(iface, samples)
     dphi_scale = component_max(dphi, events)

@@ -29,28 +29,23 @@ from .forms import (
     DifferentialForm,
     VectorField4,
     add,
-    evaluate,
     exterior_derivative,
     form,
-    hodge_star,
     interior_product,
     lower_index,
     scale,
-    subtract,
     wedge,
 )
 from .junction import Interface
 from .media import MaterialParams, apply_constitutive
 from .solutions import (
     FieldSolution,
-    MatchingError,
     Region,
     SphereConstants,
     by_side,
+    check_closed_forms,
     grid_and_box_events,
-    junction_rows,
-    require_finite,
-    solve_matching_system,
+    match_junctions,
 )
 from .spacetime import Chart, lab_frame, metric_dual, rotating_velocity, spherical_chart
 
@@ -95,7 +90,7 @@ class SphereScenario:
     def solve(self, seed: int) -> tuple[FieldSolution, SphereConstants]:
         return solve_sphere(self, seed=seed)
 
-    def interface_events(self, samples: int, seed: int) -> list[list[tuple]]:
+    def interface_events(self, samples: int, seed: int) -> list[np.ndarray]:
         return [sphere_interface_events(self, samples, seed)]
 
     def profile(self, decs, radial_points: int, angular_points: int):
@@ -168,8 +163,9 @@ def sphere_interface_events(
     sc: SphereScenario,
     n: int = 64,
     seed: int = 0,
-) -> list[tuple[float, float, float, float]]:
-    """Deterministic events on r = a: a polar grid plus a seeded random set."""
+) -> np.ndarray:
+    """Deterministic events on r = a as an (n, 4) array: a polar grid plus
+    a seeded random set."""
 
     def grid(j, half):
         theta = _POLE_MARGIN + (math.pi - 2.0 * _POLE_MARGIN) * (j + 0.5) / half
@@ -196,28 +192,28 @@ def sphere_interface(sc: SphereScenario, chart: Chart | None = None) -> Interfac
     return Interface(phi=r - sc.a, chart=chart.name, name="surface")
 
 
-def sphere_matching_system(
+def match_sphere_constants(
     sc: SphereScenario,
     theta_points: int = 12,
     seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Junction rows and right-hand sides for (K0, K1, P0, P1) at r = a, at
-    unit drive, with the unknowns in the returned column units.
+) -> SphereConstants:
+    """Least-squares junction match of (K0, K1, P0, P1) at r = a, by
+    :func:`~emforms.solutions.match_junctions`.
 
     The junction residual is affine in the four amplitudes because the
-    truncated excitation is linear in the potentials: one residual pair
-    per amplitude, built at one unit of it alone, gives its column, and
-    the pair of the applied field alone, moved right, the right-hand side.
+    truncated excitation is linear in the potentials. At omega = 0 the
+    first-order amplitudes decouple from the data, so a small probe
+    rotation rate is used; the matched constants do not depend on it. The
+    system is linear in the drive, so it is matched at unit drive and the
+    amplitudes are scaled by E0: a tiny drive would otherwise make the
+    column units (K1's is E0/c^2) subnormal.
     """
     chart = sc.chart()
-    metric = chart.metric
     basis = _field_basis(chart)
     omega = sc.omega if sc.omega != 0.0 else 0.01 * sc.mat.c / sc.a
-    iface = sphere_interface(sc, chart)
-    dphi = iface.gradient()
-    events = np.array(sphere_interface_events(sc, 2 * theta_points, seed))
 
-    def assemble(k0: float, k1: float, p0: float, p1: float, drive: float):
+    def build(amplitudes, drive):
+        k0, k1, p0, p1 = amplitudes
         f0_in = scale(k0, basis["uniform_t"])
         f1_in = scale(k1, basis["quad_in"])
         f0_out = add(scale(drive, basis["uniform_t"]), scale(p0, basis["dipole_t"]))
@@ -226,50 +222,12 @@ def sphere_matching_system(
         g_out = scale(sc.mat.eps0, add(f0_out, scale(omega, f1_out)))
         f_in = add(f0_in, scale(omega, f1_in))
         f_out = add(f0_out, scale(omega, f1_out))
-        return (
-            wedge(subtract(f_out, f_in), dphi),
-            wedge(subtract(hodge_star(metric, g_out), hodge_star(metric, g_in)), dphi),
-        )
+        return f_in, f_out, g_in, g_out
 
-    # Columns carry one physical unit of each amplitude so every row's
-    # entries are commensurate; otherwise the weak rotational coupling
-    # falls below working precision after row equilibration.
-    units = _constant_scales(sc, 1.0)
-    unit_vec = [max(u, 1e-300) for u in (units.k0, units.k1, units.p0, units.p1)]
-    applied = assemble(0.0, 0.0, 0.0, 0.0, drive=1.0)
-    columns = [
-        assemble(*(u if k == j else 0.0 for k, u in enumerate(unit_vec)), drive=0.0)
-        for j in range(4)
-    ]
-    # residual(x) = applied + sum_j x_j column_j; move applied right
-    conditions = [
-        (
-            [evaluate(col[cond], events) for col in columns],
-            {idx: -v for idx, v in evaluate(applied[cond], events).items()},
-        )
-        for cond in range(2)
-    ]
-    rows, rhs = junction_rows(conditions)
-    return rows, rhs, unit_vec
-
-
-def match_sphere_constants(
-    sc: SphereScenario,
-    theta_points: int = 12,
-    seed: int = 0,
-) -> SphereConstants:
-    """Least-squares junction match of (K0, K1, P0, P1) at r = a.
-
-    A rank-deficient system raises :class:`MatchingError` rather than
-    being regularised. At omega = 0 the first-order amplitudes decouple
-    from the data, so a small probe rotation rate is used; the matched
-    constants do not depend on it. The system is linear in the drive, so
-    it is matched at unit drive and the amplitudes are scaled by E0: a tiny
-    drive would otherwise make the column units (K1's is E0/c^2) subnormal.
-    """
-    rows, rhs, unit_vec = sphere_matching_system(sc, theta_points, seed)
-    solution = solve_matching_system(rows, rhs, "sphere junction")
-    return SphereConstants(*(float(x) * u * sc.e0 for x, u in zip(solution, unit_vec)))
+    units = list(vars(_constant_scales(sc, 1.0)).values())
+    junctions = list(zip((sphere_interface(sc, chart),), sc.interface_events(2 * theta_points, seed)))
+    matched = match_junctions(build, units, junctions, chart.metric, "sphere junction")
+    return SphereConstants(*(float(x) * sc.e0 for x in matched))
 
 
 def closed_form_constants(sc: SphereScenario) -> SphereConstants:
@@ -322,15 +280,7 @@ def solve_sphere(
     metric = chart.metric
     matched = match_sphere_constants(sc, theta_points, seed)
     closed = closed_form_constants(sc)
-    require_finite("matched", **vars(matched))
-    require_finite("closed-form", **vars(closed))
-    scales = _constant_scales(sc, sc.e0)
-    for name in ("k0", "k1", "p0", "p1"):
-        got, want, ref = (getattr(x, name) for x in (matched, closed, scales))
-        if abs(got - want) > 1e-8 * max(abs(want), ref, 1e-300):
-            raise MatchingError(
-                f"matched {name} = {got:.9e} disagrees with closed form {want:.9e}"
-            )
+    check_closed_forms(vars(matched), vars(closed), vars(_constant_scales(sc, sc.e0)))
 
     basis = _field_basis(chart)
     f_in = add(

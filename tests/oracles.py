@@ -8,8 +8,9 @@ componentwise arithmetic for metric contractions, adaptive quadrature
 instead of the closed-form shell voltage, the stdlib ``json`` encoder
 instead of the report writer, arithmetic nodes that call both operand
 closures instead of captured constants, the inversion count instead of the
-index tables, and five full assemblies instead of the sphere's
-per-amplitude matching rows.
+index tables, and the shell's per-basis rows and the sphere's five full
+assemblies, each laid out one event at a time, instead of the shared
+junction matcher's per-piece rows.
 """
 
 from __future__ import annotations
@@ -294,12 +295,71 @@ def merge_by_inversions(ia, ib) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(ia + ib)), -1 if inversions % 2 else 1
 
 
+def _per_event_rows(conditions, n_events: int):
+    """Matching rows and right-hand sides built one event at a time.
+
+    ``conditions`` holds one ``(columns, target)`` pair per junction
+    condition, each an ``evaluate`` result: for each event, then each
+    condition, then each 3-form component, one row of the columns' values
+    and the target's value.
+    """
+    rows, rhs = [], []
+    for e in range(n_events):
+        for columns, target in conditions:
+            for idx in basis_indices(3):
+                rows.append([col[idx][e] for col in columns])
+                rhs.append(target[idx][e])
+    return np.array(rows), np.array(rhs)
+
+
+def per_basis_cylinder_rows(sc, samples_per_interface: int = 16, seed: int = 0):
+    """The shell's junction rows one basis form at a time: at each radius,
+    each interior basis form at one unit of its amplitude, wedged with dPhi
+    for [F] and Hodge-dualised first for [star G], against the exterior
+    field's, with the interior family on the left-hand side."""
+    from emforms.cylinder import (
+        _interior_family,
+        cylinder_interfaces,
+        exterior_maxwell_form,
+        interface_sample_events,
+    )
+    from emforms.forms import evaluate, hodge_star, scale, wedge
+
+    chart = sc.chart()
+    metric = chart.metric
+    f_basis, g_basis = _interior_family(sc, chart)
+    f_out = exterior_maxwell_form(sc, chart)
+    g_out = scale(sc.mat.eps0, f_out)
+    unit = sc.mat.eps0 * sc.mat.c * abs(sc.b0)
+    units = (max(unit * sc.r2, 1e-300), max(unit, 1e-300))
+    rows, rhs = [], []
+    for iface, radius in zip(cylinder_interfaces(sc, chart), (sc.r1, sc.r2)):
+        dphi = iface.gradient()
+        events = interface_sample_events(sc, radius, samples_per_interface, seed)
+        conditions = [
+            (
+                [evaluate(wedge(scale(u, fb), dphi), events) for u, fb in zip(units, f_basis)],
+                evaluate(wedge(f_out, dphi), events),
+            ),
+            (
+                [
+                    evaluate(wedge(hodge_star(metric, scale(u, gb)), dphi), events)
+                    for u, gb in zip(units, g_basis)
+                ],
+                evaluate(wedge(hodge_star(metric, g_out), dphi), events),
+            ),
+        ]
+        iface_rows, iface_rhs = _per_event_rows(conditions, len(events))
+        rows.append(iface_rows)
+        rhs.append(iface_rhs)
+    return np.concatenate(rows), np.concatenate(rhs)
+
+
 def five_assembly_sphere_rows(sc, theta_points: int = 12, seed: int = 0):
     """The sphere's junction rows and right-hand sides from five full
     assemblies: one at zero amplitudes and one at one unit of each
     amplitude, each column taken as its assembly minus the first."""
     from emforms.forms import add, evaluate, hodge_star, scale, subtract, wedge
-    from emforms.solutions import junction_rows
     from emforms.sphere import (
         _constant_scales,
         _field_basis,
@@ -313,7 +373,7 @@ def five_assembly_sphere_rows(sc, theta_points: int = 12, seed: int = 0):
     basis = _field_basis(chart)
     omega = sc.omega if sc.omega != 0.0 else 0.01 * sc.mat.c / sc.a
     dphi = sphere_interface(sc, chart).gradient()
-    events = np.array(sphere_interface_events(sc, 2 * theta_points, seed))
+    events = sphere_interface_events(sc, 2 * theta_points, seed)
 
     def assemble(k0, k1, p0, p1):
         f0_in = scale(k0, basis["uniform_t"])
@@ -343,4 +403,4 @@ def five_assembly_sphere_rows(sc, theta_points: int = 12, seed: int = 0):
                 {idx: -v for idx, v in base_vals.items()},
             )
         )
-    return junction_rows(conditions)
+    return _per_event_rows(conditions, len(events))

@@ -19,13 +19,11 @@ from emforms.dual import Dual
 from emforms.fields import ScalarField
 from emforms.forms import (
     DegenerateMetricError,
-    basis_indices,
     component_max,
     evaluate,
     exterior_derivative,
     form,
     hodge_star,
-    wedge,
     zero_form,
 )
 from emforms.junction import (
@@ -37,7 +35,7 @@ from emforms.junction import (
     interface_normal_velocity,
 )
 from emforms.media import EMDecomposition, MaterialParams
-from emforms.solutions import junction_rows, sample_box, verify_solution
+from emforms.solutions import sample_box, verify_solution
 from emforms.spacetime import (
     LightConeError,
     cartesian_chart,
@@ -180,31 +178,6 @@ def test_batch_matches_reference_sphere(a, beta, e0, eps_r, mu_r, seed):
     sc = SphereScenario(a, beta * C / a, e0, MaterialParams(eps_r, mu_r))
     sol, _ = solve_sphere(sc, theta_points=3)
     assert_batch_matches_reference(sol, seed)
-
-
-def test_junction_rows_keep_the_per_event_order(shell):
-    sc, sol = shell
-    dphi = sol.interfaces[0].gradient()
-    star = hodge_star(sol.chart.metric, sol.g_in)
-    f_jump, g_jump = wedge(sol.f_in, dphi), wedge(star, dphi)
-    conditions = [([f_jump, g_jump], wedge(sol.f_out, dphi)), ([g_jump, f_jump], g_jump)]
-    events = five_events((0.0, sc.r1, 2.0, -0.01), good=(1e-10, sc.r1, 0.4, 0.01))
-    rows, rhs = junction_rows(
-        [
-            ([evaluate(b, events) for b in cols], evaluate(target, events))
-            for cols, target in conditions
-        ]
-    )
-    ref_rows, ref_rhs = [], []
-    for ev in events:
-        for cols, target in conditions:
-            col_vals = [one_event.evaluate(b, ev) for b in cols]
-            target_vals = one_event.evaluate(target, ev)
-            for idx in basis_indices(3):
-                ref_rows.append([v[idx] for v in col_vals])
-                ref_rhs.append(target_vals[idx])
-    assert rows.tolist() == ref_rows
-    assert rhs.tolist() == ref_rhs
 
 
 def test_normal_velocity_is_the_one_event_batch(shell):

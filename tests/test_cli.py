@@ -431,6 +431,19 @@ def test_bad_output_names_exit_2_without_outputs(tmp_path, capsys, outputs, mess
     assert not out.exists()
 
 
+def test_dot_dot_output_name_is_written_at_its_normalised_path(tmp_path):
+    # no directory "a" exists under the output directory; the name still
+    # resolves to out/ver.json, as output-name validation reads it
+    path, _ = cylinder_config(tmp_path, outputs={"verification_json": "a/../ver.json"})
+    out = tmp_path / "out"
+    assert run(path, samples=8, out_dir=str(out)) == 0
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "observables.json",
+        "profile.csv",
+        "ver.json",
+    ]
+
+
 def test_distinct_output_names_in_a_subdirectory_are_accepted(tmp_path):
     outputs = {"profile_csv": "p/profile.csv", "observables_json": "p/obs.json", "verification_json": "ver.json"}
     path, _ = cylinder_config(tmp_path, outputs=outputs)

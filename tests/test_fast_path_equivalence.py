@@ -1,10 +1,10 @@
 """The interpreter-level fast paths against the algebra they replace.
 
 Constant operands captured in closures, the index tables of ``forms``,
-metric constants checked once, and the sphere's per-amplitude matching
-rows must give what the generic construction gives: bit for bit where the
-floating-point operations are the same, to rounding where the sphere's
-columns are no longer differences of full assemblies.
+metric constants checked once, and the shared junction matcher's rows
+must give what the generic construction gives: bit for bit where the
+floating-point operations are the same, to rounding where the matcher's
+columns are no longer differences of full assemblies or per-basis forms.
 """
 
 import itertools
@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emforms import forms
+from emforms import forms, solutions
+from emforms.cylinder import CylinderScenario, match_cylinder_amplitudes
 from emforms.fields import ScalarField
 from emforms.forms import (
     DegenerateMetricError,
@@ -29,8 +30,14 @@ from emforms.forms import (
 )
 from emforms.media import MaterialParams
 from emforms.spacetime import cartesian_chart, cylindrical_chart
-from emforms.sphere import SphereScenario, sphere_matching_system
-from oracles import dense_partial, five_assembly_sphere_rows, merge_by_inversions, two_closure_op
+from emforms.sphere import SphereScenario, match_sphere_constants
+from oracles import (
+    dense_partial,
+    five_assembly_sphere_rows,
+    merge_by_inversions,
+    per_basis_cylinder_rows,
+    two_closure_op,
+)
 
 C = MaterialParams.vacuum().c
 
@@ -188,17 +195,55 @@ def test_constant_metric_component_below_the_floor_fails_when_the_dual_is_built(
         hodge_star(cart.metric, form(1, cart.name, {(1,): 1.0}))
 
 
-# -- sphere matching rows, one residual pair per amplitude -----------------------
+# -- the shared junction matcher's rows against each scenario's own ------------
+
+
+def matcher_rows(monkeypatch, match):
+    """The rows and right-hand side that the shared junction matcher hands
+    to ``solve_matching_system`` while ``match()`` runs."""
+    original = solutions.solve_matching_system
+    seen = []
+
+    def spy(rows, rhs, what):
+        seen.append((rows, rhs))
+        return original(rows, rhs, what)
+
+    monkeypatch.setattr(solutions, "solve_matching_system", spy)
+    match()
+    ((rows, rhs),) = seen
+    return rows, rhs
+
+
+def assert_rows_close(rows, rhs, want_rows, want_rhs):
+    """Equal shapes, and every column and the right-hand side within 1e-12
+    of the reference relative to that column's largest entry."""
+    assert rows.shape == want_rows.shape and rhs.shape == want_rhs.shape
+    for got, want in [*zip(rows.T, want_rows.T), (rhs, want_rhs)]:
+        scale = np.abs(want).max()
+        assert scale > 0.0
+        assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("beta", [0.01, 0.0], ids=["rotating", "probe-rate"])
-def test_per_amplitude_sphere_rows_equal_five_assembly_rows(beta):
+def test_per_amplitude_sphere_rows_equal_five_assembly_rows(monkeypatch, beta):
     sc = SphereScenario(a=0.05, omega=beta * C / 0.05, e0=1000.0, mat=MaterialParams(4.0, 2.0))
-    rows, rhs, _ = sphere_matching_system(sc, theta_points=8, seed=2)
+    rows, rhs = matcher_rows(monkeypatch, lambda: match_sphere_constants(sc, theta_points=8, seed=2))
     want_rows, want_rhs = five_assembly_sphere_rows(sc, theta_points=8, seed=2)
-    assert rows.shape == want_rows.shape == (2 * 8 * 2 * 4, 4)
-    for j in range(4):
-        scale = np.abs(want_rows[:, j]).max()
-        assert scale > 0.0
-        assert np.abs(rows[:, j] - want_rows[:, j]).max() <= 1e-12 * scale
-    assert np.abs(rhs - want_rhs).max() <= 1e-12 * np.abs(want_rhs).max()
+    assert rows.shape == (2 * 8 * 2 * 4, 4)
+    assert_rows_close(rows, rhs, want_rows, want_rhs)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.0], ids=["rotating", "static"])
+def test_shared_cylinder_rows_equal_per_basis_rows(monkeypatch, beta):
+    sc = CylinderScenario(
+        r1=0.02, r2=0.04, omega=beta * C / 0.04, b0=1.5, mat=MaterialParams(6.0, 2.0)
+    )
+    rows, rhs = matcher_rows(
+        monkeypatch, lambda: match_cylinder_amplitudes(sc, samples_per_interface=6, seed=3)
+    )
+    want_rows, want_rhs = per_basis_cylinder_rows(sc, samples_per_interface=6, seed=3)
+    assert rows.shape == (2 * 6 * 2 * 4, 2)
+    # the per-basis system keeps the interior family on the left and the
+    # applied field on the right; the shared one moves the applied piece
+    # right instead, so the same equations carry the opposite sign
+    assert_rows_close(rows, rhs, -want_rows, -want_rhs)

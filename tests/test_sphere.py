@@ -5,7 +5,8 @@ import pytest
 
 from emforms.junction import covariant_jump_residual
 from emforms.media import EMDecomposition, MaterialParams, apply_constitutive
-from emforms.solutions import MatchingError, verify_solution
+from emforms import sphere
+from emforms.solutions import MatchingError, SphereConstants, verify_solution
 from emforms.spacetime import lab_frame, rotating_velocity
 from emforms.sphere import (
     AZIMUTH_AXIS,
@@ -55,6 +56,18 @@ def test_non_finite_constants_raise():
     # matched at unit drive the rows stay finite; P0 = -E0 a^3 (eps_r - 1)/(eps_r + 2) overflows
     with pytest.raises(MatchingError, match="matched p0 = -inf is not finite"):
         solve_sphere(SphereScenario(a=10.0, omega=1.0, e0=1e308, mat=mat))
+
+
+@pytest.mark.parametrize("name", ["k0", "k1", "p0", "p1"])
+def test_closed_form_off_by_5e_9_relative_fails_the_cross_check(monkeypatch, name):
+    # matched constants agree with their closed forms to about 1e-14; a
+    # closed form moved by 5e-9 of itself must not pass as a match
+    sc = scenario(beta=0.01)
+    closed = vars(sphere.closed_form_constants(sc))
+    closed[name] *= 1.0 + 5e-9
+    monkeypatch.setattr(sphere, "closed_form_constants", lambda _: SphereConstants(**closed))
+    with pytest.raises(MatchingError, match=f"matched {name} = .* disagrees with closed form"):
+        solve_sphere(sc)
 
 
 def test_vacuum_sphere_constants():
@@ -237,7 +250,7 @@ def test_interface_events_deterministic():
     sc = scenario()
     a = sphere_interface_events(sc, 32, seed=5)
     b = sphere_interface_events(sc, 32, seed=5)
-    assert a == b and len(a) == 32
+    assert np.array_equal(a, b) and len(a) == 32
     assert all(ev[1] == sc.a for ev in a)
     # the seeded half keeps the reference draw order: t, theta, phi per event
     rng = np.random.default_rng(5)
@@ -246,6 +259,6 @@ def test_interface_events_deterministic():
          float(rng.uniform(0.0, 2.0 * math.pi)))
         for _ in range(16)
     ]
-    assert a[16:] == ref
+    assert np.array_equal(a[16:], ref)
     surface = sphere_interface(sc)
     assert value(surface.phi, (0.0, sc.a, 1.0, 0.0)) == 0.0
