@@ -18,7 +18,14 @@ Each scenario declares its own geometry keys and drive key; a sphere
 config uses "geometry": {"a_m": ...} and "e0_volt_per_m". The driver
 reaches a scenario only through the interface of :class:`Scenario`.
 Unknown keys and non-finite numbers are rejected, and so are output
-names that are not non-empty strings or that name the same file. Exit
+names that are not non-empty strings or that name the same file.
+
+``verification.json`` summarises each junction report: its maxima, per
+condition too, and its worst event. The per-sample event and residual
+arrays go to a fourth file only when ``outputs.samples_json`` names one;
+it is written with ``--verify-only`` too. A warning raised while the
+config is built, such as the sphere's rim-speed warning, is printed as one
+``warning: <message>`` line on stderr. Exit
 codes: 0 on success; 2 on config errors, including geometry so small that
 the metric degenerates (no outputs are written); 3 when residual
 tolerances are exceeded or a region's sampled field scale vanishes
@@ -28,15 +35,19 @@ tolerances are exceeded or a region's sampled field scale vanishes
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, ClassVar, Protocol
 
 import numpy as np
+
+from . import __version__
 
 # The profile builders live with their scenarios and stay importable from here.
 from .cylinder import CylinderScenario, cylinder_profile  # noqa: F401
@@ -79,9 +90,10 @@ def _number(section: dict, key: str, where: str) -> float:
 
 
 def _output_names(outputs: dict, defaults: dict[str, str]) -> dict[str, str]:
-    """The output file names: each a non-empty string, no two naming the
-    same file once normalised (one report would overwrite another)."""
-    names = {key: outputs.get(key, default) for key, default in defaults.items()}
+    """The output file names, ``defaults`` overridden by ``outputs``: each a
+    non-empty string, no two naming the same file once normalised (one
+    report would overwrite another)."""
+    names = {**defaults, **outputs}
     seen: dict[str, str] = {}
     for key, name in names.items():
         if not isinstance(name, str) or not name:
@@ -125,7 +137,8 @@ SCENARIOS: dict[str, type[Scenario]] = {"cylinder": CylinderScenario, "sphere": 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration: the scenario, its name, sampling and
-    output file names; mirrors the JSON schema."""
+    output file names; mirrors the JSON schema. ``samples_json`` is None
+    unless the config names the opt-in samples file."""
 
     kind: str
     scenario: Scenario
@@ -135,6 +148,7 @@ class RunConfig:
     profile_csv: str = "profile.csv"
     observables_json: str = "observables.json"
     verification_json: str = "verification.json"
+    samples_json: str | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -168,7 +182,7 @@ class RunConfig:
             "observables_json": cls.observables_json,
             "verification_json": cls.verification_json,
         }
-        _require_keys(outputs, set(defaults), set(), "outputs")
+        _require_keys(outputs, {*defaults, "samples_json"}, set(), "outputs")
         names = _output_names(outputs, defaults)
 
         kwargs["omega"] = _number(raw, "omega_rad_per_s", "config")
@@ -203,6 +217,7 @@ class RunConfig:
                 "profile_csv": self.profile_csv,
                 "observables_json": self.observables_json,
                 "verification_json": self.verification_json,
+                **({} if self.samples_json is None else {"samples_json": self.samples_json}),
             },
         }
 
@@ -216,6 +231,19 @@ def load_config(path: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return RunConfig.from_dict(raw)
+
+
+def _load_config_printing_warnings(path: str) -> RunConfig:
+    """:func:`load_config`, printing each warning raised on the way as one
+    ``warning: <message>`` line on stderr, on every call and without the
+    source path and line that the warnings module would print."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return load_config(path)
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -353,7 +381,7 @@ def run(
 ) -> int:
     """Load a config, solve, verify, and write the reports."""
     try:
-        cfg = load_config(config_path)
+        cfg = _load_config_printing_warnings(config_path)
     except ValueError as exc:  # a ConfigError or a scenario's range check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -403,8 +431,14 @@ def run(
     junction_ok = all(rep.max_rel <= junction_tol for rep in junctions)
     within_tolerance = maxwell.passed and junction_ok
 
+    echo = cfg.echo()
     verification = {
-        "config": cfg.echo(),
+        "config": echo,
+        "provenance": {
+            "emforms": __version__,
+            "numpy": np.__version__,
+            "config_sha256": hashlib.sha256(_json_text(echo).encode("ascii")).hexdigest(),
+        },
         "maxwell": maxwell.to_json_dict(),
         "junction_tolerance_rel": junction_tol,
         "junction": [rep.to_json_dict() for rep in junctions],
@@ -413,12 +447,21 @@ def run(
     }
 
     if not verify_only:
-        observables = {"config": cfg.echo(), **sc.observables(constants)}
+        observables = {"config": echo, **sc.observables(constants)}
         header, rows = sc.profile(decs, cfg.radial_points, cfg.angular_points)
 
     path = out_path(cfg.verification_json)
     try:
         _write_json(path, verification)
+        if cfg.samples_json is not None:
+            path = out_path(cfg.samples_json)
+            _write_json(
+                path,
+                {
+                    "junction": [rep.arrays_json_dict() for rep in junctions],
+                    "junction_gibbs": [rep.arrays_json_dict() for rep in gibbs],
+                },
+            )
         if not verify_only:
             path = out_path(cfg.observables_json)
             _write_json(path, observables)
@@ -439,7 +482,9 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="solve a scenario config and write reports")
     run_parser.add_argument("config", help="path to a JSON scenario config")
-    run_parser.add_argument("--verify-only", action="store_true", help="write only the verification report")
+    run_parser.add_argument(
+        "--verify-only", action="store_true", help="write only the verification report (and the samples file, if named)"
+    )
     run_parser.add_argument("--samples", type=int, default=None, help="samples per region/interface")
     run_parser.add_argument("--seed", type=int, default=None, help="override the sampling seed")
     run_parser.add_argument("--out-dir", default=None, help="directory for output files")

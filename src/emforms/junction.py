@@ -79,7 +79,10 @@ class JumpReport:
 
     ``samples`` is the (N, 4) event array and each residual an array over
     those events. The residual functions store them read-only, so the
-    maxima, computed once on first use, cannot go stale.
+    maxima and the summary, computed once on first use, cannot go stale.
+    :meth:`to_json_dict` is the summary that ``verification.json`` holds;
+    :meth:`arrays_json_dict` the per-sample arrays of the opt-in samples
+    output.
     """
 
     interface: str
@@ -96,13 +99,39 @@ class JumpReport:
         return max_or_nan(np.concatenate(list(self.residuals_rel.values())))
 
     def to_json_dict(self) -> dict:
+        """The maxima, overall and per condition, and the worst event: the
+        condition and event at the largest relative residual, where the
+        first NaN in event order wins so that a NaN event is named (None
+        without samples)."""
+        names = list(self.residuals)
+        # (absolute, relative) x condition x event, reduced over the events at once
+        stacked = np.array([list(self.residuals.values()), list(self.residuals_rel.values())], dtype=float)
+        maxima = stacked.max(axis=2, initial=0.0).tolist()
+        worst = None
+        if stacked.shape[2]:
+            event, condition = divmod(int(stacked[1].T.argmax()), len(names))
+            worst = {
+                "condition": names[condition],
+                "event": self.samples[event].tolist(),
+                "rel": float(stacked[1, condition, event]),
+            }
+        return {
+            "interface": self.interface,
+            "count": len(self.samples),
+            "max_abs": self.max_abs,
+            "max_rel": self.max_rel,
+            "condition_max_abs": dict(zip(names, maxima[0])),
+            "condition_max_rel": dict(zip(names, maxima[1])),
+            "worst": worst,
+        }
+
+    def arrays_json_dict(self) -> dict:
+        """The per-sample event and residual arrays, written as they are."""
         return {
             "interface": self.interface,
             "samples": self.samples,
             "residuals": self.residuals,
             "residuals_rel": self.residuals_rel,
-            "max_abs": self.max_abs,
-            "max_rel": self.max_rel,
         }
 
 

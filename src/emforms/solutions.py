@@ -257,7 +257,7 @@ class MaxwellReport:
     order: str
     expansion_parameter: float
     samples_per_region: int
-    regions: dict[str, dict[str, float]]
+    regions: dict[str, dict]
     tolerance_f: float
     tolerance_g: float
     passed: bool
@@ -288,6 +288,9 @@ def verify_solution(
     excitation equation. A non-finite sample fails its region, and so does
     a region whose sampled field scale, max |F| or max |star G|, is not a
     positive normal float: residuals over a vanishing field check nothing.
+    Each region's entry holds its maxima, both field scales and the event
+    of the largest dF and d star G residual, so that its verdict can be
+    re-derived from the entry and the tolerances alone.
     """
     metric = sol.chart.metric
     rng = np.random.default_rng(seed)
@@ -304,16 +307,15 @@ def verify_solution(
         for interior, (f, _) in pairs.items()
     }
 
-    regions: dict[str, dict[str, float]] = {}
+    regions: dict[str, dict] = {}
     passed = True
     for region in sol.regions:
         f_form, _ = pairs[region.interior]
         df, dsg = derivatives[region.interior]
         sg = star_g[region.interior]
         events = sample_box(region.box, samples_per_region, rng)
-        max_df, max_f, max_dsg, max_sg = (
-            max_or_nan(component_max(form, events)) for form in (df, f_form, dsg, sg)
-        )
+        values = [component_max(form, events) for form in (df, f_form, dsg, sg)]
+        max_df, max_f, max_dsg, max_sg = map(max_or_nan, values)
         rel_df = sol.length_scale * max_df / max(max_f, 1e-300)
         rel_dsg = sol.length_scale * max_dsg / max(max_sg, 1e-300)
         entry = {
@@ -321,6 +323,11 @@ def verify_solution(
             "df_max_rel": rel_df,
             "dstar_g_max_abs": max_dsg,
             "dstar_g_max_rel": rel_dsg,
+            "f_scale": max_f,
+            "star_g_scale": max_sg,
+            # argmax names the first NaN event, as the maxima keep a NaN
+            "df_worst_event": events[values[0].argmax()].tolist() if len(events) else None,
+            "dstar_g_worst_event": events[values[2].argmax()].tolist() if len(events) else None,
         }
         if sol.order != "exact" and sol.expansion_parameter > 0.0:
             entry["dstar_g_rel_over_eps2"] = rel_dsg / sol.expansion_parameter**2

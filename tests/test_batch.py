@@ -269,6 +269,46 @@ def test_nan_event_fails_its_region(shell, monkeypatch):
         assert math.isnan(entry["dstar_g_max_rel"])
 
 
+def test_nan_event_is_each_region_s_worst_event(shell, monkeypatch):
+    _, sol = shell
+    drawn = solutions.sample_box
+    bad = []
+
+    def with_nan(box, n, rng):
+        events = drawn(box, n, rng)
+        events[n // 2, 1] = math.nan
+        bad.append(events[n // 2])
+        return events
+
+    monkeypatch.setattr(solutions, "sample_box", with_nan)
+    report = verify_solution(sol, samples_per_region=5)
+    named = 0
+    for entry, event in zip(report.regions.values(), bad, strict=True):
+        for name in ("df", "dstar_g"):
+            # a NaN residual names its event; a structurally zero one has none
+            if math.isnan(entry[f"{name}_max_abs"]):
+                assert np.array_equal(entry[f"{name}_worst_event"], event, equal_nan=True)
+                named += 1
+    assert named > 0
+
+
+def test_region_worst_events_and_scales_are_those_of_the_sampled_events(shell, monkeypatch):
+    _, sol = shell
+    drawn = solutions.sample_box
+    sampled = []
+    monkeypatch.setattr(solutions, "sample_box", lambda *args: sampled.append(drawn(*args)) or sampled[-1])
+    report = verify_solution(sol, samples_per_region=16, seed=2)
+    for region, events in zip(sol.regions, sampled, strict=True):
+        f, g = (sol.f_in, sol.g_in) if region.interior else (sol.f_out, sol.g_out)
+        star_g = hodge_star(sol.chart.metric, g)
+        entry = report.regions[region.name]
+        assert entry["f_scale"] == component_max(f, events).max()
+        assert entry["star_g_scale"] == component_max(star_g, events).max()
+        for key, form in (("df_worst_event", exterior_derivative(f)), ("dstar_g_worst_event", exterior_derivative(star_g))):
+            values = component_max(form, events)
+            assert values[events.tolist().index(entry[key])] == values.max()
+
+
 def test_nan_event_fails_its_interface(shell):
     sc, sol = shell
     metric = sol.chart.metric

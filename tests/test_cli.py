@@ -50,6 +50,17 @@ def sphere_config(tmp_path, eps_r=1.0, mu_r=1.0, **overrides):
     return str(path), cfg
 
 
+# the test configs' output names plus the opt-in samples file
+WITH_SAMPLES = {
+    "profile_csv": "profile.csv",
+    "observables_json": "obs.json",
+    "verification_json": "ver.json",
+    "samples_json": "samples.json",
+}
+
+# the keys of a Maxwell region entry that are not residuals
+FIELD_SCALE_AND_WORST_KEYS = {"f_scale", "star_g_scale", "df_worst_event", "dstar_g_worst_event"}
+
 BOTH_SCENARIOS = pytest.mark.parametrize(
     "make_config", [cylinder_config, sphere_config], ids=["cylinder", "sphere"]
 )
@@ -294,7 +305,7 @@ def test_outputs_are_stdlib_json_and_17g_csv(tmp_path, make_config, verify_only)
 @pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
 def test_written_json_is_json_dumps_of_the_payload(tmp_path, monkeypatch, make_config, verify_only):
     # a round trip through json.loads cannot tell -0.0 written as 0.0; this compares with
-    # the in-memory payload, whose sample and residual arrays are written as their lists
+    # the in-memory payloads, whose sample and residual arrays are written as their lists
     import emforms.cli as cli_mod
 
     written = []
@@ -305,15 +316,15 @@ def test_written_json_is_json_dumps_of_the_payload(tmp_path, monkeypatch, make_c
         real_write(path, payload)
 
     monkeypatch.setattr(cli_mod, "_write_json", capture)
-    path, _ = make_config(tmp_path)
+    path, _ = make_config(tmp_path, outputs=WITH_SAMPLES)
     out = tmp_path / "out"
     assert run(path, verify_only=verify_only, samples=8, out_dir=str(out)) == 0
     names = [os.path.basename(p) for p, _ in written]
-    assert names == (["ver.json"] if verify_only else ["ver.json", "obs.json"])
+    assert names == (["ver.json", "samples.json"] if verify_only else ["ver.json", "samples.json", "obs.json"])
     for file_path, payload in written:
         with open(file_path, encoding="ascii") as fh:
             assert fh.read() == stdlib_json(payload) + "\n"
-    samples = written[0][1]["junction"][0]["samples"]
+    samples = written[1][1]["junction"][0]["samples"]
     assert samples.shape == (8, 4) and not samples.flags.writeable
 
 
@@ -334,7 +345,11 @@ def test_vanishing_field_scale_fails_closed(tmp_path, make_config, overrides):
     ver = json.loads((out / "ver.json").read_text())
     assert ver["within_tolerance"] is False
     assert ver["maxwell"]["passed"] is False
-    assert all(v == 0.0 for region in ver["maxwell"]["regions"].values() for v in region.values())
+    for region in ver["maxwell"]["regions"].values():
+        residuals = {key: v for key, v in region.items() if key not in FIELD_SCALE_AND_WORST_KEYS}
+        assert all(v == 0.0 for v in residuals.values())
+        # the written scales say why: one of them is not a positive normal float
+        assert min(region["f_scale"], region["star_g_scale"]) < sys.float_info.min
 
 
 def test_tiny_but_normal_field_scale_still_passes(tmp_path):
@@ -419,8 +434,11 @@ def test_overflowing_drive_exits_2_with_one_line_and_no_numpy_warning(tmp_path):
         ({"profile_csv": ""}, "outputs.profile_csv must be a non-empty string, got ''"),
         ({"profile_csv": 5, "observables_json": None}, "outputs.profile_csv must be a non-empty string, got 5"),
         ({"observables_json": None}, "outputs.observables_json must be a non-empty string, got None"),
+        ({"samples_json": ""}, "outputs.samples_json must be a non-empty string, got ''"),
+        ({"samples_json": None}, "outputs.samples_json must be a non-empty string, got None"),
+        ({"verification_json": "ver.json", "samples_json": "./ver.json"}, "both name 'ver.json'"),
     ],
-    ids=["all-same", "dot-slash", "dot-dot", "empty", "number", "null"],
+    ids=["all-same", "dot-slash", "dot-dot", "empty", "number", "null", "samples-empty", "samples-null", "samples-same"],
 )
 @pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
 def test_bad_output_names_exit_2_without_outputs(tmp_path, capsys, outputs, message, verify_only):
@@ -454,3 +472,168 @@ def test_distinct_output_names_in_a_subdirectory_are_accepted(tmp_path):
         "p/profile.csv",
         "ver.json",
     ]
+
+
+# -- verification summary, opt-in samples file, provenance -------------------
+
+
+def junction_reports(monkeypatch):
+    """The covariant and Gibbs reports that ``cli.run`` builds, in order."""
+    import emforms.cli as cli_mod
+
+    reports = {"junction": [], "junction_gibbs": []}
+    for key, name in (("junction", "covariant_jump_residual"), ("junction_gibbs", "gibbs_jump_residual")):
+        real = getattr(cli_mod, name)
+
+        def spy(*args, real=real, key=key):
+            reports[key].append(real(*args))
+            return reports[key][-1]
+
+        monkeypatch.setattr(cli_mod, name, spy)
+    return reports
+
+
+def float_texts(text):
+    """A JSON document with every number and NaN/Infinity token kept as its text."""
+    return json.loads(text, parse_float=str, parse_int=str, parse_constant=str)
+
+
+@BOTH_SCENARIOS
+@pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
+def test_samples_file_holds_the_arrays_verification_json_held(tmp_path, monkeypatch, make_config, verify_only):
+    # each report's arrays as verification.json wrote them before they moved:
+    # the stdlib json text of the lists, compared number by number as text
+    reports = junction_reports(monkeypatch)
+    path, _ = make_config(tmp_path, outputs=WITH_SAMPLES)
+    out = tmp_path / "out"
+    assert run(path, verify_only=verify_only, samples=8, out_dir=str(out)) == 0
+    expected = {
+        key: [
+            {
+                "interface": rep.interface,
+                "samples": rep.samples.tolist(),
+                "residuals": {name: v.tolist() for name, v in rep.residuals.items()},
+                "residuals_rel": {name: v.tolist() for name, v in rep.residuals_rel.items()},
+            }
+            for rep in reps
+        ]
+        for key, reps in reports.items()
+    }
+    written = float_texts((out / "samples.json").read_text())
+    assert written == float_texts(json.dumps(expected))
+    assert [len(entry["samples"]) for entry in written["junction"]] == [8] * len(reports["junction"])
+    # the summaries in verification.json are those of the same reports
+    ver = json.loads((out / "ver.json").read_text())
+    for key, reps in reports.items():
+        for entry, rep in zip(ver[key], reps, strict=True):
+            assert entry["count"] == 8
+            assert entry["max_rel"] == rep.max_rel == max(entry["condition_max_rel"].values())
+            assert entry["max_abs"] == rep.max_abs == max(entry["condition_max_abs"].values())
+            assert entry["worst"]["rel"] == entry["max_rel"]
+            assert entry["worst"]["event"] in rep.samples.tolist()
+
+
+def rederived_within_tolerance(ver: dict) -> bool:
+    """The gate, from the written verification summary alone."""
+    maxwell, tol = ver["maxwell"], ver["junction_tolerance_rel"]
+    regions_ok = all(
+        region["df_max_rel"] <= maxwell["tolerance_f"]
+        and region["dstar_g_max_rel"] <= tol
+        and all(sys.float_info.min <= region[key] <= sys.float_info.max for key in ("f_scale", "star_g_scale"))
+        for region in maxwell["regions"].values()
+    )
+    return regions_ok and all(entry["max_rel"] <= tol for entry in ver["junction"])
+
+
+# a sweep sphere (seed 7) whose covariant junction residual exceeds its gate
+# while every Maxwell region passes
+JUNCTION_FAILS = {
+    "geometry": {"a_m": 0.29889005112896155},
+    "omega_rad_per_s": 49255612.78295282,
+    "e0_volt_per_m": 62733.27851099963,
+    "material": {"eps_r": 9.979579345813026, "mu_r": 0.9422559109723785},
+    "sampling": {"radial_points": 4, "angular_points": 4, "seed": 200456201},
+}
+
+
+@pytest.mark.parametrize(
+    "make_config, overrides, code",
+    [
+        (cylinder_config, {}, 0),
+        (sphere_config, {}, 0),
+        (cylinder_config, {"b0_tesla": 0.0}, 3),
+        (cylinder_config, {"b0_tesla": 5e-324}, 3),
+        (sphere_config, {"e0_volt_per_m": 0.0}, 3),
+        (sphere_config, {"e0_volt_per_m": 1e-300}, 3),
+        (sphere_config, JUNCTION_FAILS, 3),
+    ],
+    ids=["cylinder", "sphere", "b0-zero", "b0-subnormal", "e0-zero", "e0-tiny", "junction-fails"],
+)
+def test_within_tolerance_is_rederived_from_the_default_file(tmp_path, make_config, overrides, code):
+    path, _ = make_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert run(path, samples=8, out_dir=str(out)) == code
+    ver = json.loads((out / "ver.json").read_text())
+    assert ver["within_tolerance"] is (code == 0)
+    assert rederived_within_tolerance(ver) is ver["within_tolerance"]
+    if overrides is JUNCTION_FAILS:
+        assert ver["maxwell"]["passed"] is True
+
+
+def test_default_shell_verification_file_is_a_summary(tmp_path):
+    path, _ = cylinder_config(tmp_path)
+    out = tmp_path / "out"
+    assert run(path, verify_only=True, samples=512, out_dir=str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["ver.json"]
+    assert (out / "ver.json").stat().st_size < 16_000
+    assert "samples_json" not in json.loads((out / "ver.json").read_text())["config"]["outputs"]
+
+
+@BOTH_SCENARIOS
+def test_samples_file_is_byte_identical_on_rerun(tmp_path, make_config):
+    path, cfg = make_config(tmp_path, outputs=WITH_SAMPLES)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(path, samples=8, out_dir=str(out1)) == 0
+    assert run(path, samples=8, out_dir=str(out2)) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == ["obs.json", "profile.csv", "samples.json", "ver.json"]
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert json.loads((out1 / "ver.json").read_text())["config"] == cfg
+
+
+@BOTH_SCENARIOS
+def test_provenance_names_the_versions_and_the_config_digest(tmp_path, make_config):
+    import hashlib
+
+    import numpy as np
+
+    import emforms
+
+    path, _ = make_config(tmp_path)
+    out = tmp_path / "out"
+    assert run(path, samples=8, out_dir=str(out)) == 0
+    ver = json.loads((out / "ver.json").read_text())
+    echo_text = json.dumps(ver["config"], indent=2, sort_keys=True)
+    assert ver["provenance"] == {
+        "emforms": emforms.__version__,
+        "numpy": np.__version__,
+        "config_sha256": hashlib.sha256(echo_text.encode("ascii")).hexdigest(),
+    }
+
+
+def test_fast_sphere_prints_one_stable_warning_line(tmp_path):
+    import emforms
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(emforms.__file__)))
+    # rim speed 0.2 c
+    path, _ = sphere_config(tmp_path, eps_r=4.0, mu_r=2.0, omega_rad_per_s=0.2 * 299792458.0 / 0.05)
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "emforms.cli", "run", path, "--samples", "8", "--out-dir", str(out)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert result.stderr == "warning: rim speed above 0.1 c: the first-order solution degrades\n"

@@ -195,9 +195,13 @@ def test_report_serializes(shell):
     )
     payload = json.loads(_json_text(rep.to_json_dict()))
     assert payload["interface"] == "inner"
-    assert set(payload["residuals"]) == {"f_jump", "star_g_jump"}
-    assert len(payload["samples"]) == 4
+    assert payload["count"] == 4
+    assert set(payload["condition_max_rel"]) == {"f_jump", "star_g_jump"}
     assert payload["max_abs"] >= 0.0
+    arrays = json.loads(_json_text(rep.arrays_json_dict()))
+    assert arrays["interface"] == "inner"
+    assert set(arrays["residuals"]) == {"f_jump", "star_g_jump"}
+    assert len(arrays["samples"]) == 4
 
 
 def test_report_maxima_are_computed_once(monkeypatch):
@@ -213,15 +217,56 @@ def test_report_maxima_are_computed_once(monkeypatch):
     monkeypatch.setattr(junction, "max_or_nan", counted)
     rep = JumpReport(
         interface="x",
-        samples=[(0.0, 1.0, 0.0, 0.0)],
-        residuals={"f_jump": [1.0], "star_g_jump": [math.nan, 2.0]},
-        residuals_rel={"f_jump": [0.5], "star_g_jump": [0.25]},
+        samples=np.array([(0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.5, 0.0)]),
+        residuals={"f_jump": [1.0, 0.0], "star_g_jump": [math.nan, 2.0]},
+        residuals_rel={"f_jump": [0.5, 0.0], "star_g_jump": [0.25, 0.0]},
     )
     for _ in range(3):
         payload = rep.to_json_dict()
         assert math.isnan(rep.max_abs) and rep.max_rel == 0.5
+        assert math.isnan(payload["max_abs"]) and payload["max_rel"] == 0.5
     assert len(calls) == 2
-    assert payload["samples"] is rep.samples  # written by the encoder as arrays, not copied
+    assert rep.arrays_json_dict()["samples"] is rep.samples  # written by the encoder as arrays, not copied
+
+
+def test_report_summary_names_the_worst_event():
+    samples = np.array([(0.0, 1.0, 0.1, 0.0), (0.0, 1.0, 0.2, 0.0), (0.0, 1.0, 0.3, 0.0)])
+    rep = JumpReport(
+        interface="x",
+        samples=samples,
+        residuals={"a": np.array([1.0, 4.0, 2.0]), "b": np.array([3.0, 0.0, 5.0])},
+        residuals_rel={"a": np.array([0.1, 0.4, 0.2]), "b": np.array([0.3, 0.0, 0.05])},
+    )
+    summary = rep.to_json_dict()
+    assert summary == {
+        "interface": "x",
+        "count": 3,
+        "max_abs": 5.0,
+        "max_rel": 0.4,
+        "condition_max_abs": {"a": 4.0, "b": 5.0},
+        "condition_max_rel": {"a": 0.4, "b": 0.3},
+        "worst": {"condition": "a", "event": [0.0, 1.0, 0.2, 0.0], "rel": 0.4},
+    }
+
+
+def test_report_summary_names_the_first_nan_event():
+    samples = np.array([(0.0, 1.0, 0.1, 0.0), (0.0, 1.0, 0.2, 0.0), (0.0, 1.0, 0.3, 0.0)])
+    rel = {"a": np.array([0.1, 9.0, math.nan]), "b": np.array([0.3, math.nan, 0.0])}
+    rep = JumpReport(interface="x", samples=samples, residuals=rel, residuals_rel=rel)
+    summary = rep.to_json_dict()
+    assert summary["worst"]["condition"] == "b"
+    assert summary["worst"]["event"] == [0.0, 1.0, 0.2, 0.0]
+    assert math.isnan(summary["worst"]["rel"])
+    assert math.isnan(summary["condition_max_rel"]["a"]) and math.isnan(summary["condition_max_rel"]["b"])
+
+
+def test_report_summary_without_samples():
+    empty = {"f_jump": np.empty(0), "star_g_jump": np.empty(0)}
+    rep = JumpReport(interface="x", samples=np.empty((0, 4)), residuals=empty, residuals_rel=empty)
+    summary = rep.to_json_dict()
+    assert summary["count"] == 0 and summary["worst"] is None
+    assert summary["condition_max_rel"] == {"f_jump": 0.0, "star_g_jump": 0.0}
+    assert rep.arrays_json_dict()["samples"].shape == (0, 4)
 
 
 def test_report_arrays_are_read_only(shell):
