@@ -43,7 +43,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable, ClassVar, Protocol
+from typing import ClassVar, Protocol
 
 import numpy as np
 
@@ -275,20 +275,6 @@ def _json_numbers(text: str) -> str:
     return text
 
 
-def _float_texts(values: np.ndarray, memo: dict, fmt: Callable[[float], str]) -> list[str]:
-    """``fmt`` of each value of a float64 array, flattened in C order.
-
-    ``memo`` maps a value's bit pattern to its text and is shared by a whole
-    file, so each distinct value is formatted once per file; keying by bits
-    keeps 0.0 and -0.0 apart and lets every NaN find its entry.
-    """
-    keys = values.view(np.uint64).ravel().tolist()
-    new = list(set(keys).difference(memo))
-    if new:
-        memo.update(zip(new, map(fmt, np.array(new, dtype=np.uint64).view(np.float64).tolist())))
-    return list(map(memo.__getitem__, keys))
-
-
 def _nested(texts: list[str], shape: tuple[int, ...], nl: str) -> str:
     """The JSON array of ``shape`` whose leaves are ``texts`` in C order,
     starting a line after ``nl``; built innermost axis first."""
@@ -304,17 +290,15 @@ def _nested(texts: list[str], shape: tuple[int, ...], nl: str) -> str:
     return texts[0]
 
 
-def _json_text(o, nl: str = "\n", memo: dict | None = None) -> str:
+def _json_text(o, nl: str = "\n") -> str:
     """``json.dumps(o, indent=2, sort_keys=True)`` for a value whose line
     starts after ``nl``, with each float64 ndarray written as its
     ``tolist()``; a dict key that is not a ``str`` raises TypeError.
 
     ``json.dumps`` with an indent walks every value through Python
-    generators; here a list of floats or an array is formatted at once,
-    through a ``memo`` shared by every array of the value.
+    generators; here a list of floats or an array is formatted in one
+    ``float.__repr__`` pass.
     """
-    if memo is None:
-        memo = {}
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -330,9 +314,9 @@ def _json_text(o, nl: str = "\n", memo: dict | None = None) -> str:
     if isinstance(o, (list, tuple)) and o and all(isinstance(v, float) for v in o):
         o = np.array(o)
     if isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim:
-        return _json_numbers(_nested(_float_texts(o, memo, float.__repr__), o.shape, nl))
+        return _json_numbers(_nested(list(map(float.__repr__, o.ravel().tolist())), o.shape, nl))
     if isinstance(o, (list, tuple)):
-        return _nested([_json_text(v, nl + "  ", memo) for v in o], (len(o),), nl)
+        return _nested([_json_text(v, nl + "  ") for v in o], (len(o),), nl)
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -341,7 +325,7 @@ def _json_text(o, nl: str = "\n", memo: dict | None = None) -> str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
         inner = nl + "  "
         items = ("," + inner).join(
-            [encode_basestring_ascii(key) + ": " + _json_text(o[key], inner, memo) for key in sorted(o)]
+            [encode_basestring_ascii(key) + ": " + _json_text(o[key], inner) for key in sorted(o)]
         )
         return "{" + inner + items + nl + "}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -352,9 +336,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    """Each value as ``format(float(x), ".17g")``; ``rows`` is a table of
-    ``len(header)`` columns, as an array or as rows of numbers. A row
-    whose width differs from the header's raises TypeError."""
+    """Each value as ``format(float(x), ".17g")``, the whole table in one
+    ``%`` pass; ``rows`` is a table of ``len(header)`` columns, as an array
+    or as rows of numbers. A row whose width differs from the header's
+    raises TypeError."""
     width = len(header)
     try:
         table = np.asarray(rows, dtype=np.float64).reshape(-1, width)
@@ -362,14 +347,8 @@ def write_csv(path: str, header: list[str], rows) -> None:
         raise TypeError(f"rows must have the header's width {width}") from exc
     if len(table) != len(rows):
         raise TypeError(f"rows must have the header's width {width}")
-    memo: dict = {}
-    columns = [_float_texts(column, memo, "%.17g".__mod__) for column in table.T]
-    # each stage is dropped once the next holds the text, so that a large
-    # profile does not keep its keys and texts alive twice over
-    del memo
-    lines = [",".join(header), *map(",".join, zip(*columns)), ""]
-    del columns
-    _atomic_write(path, "\n".join(lines))
+    line = ",".join(["%.17g"] * width) + "\n"
+    _atomic_write(path, ",".join(header) + "\n" + line * len(table) % tuple(table.ravel().tolist()))
 
 
 def run(

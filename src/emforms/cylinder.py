@@ -116,7 +116,7 @@ def interface_sample_events(
     grid plus a seeded pseudorandom set, all at the given radius."""
 
     def grid(j, half):
-        return (0.0, radius, 2.0 * math.pi * j / half, sc.r2 * (-1.0 if j % 2 else 1.0))
+        return (0.0, radius, 2.0 * math.pi * j / half, sc.r2 * np.where(j % 2, -1.0, 1.0))
 
     return grid_and_box_events(grid, _sampling_box(sc, radius), n, seed)
 

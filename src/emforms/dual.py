@@ -66,13 +66,8 @@ class Dual:
         return Dual(-self.a, -self.b, self.tag)
 
     def __sub__(self, other):
-        if not isinstance(other, Dual):
-            return Dual(self.a - other, self.b, self.tag)
-        if other.tag == self.tag:
-            return Dual(self.a - other.a, self.b - other.b, self.tag)
-        if self.tag > other.tag:
-            return Dual(self.a - other, self.b, self.tag)
-        return Dual(self - other.a, -other.b, other.tag)
+        # x - y and x + (-y) are the same IEEE operation
+        return self + -other
 
     def __rsub__(self, other):
         return Dual(other - self.a, -self.b, self.tag)

@@ -99,10 +99,6 @@ class ScalarField:
 
     # -- evaluation ------------------------------------------------------
 
-    def __call__(self, event):
-        # dual-friendly entry point; events may carry Dual coordinates
-        return self.fn(event)
-
     def eval(self, events) -> np.ndarray:
         """Values at the rows of an (N, 4) event array, one closure walk."""
         events = event_array(events)

@@ -350,14 +350,12 @@ def evaluate(a: DifferentialForm, events) -> dict[MultiIndex, np.ndarray]:
     return out
 
 
-def max_or_nan(values) -> float:
-    """Largest of ``values`` and 0.0, or NaN when any value is NaN.
+def max_or_nan(values: np.ndarray) -> float:
+    """Largest of an array's values and 0.0, or NaN when any value is NaN.
 
     The builtin ``max`` keeps a NaN only when it comes first, which would
     let a non-finite residual pass a tolerance check.
     """
-    if not isinstance(values, np.ndarray):
-        values = np.fromiter(values, dtype=float)
     return float(values.max(initial=0.0))
 
 

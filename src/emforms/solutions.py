@@ -93,12 +93,14 @@ def sample_box(box: Sequence[BoxSlot], n: int, rng: np.random.Generator) -> np.n
 
 
 def grid_and_box_events(grid, box: Sequence[BoxSlot], n: int, seed: int) -> np.ndarray:
-    """``n`` deterministic events as an (n, 4) array: the 4-tuple
-    ``grid(j, half)`` for each ``j < half = n // 2``, then ``n - half``
-    drawn from ``box`` by :func:`sample_box` with a generator seeded by
-    ``seed``."""
+    """``n`` deterministic events as an (n, 4) array: the four coordinates
+    ``grid(j, half)`` gives for ``j = np.arange(half)``, ``half = n // 2``,
+    each an array over ``j`` or a scalar, then ``n - half`` drawn from
+    ``box`` by :func:`sample_box` with a generator seeded by ``seed``."""
     half = n // 2
-    gridded = np.array([grid(j, half) for j in range(half)], dtype=float).reshape(half, 4)
+    gridded = np.empty((half, 4))
+    for axis, values in enumerate(grid(np.arange(half), half)):
+        gridded[:, axis] = values
     return np.concatenate([gridded, sample_box(box, n - half, np.random.default_rng(seed))])
 
 
@@ -234,20 +236,14 @@ class FieldSolution:
     expansion_parameter: float = 0.0
 
 
-def excitation_tolerance(sol: FieldSolution) -> float:
-    """The reported gate on the relative d star G residual:
-    ``EXACT_RESIDUAL_TOL`` for an exact solution, ``FIRST_ORDER_K_CAP``
-    times the squared expansion parameter for a first-order one."""
+def junction_tolerance(sol: FieldSolution) -> float:
+    """The gate on the relative d star G residual and on the relative
+    covariant junction residual: ``EXACT_RESIDUAL_TOL`` for an exact
+    solution, ``FIRST_ORDER_K_CAP`` times the squared expansion parameter
+    for a first-order one, never below ``EXACT_RESIDUAL_TOL``."""
     if sol.order == "exact":
         return EXACT_RESIDUAL_TOL
-    return FIRST_ORDER_K_CAP * sol.expansion_parameter**2
-
-
-def junction_tolerance(sol: FieldSolution) -> float:
-    """The gate on the relative covariant junction residual, which also
-    applies to d star G: the excitation gate, never below
-    ``EXACT_RESIDUAL_TOL``."""
-    return max(excitation_tolerance(sol), EXACT_RESIDUAL_TOL)
+    return max(FIRST_ORDER_K_CAP * sol.expansion_parameter**2, EXACT_RESIDUAL_TOL)
 
 
 @dataclass
@@ -282,12 +278,12 @@ def verify_solution(
     """Sample dF and d star G residuals over every region of a solution.
 
     Residuals are made dimensionless by normalising with the sampled
-    field scale and the solution's length scale. Exact solutions must
-    sit below ``EXACT_RESIDUAL_TOL``; first-order solutions must keep
-    residual / expansion_parameter^2 below ``FIRST_ORDER_K_CAP`` for the
-    excitation equation. A non-finite sample fails its region, and so does
-    a region whose sampled field scale, max |F| or max |star G|, is not a
-    positive normal float: residuals over a vanishing field check nothing.
+    field scale and the solution's length scale. The dF residual must sit
+    below ``EXACT_RESIDUAL_TOL``, and the d star G residual below
+    :func:`junction_tolerance`, which is reported as ``tolerance_g``. A
+    non-finite sample fails its region, and so does a region whose sampled
+    field scale, max |F| or max |star G|, is not a positive normal float:
+    residuals over a vanishing field check nothing.
     Each region's entry holds its maxima, both field scales and the event
     of the largest dF and d star G residual, so that its verdict can be
     re-derived from the entry and the tolerances alone.
@@ -295,7 +291,7 @@ def verify_solution(
     metric = sol.chart.metric
     rng = np.random.default_rng(seed)
     tol_f = EXACT_RESIDUAL_TOL
-    tol_g = excitation_tolerance(sol)
+    tol_g = junction_tolerance(sol)
 
     pairs = {
         True: (sol.f_in, sol.g_in),
@@ -332,7 +328,7 @@ def verify_solution(
         if sol.order != "exact" and sol.expansion_parameter > 0.0:
             entry["dstar_g_rel_over_eps2"] = rel_dsg / sol.expansion_parameter**2
         regions[region.name] = entry
-        if not (rel_df <= tol_f and rel_dsg <= junction_tolerance(sol)):
+        if not (rel_df <= tol_f and rel_dsg <= tol_g):
             passed = False
         if not all(sys.float_info.min <= scale <= sys.float_info.max for scale in (max_f, max_sg)):
             passed = False

@@ -8,7 +8,8 @@ componentwise arithmetic for metric contractions, adaptive quadrature
 instead of the closed-form shell voltage, the stdlib ``json`` encoder
 instead of the report writer, arithmetic nodes that call both operand
 closures instead of captured constants, the inversion count instead of the
-index tables, and the shell's per-basis rows and the sphere's five full
+index tables, the interface grids one event at a time instead of one array
+expression, and the shell's per-basis rows and the sphere's five full
 assemblies, each laid out one event at a time, instead of the shared
 junction matcher's per-piece rows.
 """
@@ -209,6 +210,27 @@ def stdlib_json(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` with each ndarray
     written as its ``tolist()``: the text a report file must hold."""
     return json.dumps(value, indent=2, sort_keys=True, default=_array_as_list)
+
+
+def per_event_cylinder_grid(sc, radius: float, half: int) -> list[tuple[float, ...]]:
+    """The shell's interface grid at ``radius``, one scalar event per ``j``."""
+    return [
+        (0.0, radius, 2.0 * math.pi * j / half, sc.r2 * (-1.0 if j % 2 else 1.0))
+        for j in range(half)
+    ]
+
+
+def per_event_sphere_grid(sc, half: int, pole_margin: float) -> list[tuple[float, ...]]:
+    """The sphere's polar grid on r = a, one scalar event per ``j``."""
+    return [
+        (
+            0.0,
+            sc.a,
+            pole_margin + (math.pi - 2.0 * pole_margin) * (j + 0.5) / half,
+            2.0 * math.pi * j / half,
+        )
+        for j in range(half)
+    ]
 
 
 # -- the algebra that constant capture, index tables and per-amplitude

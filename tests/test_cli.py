@@ -580,6 +580,58 @@ def test_within_tolerance_is_rederived_from_the_default_file(tmp_path, make_conf
         assert ver["maxwell"]["passed"] is True
 
 
+C = 299792458.0
+
+
+@pytest.mark.parametrize(
+    "make_config, overrides, floored",
+    [
+        (cylinder_config, {}, True),
+        (sphere_config, {}, True),  # beta = 3.3e-8
+        (sphere_config, {"omega_rad_per_s": 0.0}, True),
+        (sphere_config, {"omega_rad_per_s": 1e-6 * C / 0.05}, True),
+        (sphere_config, {"omega_rad_per_s": 0.01 * C / 0.05}, False),
+    ],
+    ids=["cylinder", "sphere", "sphere-omega-zero", "sphere-beta-1e-6", "sphere-beta-0.01"],
+)
+def test_tolerance_g_is_the_gate_applied_to_dstar_g(tmp_path, make_config, overrides, floored):
+    path, _ = make_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert run(path, verify_only=True, samples=8, out_dir=str(out)) == 0
+    ver = json.loads((out / "ver.json").read_text())
+    assert ver["maxwell"]["tolerance_g"] == ver["junction_tolerance_rel"]
+    # below beta = 3.2e-6 the first-order gate K beta^2 is under the floor
+    assert (ver["maxwell"]["tolerance_g"] == 1e-10) is floored
+
+
+def test_duplicate_heavy_samples_file_is_its_stdlib_json_text(tmp_path, monkeypatch):
+    # one interface radius in every sample, the t = 0 grid and repeated
+    # residuals: each value is formatted where it occurs, not once per file
+    import emforms.cli as cli_mod
+
+    written = {}
+    real_write = cli_mod._write_json
+
+    def capture(path, payload):
+        written[os.path.basename(path)] = payload
+        real_write(path, payload)
+
+    monkeypatch.setattr(cli_mod, "_write_json", capture)
+    path, _ = cylinder_config(tmp_path, outputs=WITH_SAMPLES)
+    out = tmp_path / "out"
+    assert run(path, verify_only=True, samples=64, out_dir=str(out)) == 0
+    payload = written["samples.json"]
+    values = [
+        v
+        for key in ("junction", "junction_gibbs")
+        for entry in payload[key]
+        for arr in (entry["samples"], *entry["residuals"].values(), *entry["residuals_rel"].values())
+        for v in arr.ravel().tolist()
+    ]
+    assert len(set(values)) < len(values) // 4
+    assert (out / "samples.json").read_text(encoding="ascii") == stdlib_json(payload) + "\n"
+
+
 def test_default_shell_verification_file_is_a_summary(tmp_path):
     path, _ = cylinder_config(tmp_path)
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -70,3 +71,29 @@ def test_comparisons_and_abs():
 def test_division_by_dual():
     got = derivative(lambda t: 3.0 / t, 2.0)
     assert got == pytest.approx(-0.75, abs=1e-14)
+
+
+def structure(x):
+    """A Dual as nested (a, b, tag) tuples, floats as their bit patterns, so
+    that equality is bit for bit and 0.0 and -0.0 differ."""
+    if isinstance(x, Dual):
+        return (structure(x.a), structure(x.b), x.tag)
+    return struct.pack("<d", x)
+
+
+signed = finite | st.sampled_from([0.0, -0.0])
+
+
+@given(x=signed, y=signed, dx=signed, dy=signed)
+def test_subtraction_across_tags_keeps_the_nesting(x, y, dx, dy):
+    inner_tag = dual.fresh_tag()
+    outer_tag = dual.fresh_tag()
+    inner = Dual(x, dx, inner_tag)
+    outer = Dual(y, dy, outer_tag)
+    # the newer tag stays outermost, whichever operand carries it
+    assert structure(inner - outer) == structure(Dual(Dual(x - y, dx, inner_tag), -dy, outer_tag))
+    assert structure(outer - inner) == structure(Dual(Dual(y - x, -dx, inner_tag), dy, outer_tag))
+    assert structure(inner - Dual(y, dy, inner_tag)) == structure(Dual(x - y, dx - dy, inner_tag))
+    assert structure(inner - y) == structure(Dual(x - y, dx, inner_tag))
+    assert structure(y - inner) == structure(Dual(y - x, -dx, inner_tag))
+

@@ -1,10 +1,11 @@
 """The interpreter-level fast paths against the algebra they replace.
 
 Constant operands captured in closures, the index tables of ``forms``,
-metric constants checked once, and the shared junction matcher's rows
-must give what the generic construction gives: bit for bit where the
-floating-point operations are the same, to rounding where the matcher's
-columns are no longer differences of full assemblies or per-basis forms.
+metric constants checked once, the interface grids built as array
+expressions and the shared junction matcher's rows must give what the
+generic construction gives: bit for bit where the floating-point
+operations are the same, to rounding where the matcher's columns are no
+longer differences of full assemblies or per-basis forms.
 """
 
 import itertools
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emforms import forms, solutions
-from emforms.cylinder import CylinderScenario, match_cylinder_amplitudes
+from emforms import forms, solutions, sphere
+from emforms.cylinder import CylinderScenario, interface_sample_events, match_cylinder_amplitudes
 from emforms.fields import ScalarField
 from emforms.forms import (
     DegenerateMetricError,
@@ -30,12 +31,14 @@ from emforms.forms import (
 )
 from emforms.media import MaterialParams
 from emforms.spacetime import cartesian_chart, cylindrical_chart
-from emforms.sphere import SphereScenario, match_sphere_constants
+from emforms.sphere import SphereScenario, match_sphere_constants, sphere_interface_events
 from oracles import (
     dense_partial,
     five_assembly_sphere_rows,
     merge_by_inversions,
     per_basis_cylinder_rows,
+    per_event_cylinder_grid,
+    per_event_sphere_grid,
     two_closure_op,
 )
 
@@ -247,3 +250,34 @@ def test_shared_cylinder_rows_equal_per_basis_rows(monkeypatch, beta):
     # applied field on the right; the shared one moves the applied piece
     # right instead, so the same equations carry the opposite sign
     assert_rows_close(rows, rhs, -want_rows, -want_rhs)
+
+
+# -- interface grids as one array expression -----------------------------------
+
+GRID_HALVES = [0, 1, 2, 4, 8, 12, 256]
+
+
+def assert_grid_bits(events: np.ndarray, half: int, want: list) -> None:
+    grid = events[:half]
+    assert grid.shape == (half, 4) and grid.dtype == np.float64
+    assert bits(grid) == bits(np.array(want, dtype=float).reshape(half, 4))
+
+
+@pytest.mark.parametrize("half", GRID_HALVES)
+def test_array_grids_equal_the_per_event_grids_bit_for_bit(half):
+    rng = np.random.default_rng(half)
+    for _ in range(40):
+        r1 = float(rng.uniform(1e-3, 10.0))
+        r2 = r1 * float(rng.uniform(1.0 + 1e-6, 2.0))
+        shell = CylinderScenario(
+            r1=r1, r2=r2, omega=rng.uniform(-0.9, 0.9) * C / r2, b0=1.0, mat=MaterialParams(4.0, 1.0)
+        )
+        for radius in (r1, r2):
+            # an odd count puts one more event in the random half only
+            for n in (2 * half, 2 * half + 1):
+                events = interface_sample_events(shell, radius, n, seed=3)
+                assert_grid_bits(events, half, per_event_cylinder_grid(shell, radius, half))
+        a = float(rng.uniform(1e-3, 10.0))
+        ball = SphereScenario(a=a, omega=rng.uniform(0.0, 0.05) * C / a, e0=1.0, mat=MaterialParams(4.0, 1.0))
+        events = sphere_interface_events(ball, 2 * half, seed=3)
+        assert_grid_bits(events, half, per_event_sphere_grid(ball, half, sphere._POLE_MARGIN))
