@@ -1,0 +1,177 @@
+"""Compare what two source trees make of one fixed set of CLI runs.
+
+    python scripts/compare_outputs.py OLD_SRC NEW_SRC [-k TEXT]
+
+Each case runs ``python -m emforms.cli run config.json [flags] --out-dir
+out`` once with ``PYTHONPATH=OLD_SRC`` and once with ``PYTHONPATH=NEW_SRC``,
+each in a fresh directory of its own, so that paths in messages read the
+same. A case differs when the exit code, the stderr text or any file
+written under that directory (name or bytes) differs. Every differing case
+is printed; the exit code is 1 if any case differs, else 0. ``-k TEXT``
+keeps the cases whose name contains TEXT.
+
+The cases:
+  * 14 configs of each benchmark workload (``perfbench/workloads.py``),
+    drawn from its stream at seed 7, run with that workload's flags;
+  * the shell and sphere configs of ``tests/test_cli.py``, full and
+    ``--verify-only``, at ``--samples 8``;
+  * bad configs and flags, which exit 2.
+
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import copy
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+WORKLOAD_SEED = 7
+RUNS_PER_WORKLOAD = 14
+TEST_SAMPLES = ["--samples", "8"]
+
+TEST_OUTPUTS = {"profile_csv": "profile.csv", "observables_json": "obs.json", "verification_json": "ver.json"}
+SHELL = {
+    "scenario": "cylinder",
+    "geometry": {"r1_m": 0.02, "r2_m": 0.04},
+    "omega_rad_per_s": 100.0,
+    "b0_tesla": 1.0,
+    "material": {"eps_r": 6.0, "mu_r": 1.0},
+    "sampling": {"radial_points": 16, "angular_points": 8, "seed": 3},
+    "outputs": TEST_OUTPUTS,
+}
+SPHERE = {
+    "scenario": "sphere",
+    "geometry": {"a_m": 0.05},
+    "omega_rad_per_s": 200.0,
+    "e0_volt_per_m": 1000.0,
+    "material": {"eps_r": 1.0, "mu_r": 1.0},
+    "sampling": {"radial_points": 5, "angular_points": 4, "seed": 1},
+    "outputs": TEST_OUTPUTS,
+}
+
+# config overrides that each exit 2
+BAD_OVERRIDES = {
+    "omega-nan": (SHELL, {"omega_rad_per_s": math.nan}),
+    "eps-inf": (SHELL, {"material": {"eps_r": math.inf, "mu_r": 1.0}}),
+    "b0-huge-int": (SHELL, {"b0_tesla": 10**400}),
+    "radial-float": (SHELL, {"sampling": {"radial_points": 2.7}}),
+    "angular-negative": (SHELL, {"sampling": {"angular_points": -3}}),
+    "seed-negative": (SHELL, {"sampling": {"seed": -1}}),
+    "shell-rows-1e12": (SHELL, {"sampling": {"radial_points": 10**12}}),
+    "sphere-rows-1e12": (SPHERE, {"sampling": {"radial_points": 10**6, "angular_points": 10**6}}),
+    "scenario-null": (SHELL, {"scenario": None}),
+    "scenario-list": (SHELL, {"scenario": ["cylinder"]}),
+    "unknown-key": (SHELL, {"bogus_key": 1}),
+    "inverted-shell": (SHELL, {"geometry": {"r1_m": 0.04, "r2_m": 0.02}}),
+    "outputs-all-same": (SHELL, {"outputs": {"profile_csv": "s.json", "observables_json": "s.json", "verification_json": "s.json"}}),
+    "outputs-dot-dot": (SHELL, {"outputs": {"profile_csv": "p.csv", "observables_json": "a/../p.csv"}}),
+    "outputs-empty": (SHELL, {"outputs": {"profile_csv": ""}}),
+    "outputs-samples-null": (SHELL, {"outputs": {"samples_json": None}}),
+}
+BAD_FLAGS = {
+    "samples-0": ["--samples", "0"],
+    "samples-negative": ["--samples", "-5"],
+    "samples-1e12": ["--samples", str(10**12)],
+    "seed-flag-negative": ["--samples", "8", "--seed", "-1"],
+}
+
+
+def cases() -> list[tuple[str, str, list[str]]]:
+    """(name, config text, flags) of every case, in a fixed order."""
+    out = []
+    for name, workload in WORKLOADS.items():
+        flags = ["--samples", str(workload.samples)] + ["--verify-only"] * workload.verify_only
+        stream = workload.runs(WORKLOAD_SEED)
+        for k in range(RUNS_PER_WORKLOAD):
+            spec = next(stream)
+            seed = [] if spec.cli_seed is None else ["--seed", str(spec.cli_seed)]
+            out.append((f"{name}/{k:02d}", json.dumps(spec.config), flags + seed))
+    for scenario, config in (("shell", SHELL), ("sphere", SPHERE)):
+        for mode, extra in (("full", []), ("verify-only", ["--verify-only"])):
+            out.append((f"test_cli/{scenario}/{mode}", json.dumps(config), TEST_SAMPLES + extra))
+    for name, (base, overrides) in BAD_OVERRIDES.items():
+        config = copy.deepcopy(base)
+        config.update(overrides)
+        out.append((f"bad/{name}", json.dumps(config), TEST_SAMPLES))
+    out.append(("bad/malformed-json", "{not json", TEST_SAMPLES))
+    out.append(("bad/missing-sections", json.dumps({"scenario": "cylinder"}), TEST_SAMPLES))
+    for name, flags in BAD_FLAGS.items():
+        out.append((f"bad/{name}", json.dumps(SHELL), flags))
+    return out
+
+
+def start(src: str, case_dir: str, config: str, flags: list[str]) -> subprocess.Popen:
+    os.makedirs(case_dir)
+    with open(os.path.join(case_dir, "config.json"), "w", encoding="utf-8") as fh:
+        fh.write(config)
+    cmd = [sys.executable, "-m", "emforms.cli", "run", "config.json", *flags, "--out-dir", "out"]
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.Popen(cmd, cwd=case_dir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+
+
+def outcome(proc: subprocess.Popen, case_dir: str) -> tuple[int, bytes, dict[str, bytes]]:
+    """Exit code, stderr and every file the run left in its directory."""
+    _, stderr = proc.communicate()
+    files = {}
+    for directory, _, names in os.walk(case_dir):
+        for name in names:
+            path = os.path.join(directory, name)
+            rel = os.path.relpath(path, case_dir)
+            if rel != "config.json":
+                with open(path, "rb") as fh:
+                    files[rel] = fh.read()
+    return proc.returncode, stderr, files
+
+
+def differences(old, new) -> list[str]:
+    (old_code, old_err, old_files), (new_code, new_err, new_files) = old, new
+    found = []
+    if old_code != new_code:
+        found.append(f"exit code {old_code} -> {new_code}")
+    if old_err != new_err:
+        found.append(f"stderr {old_err.decode(errors='replace')!r} -> {new_err.decode(errors='replace')!r}")
+    for rel in sorted(old_files.keys() | new_files.keys()):
+        if rel not in new_files:
+            found.append(f"{rel} not written")
+        elif rel not in old_files:
+            found.append(f"{rel} newly written")
+        elif old_files[rel] != new_files[rel]:
+            found.append(f"{rel} differs")
+    return found
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", help="the src directory of the old tree")
+    parser.add_argument("new_src", help="the src directory of the new tree")
+    parser.add_argument("-k", default="", metavar="TEXT", help="only the cases whose name contains TEXT")
+    args = parser.parse_args(argv)
+
+    selected = [case for case in cases() if args.k in case[0]]
+    differing = 0
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as work:
+        for k, (name, config, flags) in enumerate(selected):
+            dirs = [os.path.join(work, side, str(k)) for side in ("old", "new")]
+            # the two trees run side by side, each in its own directory
+            procs = [start(src, d, config, flags) for src, d in zip((args.old_src, args.new_src), dirs)]
+            found = differences(*(outcome(p, d) for p, d in zip(procs, dirs)))
+            if found:
+                differing += 1
+                print(f"{name}: " + "; ".join(found))
+    print(f"{differing} of {len(selected)} cases differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

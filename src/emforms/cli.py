@@ -27,7 +27,8 @@ it is written with ``--verify-only`` too. A warning raised while the
 config is built, such as the sphere's rim-speed warning, is printed as one
 ``warning: <message>`` line on stderr. Exit
 codes: 0 on success; 2 on config errors, including geometry so small that
-the metric degenerates (no outputs are written); 3 when residual
+the metric degenerates and sampling above ``MAX_SAMPLES`` or
+``MAX_PROFILE_ROWS`` (no outputs are written); 3 when residual
 tolerances are exceeded or a region's sampled field scale vanishes
 (reports are still written); 4 when an output file cannot be written.
 """
@@ -62,6 +63,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
 EXIT_OUTPUT = 4
+
+# Ceilings checked before any array is built; far above every shipped
+# config (512 samples, 3,072 profile rows).
+MAX_SAMPLES = 100_000
+MAX_PROFILE_ROWS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -116,18 +122,21 @@ class Scenario(Protocol):
     """What the driver needs of a scenario. The config is read and echoed
     through ``GEOMETRY_KEYS`` (geometry key -> field) and ``DRIVE_KEY``
     (config key, field); ``interface_events`` gives one (N, 4) event array
-    per interface, in ``FieldSolution.interfaces`` order, and ``profile`` the
-    CSV header and rows from the (interior, exterior) lab-frame
-    decompositions."""
+    per interface, in ``FieldSolution.interfaces`` order. ``profile`` takes
+    the (interior, exterior) lab-frame decompositions and one point count
+    per ``PROFILE_GRID`` sampling key, and returns the CSV header, the field
+    values (one row per grid point, C order) and the grid axes, as
+    :func:`write_csv` takes them."""
 
     GEOMETRY_KEYS: ClassVar[dict[str, str]]
     DRIVE_KEY: ClassVar[tuple[str, str]]
+    PROFILE_GRID: ClassVar[tuple[str, ...]]
     omega: float
     mat: MaterialParams
 
     def solve(self, seed: int) -> tuple[FieldSolution, object]: ...
     def interface_events(self, samples: int, seed: int) -> list[np.ndarray]: ...
-    def profile(self, decs, radial_points: int, angular_points: int) -> tuple[list[str], np.ndarray]: ...
+    def profile(self, decs, *points: int) -> tuple[list[str], np.ndarray, tuple[np.ndarray, ...]]: ...
     def observables(self, constants) -> dict: ...
 
 
@@ -188,10 +197,17 @@ class RunConfig:
         kwargs["omega"] = _number(raw, "omega_rad_per_s", "config")
         eps_r = _number(material, "eps_r", "material")
         mu_r = _number(material, "mu_r", "material")
+        points = {
+            key: _integer(sampling, key, "sampling", getattr(cls, key), 1)
+            for key in ("radial_points", "angular_points")
+        }
+        rows = math.prod([points[key] for key in scenario_cls.PROFILE_GRID])
+        if rows > MAX_PROFILE_ROWS:
+            product = " * ".join(f"sampling.{key}" for key in scenario_cls.PROFILE_GRID)
+            raise ConfigError(f"profile rows ({product}) must be at most {MAX_PROFILE_ROWS}, got {rows}")
         return cls(
             kind=kind,
-            radial_points=_integer(sampling, "radial_points", "sampling", 64, 1),
-            angular_points=_integer(sampling, "angular_points", "sampling", 16, 1),
+            **points,
             seed=_integer(sampling, "seed", "sampling", 0, 0),
             **names,
             # built last, after every config value has been validated
@@ -335,20 +351,36 @@ def _write_json(path: str, payload: dict) -> None:
     _atomic_write(path, _json_text(payload) + "\n")
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Each value as ``format(float(x), ".17g")``, the whole table in one
-    ``%`` pass; ``rows`` is a table of ``len(header)`` columns, as an array
-    or as rows of numbers. A row whose width differs from the header's
-    raises TypeError."""
-    width = len(header)
+def write_csv(path: str, header: list[str], values, axes=()) -> None:
+    """Write a table of ``len(header)`` columns, each value as
+    ``format(float(x), ".17g")``.
+
+    ``axes`` are the 1-D axes of a profile grid, whose values lead each
+    row: the rows run over the grid in C order (the last axis fastest), and
+    ``values`` holds the remaining columns, one row per grid point. Each
+    axis value is formatted once, into the row prefixes, and all of
+    ``values`` in one ``%`` pass. Without axes, ``values`` is the whole
+    table. ``values`` is an array or rows of numbers; a row whose width
+    differs from the header's less the axes, or a row count other than the
+    grid's, raises TypeError."""
+    width = len(header) - len(axes)
     try:
-        table = np.asarray(rows, dtype=np.float64).reshape(-1, width)
+        table = np.asarray(values, dtype=np.float64).reshape(-1, width)
     except ValueError as exc:
-        raise TypeError(f"rows must have the header's width {width}") from exc
-    if len(table) != len(rows):
-        raise TypeError(f"rows must have the header's width {width}")
-    line = ",".join(["%.17g"] * width) + "\n"
-    _atomic_write(path, ",".join(header) + "\n" + line * len(table) % tuple(table.ravel().tolist()))
+        raise TypeError(f"rows must have {width} values, the header's width less the axes") from exc
+    if len(table) != len(values):
+        raise TypeError(f"rows must have {width} values, the header's width less the axes")
+    prefixes = [""]
+    for axis in axes:
+        texts = ["%.17g," % x for x in axis]
+        prefixes = [p + t for p in prefixes for t in texts]
+    if axes and len(prefixes) != len(table):
+        raise TypeError(f"values must have one row per grid point, {len(prefixes)}, got {len(table)}")
+    cells = np.empty((len(table), 1 + width), dtype=object)
+    cells[:, 0] = prefixes  # without axes, the one empty prefix leads every row
+    cells[:, 1:] = table
+    line = "%s" + ",".join(["%.17g"] * width) + "\n"
+    _atomic_write(path, ",".join(header) + "\n" + line * len(table) % tuple(cells.ravel().tolist()))
 
 
 def run(
@@ -373,6 +405,9 @@ def run(
             f"error: need samples >= 1 and seed >= 0, got {n_samples} and {seed}",
             file=sys.stderr,
         )
+        return EXIT_CONFIG
+    if n_samples > MAX_SAMPLES:
+        print(f"error: samples must be at most {MAX_SAMPLES}, got {n_samples}", file=sys.stderr)
         return EXIT_CONFIG
 
     def out_path(name: str) -> str:
@@ -427,7 +462,7 @@ def run(
 
     if not verify_only:
         observables = {"config": echo, **sc.observables(constants)}
-        header, rows = sc.profile(decs, cfg.radial_points, cfg.angular_points)
+        header, values, axes = sc.profile(decs, *[getattr(cfg, key) for key in sc.PROFILE_GRID])
 
     path = out_path(cfg.verification_json)
     try:
@@ -445,7 +480,7 @@ def run(
             path = out_path(cfg.observables_json)
             _write_json(path, observables)
             path = out_path(cfg.profile_csv)
-            write_csv(path, header, rows)
+            write_csv(path, header, values, axes)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_OUTPUT

@@ -47,6 +47,7 @@ class CylinderScenario:
 
     GEOMETRY_KEYS: ClassVar[dict[str, str]] = {"r1_m": "r1", "r2_m": "r2"}
     DRIVE_KEY: ClassVar[tuple[str, str]] = ("b0_tesla", "b0")
+    PROFILE_GRID: ClassVar[tuple[str, ...]] = ("radial_points",)
 
     r1: float
     r2: float
@@ -71,7 +72,7 @@ class CylinderScenario:
     def interface_events(self, samples: int, seed: int) -> list[np.ndarray]:
         return [interface_sample_events(self, r, samples, seed) for r in (self.r1, self.r2)]
 
-    def profile(self, decs, radial_points: int, angular_points: int):
+    def profile(self, decs, radial_points: int):
         return cylinder_profile(self, decs, radial_points)
 
     def observables(self, constants: CylinderConstants) -> dict:
@@ -321,7 +322,8 @@ def pellegrini_swift_field(sc: CylinderScenario, r: float) -> float:
 
 def cylinder_profile(sc: CylinderScenario, decs, radial_points: int):
     """Radial profile across all three regions, physical SI components,
-    from the (interior, exterior) lab-frame decompositions ``decs``."""
+    from the (interior, exterior) lab-frame decompositions ``decs``: the
+    header, the field columns at each radius, and the axes ``(radii,)``."""
     header = ["r", "e_r", "b_z", "d_r", "h_z", "p_r", "m_z", "rho_bound", "j_bound"]
     current, rho, p_form, m_form = cylinder_bound_sources(sc)
 
@@ -338,14 +340,13 @@ def cylinder_profile(sc: CylinderScenario, decs, radial_points: int):
     # azimuthal flux density on dz^dr
     sources[3, inside] = -current.component((1, 3)).eval(medium)
     columns = [
-        radii,
         by_side(decs, inside, events, "e", (1,)),
         by_side(decs, inside, events, "b", (3,)),
         by_side(decs, inside, events, "d", (1,)),
         by_side(decs, inside, events, "h", (3,)),
         *sources,
     ]
-    return header, np.column_stack(columns)
+    return header, np.column_stack(columns), (radii,)
 
 
 def cylinder_bound_sources(

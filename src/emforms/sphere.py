@@ -60,6 +60,7 @@ class SphereScenario:
 
     GEOMETRY_KEYS: ClassVar[dict[str, str]] = {"a_m": "a"}
     DRIVE_KEY: ClassVar[tuple[str, str]] = ("e0_volt_per_m", "e0")
+    PROFILE_GRID: ClassVar[tuple[str, ...]] = ("radial_points", "angular_points")
 
     a: float
     omega: float
@@ -316,7 +317,9 @@ def solve_sphere(
 
 def sphere_profile(sc: SphereScenario, decs, radial_points: int, angular_points: int):
     """(r, theta) grid of orthonormal field components, in SI over c, from
-    the (interior, exterior) lab-frame decompositions ``decs``."""
+    the (interior, exterior) lab-frame decompositions ``decs``: the header,
+    the field columns at each grid point (theta fastest), and the axes
+    ``(radii, thetas)``."""
     header = ["r", "theta", "e_r", "e_theta", "b_r", "b_theta"]
     radii = np.linspace(0.1 * sc.a, 2.0 * sc.a, radial_points)
     thetas = np.linspace(0.15, math.pi - 0.15, angular_points)
@@ -325,11 +328,9 @@ def sphere_profile(sc: SphereScenario, decs, radial_points: int, angular_points:
     events = np.column_stack([np.zeros_like(r), r, th, np.zeros_like(r)])
     inside = r < sc.a
     columns = [
-        r,
-        th,
         by_side(decs, inside, events, "e", (1,)),
         by_side(decs, inside, events, "e", (2,)) / r,
         by_side(decs, inside, events, "b", (1,)),
         by_side(decs, inside, events, "b", (2,)) / r,
     ]
-    return header, np.column_stack(columns)
+    return header, np.column_stack(columns), (radii, thetas)

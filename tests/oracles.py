@@ -6,7 +6,9 @@ instead of the dependency-pruned partial derivative, the full Levi-Civita
 permutation sum instead of the closed-form diagonal Hodge rule, plain
 componentwise arithmetic for metric contractions, adaptive quadrature
 instead of the closed-form shell voltage, the stdlib ``json`` encoder
-instead of the report writer, arithmetic nodes that call both operand
+instead of the report writer, a profile's full table with every grid axis
+repeated to one value per row instead of the CSV writer's per-axis row
+prefixes, arithmetic nodes that call both operand
 closures instead of captured constants, the inversion count instead of the
 index tables, the interface grids one event at a time instead of one array
 expression, and the shell's per-basis rows and the sphere's five full
@@ -210,6 +212,18 @@ def stdlib_json(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` with each ndarray
     written as its ``tolist()``: the text a report file must hold."""
     return json.dumps(value, indent=2, sort_keys=True, default=_array_as_list)
+
+
+def profile_table(values, axes=()) -> np.ndarray:
+    """The full profile table of a grid: each axis repeated to one value
+    per row with ``np.repeat`` and ``np.tile`` (C order, the last axis
+    fastest), then the ``values`` columns. Without axes, ``values``."""
+    lengths = [len(axis) for axis in axes]
+    columns = [
+        np.tile(np.repeat(np.asarray(axis, dtype=np.float64), math.prod(lengths[k + 1 :])), math.prod(lengths[:k]))
+        for k, axis in enumerate(axes)
+    ]
+    return np.column_stack([*columns, np.asarray(values, dtype=np.float64)])
 
 
 def per_event_cylinder_grid(sc, radius: float, half: int) -> list[tuple[float, ...]]:

@@ -7,7 +7,7 @@ import sys
 import pytest
 from oracles import stdlib_json
 
-from emforms.cli import ConfigError, RunConfig, load_config, run
+from emforms.cli import MAX_PROFILE_ROWS, MAX_SAMPLES, ConfigError, RunConfig, load_config, run
 
 
 def cylinder_config(tmp_path, **overrides):
@@ -156,6 +156,7 @@ def test_invalid_geometry_rejected(tmp_path):
         {"sampling": {"radial_points": 2.7}},
         {"sampling": {"angular_points": -3}},
         {"sampling": {"seed": -1}},
+        {"sampling": {"radial_points": 10**12}},  # above MAX_PROFILE_ROWS; nothing is allocated
     ],
 )
 def test_bad_numbers_exit_2_without_outputs(tmp_path, overrides):
@@ -173,12 +174,61 @@ def test_scenario_name_not_a_known_string_exits_2(tmp_path, name):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("samples, seed", [(0, None), (-5, None), (8, -1)])
+# 10**12 is above MAX_SAMPLES; nothing is allocated
+@pytest.mark.parametrize("samples, seed", [(0, None), (-5, None), (8, -1), (10**12, None)])
 def test_bad_samples_or_seed_exit_2_without_outputs(tmp_path, samples, seed):
     path, _ = cylinder_config(tmp_path)
     out = tmp_path / "out"
     assert run(path, samples=samples, seed=seed, out_dir=str(out)) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "make_config, sampling, samples, message",
+    [
+        (
+            cylinder_config,
+            {"radial_points": 10**12},
+            8,
+            f"profile rows (sampling.radial_points) must be at most {MAX_PROFILE_ROWS}, got {10**12}",
+        ),
+        (
+            sphere_config,
+            {"radial_points": 10**6, "angular_points": 10**6},
+            8,
+            "profile rows (sampling.radial_points * sampling.angular_points) "
+            f"must be at most {MAX_PROFILE_ROWS}, got {10**12}",
+        ),
+        (cylinder_config, {}, 10**12, f"samples must be at most {MAX_SAMPLES}, got {10**12}"),
+    ],
+    ids=["shell-rows", "sphere-rows", "samples"],
+)
+def test_oversized_sampling_prints_one_error_line(tmp_path, capsys, make_config, sampling, samples, message):
+    path, _ = make_config(tmp_path, sampling=sampling)
+    out = tmp_path / "out"
+    assert run(path, samples=samples, out_dir=str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "make_config, sampling, accepted",
+    [
+        (cylinder_config, {"radial_points": MAX_PROFILE_ROWS}, True),
+        (cylinder_config, {"radial_points": MAX_PROFILE_ROWS + 1}, False),
+        # the shell's profile has no angular axis
+        (cylinder_config, {"radial_points": 1000, "angular_points": 10**9}, True),
+        (sphere_config, {"radial_points": 1000, "angular_points": 1000}, True),
+        (sphere_config, {"radial_points": 1000, "angular_points": 1001}, False),
+    ],
+)
+def test_profile_row_ceiling_counts_the_scenario_grid(tmp_path, make_config, sampling, accepted):
+    _, cfg = make_config(tmp_path, sampling=sampling)
+    if accepted:
+        assert RunConfig.from_dict(cfg).radial_points == sampling["radial_points"]
+    else:
+        with pytest.raises(ConfigError, match="profile rows"):
+            RunConfig.from_dict(cfg)
 
 
 def test_cli_import_loads_no_scipy():

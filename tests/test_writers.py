@@ -3,9 +3,11 @@
 ``cli._json_text`` must give exactly ``json.dumps(v, indent=2,
 sort_keys=True)``, with each float64 array written as its ``tolist()``,
 and ``cli.write_csv`` exactly the per-cell ``format(float(x), ".17g")``
-join. Both format a whole array or table in one pass; the duplicate-heavy
-strategies below keep signed zeros, NaN payloads and infinities that
-repeat within one file.
+join of the full table, also when it is given as a grid whose axis values
+it formats once (``oracles.profile_table`` builds the full table). Both
+format a whole array or table in one pass; the duplicate-heavy strategies
+below keep signed zeros, NaN payloads and infinities that repeat within
+one file.
 """
 
 import json
@@ -19,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emforms.cli import _atomic_write, _json_text, _write_json, write_csv
-from oracles import stdlib_json
+from emforms import cli
+from emforms.cli import _atomic_write, _json_text, _write_json, run, write_csv
+from oracles import profile_table, stdlib_json
+from test_cli import BOTH_SCENARIOS
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e-7]
 
@@ -164,12 +168,12 @@ def test_json_text_of_an_array_equals_json_dumps_of_its_list(arr):
 
 @settings(max_examples=100)
 @given(st.dictionaries(st.text(max_size=3), float_arrays | float_lists | floats, max_size=5))
-def test_arrays_in_one_payload_share_a_memo(payload):
+def test_json_text_of_a_payload_of_arrays_lists_and_floats_equals_stdlib_json(payload):
     assert _json_text(payload) == stdlib_json(payload)
 
 
 @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
-def test_signed_zeros_stay_apart_under_one_memo(first, second):
+def test_json_text_keeps_signed_zeros_apart_across_arrays(first, second):
     payload = {"a": np.array([first]), "b": np.array([[second, first, 0.5, second]])}
     assert _json_text(payload) == stdlib_json(payload)
 
@@ -222,6 +226,76 @@ def test_write_csv_keeps_signed_zeros_apart(tmp_path):
 def test_write_csv_rejects_a_ragged_or_wrong_width_table(tmp_path, rows):
     with pytest.raises(TypeError):
         write_csv(str(tmp_path / "p.csv"), ["a", "b"], rows)
+
+
+# -- profile grids: axis values formatted once ----------------------------------
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_write_csv_of_a_grid_equals_per_cell_format_of_its_full_table(tmp_path_factory, data):
+    n_axes = data.draw(st.integers(0, 2), label="n_axes")
+    axes = tuple(
+        data.draw(arrays(np.float64, st.integers(0, 5), elements=array_floats), label=f"axis{k}")
+        for k in range(n_axes)
+    )
+    rows = math.prod([len(axis) for axis in axes]) if axes else data.draw(st.integers(0, 5), label="rows")
+    width = data.draw(st.integers(1, 4), label="width")
+    values = data.draw(arrays(np.float64, (rows, width), elements=array_floats), label="values")
+    header = [f"c{k}" for k in range(n_axes + width)]
+    path = tmp_path_factory.mktemp("csv") / "profile.csv"
+    write_csv(str(path), header, values, axes)
+    assert path.read_text(encoding="utf-8") == csv_reference(header, profile_table(values, axes).tolist())
+
+
+def test_write_csv_of_a_grid_keeps_special_axis_values_apart(tmp_path):
+    axes = (np.array([-0.0, POOL[4], 5e-324]), np.array([0.0, -math.inf]))
+    values = np.array([[POOL[3]], [-0.0], [math.inf], [0.0], [-5e-324], [1e16]])
+    path = tmp_path / "p.csv"
+    write_csv(str(path), ["r", "t", "v"], values, axes)
+    assert path.read_text(encoding="utf-8") == (
+        "r,t,v\n-0,0,nan\n-0,-inf,-0\nnan,0,inf\nnan,-inf,0\n"
+        "4.9406564584124654e-324,0,-4.9406564584124654e-324\n4.9406564584124654e-324,-inf,10000000000000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "values, axes",
+    [
+        (np.zeros((5, 1)), (np.zeros(2), np.zeros(3))),  # fewer rows than grid points
+        (np.zeros((7, 1)), (np.zeros(2), np.zeros(3))),  # more
+        (np.zeros((6, 2)), (np.zeros(2), np.zeros(3))),  # too wide for the header
+        (np.zeros((1, 1)), (np.zeros(0),)),  # a row for an empty grid
+    ],
+    ids=["short", "long", "wide", "empty-grid"],
+)
+def test_write_csv_rejects_values_that_do_not_fit_the_grid(tmp_path, values, axes):
+    with pytest.raises(TypeError):
+        write_csv(str(tmp_path / "p.csv"), ["r", "t", "v"], values, axes)
+    assert not (tmp_path / "p.csv").exists()
+
+
+@BOTH_SCENARIOS
+def test_profile_csv_is_the_per_cell_text_of_the_full_table(tmp_path, monkeypatch, make_config):
+    grids = []
+    real = cli.write_csv
+
+    def capture(path, header, values, axes=()):
+        grids.append((header, values, axes))
+        real(path, header, values, axes)
+
+    monkeypatch.setattr(cli, "write_csv", capture)
+    path, cfg = make_config(tmp_path)
+    out = tmp_path / "out"
+    assert run(path, samples=8, out_dir=str(out)) == 0
+    ((header, values, axes),) = grids
+    sampling = cfg["sampling"]
+    grid = [sampling["radial_points"]] + ([sampling["angular_points"]] if cfg["scenario"] == "sphere" else [])
+    assert [len(axis) for axis in axes] == grid
+    assert values.shape == (math.prod(grid), len(header) - len(axes))
+    assert (out / "profile.csv").read_text(encoding="utf-8") == csv_reference(
+        header, profile_table(values, axes).tolist()
+    )
 
 
 # -- the file a writer leaves ------------------------------------------------------
