@@ -10,12 +10,14 @@ written under that directory (name or bytes) differs. Every differing case
 is printed; the exit code is 1 if any case differs, else 0. ``-k TEXT``
 keeps the cases whose name contains TEXT.
 
-The cases:
+The 71 cases:
   * 14 configs of each benchmark workload (``perfbench/workloads.py``),
     drawn from its stream at seed 7, run with that workload's flags;
   * the shell and sphere configs of ``tests/test_cli.py``, full and
     ``--verify-only``, at ``--samples 8``;
-  * bad configs and flags, which exit 2.
+  * 22 bad configs and flags, which exit 2;
+  * 3 configs whose floating-point arithmetic fails: two exit 2, one
+    exits 3 with its reports written.
 
 Standard library only.
 """
@@ -79,6 +81,15 @@ BAD_OVERRIDES = {
     "outputs-empty": (SHELL, {"outputs": {"profile_csv": ""}}),
     "outputs-samples-null": (SHELL, {"outputs": {"samples_json": None}}),
 }
+# finite configs whose arithmetic fails, at ``--samples 8``
+ARITHMETIC_OVERRIDES = {
+    # eps0 * eps_r underflows to 0 in a Python division: exit 2
+    "shell-eps-r-5e-324": (SHELL, {"material": {"eps_r": 5e-324, "mu_r": 1.0}}),
+    # a**3 of a Python float overflows: exit 2
+    "sphere-a-1e200-static": (SPHERE, {"geometry": {"a_m": 1e200}, "omega_rad_per_s": 0.0}),
+    # numpy overflows in the solve and in the profile: exit 3, no warning lines
+    "shell-mu-r-1e-300": (SHELL, {"material": {"eps_r": 6.0, "mu_r": 1e-300}}),
+}
 BAD_FLAGS = {
     "samples-0": ["--samples", "0"],
     "samples-negative": ["--samples", "-5"],
@@ -100,10 +111,11 @@ def cases() -> list[tuple[str, str, list[str]]]:
     for scenario, config in (("shell", SHELL), ("sphere", SPHERE)):
         for mode, extra in (("full", []), ("verify-only", ["--verify-only"])):
             out.append((f"test_cli/{scenario}/{mode}", json.dumps(config), TEST_SAMPLES + extra))
-    for name, (base, overrides) in BAD_OVERRIDES.items():
-        config = copy.deepcopy(base)
-        config.update(overrides)
-        out.append((f"bad/{name}", json.dumps(config), TEST_SAMPLES))
+    for group, table in (("bad", BAD_OVERRIDES), ("arithmetic", ARITHMETIC_OVERRIDES)):
+        for name, (base, overrides) in table.items():
+            config = copy.deepcopy(base)
+            config.update(overrides)
+            out.append((f"{group}/{name}", json.dumps(config), TEST_SAMPLES))
     out.append(("bad/malformed-json", "{not json", TEST_SAMPLES))
     out.append(("bad/missing-sections", json.dumps({"scenario": "cylinder"}), TEST_SAMPLES))
     for name, flags in BAD_FLAGS.items():

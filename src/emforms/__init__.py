@@ -31,7 +31,6 @@ from .spacetime import (
     cartesian_chart,
     cylindrical_chart,
     lab_frame,
-    metric_dual,
     rotating_velocity,
     spherical_chart,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "spherical_chart",
     "lab_frame",
     "rotating_velocity",
-    "metric_dual",
     "apply_constitutive",
     "decompose",
     "recompose",

@@ -27,8 +27,9 @@ it is written with ``--verify-only`` too. A warning raised while the
 config is built, such as the sphere's rim-speed warning, is printed as one
 ``warning: <message>`` line on stderr. Exit
 codes: 0 on success; 2 on config errors, including geometry so small that
-the metric degenerates and sampling above ``MAX_SAMPLES`` or
-``MAX_PROFILE_ROWS`` (no outputs are written); 3 when residual
+the metric degenerates, numbers whose arithmetic fails (an
+``ArithmeticError``, such as a float overflow), and sampling above
+``MAX_SAMPLES`` or ``MAX_PROFILE_ROWS`` (no outputs are written); 3 when residual
 tolerances are exceeded or a region's sampled field scale vanishes
 (reports are still written); 4 when an output file cannot be written.
 """
@@ -65,9 +66,11 @@ EXIT_TOLERANCE = 3
 EXIT_OUTPUT = 4
 
 # Ceilings checked before any array is built; far above every shipped
-# config (512 samples, 3,072 profile rows).
+# config (512 samples, 3,072 profile rows). A shell profile at the row
+# ceiling peaks near 120 MB, as the whole table is evaluated and formatted
+# at once.
 MAX_SAMPLES = 100_000
-MAX_PROFILE_ROWS = 1_000_000
+MAX_PROFILE_ROWS = 100_000
 
 
 class ConfigError(ValueError):
@@ -416,7 +419,9 @@ def run(
     try:
         # Non-finite values fail the run through the explicit checks (a
         # MatchingError or a failed tolerance); numpy's floating-point
-        # warnings would only print ahead of that message.
+        # warnings would only print ahead of that message. Python float
+        # arithmetic raises instead; its ArithmeticError fails the run as
+        # a config error.
         with np.errstate(all="ignore"):
             sol, constants = sc.solve(seed)
             maxwell = verify_solution(sol, samples_per_region=n_samples, seed=seed)
@@ -434,8 +439,14 @@ def run(
                     )
                 )
                 gibbs.append(gibbs_jump_residual(*decs, iface, frame, metric, events))
+            if not verify_only:
+                observables = sc.observables(constants)
+                header, values, axes = sc.profile(decs, *[getattr(cfg, key) for key in sc.PROFILE_GRID])
     except MatchingError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ArithmeticError as exc:
+        print(f"error: arithmetic failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DegenerateMetricError as exc:
         print(f"error: geometry too small for the metric floor: {exc}", file=sys.stderr)
@@ -460,10 +471,6 @@ def run(
         "within_tolerance": within_tolerance,
     }
 
-    if not verify_only:
-        observables = {"config": echo, **sc.observables(constants)}
-        header, values, axes = sc.profile(decs, *[getattr(cfg, key) for key in sc.PROFILE_GRID])
-
     path = out_path(cfg.verification_json)
     try:
         _write_json(path, verification)
@@ -478,7 +485,7 @@ def run(
             )
         if not verify_only:
             path = out_path(cfg.observables_json)
-            _write_json(path, observables)
+            _write_json(path, {"config": echo, **observables})
             path = out_path(cfg.profile_csv)
             write_csv(path, header, values, axes)
     except OSError as exc:

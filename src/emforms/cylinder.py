@@ -27,6 +27,7 @@ from .forms import DifferentialForm, form, linear_combine, scale
 from .junction import Interface
 from .media import MaterialParams, apply_constitutive
 from .solutions import (
+    MATCH_SAMPLES,
     CylinderConstants,
     FieldSolution,
     Region,
@@ -170,14 +171,10 @@ def _interior_family(sc: CylinderScenario, chart: Chart):
     return f_basis, g_basis
 
 
-def match_cylinder_amplitudes(
-    sc: CylinderScenario,
-    samples_per_interface: int = 16,
-    seed: int = 0,
-) -> tuple[float, float]:
+def match_cylinder_amplitudes(sc: CylinderScenario, seed: int = 0) -> tuple[float, float]:
     """Least-squares junction match of the interior family amplitudes
-    (k1, k2) at both radii, at the scenario's own B0, by
-    :func:`~emforms.solutions.match_junctions`."""
+    (k1, k2) at ``MATCH_SAMPLES`` events on each radius, at the scenario's
+    own B0, by :func:`~emforms.solutions.match_junctions`."""
     chart = sc.chart()
     f_basis, g_basis = _interior_family(sc, chart)
     f_out = exterior_maxwell_form(sc, chart)
@@ -193,7 +190,7 @@ def match_cylinder_amplitudes(
 
     # one physical unit of each amplitude
     unit = sc.mat.eps0 * sc.mat.c * abs(sc.b0)
-    events = sc.interface_events(samples_per_interface, seed)
+    events = sc.interface_events(MATCH_SAMPLES, seed)
     junctions = list(zip(cylinder_interfaces(sc, chart), events))
     k1, k2 = match_junctions(build, (unit * sc.r2, unit), junctions, chart.metric, "junction")
     return float(k1), float(k2)
@@ -208,13 +205,9 @@ def _amplitudes_to_constants(sc: CylinderScenario, k1: float, k2: float) -> Cyli
     return CylinderConstants(c1=c1, c2=c2)
 
 
-def match_cylinder_constants(
-    sc: CylinderScenario,
-    samples_per_interface: int = 16,
-    seed: int = 0,
-) -> CylinderConstants:
+def match_cylinder_constants(sc: CylinderScenario, seed: int = 0) -> CylinderConstants:
     """Numerically matched integration constants, no closed forms used."""
-    k1, k2 = match_cylinder_amplitudes(sc, samples_per_interface, seed)
+    k1, k2 = match_cylinder_amplitudes(sc, seed)
     return _amplitudes_to_constants(sc, k1, k2)
 
 
@@ -226,11 +219,7 @@ def closed_form_constants(sc: CylinderScenario) -> CylinderConstants:
     )
 
 
-def solve_cylinder(
-    sc: CylinderScenario,
-    samples_per_interface: int = 16,
-    seed: int = 0,
-) -> tuple[FieldSolution, CylinderConstants]:
+def solve_cylinder(sc: CylinderScenario, seed: int = 0) -> tuple[FieldSolution, CylinderConstants]:
     """Exact matched solution of the rotating shell.
 
     The integration constants come out of the numeric junction match and
@@ -244,7 +233,7 @@ def solve_cylinder(
     metric = chart.metric
     velocity = rotating_velocity(chart, sc.omega, AZIMUTH_AXIS)
 
-    k1, k2 = match_cylinder_amplitudes(sc, samples_per_interface, seed)
+    k1, k2 = match_cylinder_amplitudes(sc, seed)
     closed_k = (0.0, sc.mat.eps0 * sc.mat.c * sc.b0)
     unit = abs(closed_k[1])
     check_closed_forms(

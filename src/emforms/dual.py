@@ -4,8 +4,9 @@ A :class:`Dual` carries a value and the coefficient of one infinitesimal,
 identified by a tag. Tags keep nested derivative passes apart, so stacking
 two passes yields exact mixed second partials instead of the classic
 perturbation-confusion garbage. Field coefficients must call the elementary
-functions defined here (``sin``, ``sqrt``, ...) rather than ``math``, so
-that they stay differentiable.
+functions defined here (``sin``, ``cos``, ``sqrt``) rather than ``math``,
+so that they stay differentiable. A :class:`Dual` defines no ordering: a
+guard compares the value that :func:`real` strips out of it.
 
 Coefficients are float arrays holding one value per event of a batch, or
 plain numbers where a value is the same at every event. The elementary
@@ -91,33 +92,19 @@ class Dual:
     def __rtruediv__(self, other):
         return other * _inv(self)
 
-    def __pow__(self, n):
-        if isinstance(n, int):
-            if n == 0:
-                return Dual(1.0, 0.0, self.tag)
-            if n < 0:
-                return _inv(self.__pow__(-n))
-            out = self
-            for _ in range(n - 1):
-                out = out * self
-            return out
-        return exp(n * log(self))
+    def __pow__(self, n: int):
+        """``self**n`` for an integer ``n >= 0``, as repeated products."""
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("duals support non-negative integer powers only")
+        if n == 0:
+            return Dual(1.0, 0.0, self.tag)
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
 
     def __abs__(self):
         return self * np.where(real(self.a) >= 0.0, 1.0, -1.0)
-
-    # comparisons act on the real parts, as the evaluation guards need
-    def __lt__(self, other):
-        return real(self) < real(other)
-
-    def __le__(self, other):
-        return real(self) <= real(other)
-
-    def __gt__(self, other):
-        return real(self) > real(other)
-
-    def __ge__(self, other):
-        return real(self) >= real(other)
 
 
 def _inv(x):
@@ -142,30 +129,11 @@ def cos(x):
     return np.cos(x)
 
 
-def exp(x):
-    if isinstance(x, Dual):
-        e = exp(x.a)
-        return Dual(e, e * x.b, x.tag)
-    return np.exp(x)
-
-
-def log(x):
-    if isinstance(x, Dual):
-        return Dual(log(x.a), x.b / x.a, x.tag)
-    return np.log(x)
-
-
 def sqrt(x):
     if isinstance(x, Dual):
         r = sqrt(x.a)
         return Dual(r, x.b / (2.0 * r), x.tag)
     return np.sqrt(x)
-
-
-def derivative(f, x: float) -> float:
-    """d/dx of a scalar callable built from the functions above."""
-    tag = fresh_tag()
-    return extract(f(Dual(x, 1.0, tag)), tag)
 
 
 def extract(y, tag: int):

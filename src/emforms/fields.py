@@ -228,6 +228,4 @@ import math as _math  # noqa: E402  (constant folding only)
 
 sin = _lift(_math.sin, dual.sin)
 cos = _lift(_math.cos, dual.cos)
-exp = _lift(_math.exp, dual.exp)
-log = _lift(_math.log, dual.log)
 sqrt = _lift(_math.sqrt, dual.sqrt)

@@ -4,14 +4,14 @@ Conventions
 -----------
 * Components live on strictly increasing multi-indices; an absent index
   is zero. Grade-0 forms use the empty index ``()``.
-* The metric is diagonal with signature ``(-, +, +, +)``. Its
-  ``orientation`` tuple fixes the positive volume form
-  ``sqrt(|det g|) dx^{o0} ^ dx^{o1} ^ dx^{o2} ^ dx^{o3}``.
+* The metric is diagonal with signature ``(-, +, +, +)``. The positive
+  volume form is ``sqrt(|det g|) dx^0 ^ dx^1 ^ dx^2 ^ dx^3``, in
+  coordinate order.
 * Hodge dual of a basis form:
   ``star(dx^I) = sgn(sigma) * sqrt(|det g|) / prod_{i in I} g_ii * dx^J``
   with ``J`` the increasing complement of ``I`` and ``sigma`` the
-  permutation ``(I, J)`` relative to the orientation order. The test
-  suite checks this closed form against a brute-force Levi-Civita sum.
+  permutation ``(I, J)``. The test suite checks this closed form against
+  a brute-force Levi-Civita sum.
   A constant diagonal component is checked against the metric floor once,
   when the dual is built; the others at every evaluated event.
 * Degenerate grades stay total: wedges past grade 4, the exterior
@@ -25,7 +25,6 @@ never dropped.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -89,14 +88,6 @@ _COMPLEMENT: dict[MultiIndex, tuple[MultiIndex, int]] = {
 }
 
 
-@functools.cache
-def _hodge_table(orientation: tuple[int, ...]) -> dict[MultiIndex, tuple[MultiIndex, int]]:
-    """Each index I's increasing complement J, with the sign of the
-    permutation (I, J) relative to the orientation order."""
-    parity = perm_parity(orientation, range(DIM))
-    return {idx: (comp, sign * parity) for idx, (comp, sign) in _COMPLEMENT.items()}
-
-
 @dataclass(frozen=True, eq=False)
 class DifferentialForm:
     """Antisymmetric grade-p field stored over increasing multi-indices."""
@@ -151,16 +142,12 @@ class DiagonalMetric:
     """Diagonal spacetime metric, signature (-, +, +, +)."""
 
     diag: tuple[ScalarField, ScalarField, ScalarField, ScalarField]
-    orientation: tuple[int, int, int, int] = (0, 1, 2, 3)
 
     def __post_init__(self):
         diag = tuple(coerce(g) for g in self.diag)
         if len(diag) != DIM:
             raise GradeMismatchError("a diagonal 4-metric needs 4 components")
-        if sorted(self.orientation) != list(range(DIM)):
-            raise ValueError(f"orientation must permute 0..3, got {self.orientation}")
         object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "orientation", tuple(self.orientation))
 
 
 def form(grade: int, chart: str, components: Mapping[MultiIndex, object]) -> DifferentialForm:
@@ -292,11 +279,10 @@ def _hodge_coefficient(g: DiagonalMetric, idx: MultiIndex) -> ScalarField:
 
 
 def hodge_star(g: DiagonalMetric, a: DifferentialForm) -> DifferentialForm:
-    """Hodge dual for the stored orientation; grade p -> 4-p."""
-    table = _hodge_table(g.orientation)
+    """Hodge dual in coordinate orientation; grade p -> 4-p."""
     comps: dict[MultiIndex, ScalarField] = {}
     for idx, f in a.components.items():
-        comp, sign = table[idx]
+        comp, sign = _COMPLEMENT[idx]
         term = _hodge_coefficient(g, idx) * f
         _accumulate(comps, comp, term if sign > 0 else -term)
     return DifferentialForm(DIM - a.grade, comps, a.chart)

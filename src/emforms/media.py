@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,23 +54,21 @@ class TransversalityError(ValueError):
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Isotropic material constants plus the vacuum constants, strict SI."""
+    """Isotropic material constants, strict SI; the vacuum constants are
+    the fixed SI values."""
+
+    eps0: ClassVar[float] = VACUUM_PERMITTIVITY
+    mu0: ClassVar[float] = VACUUM_PERMEABILITY
+    c: ClassVar[float] = SPEED_OF_LIGHT
 
     eps_r: float
     mu_r: float
-    eps0: float = VACUUM_PERMITTIVITY
-    mu0: float = VACUUM_PERMEABILITY
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if self.eps_r <= 0.0:
             raise ValueError(f"eps_r must be positive, got {self.eps_r}")
         if self.mu_r <= 0.0:
             raise ValueError(f"mu_r must be positive, got {self.mu_r}")
-        if self.eps0 <= 0.0 or self.mu0 <= 0.0 or self.c <= 0.0:
-            raise ValueError("vacuum constants must be positive")
-        if abs(self.c**2 * self.eps0 * self.mu0 - 1.0) > 1e-12:
-            raise ValueError("inconsistent vacuum constants: c^2 != 1/(eps0 mu0)")
 
     @classmethod
     def vacuum(cls) -> "MaterialParams":

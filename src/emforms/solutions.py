@@ -30,6 +30,8 @@ EXACT_RESIDUAL_TOL = 1e-10
 FIRST_ORDER_K_CAP = 10.0
 # Largest equilibrated least-squares residual accepted from a junction match.
 MATCH_RESIDUAL_TOL = 1e-8
+# Events sampled on each interface for a junction match.
+MATCH_SAMPLES = 16
 # Largest deviation of a matched constant from its closed form, relative to
 # the larger of the closed form and one physical unit of the constant.
 CLOSED_FORM_REL_TOL = 1e-9

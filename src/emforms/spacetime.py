@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from . import dual
 from .dual import real
 from .fields import ScalarField, first_bad_event, sin
-from .forms import (
-    ChartMismatchError,
-    DiagonalMetric,
-    DifferentialForm,
-    VectorField4,
-    lower_index,
-)
+from .forms import DiagonalMetric, VectorField4
 
 
 class LightConeError(ValueError):
@@ -30,7 +24,6 @@ class Chart:
     """A named coordinate chart with its metric."""
 
     name: str
-    coords: tuple[str, str, str, str]
     metric: DiagonalMetric
     light_speed: float
 
@@ -46,7 +39,7 @@ def cartesian_chart(c: float) -> Chart:
     """(t, x, y, z) with metric diag(-c^2, 1, 1, 1)."""
     c = _require_positive_c(c)
     metric = DiagonalMetric((ScalarField.constant(-c * c), 1.0, 1.0, 1.0))
-    return Chart("cartesian", ("t", "x", "y", "z"), metric, c)
+    return Chart("cartesian", metric, c)
 
 
 def cylindrical_chart(c: float) -> Chart:
@@ -54,7 +47,7 @@ def cylindrical_chart(c: float) -> Chart:
     c = _require_positive_c(c)
     r = ScalarField.coordinate(1)
     metric = DiagonalMetric((ScalarField.constant(-c * c), 1.0, r * r, 1.0))
-    return Chart("cylindrical", ("t", "r", "theta", "z"), metric, c)
+    return Chart("cylindrical", metric, c)
 
 
 def spherical_chart(c: float) -> Chart:
@@ -66,7 +59,7 @@ def spherical_chart(c: float) -> Chart:
     r = ScalarField.coordinate(1)
     rs = r * sin(ScalarField.coordinate(2))
     metric = DiagonalMetric((ScalarField.constant(-c * c), 1.0, r * r, rs * rs))
-    return Chart("spherical", ("t", "r", "theta", "phi"), metric, c)
+    return Chart("spherical", metric, c)
 
 
 def lab_frame(chart: Chart) -> VectorField4:
@@ -102,10 +95,3 @@ def rotating_velocity(chart: Chart, omega: float, azimuth_axis: int) -> VectorFi
     comps[0] = ScalarField(lambda ev: 1.0 / root(ev), deps=g_az.deps)
     comps[azimuth_axis] = ScalarField(lambda ev: omega / root(ev), deps=g_az.deps)
     return VectorField4(tuple(comps), chart.name)
-
-
-def metric_dual(chart: Chart, v: VectorField4) -> DifferentialForm:
-    """Index-lowering map: the 1-form X -> g(v, X)."""
-    if v.chart != chart.name:
-        raise ChartMismatchError(f"vector on {v.chart!r}, chart is {chart.name!r}")
-    return lower_index(chart.metric, v)

@@ -39,6 +39,7 @@ from .forms import (
 from .junction import Interface
 from .media import MaterialParams, apply_constitutive
 from .solutions import (
+    MATCH_SAMPLES,
     FieldSolution,
     Region,
     SphereConstants,
@@ -47,7 +48,7 @@ from .solutions import (
     grid_and_box_events,
     match_junctions,
 )
-from .spacetime import Chart, lab_frame, metric_dual, rotating_velocity, spherical_chart
+from .spacetime import Chart, lab_frame, rotating_velocity, spherical_chart
 
 AZIMUTH_AXIS = 3  # phi slot of the spherical chart
 
@@ -143,7 +144,7 @@ def truncated_excitation(
     """
     g = chart.metric
     u = lab_frame(chart)
-    u_flat = metric_dual(chart, u)
+    u_flat = lower_index(g, u)
     w = VectorField4(
         (ScalarField.zero(), ScalarField.zero(), ScalarField.zero(), ScalarField.one()),
         chart.name,
@@ -193,13 +194,9 @@ def sphere_interface(sc: SphereScenario, chart: Chart | None = None) -> Interfac
     return Interface(phi=r - sc.a, chart=chart.name, name="surface")
 
 
-def match_sphere_constants(
-    sc: SphereScenario,
-    theta_points: int = 12,
-    seed: int = 0,
-) -> SphereConstants:
-    """Least-squares junction match of (K0, K1, P0, P1) at r = a, by
-    :func:`~emforms.solutions.match_junctions`.
+def match_sphere_constants(sc: SphereScenario, seed: int = 0) -> SphereConstants:
+    """Least-squares junction match of (K0, K1, P0, P1) at ``MATCH_SAMPLES``
+    events on r = a, by :func:`~emforms.solutions.match_junctions`.
 
     The junction residual is affine in the four amplitudes because the
     truncated excitation is linear in the potentials. At omega = 0 the
@@ -226,7 +223,7 @@ def match_sphere_constants(
         return f_in, f_out, g_in, g_out
 
     units = list(vars(_constant_scales(sc, 1.0)).values())
-    junctions = list(zip((sphere_interface(sc, chart),), sc.interface_events(2 * theta_points, seed)))
+    junctions = list(zip((sphere_interface(sc, chart),), sc.interface_events(MATCH_SAMPLES, seed)))
     matched = match_junctions(build, units, junctions, chart.metric, "sphere junction")
     return SphereConstants(*(float(x) * sc.e0 for x in matched))
 
@@ -264,11 +261,7 @@ def _constant_scales(sc: SphereScenario, e0: float) -> SphereConstants:
     )
 
 
-def solve_sphere(
-    sc: SphereScenario,
-    theta_points: int = 12,
-    seed: int = 0,
-) -> tuple[FieldSolution, SphereConstants]:
+def solve_sphere(sc: SphereScenario, seed: int = 0) -> tuple[FieldSolution, SphereConstants]:
     """First-order matched solution of the rotating sphere.
 
     Constants are matched numerically and cross-checked against their
@@ -279,7 +272,7 @@ def solve_sphere(
     """
     chart = sc.chart()
     metric = chart.metric
-    matched = match_sphere_constants(sc, theta_points, seed)
+    matched = match_sphere_constants(sc, seed)
     closed = closed_form_constants(sc)
     check_closed_forms(vars(matched), vars(closed), vars(_constant_scales(sc, sc.e0)))
 

@@ -78,19 +78,13 @@ def hodge_star_oracle(metric, form: DifferentialForm, event) -> dict:
 
     Builds the antisymmetric component tensor, raises all indices with
     the inverse diagonal metric, contracts against the Levi-Civita
-    symbol (reordered to the metric's orientation) and re-reads the
-    increasing components of the result.
+    symbol and re-reads the increasing components of the result.
     """
     p = form.grade
     q = 4 - p
     g_vals = np.array([value(metric.diag[i], event) for i in range(4)])
     det = float(np.prod(g_vals))
     root = math.sqrt(abs(det))
-
-    eps = _EPS4
-    if tuple(metric.orientation) != (0, 1, 2, 3):
-        perm = list(metric.orientation)
-        eps = np.transpose(_EPS4, perm)  # orientation order carries +1
 
     tensor = np.zeros((4,) * p) if p else np.array(value(form.component(()), event))
     if p:
@@ -118,12 +112,12 @@ def hodge_star_oracle(metric, form: DifferentialForm, event) -> dict:
     for jdx in basis_indices(q):
         total = 0.0
         if p == 0:
-            total = float(raised) * eps[(Ellipsis,) + jdx] if q == 4 else 0.0
+            total = float(raised) * _EPS4[(Ellipsis,) + jdx] if q == 4 else 0.0
             if q == 4:
-                total = float(raised) * eps[jdx]
+                total = float(raised) * _EPS4[jdx]
         else:
             for idx in itertools.product(range(4), repeat=p):
-                total += raised[idx] * eps[idx + jdx]
+                total += raised[idx] * _EPS4[idx + jdx]
             total /= math.factorial(p)
         out[jdx] = root * total
     return out
@@ -348,11 +342,12 @@ def _per_event_rows(conditions, n_events: int):
     return np.array(rows), np.array(rhs)
 
 
-def per_basis_cylinder_rows(sc, samples_per_interface: int = 16, seed: int = 0):
-    """The shell's junction rows one basis form at a time: at each radius,
-    each interior basis form at one unit of its amplitude, wedged with dPhi
-    for [F] and Hodge-dualised first for [star G], against the exterior
-    field's, with the interior family on the left-hand side."""
+def per_basis_cylinder_rows(sc, seed: int = 0):
+    """The shell's junction rows one basis form at a time: at
+    ``MATCH_SAMPLES`` events on each radius, each interior basis form at one
+    unit of its amplitude, wedged with dPhi for [F] and Hodge-dualised first
+    for [star G], against the exterior field's, with the interior family on
+    the left-hand side."""
     from emforms.cylinder import (
         _interior_family,
         cylinder_interfaces,
@@ -360,6 +355,7 @@ def per_basis_cylinder_rows(sc, samples_per_interface: int = 16, seed: int = 0):
         interface_sample_events,
     )
     from emforms.forms import evaluate, hodge_star, scale, wedge
+    from emforms.solutions import MATCH_SAMPLES
 
     chart = sc.chart()
     metric = chart.metric
@@ -371,7 +367,7 @@ def per_basis_cylinder_rows(sc, samples_per_interface: int = 16, seed: int = 0):
     rows, rhs = [], []
     for iface, radius in zip(cylinder_interfaces(sc, chart), (sc.r1, sc.r2)):
         dphi = iface.gradient()
-        events = interface_sample_events(sc, radius, samples_per_interface, seed)
+        events = interface_sample_events(sc, radius, MATCH_SAMPLES, seed)
         conditions = [
             (
                 [evaluate(wedge(scale(u, fb), dphi), events) for u, fb in zip(units, f_basis)],
@@ -391,11 +387,13 @@ def per_basis_cylinder_rows(sc, samples_per_interface: int = 16, seed: int = 0):
     return np.concatenate(rows), np.concatenate(rhs)
 
 
-def five_assembly_sphere_rows(sc, theta_points: int = 12, seed: int = 0):
-    """The sphere's junction rows and right-hand sides from five full
-    assemblies: one at zero amplitudes and one at one unit of each
-    amplitude, each column taken as its assembly minus the first."""
+def five_assembly_sphere_rows(sc, seed: int = 0):
+    """The sphere's junction rows and right-hand sides at ``MATCH_SAMPLES``
+    events from five full assemblies: one at zero amplitudes and one at one
+    unit of each amplitude, each column taken as its assembly minus the
+    first."""
     from emforms.forms import add, evaluate, hodge_star, scale, subtract, wedge
+    from emforms.solutions import MATCH_SAMPLES
     from emforms.sphere import (
         _constant_scales,
         _field_basis,
@@ -409,7 +407,7 @@ def five_assembly_sphere_rows(sc, theta_points: int = 12, seed: int = 0):
     basis = _field_basis(chart)
     omega = sc.omega if sc.omega != 0.0 else 0.01 * sc.mat.c / sc.a
     dphi = sphere_interface(sc, chart).gradient()
-    events = sphere_interface_events(sc, 2 * theta_points, seed)
+    events = sphere_interface_events(sc, MATCH_SAMPLES, seed)
 
     def assemble(k0, k1, p0, p1):
         f0_in = scale(k0, basis["uniform_t"])

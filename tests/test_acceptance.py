@@ -118,7 +118,7 @@ def test_criterion_2_closed_form_field_reproduction():
     rng = np.random.default_rng(101)
     for _ in range(20):
         sc = _random_cylinder(rng)
-        sol, _ = solve_cylinder(sc, samples_per_interface=6, seed=1)
+        sol, _ = solve_cylinder(sc, seed=1)
         frame = lab_frame(sol.chart)
         metric = sol.chart.metric
         dec_in = EMDecomposition.of(sol.f_in, sol.g_in, frame, metric)
@@ -161,14 +161,14 @@ def test_criterion_3_matching_constant_oracle_equivalence():
     rng = np.random.default_rng(202)
     for _ in range(50):
         sc = _random_cylinder(rng)
-        matched = match_cylinder_constants(sc, samples_per_interface=6, seed=2)
+        matched = match_cylinder_constants(sc, seed=2)
         closed = cylinder_closed_constants(sc)
         scale_c2 = max(abs(closed.c2), C**3 * abs(sc.b0 * sc.omega))
         assert abs(matched.c1 - closed.c1) <= 1e-9 * scale_c2 * sc.r2**2
         assert abs(matched.c2 - closed.c2) <= 1e-9 * scale_c2
     for _ in range(50):
         sc = _random_sphere(rng)
-        matched = match_sphere_constants(sc, theta_points=8, seed=2)
+        matched = match_sphere_constants(sc, seed=2)
         closed = sphere_closed_constants(sc)
         scales = {
             "k0": sc.e0,
@@ -186,7 +186,7 @@ def test_criterion_4_maxwell_residuals():
     # exact shell: machine-level residuals at 1000 events per region
     rng = np.random.default_rng(303)
     sc = _random_cylinder(rng, beta_range=(0.05, 0.3))
-    sol, _ = solve_cylinder(sc, samples_per_interface=6, seed=3)
+    sol, _ = solve_cylinder(sc, seed=3)
     report = verify_solution(sol, samples_per_region=1000, seed=17)
     assert report.passed
     for entry in report.regions.values():
@@ -200,7 +200,7 @@ def test_criterion_4_maxwell_residuals():
     rels = []
     for beta in betas:
         sp = SphereScenario(a=a, omega=beta * mat.c / a, e0=1000.0, mat=mat)
-        ssol, _ = solve_sphere(sp, theta_points=8, seed=3)
+        ssol, _ = solve_sphere(sp, seed=3)
         srep = verify_solution(ssol, samples_per_region=60, seed=23)
         rels.append(srep.regions["medium"]["dstar_g_max_rel"])
     slope = np.polyfit(np.log(betas), np.log(rels), 1)[0]

@@ -54,7 +54,7 @@ REL_TOL = 1e-13
 @pytest.fixture(scope="module")
 def shell():
     sc = CylinderScenario(r1=0.02, r2=0.04, omega=100.0, b0=1.0, mat=MaterialParams(6.0, 1.0))
-    sol, _ = solve_cylinder(sc, samples_per_interface=4)
+    sol, _ = solve_cylinder(sc)
     return sc, sol
 
 
@@ -81,7 +81,7 @@ def test_dual_defers_to_reflected_operators_and_abs_is_elementwise():
 
 
 def test_elementary_functions_use_numpy_for_any_non_dual():
-    for fn in (dual.sin, dual.cos, dual.exp, dual.log, dual.sqrt):
+    for fn in (dual.sin, dual.cos, dual.sqrt):
         assert isinstance(fn(np.array([0.7])), np.ndarray)
         assert isinstance(fn(0.7), np.float64)
 
@@ -162,7 +162,7 @@ def assert_batch_matches_reference(sol, seed):
 def test_batch_matches_reference_cylinder(r1, ratio, beta, b0, eps_r, mu_r, seed):
     r2 = r1 * ratio
     sc = CylinderScenario(r1, r2, beta * C / r2, b0, MaterialParams(eps_r, mu_r))
-    sol, _ = solve_cylinder(sc, samples_per_interface=4)
+    sol, _ = solve_cylinder(sc)
     assert_batch_matches_reference(sol, seed)
 
 
@@ -176,7 +176,7 @@ def test_batch_matches_reference_cylinder(r1, ratio, beta, b0, eps_r, mu_r, seed
 )
 def test_batch_matches_reference_sphere(a, beta, e0, eps_r, mu_r, seed):
     sc = SphereScenario(a, beta * C / a, e0, MaterialParams(eps_r, mu_r))
-    sol, _ = solve_sphere(sc, theta_points=3)
+    sol, _ = solve_sphere(sc)
     assert_batch_matches_reference(sol, seed)
 
 

@@ -150,19 +150,26 @@ def test_invalid_geometry_rejected(tmp_path):
 @pytest.mark.parametrize(
     "overrides",
     [
-        {"omega_rad_per_s": math.nan},
-        {"material": {"eps_r": math.inf, "mu_r": 1.0}},
-        {"b0_tesla": 10**400},
-        {"sampling": {"radial_points": 2.7}},
-        {"sampling": {"angular_points": -3}},
-        {"sampling": {"seed": -1}},
-        {"sampling": {"radial_points": 10**12}},  # above MAX_PROFILE_ROWS; nothing is allocated
+        (cylinder_config, {"omega_rad_per_s": math.nan}),
+        (cylinder_config, {"material": {"eps_r": math.inf, "mu_r": 1.0}}),
+        (cylinder_config, {"b0_tesla": 10**400}),
+        (cylinder_config, {"sampling": {"radial_points": 2.7}}),
+        (cylinder_config, {"sampling": {"angular_points": -3}}),
+        (cylinder_config, {"sampling": {"seed": -1}}),
+        # above MAX_PROFILE_ROWS; nothing is allocated
+        (cylinder_config, {"sampling": {"radial_points": 10**12}}),
+        # eps0 * eps_r underflows to 0, and 1 / 0 raises ZeroDivisionError
+        (cylinder_config, {"material": {"eps_r": 5e-324, "mu_r": 1.0}}),
+        # a**3 of a Python float raises OverflowError
+        (sphere_config, {"geometry": {"a_m": 1e200}, "omega_rad_per_s": 0.0}),
     ],
 )
-def test_bad_numbers_exit_2_without_outputs(tmp_path, overrides):
-    path, _ = cylinder_config(tmp_path, **overrides)
+def test_bad_numbers_exit_2_without_outputs(tmp_path, capsys, overrides):
+    make_config, changes = overrides
+    path, _ = make_config(tmp_path, **changes)
     out = tmp_path / "out"
     assert run(path, out_dir=str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 
@@ -218,8 +225,8 @@ def test_oversized_sampling_prints_one_error_line(tmp_path, capsys, make_config,
         (cylinder_config, {"radial_points": MAX_PROFILE_ROWS + 1}, False),
         # the shell's profile has no angular axis
         (cylinder_config, {"radial_points": 1000, "angular_points": 10**9}, True),
-        (sphere_config, {"radial_points": 1000, "angular_points": 1000}, True),
-        (sphere_config, {"radial_points": 1000, "angular_points": 1001}, False),
+        (sphere_config, {"radial_points": 1000, "angular_points": 100}, True),
+        (sphere_config, {"radial_points": 1000, "angular_points": 101}, False),
     ],
 )
 def test_profile_row_ceiling_counts_the_scenario_grid(tmp_path, make_config, sampling, accepted):
@@ -229,6 +236,33 @@ def test_profile_row_ceiling_counts_the_scenario_grid(tmp_path, make_config, sam
     else:
         with pytest.raises(ConfigError, match="profile rows"):
             RunConfig.from_dict(cfg)
+
+
+def test_profile_at_the_row_ceiling_stays_under_256_mb(tmp_path):
+    import emforms
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(emforms.__file__)))
+    path, _ = cylinder_config(tmp_path, sampling={"radial_points": MAX_PROFILE_ROWS})
+    out = tmp_path / "out"
+    # the child reports its own peak resident set (KiB on Linux)
+    child = (
+        "import resource, sys\n"
+        "from emforms.cli import run\n"
+        "code = run(sys.argv[1], samples=8, out_dir=sys.argv[2])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child, path, str(out)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, peak_kib = map(int, result.stdout.split())
+    assert code == 0
+    assert peak_kib < 256 * 1024
+    with open(out / "profile.csv", "rb") as fh:
+        assert sum(1 for _ in fh) == 1 + MAX_PROFILE_ROWS
 
 
 def test_cli_import_loads_no_scipy():
@@ -455,11 +489,21 @@ def test_overflowing_closed_form_constant_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_overflowing_drive_exits_2_with_one_line_and_no_numpy_warning(tmp_path):
+@pytest.mark.parametrize(
+    "overrides, code, stderr",
+    [
+        ({"b0_tesla": 1e305}, 2, "error: junction system has non-finite entries\n"),
+        # products with 1 / mu_r = 1e300 overflow: the medium's residuals read
+        # NaN, and the profile, computed after the solve, overflows too
+        ({"material": {"eps_r": 6.0, "mu_r": 1e-300}}, 3, ""),
+    ],
+    ids=["drive-1e305-exits-2", "mu_r-1e-300-exits-3"],
+)
+def test_numpy_overflow_prints_no_warning(tmp_path, overrides, code, stderr):
     import emforms
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(emforms.__file__)))
-    path, _ = cylinder_config(tmp_path, b0_tesla=1e305)
+    path, _ = cylinder_config(tmp_path, **overrides)
     out = tmp_path / "out"
     result = subprocess.run(
         [sys.executable, "-m", "emforms.cli", "run", path, "--samples", "8", "--out-dir", str(out)],
@@ -467,9 +511,11 @@ def test_overflowing_drive_exits_2_with_one_line_and_no_numpy_warning(tmp_path):
         capture_output=True,
         text=True,
     )
-    assert result.returncode == 2
-    assert result.stderr == "error: junction system has non-finite entries\n"
-    assert not out.exists()
+    assert result.returncode == code
+    assert result.stderr == stderr
+    # a config error writes nothing; a tolerance failure writes every report
+    written = sorted(os.listdir(out)) if out.exists() else []
+    assert written == ([] if code == 2 else ["obs.json", "profile.csv", "ver.json"])
 
 
 @pytest.mark.parametrize(

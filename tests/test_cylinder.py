@@ -81,7 +81,7 @@ def test_constants_closed_form():
 def test_matched_constants_equal_closed_forms(rng):
     for _ in range(8):
         sc = random_scenario(rng)
-        matched = match_cylinder_constants(sc, samples_per_interface=8, seed=3)
+        matched = match_cylinder_constants(sc, seed=3)
         closed = closed_form_constants(sc)
         c_scale = max(abs(closed.c2), C**3 * abs(sc.b0 * sc.omega))
         assert abs(matched.c1) <= 1e-9 * c_scale * sc.r2**2
@@ -104,7 +104,7 @@ def test_matched_constants_degenerate_cases():
 def test_decomposed_fields_match_closed_forms(rng):
     for _ in range(5):
         sc = random_scenario(rng)
-        sol, _ = solve_cylinder(sc, samples_per_interface=8, seed=1)
+        sol, _ = solve_cylinder(sc, seed=1)
         frame = lab_frame(sol.chart)
         dec_in = EMDecomposition.of(sol.f_in, sol.g_in, frame, sol.chart.metric)
         dec_out = EMDecomposition.of(sol.f_out, sol.g_out, frame, sol.chart.metric)
@@ -135,7 +135,7 @@ def test_decomposed_fields_match_closed_forms(rng):
 
 def test_interior_excitation_equals_exterior(rng):
     sc = random_scenario(rng)
-    sol, _ = solve_cylinder(sc, samples_per_interface=8, seed=1)
+    sol, _ = solve_cylinder(sc, seed=1)
     chi = sc.mat.eps_r + 1.0 / sc.mat.mu_r
     for _ in range(10):
         r = float(rng.uniform(sc.r1, sc.r2))
@@ -181,7 +181,7 @@ def test_unit_index_product_kills_electric_part():
 
 def test_maxwell_residuals_exact(rng):
     sc = random_scenario(rng)
-    sol, _ = solve_cylinder(sc, samples_per_interface=8, seed=5)
+    sol, _ = solve_cylinder(sc, seed=5)
     report = verify_solution(sol, samples_per_region=100, seed=11)
     assert report.passed
     for entry in report.regions.values():

@@ -30,6 +30,7 @@ from emforms.forms import (
     perm_parity,
 )
 from emforms.media import MaterialParams
+from emforms.solutions import MATCH_SAMPLES
 from emforms.spacetime import cartesian_chart, cylindrical_chart
 from emforms.sphere import SphereScenario, match_sphere_constants, sphere_interface_events
 from oracles import (
@@ -136,15 +137,12 @@ def test_merge_table_equals_the_inversion_count():
     assert len(forms._MERGE) == 3**4  # each axis in ia, in ib or in neither
 
 
-def test_hodge_tables_equal_perm_parity_for_every_orientation():
-    orientations = list(itertools.permutations(range(4)))
-    assert len(orientations) == 24
-    for orientation in orientations:
-        table = forms._hodge_table(orientation)
-        assert sorted(table) == sorted(ALL_INDICES)
-        for idx in ALL_INDICES:
-            comp = tuple(i for i in range(4) if i not in idx)
-            assert table[idx] == (comp, perm_parity(idx + comp, orientation))
+def test_hodge_table_equals_perm_parity():
+    table = forms._COMPLEMENT
+    assert sorted(table) == sorted(ALL_INDICES)
+    for idx in ALL_INDICES:
+        comp = tuple(i for i in range(4) if i not in idx)
+        assert table[idx] == (comp, perm_parity(idx + comp, range(4)))
 
 
 @pytest.mark.parametrize(
@@ -230,9 +228,9 @@ def assert_rows_close(rows, rhs, want_rows, want_rhs):
 @pytest.mark.parametrize("beta", [0.01, 0.0], ids=["rotating", "probe-rate"])
 def test_per_amplitude_sphere_rows_equal_five_assembly_rows(monkeypatch, beta):
     sc = SphereScenario(a=0.05, omega=beta * C / 0.05, e0=1000.0, mat=MaterialParams(4.0, 2.0))
-    rows, rhs = matcher_rows(monkeypatch, lambda: match_sphere_constants(sc, theta_points=8, seed=2))
-    want_rows, want_rhs = five_assembly_sphere_rows(sc, theta_points=8, seed=2)
-    assert rows.shape == (2 * 8 * 2 * 4, 4)
+    rows, rhs = matcher_rows(monkeypatch, lambda: match_sphere_constants(sc, seed=2))
+    want_rows, want_rhs = five_assembly_sphere_rows(sc, seed=2)
+    assert rows.shape == (MATCH_SAMPLES * 2 * 4, 4)
     assert_rows_close(rows, rhs, want_rows, want_rhs)
 
 
@@ -241,11 +239,9 @@ def test_shared_cylinder_rows_equal_per_basis_rows(monkeypatch, beta):
     sc = CylinderScenario(
         r1=0.02, r2=0.04, omega=beta * C / 0.04, b0=1.5, mat=MaterialParams(6.0, 2.0)
     )
-    rows, rhs = matcher_rows(
-        monkeypatch, lambda: match_cylinder_amplitudes(sc, samples_per_interface=6, seed=3)
-    )
-    want_rows, want_rhs = per_basis_cylinder_rows(sc, samples_per_interface=6, seed=3)
-    assert rows.shape == (2 * 6 * 2 * 4, 2)
+    rows, rhs = matcher_rows(monkeypatch, lambda: match_cylinder_amplitudes(sc, seed=3))
+    want_rows, want_rhs = per_basis_cylinder_rows(sc, seed=3)
+    assert rows.shape == (2 * MATCH_SAMPLES * 2 * 4, 2)
     # the per-basis system keeps the interior family on the left and the
     # applied field on the right; the shared one moves the applied piece
     # right instead, so the same equations carry the opposite sign

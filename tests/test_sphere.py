@@ -80,9 +80,15 @@ def test_vacuum_sphere_constants():
 
 
 def test_matched_constants_equal_closed_forms(rng):
-    for _ in range(8):
-        sc = random_scenario(rng)
-        matched = match_sphere_constants(sc, theta_points=10, seed=4)
+    # random spheres, then the corners of the sweep's ranges
+    corners = [
+        scenario(eps_r=eps_r, mu_r=mu_r, beta=beta)
+        for beta in (1e-7, 0.05)
+        for eps_r in (1.1, 10.0)
+        for mu_r in (0.3, 4.0)
+    ]
+    for sc in [random_scenario(rng) for _ in range(8)] + corners:
+        matched = match_sphere_constants(sc, seed=4)
         closed = closed_form_constants(sc)
         scales = {
             "k0": sc.e0,
