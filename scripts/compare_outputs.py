@@ -10,14 +10,19 @@ written under that directory (name or bytes) differs. Every differing case
 is printed; the exit code is 1 if any case differs, else 0. ``-k TEXT``
 keeps the cases whose name contains TEXT.
 
-The 71 cases:
+The 73 cases:
   * 14 configs of each benchmark workload (``perfbench/workloads.py``),
     drawn from its stream at seed 7, run with that workload's flags;
   * the shell and sphere configs of ``tests/test_cli.py``, full and
     ``--verify-only``, at ``--samples 8``;
   * 22 bad configs and flags, which exit 2;
   * 3 configs whose floating-point arithmetic fails: two exit 2, one
-    exits 3 with its reports written.
+    exits 3 with its reports written;
+  * 2 profiles large enough for the vectorised ``%.17g`` kernel
+    (``emforms.g17``), with columns of exact zeros: a shell at 4096 radii,
+    whose source columns are 0 outside the medium and 22 of whose values
+    take the kernel's ``%`` fallback, and a static sphere on a 64x32 grid,
+    whose b columns are 0.
 
 Standard library only.
 """
@@ -83,12 +88,20 @@ BAD_OVERRIDES = {
 }
 # finite configs whose arithmetic fails, at ``--samples 8``
 ARITHMETIC_OVERRIDES = {
-    # eps0 * eps_r underflows to 0 in a Python division: exit 2
+    # eps0 * eps_r underflows to 0; the scenario names material.eps_r: exit 2
     "shell-eps-r-5e-324": (SHELL, {"material": {"eps_r": 5e-324, "mu_r": 1.0}}),
-    # a**3 of a Python float overflows: exit 2
+    # a**3 of a Python float overflows; the scenario names geometry.a_m: exit 2
     "sphere-a-1e200-static": (SPHERE, {"geometry": {"a_m": 1e200}, "omega_rad_per_s": 0.0}),
     # numpy overflows in the solve and in the profile: exit 3, no warning lines
     "shell-mu-r-1e-300": (SHELL, {"material": {"eps_r": 6.0, "mu_r": 1e-300}}),
+}
+# profiles of more than cli.G17_MIN_VALUES values, at ``--samples 8``
+LARGE_PROFILE_OVERRIDES = {
+    "shell-4096": (SHELL, {"sampling": {"radial_points": 4096, "angular_points": 8, "seed": 3}}),
+    "sphere-static-64x32": (
+        SPHERE,
+        {"omega_rad_per_s": 0.0, "sampling": {"radial_points": 64, "angular_points": 32, "seed": 1}},
+    ),
 }
 BAD_FLAGS = {
     "samples-0": ["--samples", "0"],
@@ -111,7 +124,8 @@ def cases() -> list[tuple[str, str, list[str]]]:
     for scenario, config in (("shell", SHELL), ("sphere", SPHERE)):
         for mode, extra in (("full", []), ("verify-only", ["--verify-only"])):
             out.append((f"test_cli/{scenario}/{mode}", json.dumps(config), TEST_SAMPLES + extra))
-    for group, table in (("bad", BAD_OVERRIDES), ("arithmetic", ARITHMETIC_OVERRIDES)):
+    groups = (("bad", BAD_OVERRIDES), ("arithmetic", ARITHMETIC_OVERRIDES), ("large", LARGE_PROFILE_OVERRIDES))
+    for group, table in groups:
         for name, (base, overrides) in table.items():
             config = copy.deepcopy(base)
             config.update(overrides)

@@ -9,7 +9,6 @@ Usage: python scripts/wilson_sweep.py [--eps-r 6] [--mu-r 1] [--points 9]
 """
 
 import argparse
-import math
 
 import numpy as np
 

@@ -59,6 +59,8 @@ class CylinderScenario:
     def __post_init__(self):
         if not 0.0 < self.r1 < self.r2:
             raise ValueError(f"need 0 < r1 < r2, got r1={self.r1}, r2={self.r2}")
+        if not self.mat.eps0 * self.mat.eps_r > 0.0:  # the solution divides by it
+            raise ValueError(f"material.eps_r: eps0 * eps_r underflows to 0 for eps_r = {self.mat.eps_r}")
         if abs(self.omega) * self.r2 >= self.mat.c:
             raise ValueError(
                 f"rim speed {abs(self.omega) * self.r2:.3e} m/s reaches light speed"

@@ -71,6 +71,11 @@ class SphereScenario:
     def __post_init__(self):
         if self.a <= 0.0:
             raise ValueError(f"radius must be positive, got {self.a}")
+        for power in (3, 5):  # the scales of the multipole amplitudes
+            try:
+                self.a**power
+            except OverflowError:
+                raise ValueError(f"geometry.a_m: a**{power} overflows a float for a = {self.a}") from None
         if abs(self.omega) * self.a >= self.mat.c:
             raise ValueError(
                 f"rim speed {abs(self.omega) * self.a:.3e} m/s reaches light speed"

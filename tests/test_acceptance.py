@@ -22,7 +22,6 @@ from emforms.forms import (
 from emforms.media import (
     EMDecomposition,
     MaterialParams,
-    apply_constitutive,
     bound_sources,
     decompose,
     polarization,

@@ -150,26 +150,39 @@ def test_invalid_geometry_rejected(tmp_path):
 @pytest.mark.parametrize(
     "overrides",
     [
-        (cylinder_config, {"omega_rad_per_s": math.nan}),
-        (cylinder_config, {"material": {"eps_r": math.inf, "mu_r": 1.0}}),
-        (cylinder_config, {"b0_tesla": 10**400}),
-        (cylinder_config, {"sampling": {"radial_points": 2.7}}),
-        (cylinder_config, {"sampling": {"angular_points": -3}}),
-        (cylinder_config, {"sampling": {"seed": -1}}),
+        (cylinder_config, {"omega_rad_per_s": math.nan}, None),
+        (cylinder_config, {"material": {"eps_r": math.inf, "mu_r": 1.0}}, None),
+        (cylinder_config, {"b0_tesla": 10**400}, None),
+        (cylinder_config, {"sampling": {"radial_points": 2.7}}, None),
+        (cylinder_config, {"sampling": {"angular_points": -3}}, None),
+        (cylinder_config, {"sampling": {"seed": -1}}, None),
         # above MAX_PROFILE_ROWS; nothing is allocated
-        (cylinder_config, {"sampling": {"radial_points": 10**12}}),
-        # eps0 * eps_r underflows to 0, and 1 / 0 raises ZeroDivisionError
-        (cylinder_config, {"material": {"eps_r": 5e-324, "mu_r": 1.0}}),
-        # a**3 of a Python float raises OverflowError
-        (sphere_config, {"geometry": {"a_m": 1e200}, "omega_rad_per_s": 0.0}),
+        (cylinder_config, {"sampling": {"radial_points": 10**12}}, None),
+        # eps0 * eps_r underflows to 0, which the solution divides by
+        (
+            cylinder_config,
+            {"material": {"eps_r": 5e-324, "mu_r": 1.0}},
+            "material.eps_r: eps0 * eps_r underflows to 0 for eps_r = 5e-324",
+        ),
+        # a**3 of a Python float overflows
+        (
+            sphere_config,
+            {"geometry": {"a_m": 1e200}, "omega_rad_per_s": 0.0},
+            "geometry.a_m: a**3 overflows a float for a = 1e+200",
+        ),
     ],
 )
 def test_bad_numbers_exit_2_without_outputs(tmp_path, capsys, overrides):
-    make_config, changes = overrides
+    """Each exits 2; a number whose arithmetic would fail is named, with
+    its config key, in the message."""
+    make_config, changes, message = overrides
     path, _ = make_config(tmp_path, **changes)
     out = tmp_path / "out"
     assert run(path, out_dir=str(out)) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if message is not None:
+        assert err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -7,13 +7,16 @@ join of the full table, also when it is given as a grid whose axis values
 it formats once (``oracles.profile_table`` builds the full table). Both
 format a whole array or table in one pass; the duplicate-heavy strategies
 below keep signed zeros, NaN payloads and infinities that repeat within
-one file.
+one file. ``g17.format_g17``, which formats the tables of at least
+``cli.G17_MIN_VALUES`` values, must give ``'%.17g' % x`` for every bit
+pattern, and take its integer fast path for nearly every normal value.
 """
 
 import json
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emforms import cli
+from emforms import cli, g17
 from emforms.cli import _atomic_write, _json_text, _write_json, run, write_csv
 from oracles import profile_table, stdlib_json
 from test_cli import BOTH_SCENARIOS
@@ -298,6 +301,138 @@ def test_profile_csv_is_the_per_cell_text_of_the_full_table(tmp_path, monkeypatc
     )
 
 
+# -- the %.17g kernel and the tables above its crossover ---------------------------
+
+
+def assert_g17_is_percent_17g(values: np.ndarray) -> None:
+    """Each of the kernel's rows for ``values``, less its 0 bytes, is
+    ``'%.17g' % x``; the first few values that differ are reported."""
+    rows = g17.format_g17(values)
+    assert rows.shape == (len(values), g17.WIDTH) and not rows[:, -1].any()
+    rows[:, -1] = ord("\n")
+    got = rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    differ = [(x, text, "%.17g" % x) for x, text in zip(values.tolist(), got) if text != "%.17g" % x]
+    assert len(got) == len(values) and not differ, differ[:5]
+
+
+def from_bits(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def test_g17_equals_percent_17g_on_a_million_random_bit_patterns():
+    rng = np.random.default_rng(20_261_019)
+    for _ in range(20):  # in parts, so that the test process stays small
+        assert_g17_is_percent_17g(from_bits(rng.integers(0, 2**64, 50_000, dtype=np.uint64)))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_g17_equals_percent_17g_on_any_bit_pattern(bits):
+    assert_g17_is_percent_17g(from_bits(bits))
+
+
+def ulps_around(values, ulps: int) -> np.ndarray:
+    """``values`` and their neighbours up to ``ulps`` steps either side."""
+    out, up, down = [values], values, values
+    with np.errstate(over="ignore"):  # the largest double steps to inf
+        for _ in range(ulps):
+            up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+            out += [up, down]
+    return np.concatenate(out)
+
+
+def exact_ties() -> np.ndarray:
+    """Dyadic fractions whose exact decimal has 18 significant digits,
+    the last a 5: halfway between two 17-digit texts."""
+    from decimal import Decimal
+
+    ties = []
+    for exponent in range(1, 80):
+        for odd in range(1, 400, 2):
+            x = math.ldexp(odd, -exponent)
+            digits = Decimal(x).as_tuple().digits
+            if len(digits) == 18 and digits[-1] == 5:
+                ties.append(x)
+    assert len(ties) > 100
+    return np.array(ties)
+
+
+def near_integer_ties() -> np.ndarray:
+    """Integers of 18 to 20 digits (from about 2**57), where rounding
+    sees only the digits beyond the 17th: random multiples of the spacing
+    of doubles, and the doubles nearest to 17 digits followed by a 5."""
+    rng = np.random.default_rng(57)
+    spaced = [float(2**57 + 2**5 * int(k)) for k in rng.integers(0, 2**40, 500)]
+    spaced += [float(int(k) << 11) for k in rng.integers(2**53, 2**53 + 2**30, 500)]
+    halves = [float(int(d) * 10**j + 5 * 10 ** (j - 1)) for d in rng.integers(10**16, 10**17, 300) for j in (1, 2, 3)]
+    return np.array(spaced + halves)
+
+
+TARGETED = {
+    "powers-of-ten": ulps_around(np.array([float(f"1e{k}") for k in range(-310, 309)]), 3),
+    "exact-ties": ulps_around(exact_ties(), 1),
+    "near-integer-ties": near_integer_ties(),
+    "layout-boundaries": ulps_around(np.array([1e-5, 1e-4, 0.1, 1.0, 1e15, 1e16, 1e17, 1e100, 1e-100]), 3),
+    "extremes": np.concatenate(
+        [
+            ulps_around(np.array([sys.float_info.max, sys.float_info.min, 5e-324, 1e-310]), 2),
+            np.array([0.0, math.inf, math.nan]),
+            from_bits([0x7FF0000000000001, 0x7FF8000000000001, 0x7FFFFFFFFFFFFFFF, 0x000FFFFFFFFFFFFF]),
+        ]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGETED))
+def test_g17_equals_percent_17g_on_targeted_values(name):
+    # the sign bit, also of 0, inf and NaN payloads
+    assert_g17_is_percent_17g(np.concatenate([TARGETED[name], -TARGETED[name]]))
+
+
+@pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+def test_g17_stays_exact_when_log10_misses_the_decimal_exponent(monkeypatch, offset):
+    """``log10`` may round across an integer near a power of ten, either
+    way; the digits then fall outside [10**16, 10**17) or carry to 10**17,
+    and the value falls back or moves to the next exponent."""
+    real = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: real(a) + offset)
+    assert_g17_is_percent_17g(TARGETED["powers-of-ten"])
+
+
+def test_g17_fast_path_takes_nearly_every_normal_value():
+    """A kernel that sent every value to the ``%`` fallback would pass the
+    byte tests above while being slow."""
+    bits = np.random.default_rng(99).integers(0, 2**64, 200_000, dtype=np.uint64)
+    exponent = (bits >> np.uint64(52)) & np.uint64(0x7FF)
+    values = from_bits(bits[(exponent != 0) & (exponent != 0x7FF)])
+    digits, X, ok = g17._digits(values)
+    assert ok.mean() >= 0.99
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_write_csv_above_the_crossover_equals_per_cell_format_of_its_full_table(tmp_path_factory, data):
+    """Tables from just below ``G17_MIN_VALUES`` values to past one block
+    boundary of the kernel, built from a small drawn pool of cells."""
+    pool = data.draw(st.lists(csv_cells, min_size=1, max_size=12), label="pool")
+    n_axes = data.draw(st.integers(0, 2), label="n_axes")
+    width = data.draw(st.integers(1, 4), label="width")
+    size = data.draw(st.integers(cli.G17_MIN_VALUES - 8, cli.G17_BLOCK_VALUES + 600), label="values")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    lengths = [max(1, -(-size // width))]
+    if n_axes == 2:
+        inner = data.draw(st.integers(1, 9), label="inner")
+        lengths = [-(-lengths[0] // inner), inner]
+    rows = math.prod(lengths)
+    values = [[pool[k] for k in rng.integers(0, len(pool), width)] for _ in range(rows)]
+    axes = tuple(np.array([float(pool[k]) for k in rng.integers(0, len(pool), n)]) for n in lengths[:n_axes])
+    header = [f"c{k}" for k in range(len(axes) + width)]
+    path = tmp_path_factory.mktemp("csv") / "profile.csv"
+    write_csv(str(path), header, values, axes)
+    expected = csv_reference(header, profile_table(np.array(values, dtype=np.float64), axes).tolist())
+    assert path.read_text(encoding="utf-8") == expected
+
+
 # -- the file a writer leaves ------------------------------------------------------
 
 
@@ -316,7 +451,7 @@ def test_report_mode_is_0o666_less_the_umask(tmp_path, umask):
 def test_atomic_write_replaces_an_existing_target(tmp_path):
     target = tmp_path / "ver.json"
     target.write_text("old contents that are longer than the new ones")
-    _atomic_write(str(target), "new \u00e9")
+    _atomic_write(str(target), "new \u00e9".encode("utf-8"))
     assert target.read_bytes() == "new \u00e9".encode("utf-8")
     assert os.listdir(tmp_path) == ["ver.json"]
 
@@ -325,6 +460,6 @@ def test_a_failed_write_leaves_no_temporary_file(tmp_path):
     target = tmp_path / "ver.json"
     target.mkdir()  # os.replace cannot put a file over a directory
     with pytest.raises(OSError):
-        _atomic_write(str(target), "data")
+        _atomic_write(str(target), b"data")
     assert os.listdir(tmp_path) == ["ver.json"]
     assert os.listdir(target) == []
