@@ -10,7 +10,7 @@ written under that directory (name or bytes) differs. Every differing case
 is printed; the exit code is 1 if any case differs, else 0. ``-k TEXT``
 keeps the cases whose name contains TEXT.
 
-The 73 cases:
+The 76 cases:
   * 14 configs of each benchmark workload (``perfbench/workloads.py``),
     drawn from its stream at seed 7, run with that workload's flags;
   * the shell and sphere configs of ``tests/test_cli.py``, full and
@@ -22,7 +22,9 @@ The 73 cases:
     (``emforms.g17``), with columns of exact zeros: a shell at 4096 radii,
     whose source columns are 0 outside the medium and 22 of whose values
     take the kernel's ``%`` fallback, and a static sphere on a 64x32 grid,
-    whose b columns are 0.
+    whose b columns are 0;
+  * 3 spheres rotating so slowly that (a omega / c)^2 underflows to 0,
+    at ``--samples 8``.
 
 Standard library only.
 """
@@ -103,6 +105,11 @@ LARGE_PROFILE_OVERRIDES = {
         {"omega_rad_per_s": 0.0, "sampling": {"radial_points": 64, "angular_points": 32, "seed": 1}},
     ),
 }
+# spheres at rotation rates whose squared rim speed underflows, at ``--samples 8``
+SLOW_ROTATION_OVERRIDES = {
+    f"omega-{omega!r}": (SPHERE, {"omega_rad_per_s": omega, "material": {"eps_r": 4.0, "mu_r": 2.0}})
+    for omega in (1e-200, 1e-300, 5e-324)
+}
 BAD_FLAGS = {
     "samples-0": ["--samples", "0"],
     "samples-negative": ["--samples", "-5"],
@@ -124,7 +131,12 @@ def cases() -> list[tuple[str, str, list[str]]]:
     for scenario, config in (("shell", SHELL), ("sphere", SPHERE)):
         for mode, extra in (("full", []), ("verify-only", ["--verify-only"])):
             out.append((f"test_cli/{scenario}/{mode}", json.dumps(config), TEST_SAMPLES + extra))
-    groups = (("bad", BAD_OVERRIDES), ("arithmetic", ARITHMETIC_OVERRIDES), ("large", LARGE_PROFILE_OVERRIDES))
+    groups = (
+        ("bad", BAD_OVERRIDES),
+        ("arithmetic", ARITHMETIC_OVERRIDES),
+        ("large", LARGE_PROFILE_OVERRIDES),
+        ("slow-rotation", SLOW_ROTATION_OVERRIDES),
+    )
     for group, table in groups:
         for name, (base, overrides) in table.items():
             config = copy.deepcopy(base)

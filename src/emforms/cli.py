@@ -56,7 +56,7 @@ from .cylinder import CylinderScenario, cylinder_profile  # noqa: F401
 from .forms import DegenerateMetricError
 from .junction import covariant_jump_residual, gibbs_jump_residual
 from .media import EMDecomposition, MaterialParams
-from .solutions import FieldSolution, MatchingError, junction_tolerance, verify_solution
+from .solutions import FieldSolution, MatchingError, verify_solution
 from .spacetime import lab_frame
 from .sphere import SphereScenario, sphere_profile  # noqa: F401
 
@@ -74,6 +74,11 @@ MAX_PROFILE_ROWS = 100_000
 # Profile tables of at least G17_MIN_VALUES values are formatted by the
 # g17 kernel: its fixed cost makes it slower than one '%' pass up to about
 # 700 values, and faster by a sixth at 1,024 and by two fifths at 2,048.
+# On the scenario-sweep benchmark's own tables (40 runs, file I/O
+# excluded), the kernel takes about twice the time of '%' on the 128-value
+# shell tables and two thirds of it on the 512-value sphere tables; the
+# threshold stays above 512 because at 256 a 300-run sweep loop's peak
+# resident set rose by about 0.9 MB (36.8 to 37.8 MB, 3 seeds).
 # It runs on blocks of G17_BLOCK_VALUES values, so that its temporaries
 # stay near 0.5 MB.
 G17_MIN_VALUES = 1024
@@ -300,29 +305,14 @@ def _json_numbers(text: str) -> str:
     return text
 
 
-def _nested(texts: list[str], shape: tuple[int, ...], nl: str) -> str:
-    """The JSON array of ``shape`` whose leaves are ``texts`` in C order,
-    starting a line after ``nl``; built innermost axis first."""
-    for axis in range(len(shape) - 1, -1, -1):
-        n = shape[axis]
-        if not n:
-            texts = ["[]"] * math.prod(shape[:axis])
-            continue
-        outer = nl + "  " * axis
-        inner = outer + "  "
-        sep = "," + inner
-        texts = ["[" + inner + sep.join(texts[k : k + n]) + outer + "]" for k in range(0, len(texts), n)]
-    return texts[0]
-
-
 def _json_text(o, nl: str = "\n") -> str:
     """``json.dumps(o, indent=2, sort_keys=True)`` for a value whose line
     starts after ``nl``, with each float64 ndarray written as its
     ``tolist()``; a dict key that is not a ``str`` raises TypeError.
 
     ``json.dumps`` with an indent walks every value through Python
-    generators; here a list of floats or an array is formatted in one
-    ``float.__repr__`` pass.
+    generators; here a list whose items are all floats is formatted in
+    one ``float.__repr__`` pass.
     """
     if isinstance(o, str):
         return encode_basestring_ascii(o)
@@ -336,12 +326,17 @@ def _json_text(o, nl: str = "\n") -> str:
         return int.__repr__(o)
     if isinstance(o, float):
         return _json_numbers(float.__repr__(o))
-    if isinstance(o, (list, tuple)) and o and all(isinstance(v, float) for v in o):
-        o = np.array(o)
     if isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim:
-        return _json_numbers(_nested(list(map(float.__repr__, o.ravel().tolist())), o.shape, nl))
+        o = o.tolist()
     if isinstance(o, (list, tuple)):
-        return _nested([_json_text(v, nl + "  ") for v in o], (len(o),), nl)
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        if all(isinstance(v, float) for v in o):
+            items = _json_numbers(("," + inner).join(map(float.__repr__, o)))
+        else:
+            items = ("," + inner).join([_json_text(v, inner) for v in o])
+        return "[" + inner + items + nl + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -476,8 +471,7 @@ def run(
         print(f"error: geometry too small for the metric floor: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    junction_tol = junction_tolerance(sol)
-    junction_ok = all(rep.max_rel <= junction_tol for rep in junctions)
+    junction_ok = all(rep.max_rel <= maxwell.tolerance_g for rep in junctions)
     within_tolerance = maxwell.passed and junction_ok
 
     echo = cfg.echo()
@@ -489,7 +483,7 @@ def run(
             "config_sha256": hashlib.sha256(_json_text(echo).encode("ascii")).hexdigest(),
         },
         "maxwell": maxwell.to_json_dict(),
-        "junction_tolerance_rel": junction_tol,
+        "junction_tolerance_rel": maxwell.tolerance_g,
         "junction": [rep.to_json_dict() for rep in junctions],
         "junction_gibbs": [rep.to_json_dict() for rep in gibbs],
         "within_tolerance": within_tolerance,
@@ -534,16 +528,13 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("--seed", type=int, default=None, help="override the sampling seed")
     run_parser.add_argument("--out-dir", default=None, help="directory for output files")
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return run(
-            args.config,
-            verify_only=args.verify_only,
-            samples=args.samples,
-            seed=args.seed,
-            out_dir=args.out_dir,
-        )
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_CONFIG
+    return run(
+        args.config,
+        verify_only=args.verify_only,
+        samples=args.samples,
+        seed=args.seed,
+        out_dir=args.out_dir,
+    )
 
 
 if __name__ == "__main__":

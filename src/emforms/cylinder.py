@@ -258,7 +258,6 @@ def solve_cylinder(sc: CylinderScenario, seed: int = 0) -> tuple[FieldSolution, 
         f_out=f_out,
         g_out=g_out,
         interfaces=cylinder_interfaces(sc, chart),
-        medium_velocity=velocity,
         order="exact",
         regions=(
             Region("medium", True, _sampling_box(sc, (1.001 * r1, 0.999 * r2))),

@@ -171,14 +171,6 @@ def interface_normal_velocity(
     events = event_array(events)
     u_vec = [frame.components[a].eval(events) for a in range(4)]
     g_vec = [g.diag[a].eval(events) for a in range(4)]
-    return _normal_velocity(iface, u_vec, g_vec, events)
-
-
-def _normal_velocity(
-    iface: Interface, u_vec, g_vec, events: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """:func:`interface_normal_velocity` from the frame and metric
-    components already evaluated at the events."""
     dphi = evaluate(iface.gradient(), events)
     dphi_vec = [dphi[(a,)] for a in range(4)]
     scale_dphi = np.max(np.abs(dphi_vec), axis=0)
@@ -303,7 +295,7 @@ def gibbs_jump_residual(
     _require_lab_aligned(u_vec, events)
     g_vec = [g.diag[a].eval(events) for a in range(4)]
     c = (-g_vec[0]) ** 0.5
-    normal, v_n = _normal_velocity(iface, u_vec, g_vec, events)
+    normal, v_n = interface_normal_velocity(iface, frame, g, events)
     n_hat = [normal[i] / g_vec[i] ** 0.5 for i in (1, 2, 3)]
 
     def jump_and_scale(attr):

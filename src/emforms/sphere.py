@@ -71,6 +71,8 @@ class SphereScenario:
     def __post_init__(self):
         if self.a <= 0.0:
             raise ValueError(f"radius must be positive, got {self.a}")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"rotation rate must be finite, got {self.omega}")
         for power in (3, 5):  # the scales of the multipole amplitudes
             try:
                 self.a**power
@@ -204,16 +206,17 @@ def match_sphere_constants(sc: SphereScenario, seed: int = 0) -> SphereConstants
     events on r = a, by :func:`~emforms.solutions.match_junctions`.
 
     The junction residual is affine in the four amplitudes because the
-    truncated excitation is linear in the potentials. At omega = 0 the
-    first-order amplitudes decouple from the data, so a small probe
-    rotation rate is used; the matched constants do not depend on it. The
-    system is linear in the drive, so it is matched at unit drive and the
-    amplitudes are scaled by E0: a tiny drive would otherwise make the
+    truncated excitation is linear in the potentials. The constants do not
+    depend on the rotation rate, but the first-order amplitudes decouple
+    from the data at omega = 0 and their columns underflow at a tiny
+    omega, so every sphere is matched at the probe rate a omega / c = 0.01.
+    The system is linear in the drive, so it is matched at unit drive and
+    the amplitudes are scaled by E0: a tiny drive would otherwise make the
     column units (K1's is E0/c^2) subnormal.
     """
     chart = sc.chart()
     basis = _field_basis(chart)
-    omega = sc.omega if sc.omega != 0.0 else 0.01 * sc.mat.c / sc.a
+    omega = 0.01 * sc.mat.c / sc.a
 
     def build(amplitudes, drive):
         k0, k1, p0, p1 = amplitudes
@@ -301,7 +304,6 @@ def solve_sphere(sc: SphereScenario, seed: int = 0) -> tuple[FieldSolution, Sphe
         f_out=f_out,
         g_out=g_out,
         interfaces=(sphere_interface(sc, chart),),
-        medium_velocity=velocity,
         order="first-order",
         regions=(
             Region("medium", True, _sampling_box(sc, (0.05 * sc.a, 0.999 * sc.a))),

@@ -405,7 +405,7 @@ def five_assembly_sphere_rows(sc, seed: int = 0):
     chart = sc.chart()
     metric = chart.metric
     basis = _field_basis(chart)
-    omega = sc.omega if sc.omega != 0.0 else 0.01 * sc.mat.c / sc.a
+    omega = 0.01 * sc.mat.c / sc.a
     dphi = sphere_interface(sc, chart).gradient()
     events = sphere_interface_events(sc, MATCH_SAMPLES, seed)
 

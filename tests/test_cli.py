@@ -257,12 +257,14 @@ def test_profile_at_the_row_ceiling_stays_under_256_mb(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(emforms.__file__)))
     path, _ = cylinder_config(tmp_path, sampling={"radial_points": MAX_PROFILE_ROWS})
     out = tmp_path / "out"
-    # the child reports its own peak resident set (KiB on Linux)
+    # the child reports its own peak resident set, VmHWM in KiB; its
+    # ru_maxrss would carry over the peak of the process that spawned it
     child = (
-        "import resource, sys\n"
+        "import sys\n"
         "from emforms.cli import run\n"
         "code = run(sys.argv[1], samples=8, out_dir=sys.argv[2])\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(code, next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", child, path, str(out)],
@@ -491,6 +493,26 @@ def test_sphere_tiny_drive_reaches_verification(tmp_path, capsys):
 def test_sphere_small_normal_drive_still_passes(tmp_path):
     path, _ = sphere_config(tmp_path, eps_r=4.0, mu_r=2.0, e0_volt_per_m=1e-285)
     assert run(path, samples=8, out_dir=str(tmp_path / "out")) == 0
+
+
+@pytest.mark.parametrize("omega", [1e-200, 1e-300, 5e-324])
+def test_slowly_rotating_sphere_writes_the_reports_of_a_static_one(tmp_path, capsys, omega):
+    # the match runs at the probe rate, not at omega, whose columns would
+    # underflow; beta^2 underflows to 0, so no residual is divided by it
+    written = {}
+    for rate in (0.0, omega):
+        path, _ = sphere_config(tmp_path, eps_r=4.0, mu_r=2.0, omega_rad_per_s=rate)
+        out = tmp_path / f"out-{rate!r}"
+        assert run(path, samples=8, out_dir=str(out)) == 0
+        written[rate] = [json.loads((out / name).read_text()) for name in ("ver.json", "obs.json")]
+        assert (out / "profile.csv").stat().st_size > 0
+    assert capsys.readouterr().err == ""
+    (static_ver, static_obs), (ver, obs) = written[0.0], written[omega]
+    assert obs["matching_constants"] == static_obs["matching_constants"]
+    assert ver["maxwell"]["regions"].keys() == static_ver["maxwell"]["regions"].keys()
+    for name, region in ver["maxwell"]["regions"].items():
+        assert region.keys() == static_ver["maxwell"]["regions"][name].keys()
+        assert "dstar_g_rel_over_eps2" not in region
 
 
 def test_overflowing_closed_form_constant_exits_2(tmp_path, capsys):

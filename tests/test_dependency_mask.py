@@ -4,12 +4,13 @@ zeros they make of the partial derivatives along the others."""
 import numpy as np
 import pytest
 
-from emforms.cylinder import CylinderScenario, solve_cylinder
+from emforms.cylinder import AZIMUTH_AXIS as SHELL_AZIMUTH, CylinderScenario, solve_cylinder
 from emforms.fields import ALL_AXES, ZERO, ScalarField, cos, sin, sqrt
 from emforms.forms import basis_indices, form, hodge_star
 from emforms.media import MaterialParams
 from emforms.solutions import sample_box
-from emforms.sphere import SphereScenario, solve_sphere
+from emforms.spacetime import rotating_velocity
+from emforms.sphere import AZIMUTH_AXIS as SPHERE_AZIMUTH, SphereScenario, solve_sphere
 
 from one_event import partial, partials
 from oracles import dense_partial
@@ -50,25 +51,29 @@ def test_raw_closure_reports_all_four_axes():
 
 def shell():
     sc = CylinderScenario(r1=0.02, r2=0.04, omega=0.2 * C / 0.04, b0=1.0, mat=MaterialParams(6.0, 2.0))
-    return solve_cylinder(sc)[0], 0b0010  # stationary, axisymmetric, z-invariant: r only
+    sol = solve_cylinder(sc)[0]
+    velocity = rotating_velocity(sol.chart, sc.omega, SHELL_AZIMUTH)
+    return sol, velocity, 0b0010  # stationary, axisymmetric, z-invariant: r only
 
 
 def sphere():
     sc = SphereScenario(a=0.05, omega=0.01 * C / 0.05, e0=1000.0, mat=MaterialParams(4.0, 2.0))
-    return solve_sphere(sc)[0], 0b0110  # stationary and axisymmetric: (r, theta)
+    sol = solve_sphere(sc)[0]
+    velocity = rotating_velocity(sol.chart, sc.omega, SPHERE_AZIMUTH)
+    return sol, velocity, 0b0110  # stationary and axisymmetric: (r, theta)
 
 
-def differentiated_fields(sol):
+def differentiated_fields(sol, velocity):
     """(name, field, side) of every component of F, G, star G, the medium
-    4-velocity, the metric diagonal, the Hodge coefficients of 2-forms and
-    each Phi; ``side`` is True for the interior, False for the exterior and
-    None for both."""
+    4-velocity ``velocity``, the metric diagonal, the Hodge coefficients of
+    2-forms and each Phi; ``side`` is True for the interior, False for the
+    exterior and None for both."""
     metric = sol.chart.metric
     out = []
     for interior, (f, g) in ((True, (sol.f_in, sol.g_in)), (False, (sol.f_out, sol.g_out))):
         for name, a in (("F", f), ("G", g), ("*G", hodge_star(metric, g))):
             out += [(f"{name}{idx}", comp, interior) for idx, comp in a.components.items()]
-    out += [(f"V^{k}", comp, True) for k, comp in enumerate(sol.medium_velocity.components)]
+    out += [(f"V^{k}", comp, True) for k, comp in enumerate(velocity.components)]
     out += [(f"g_{k}{k}", comp, None) for k, comp in enumerate(metric.diag)]
     for idx in basis_indices(2):
         (comp,) = hodge_star(metric, form(2, sol.chart.name, {idx: 1.0})).components.values()
@@ -79,7 +84,7 @@ def differentiated_fields(sol):
 
 @pytest.mark.parametrize("solved", [shell, sphere], ids=["shell", "sphere"])
 def test_pruned_partials_equal_dense_partials_exactly(solved):
-    sol, reads = solved()
+    sol, velocity, reads = solved()
     rng = np.random.default_rng(7)
     events = {
         side: np.concatenate(
@@ -88,7 +93,7 @@ def test_pruned_partials_equal_dense_partials_exactly(solved):
         for side in (True, False, None)
     }
     checked_zero = 0
-    for name, field, side in differentiated_fields(sol):
+    for name, field, side in differentiated_fields(sol, velocity):
         assert field.deps & ~reads == 0, f"{name} reads axes {field.deps:04b}"
         for axis in range(4):
             dense = dense_partial(field, axis, events[side])

@@ -225,7 +225,7 @@ def assert_rows_close(rows, rhs, want_rows, want_rhs):
         assert np.abs(got - want).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("beta", [0.01, 0.0], ids=["rotating", "probe-rate"])
+@pytest.mark.parametrize("beta", [0.01, 0.0, 1e-300], ids=["rotating", "probe-rate", "slow-rotation"])
 def test_per_amplitude_sphere_rows_equal_five_assembly_rows(monkeypatch, beta):
     sc = SphereScenario(a=0.05, omega=beta * C / 0.05, e0=1000.0, mat=MaterialParams(4.0, 2.0))
     rows, rhs = matcher_rows(monkeypatch, lambda: match_sphere_constants(sc, seed=2))

@@ -51,8 +51,8 @@ def test_scenario_validation():
 
 def test_non_finite_constants_raise():
     mat = MaterialParams(4.0, 2.0)
-    with pytest.raises(MatchingError):
-        solve_sphere(SphereScenario(a=0.05, omega=math.nan, e0=1000.0, mat=mat))
+    with pytest.raises(ValueError, match="rotation rate must be finite, got nan"):
+        SphereScenario(a=0.05, omega=math.nan, e0=1000.0, mat=mat)
     # matched at unit drive the rows stay finite; P0 = -E0 a^3 (eps_r - 1)/(eps_r + 2) overflows
     with pytest.raises(MatchingError, match="matched p0 = -inf is not finite"):
         solve_sphere(SphereScenario(a=10.0, omega=1.0, e0=1e308, mat=mat))
