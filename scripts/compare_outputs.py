@@ -10,7 +10,7 @@ written under that directory (name or bytes) differs. Every differing case
 is printed; the exit code is 1 if any case differs, else 0. ``-k TEXT``
 keeps the cases whose name contains TEXT.
 
-The 76 cases:
+The 80 cases:
   * 14 configs of each benchmark workload (``perfbench/workloads.py``),
     drawn from its stream at seed 7, run with that workload's flags;
   * the shell and sphere configs of ``tests/test_cli.py``, full and
@@ -24,7 +24,13 @@ The 76 cases:
     take the kernel's ``%`` fallback, and a static sphere on a 64x32 grid,
     whose b columns are 0;
   * 3 spheres rotating so slowly that (a omega / c)^2 underflows to 0,
-    at ``--samples 8``.
+    at ``--samples 8``;
+  * the samples file (``outputs.samples_json``) of the shell and the
+    sphere at ``--samples 512``;
+  * 2 runs whose event arrays span more than one evaluation block
+    (``emforms.fields.BLOCK_EVENTS``): the sphere ``--verify-only`` at
+    ``--samples 10000``, with its samples file, and a shell profile at
+    10,000 radii.
 
 Standard library only.
 """
@@ -110,6 +116,22 @@ SLOW_ROTATION_OVERRIDES = {
     f"omega-{omega!r}": (SPHERE, {"omega_rad_per_s": omega, "material": {"eps_r": 4.0, "mu_r": 2.0}})
     for omega in (1e-200, 1e-300, 5e-324)
 }
+SAMPLES_OUTPUTS = {**TEST_OUTPUTS, "samples_json": "samples.json"}
+# (base, overrides, flags) of the cases that take flags of their own
+FLAGGED_OVERRIDES = {
+    "samples-json/shell-512": (SHELL, {"outputs": SAMPLES_OUTPUTS}, ["--samples", "512"]),
+    "samples-json/sphere-512": (SPHERE, {"outputs": SAMPLES_OUTPUTS}, ["--samples", "512"]),
+    "blocks/sphere-verify-10000": (
+        SPHERE,
+        {"outputs": SAMPLES_OUTPUTS},
+        ["--samples", "10000", "--verify-only"],
+    ),
+    "blocks/shell-profile-10000": (
+        SHELL,
+        {"sampling": {"radial_points": 10000, "angular_points": 8, "seed": 3}},
+        TEST_SAMPLES,
+    ),
+}
 BAD_FLAGS = {
     "samples-0": ["--samples", "0"],
     "samples-negative": ["--samples", "-5"],
@@ -142,6 +164,10 @@ def cases() -> list[tuple[str, str, list[str]]]:
             config = copy.deepcopy(base)
             config.update(overrides)
             out.append((f"{group}/{name}", json.dumps(config), TEST_SAMPLES))
+    for name, (base, overrides, flags) in FLAGGED_OVERRIDES.items():
+        config = copy.deepcopy(base)
+        config.update(overrides)
+        out.append((name, json.dumps(config), flags))
     out.append(("bad/malformed-json", "{not json", TEST_SAMPLES))
     out.append(("bad/missing-sections", json.dumps({"scenario": "cylinder"}), TEST_SAMPLES))
     for name, flags in BAD_FLAGS.items():

@@ -53,8 +53,9 @@ from . import __version__, g17
 
 # The profile builders live with their scenarios and stay importable from here.
 from .cylinder import CylinderScenario, cylinder_profile  # noqa: F401
+from .fields import batches
 from .forms import DegenerateMetricError
-from .junction import covariant_jump_residual, gibbs_jump_residual
+from .junction import JumpReport, covariant_jump_residual, gibbs_jump_residual
 from .media import EMDecomposition, MaterialParams
 from .solutions import FieldSolution, MatchingError, verify_solution
 from .spacetime import lab_frame
@@ -452,12 +453,18 @@ def run(
             )
             junctions, gibbs = [], []
             for iface, events in zip(sol.interfaces, sc.interface_events(n_samples, seed)):
-                junctions.append(
-                    covariant_jump_residual(
-                        sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, events
+                # both checks on one batch per block, sharing their nodes' values
+                reports = [
+                    (
+                        covariant_jump_residual(
+                            sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, batch
+                        ),
+                        gibbs_jump_residual(*decs, iface, frame, metric, batch),
                     )
-                )
-                gibbs.append(gibbs_jump_residual(*decs, iface, frame, metric, events))
+                    for batch in batches(events)
+                ]
+                junctions.append(JumpReport.concat([covariant for covariant, _ in reports]))
+                gibbs.append(JumpReport.concat([report for _, report in reports]))
             if not verify_only:
                 observables = sc.observables(constants)
                 header, values, axes = sc.profile(decs, *[getattr(cfg, key) for key in sc.PROFILE_GRID])

@@ -329,14 +329,8 @@ def cylinder_profile(sc: CylinderScenario, decs, radial_points: int):
     sources[2, inside] = rho.component((1, 2, 3)).eval(medium) / radii[inside]
     # azimuthal flux density on dz^dr
     sources[3, inside] = -current.component((1, 3)).eval(medium)
-    columns = [
-        by_side(decs, inside, events, "e", (1,)),
-        by_side(decs, inside, events, "b", (3,)),
-        by_side(decs, inside, events, "d", (1,)),
-        by_side(decs, inside, events, "h", (3,)),
-        *sources,
-    ]
-    return header, np.column_stack(columns), (radii,)
+    columns = by_side(decs, inside, events, [("e", (1,)), ("b", (3,)), ("d", (1,)), ("h", (3,))])
+    return header, np.column_stack([*columns, *sources]), (radii,)
 
 
 def cylinder_bound_sources(

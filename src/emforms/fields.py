@@ -23,6 +23,19 @@ their operands' bits. A raw ``ScalarField(fn)`` is assumed to read all four
 coordinates unless it declares what it reads. A partial derivative along an
 axis whose bit is clear is the structural zero, so no derivative pass is
 ever spent on a coordinate the field does not read.
+
+Fields are evaluated on a :class:`Batch`: the four coordinate arrays of a
+block of at most ``BLOCK_EVENTS`` events, with a cache of the values the
+closure nodes have taken on them. Every node but a coordinate or a
+constant keeps its value in the batch's cache, so a node reached twice on
+one batch, by one field or by several evaluated on the same batch, is
+computed once; each element still goes through the same IEEE operations.
+A derivative pass seeds a batch of its own, with its own cache, once per
+batch and axis, and every partial along that axis on the batch shares it;
+no dual value leaves its pass. A node that raises stores nothing, so its guard
+raises again on the next evaluation that reaches it. The evaluators take
+either an (N, 4) event array, which :func:`blockwise` splits into blocks,
+each a fresh batch, or a batch that the caller shares between them.
 """
 
 from __future__ import annotations
@@ -64,14 +77,98 @@ def first_bad_event(bad, event) -> tuple[float, ...] | None:
 
 ALL_AXES = 0b1111
 
+# Events per batch; the cache of a batch holds one array of this length per
+# node it evaluates, so the block size bounds the cache's memory.
+BLOCK_EVENTS = 4096
+
+
+class Batch(tuple):
+    """The four coordinate arrays of a block of events, and the cache of the
+    values that closure nodes have taken on them, keyed by node.
+
+    ``events`` is the (n, 4) block itself; a batch seeded for a derivative
+    pass has none. ``passes`` holds the passes seeded on the batch.
+    """
+
+    def __new__(cls, coords, events: np.ndarray | None = None):
+        batch = super().__new__(cls, coords)
+        batch.events = events
+        batch.cache = {}
+        batch.passes = {}
+        return batch
+
+    def seeded(self, axis: int) -> tuple["Batch", int]:
+        """The batch of the derivative pass along ``axis`` on this batch, and
+        its tag: seeded on first use, then shared by every partial along
+        that axis evaluated on this batch."""
+        seeded = self.passes.get(axis)
+        if seeded is None:
+            tag = dual.fresh_tag()
+            coords = list(self)
+            coords[axis] = Dual(coords[axis], 1.0, tag)
+            seeded = self.passes[axis] = (Batch(coords), tag)
+        return seeded
+
+    @classmethod
+    def of(cls, events: np.ndarray) -> "Batch":
+        """A fresh batch over the rows of an (n, 4) event array."""
+        return cls(tuple(events.T), events)
+
+
+def batches(events):
+    """A fresh batch for each block of ``BLOCK_EVENTS`` rows of an (N, 4)
+    event array, in order, made as it is reached; no events give one empty
+    batch."""
+    events = event_array(events)
+    for start in range(0, len(events) or 1, BLOCK_EVENTS):
+        yield Batch.of(events[start : start + BLOCK_EVENTS])
+
+
+def blockwise(fn, events):
+    """``fn(batch)`` on a batch, or on each of the :func:`batches` of an
+    (N, 4) event array in turn. The results, arrays over the events or
+    lists, tuples and dicts of them, are joined block after block."""
+    if isinstance(events, Batch):
+        return fn(events)
+    parts = [fn(batch) for batch in batches(events)]
+    return parts[0] if len(parts) == 1 else _join(parts)
+
+
+def _join(parts: list):
+    first = parts[0]
+    if isinstance(first, dict):
+        return {key: _join([part[key] for part in parts]) for key in first}
+    if isinstance(first, (list, tuple)):
+        return type(first)(_join(list(column)) for column in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _cached(compute: Callable) -> Callable:
+    """``compute`` as a node closure whose value the batch's cache keeps,
+    keyed by ``compute``; no node takes the value None. Keyed by the
+    closure itself, each node would be a reference cycle, left to the
+    cyclic garbage collector."""
+
+    def fn(event):
+        value = event.cache.get(compute)
+        if value is None:
+            value = event.cache[compute] = compute(event)
+        return value
+
+    return fn
+
 
 class ScalarField:
-    """Real-valued function of an event, differentiable by dual numbers."""
+    """Real-valued function of an event, differentiable by dual numbers.
+
+    ``fn`` maps a batch to the values there; unless the field is constant,
+    its values are kept in the cache of each batch it is evaluated on.
+    """
 
     __slots__ = ("fn", "const", "deps", "is_zero")
 
     def __init__(self, fn: Callable, const: float | None = None, deps: int = ALL_AXES):
-        self.fn = fn
+        self.fn = fn if const is not None else _cached(fn)
         self.const = const
         self.deps = 0 if const is not None else deps
         self.is_zero = const == 0.0
@@ -95,15 +192,21 @@ class ScalarField:
     def coordinate(axis: int) -> "ScalarField":
         if axis not in (0, 1, 2, 3):
             raise ValueError(f"coordinate axis must be 0..3, got {axis}")
-        return ScalarField(operator.itemgetter(axis), deps=1 << axis)
+        read = operator.itemgetter(axis)
+        field = ScalarField(read, deps=1 << axis)
+        field.fn = read  # read off the batch, never cached
+        return field
 
     # -- evaluation ------------------------------------------------------
 
     def eval(self, events) -> np.ndarray:
-        """Values at the rows of an (N, 4) event array, one closure walk."""
-        events = event_array(events)
-        out = np.empty(len(events))
-        out[...] = real(self.fn(tuple(events.T)))
+        """Values at the events of a batch, or at the rows of an (N, 4) event
+        array, block by block."""
+        return blockwise(self._values, events)
+
+    def _values(self, batch: Batch) -> np.ndarray:
+        out = np.empty(len(batch.events))
+        out[...] = real(self.fn(batch))
         return out
 
     def partial_field(self, axis: int) -> "ScalarField":
@@ -114,9 +217,7 @@ class ScalarField:
         fn = self.fn
 
         def dfn(event):
-            tag = dual.fresh_tag()
-            seeded = list(event)
-            seeded[axis] = Dual(seeded[axis], 1.0, tag)
+            seeded, tag = event.seeded(axis)
             return dual.extract(fn(seeded), tag)
 
         return ScalarField(dfn, deps=self.deps)

@@ -26,14 +26,15 @@ never dropped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dual import real
 from .dual import sqrt as dual_sqrt
-from .fields import ScalarField, coerce, event_array, first_bad_event
+from .fields import Batch, ScalarField, blockwise, coerce, first_bad_event
 
 DIM = 4
 
@@ -139,9 +140,14 @@ class VectorField4:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalMetric:
-    """Diagonal spacetime metric, signature (-, +, +, +)."""
+    """Diagonal spacetime metric, signature (-, +, +, +).
+
+    ``_hodge`` holds the Hodge coefficient field of each multi-index, built
+    once, so that every dual taken with the metric shares its nodes.
+    """
 
     diag: tuple[ScalarField, ScalarField, ScalarField, ScalarField]
+    _hodge: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         diag = tuple(coerce(g) for g in self.diag)
@@ -247,11 +253,19 @@ def interior_product(v: VectorField4, a: DifferentialForm) -> DifferentialForm:
 
 
 def _hodge_coefficient(g: DiagonalMetric, idx: MultiIndex) -> ScalarField:
-    """sqrt(|det g|) / prod_{i in idx} g_ii, guarded against degeneracy.
+    """sqrt(|det g|) / prod_{i in idx} g_ii, guarded against degeneracy;
+    the same field object for the same metric and index.
 
     A constant diagonal component is checked against the floor here, once;
     the others are checked at every evaluation, naming the first bad event.
     """
+    coefficient = g._hodge.get(idx)
+    if coefficient is None:
+        coefficient = g._hodge[idx] = _build_hodge_coefficient(g, idx)
+    return coefficient
+
+
+def _build_hodge_coefficient(g: DiagonalMetric, idx: MultiIndex) -> ScalarField:
     diag = g.diag
     consts = [gi.const for gi in diag]
     for i, v in enumerate(consts):
@@ -324,15 +338,17 @@ def subtract(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
 
 
 def evaluate(a: DifferentialForm, events) -> dict[MultiIndex, np.ndarray]:
-    """Component values over an (N, 4) event array, zeros for absent indices.
+    """Component values at the events of a batch or the rows of an (N, 4)
+    event array, zeros for absent indices; every component of a block is
+    evaluated on one batch."""
+    return blockwise(partial(_evaluate, a), events)
 
-    Each component's closure tree is walked once, with coordinate arrays.
-    """
-    events = event_array(events)
+
+def _evaluate(a: DifferentialForm, batch: Batch) -> dict[MultiIndex, np.ndarray]:
     out: dict[MultiIndex, np.ndarray] = {}
     for idx in _VALID[a.grade]:
         f = a.components.get(idx)
-        out[idx] = np.zeros(len(events)) if f is None else f.eval(events)
+        out[idx] = np.zeros(len(batch.events)) if f is None else f.eval(batch)
     return out
 
 
@@ -346,12 +362,15 @@ def max_or_nan(values: np.ndarray) -> float:
 
 
 def component_max(a: DifferentialForm, events) -> np.ndarray:
-    """Largest absolute component value at each row of an (N, 4) event
-    array; NaN where any component is NaN."""
-    events = event_array(events)
-    out = np.zeros(len(events))
+    """Largest absolute component value at each event of a batch or row of
+    an (N, 4) event array; NaN where any component is NaN."""
+    return blockwise(partial(_component_max, a), events)
+
+
+def _component_max(a: DifferentialForm, batch: Batch) -> np.ndarray:
+    out = np.zeros(len(batch.events))
     for f in a.components.values():
-        out = np.maximum(out, np.abs(f.eval(events)))  # propagates NaN
+        out = np.maximum(out, np.abs(f.eval(batch)))  # propagates NaN
     return out
 
 

@@ -19,12 +19,12 @@ lab-aligned observer as a cross-check, with N the outward unit normal
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
 
-from .fields import Event, ScalarField, coerce, event_array, first_bad_event
+from .fields import Batch, Event, ScalarField, blockwise, coerce, event_array, first_bad_event
 from .forms import (
     DiagonalMetric,
     DifferentialForm,
@@ -70,6 +70,11 @@ class Interface:
         object.__setattr__(self, "phi", coerce(self.phi))
 
     def gradient(self) -> DifferentialForm:
+        """dPhi, built once, so that every check on a batch shares its nodes."""
+        return self._gradient
+
+    @cached_property
+    def _gradient(self) -> DifferentialForm:
         return exterior_derivative(DifferentialForm(0, {(): self.phi}, self.chart))
 
 
@@ -80,6 +85,7 @@ class JumpReport:
     ``samples`` is the (N, 4) event array and each residual an array over
     those events. The residual functions store them read-only, so the
     maxima and the summary, computed once on first use, cannot go stale.
+    :meth:`concat` joins the reports of consecutive blocks of events.
     :meth:`to_json_dict` is the summary that ``verification.json`` holds;
     :meth:`arrays_json_dict` the per-sample arrays of the opt-in samples
     output.
@@ -89,6 +95,21 @@ class JumpReport:
     samples: np.ndarray
     residuals: dict[str, np.ndarray]
     residuals_rel: dict[str, np.ndarray]
+
+    @classmethod
+    def concat(cls, parts: Sequence["JumpReport"]) -> "JumpReport":
+        """One report over the events of reports on one interface, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        names = parts[0].residuals
+        return _report(
+            parts[0].interface,
+            np.concatenate([part.samples for part in parts]),
+            *(
+                {name: np.concatenate([getattr(part, attr)[name] for part in parts]) for name in names}
+                for attr in ("residuals", "residuals_rel")
+            ),
+        )
 
     @cached_property
     def max_abs(self) -> float:
@@ -135,10 +156,14 @@ class JumpReport:
         }
 
 
-def _on_interface(iface: Interface, samples) -> np.ndarray:
-    """``samples`` as a new (N, 4) event array, each checked to lie on the interface."""
-    events = event_array(np.array(samples, dtype=float))
-    phi = iface.phi.eval(events)
+def _on_interface(iface: Interface, samples) -> tuple[np.ndarray, Batch | np.ndarray]:
+    """The events of ``samples``, a batch or a sequence of events, as a new
+    (N, 4) event array, each checked to lie on the interface; and what the
+    checks evaluate on: the batch, or that array."""
+    shared = isinstance(samples, Batch)
+    events = event_array(np.array(samples.events if shared else samples, dtype=float))
+    on = samples if shared else events
+    phi = iface.phi.eval(on)
     off = np.abs(phi) > ON_INTERFACE_TOL
     if off.any():
         k = int(off.argmax())
@@ -146,11 +171,11 @@ def _on_interface(iface: Interface, samples) -> np.ndarray:
             f"event {tuple(events[k].tolist())} is off interface {iface.name!r}: "
             f"Phi = {phi[k]:.3e}"
         )
-    return events
+    return events, on
 
 
-def _require_nondegenerate(bad: np.ndarray, events: np.ndarray, what: str) -> None:
-    where = first_bad_event(bad, events.T)
+def _require_nondegenerate(bad: np.ndarray, batch: Batch, what: str) -> None:
+    where = first_bad_event(bad, batch)
     if where is not None:
         raise DegenerateInterfaceError(f"dPhi {what} at {where}")
 
@@ -162,24 +187,28 @@ def interface_normal_velocity(
     events,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Unit spatial normal 1-form (coordinate components) and normal speed
-    at the rows of an (N, 4) event array, each an array over the events.
+    at the events of a batch or the rows of an (N, 4) event array, each an
+    array over the events.
 
     N is the frame-orthogonal projection of dPhi, normalised in the
     induced spatial metric; v_N = -(i_U dPhi) c / |projection| is positive
     for an interface moving toward the Phi > 0 side.
     """
-    events = event_array(events)
-    u_vec = [frame.components[a].eval(events) for a in range(4)]
-    g_vec = [g.diag[a].eval(events) for a in range(4)]
-    dphi = evaluate(iface.gradient(), events)
+    return blockwise(partial(_normal_velocity, iface, frame, g), events)
+
+
+def _normal_velocity(iface, frame, g, batch: Batch) -> tuple[list[np.ndarray], np.ndarray]:
+    u_vec = [frame.components[a].eval(batch) for a in range(4)]
+    g_vec = [g.diag[a].eval(batch) for a in range(4)]
+    dphi = evaluate(iface.gradient(), batch)
     dphi_vec = [dphi[(a,)] for a in range(4)]
     scale_dphi = np.max(np.abs(dphi_vec), axis=0)
-    _require_nondegenerate(scale_dphi <= 0.0, events, "vanishes")
+    _require_nondegenerate(scale_dphi <= 0.0, batch, "vanishes")
     contracted = sum(d * u for d, u in zip(dphi_vec, u_vec))
     u_flat = [gv * uv for gv, uv in zip(g_vec, u_vec)]
     projected = [d + contracted * uf for d, uf in zip(dphi_vec, u_flat)]
     norm_sq = sum(p * p / gv for p, gv in zip(projected, g_vec))
-    _require_nondegenerate(norm_sq <= (1e-14 * scale_dphi) ** 2, events, "is purely temporal")
+    _require_nondegenerate(norm_sq <= (1e-14 * scale_dphi) ** 2, batch, "is purely temporal")
     norm = norm_sq**0.5
     c = (-g_vec[0]) ** 0.5
     normal = [p / norm for p in projected]
@@ -204,9 +233,10 @@ def covariant_jump_residual(
     g_out: DifferentialForm,
     iface: Interface,
     metric: DiagonalMetric,
-    samples: Sequence[Event],
+    samples: Sequence[Event] | Batch,
 ) -> JumpReport:
-    """Residuals of [F] ^ dPhi and [star G] ^ dPhi at interface events.
+    """Residuals of [F] ^ dPhi and [star G] ^ dPhi at interface events,
+    ``samples`` being a batch or a sequence of events.
 
     Relative residuals are normalised per condition by the exterior-field
     scale at each sample: |F_out| |dPhi| for the first condition and
@@ -220,41 +250,42 @@ def covariant_jump_residual(
     jumps = field_jumps(f_in, f_out, hodge_star(metric, g_in), star_g_out)
     jump_f, jump_g = [wedge(jump, dphi) for jump in jumps]
 
-    events = _on_interface(iface, samples)
-    dphi_scale = component_max(dphi, events)
-    _require_nondegenerate(dphi_scale <= 0.0, events, "vanishes")
-    rf = component_max(jump_f, events)
-    rg = component_max(jump_g, events)
-    sf = component_max(f_out, events) * dphi_scale
-    sg = component_max(star_g_out, events) * dphi_scale
-    return _report(
-        iface,
-        events,
-        {"f_jump": rf, "star_g_jump": rg},
-        {
-            "f_jump": rf / np.maximum(sf, _SCALE_FLOOR),
-            "star_g_jump": rg / np.maximum(sg, _SCALE_FLOOR),
-        },
-    )
+    def residuals(batch):
+        dphi_scale = component_max(dphi, batch)
+        _require_nondegenerate(dphi_scale <= 0.0, batch, "vanishes")
+        rf = component_max(jump_f, batch)
+        rg = component_max(jump_g, batch)
+        sf = component_max(f_out, batch) * dphi_scale
+        sg = component_max(star_g_out, batch) * dphi_scale
+        return (
+            {"f_jump": rf, "star_g_jump": rg},
+            {
+                "f_jump": rf / np.maximum(sf, _SCALE_FLOOR),
+                "star_g_jump": rg / np.maximum(sg, _SCALE_FLOOR),
+            },
+        )
+
+    events, on = _on_interface(iface, samples)
+    return _report(iface.name, events, *blockwise(residuals, on))
 
 
 def _report(
-    iface: Interface, events: np.ndarray, residuals: dict, residuals_rel: dict
+    interface: str, events: np.ndarray, residuals: dict, residuals_rel: dict
 ) -> JumpReport:
     for values in (events, *residuals.values(), *residuals_rel.values()):
         values.setflags(write=False)
     return JumpReport(
-        interface=iface.name,
+        interface=interface,
         samples=events,
         residuals=residuals,
         residuals_rel=residuals_rel,
     )
 
 
-def _require_lab_aligned(u_vec, events: np.ndarray) -> None:
+def _require_lab_aligned(u_vec, batch: Batch) -> None:
     """Raise unless the frame components ``u_vec`` have no spatial part at any event."""
     bad = np.max(np.abs(u_vec[1:]), axis=0) > 1e-12 * np.abs(u_vec[0])
-    where = first_bad_event(bad, events.T)
+    where = first_bad_event(bad, batch)
     if where is not None:
         raise ValueError(
             "Gibbs residuals are implemented for lab-aligned frames only; "
@@ -262,8 +293,8 @@ def _require_lab_aligned(u_vec, events: np.ndarray) -> None:
         )
 
 
-def _orthonormal_spatial(one_form: DifferentialForm, events, g_vec) -> list[np.ndarray]:
-    vals = evaluate(one_form, events)
+def _orthonormal_spatial(one_form: DifferentialForm, batch: Batch, g_vec) -> list[np.ndarray]:
+    vals = evaluate(one_form, batch)
     return [vals[(i,)] / g_vec[i] ** 0.5 for i in (1, 2, 3)]
 
 
@@ -282,25 +313,31 @@ def gibbs_jump_residual(
     iface: Interface,
     frame: VectorField4,
     g: DiagonalMetric,
-    samples: Sequence[Event],
+    samples: Sequence[Event] | Batch,
 ) -> JumpReport:
-    """3-vector jump relations evaluated in the observer's spatial frame.
+    """3-vector jump relations evaluated in the observer's spatial frame,
+    ``samples`` being a batch or a sequence of events.
 
     Both decompositions must use the same lab-aligned frame. Relative
     residuals are normalised per condition by the larger of the two
     sides' field scales at the sample.
     """
-    events = _on_interface(iface, samples)
-    u_vec = [frame.components[a].eval(events) for a in range(4)]
-    _require_lab_aligned(u_vec, events)
-    g_vec = [g.diag[a].eval(events) for a in range(4)]
+    events, on = _on_interface(iface, samples)
+    residuals = partial(_gibbs_residuals, dec_in, dec_out, iface, frame, g)
+    return _report(iface.name, events, *blockwise(residuals, on))
+
+
+def _gibbs_residuals(dec_in, dec_out, iface, frame, g, batch: Batch) -> tuple[dict, dict]:
+    u_vec = [frame.components[a].eval(batch) for a in range(4)]
+    _require_lab_aligned(u_vec, batch)
+    g_vec = [g.diag[a].eval(batch) for a in range(4)]
     c = (-g_vec[0]) ** 0.5
-    normal, v_n = interface_normal_velocity(iface, frame, g, events)
+    normal, v_n = interface_normal_velocity(iface, frame, g, batch)
     n_hat = [normal[i] / g_vec[i] ** 0.5 for i in (1, 2, 3)]
 
     def jump_and_scale(attr):
-        a = _orthonormal_spatial(getattr(dec_in, attr), events, g_vec)
-        b = _orthonormal_spatial(getattr(dec_out, attr), events, g_vec)
+        a = _orthonormal_spatial(getattr(dec_in, attr), batch, g_vec)
+        b = _orthonormal_spatial(getattr(dec_out, attr), batch, g_vec)
         jump = [bv - av for av, bv in zip(a, b)]
         scale = np.maximum(np.max(np.abs(a), axis=0), np.max(np.abs(b), axis=0))
         return jump, scale
@@ -320,9 +357,7 @@ def gibbs_jump_residual(
     # residual meaningful when one field vanishes identically.
     scale_g = np.maximum(sd, sh / c)
     scale_f = np.maximum(se, c * sb)
-    return _report(
-        iface,
-        events,
+    return (
         {
             "normal_d": normal_d,
             "tangential_h": tang_h,

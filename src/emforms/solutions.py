@@ -9,6 +9,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .fields import blockwise
 from .forms import (
     DiagonalMetric,
     DifferentialForm,
@@ -105,13 +106,16 @@ def grid_and_box_events(grid, box: Sequence[BoxSlot], n: int, seed: int) -> np.n
     return np.concatenate([gridded, sample_box(box, n - half, np.random.default_rng(seed))])
 
 
-def by_side(decs, inside: np.ndarray, events: np.ndarray, attr: str, idx) -> np.ndarray:
-    """One component of a frame field over the events, each of the (interior,
-    exterior) decompositions ``decs`` evaluated only on its own side (the
-    interior one raises past the light cylinder, which a profile may reach)."""
-    out = np.empty(len(events))
+def by_side(decs, inside: np.ndarray, events: np.ndarray, components) -> np.ndarray:
+    """Components of the frame fields over the events, one row per
+    ``(attr, idx)`` of ``components``, each of the (interior, exterior)
+    decompositions ``decs`` evaluated only on its own side (the interior
+    one raises past the light cylinder, which a profile may reach), with
+    all components of a side evaluated on one batch per block."""
+    out = np.empty((len(components), len(events)))
     for dec, mask in zip(decs, (inside, ~inside)):
-        out[mask] = getattr(dec, attr).component(idx).eval(events[mask])
+        fields = [getattr(dec, attr).component(idx) for attr, idx in components]
+        out[:, mask] = blockwise(lambda batch: [f.eval(batch) for f in fields], events[mask])
     return out
 
 
@@ -178,7 +182,9 @@ def match_junctions(
     blocks = []
     for iface, events in junctions:
         dphi = iface.gradient()
-        values = [[evaluate(wedge(jump, dphi), events) for jump in pair] for pair in jumps]
+        wedges = [[wedge(jump, dphi) for jump in pair] for pair in jumps]
+        # every piece on one batch per block of the interface's events
+        values = blockwise(lambda batch: [[evaluate(w, batch) for w in pair] for pair in wedges], events)
         a = np.array([[[v[i] for i in idxs] for v in pair] for pair in values])
         # (piece, condition, component, event) -> event-major rows, a column per piece
         blocks.append(a.transpose(3, 1, 2, 0).reshape(-1, len(pieces)))
@@ -302,7 +308,9 @@ def verify_solution(
         df, dsg = derivatives[region.interior]
         sg = star_g[region.interior]
         events = sample_box(region.box, samples_per_region, rng)
-        values = [component_max(form, events) for form in (df, f_form, dsg, sg)]
+        # the four forms on one batch per block, sharing their nodes' values
+        forms = (df, f_form, dsg, sg)
+        values = blockwise(lambda batch: [component_max(form, batch) for form in forms], events)
         max_df, max_f, max_dsg, max_sg = map(max_or_nan, values)
         rel_df = sol.length_scale * max_df / max(max_f, 1e-300)
         rel_dsg = sol.length_scale * max_dsg / max(max_sg, 1e-300)

@@ -91,7 +91,9 @@ def rotating_velocity(chart: Chart, omega: float, azimuth_axis: int) -> VectorFi
             raise LightConeError(f"rotation reaches light speed at event {where}")
         return dual.sqrt(arg)
 
+    # one node, so that both components share its value on a batch
+    root_field = ScalarField(root, deps=g_az.deps)
     comps = [ScalarField.zero()] * 4
-    comps[0] = ScalarField(lambda ev: 1.0 / root(ev), deps=g_az.deps)
-    comps[azimuth_axis] = ScalarField(lambda ev: omega / root(ev), deps=g_az.deps)
+    comps[0] = 1.0 / root_field
+    comps[azimuth_axis] = omega / root_field
     return VectorField4(tuple(comps), chart.name)

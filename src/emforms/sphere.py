@@ -327,10 +327,5 @@ def sphere_profile(sc: SphereScenario, decs, radial_points: int, angular_points:
     th = np.tile(thetas, radial_points)
     events = np.column_stack([np.zeros_like(r), r, th, np.zeros_like(r)])
     inside = r < sc.a
-    columns = [
-        by_side(decs, inside, events, "e", (1,)),
-        by_side(decs, inside, events, "e", (2,)) / r,
-        by_side(decs, inside, events, "b", (1,)),
-        by_side(decs, inside, events, "b", (2,)) / r,
-    ]
-    return header, np.column_stack(columns), (radii, thetas)
+    e_r, e_th, b_r, b_th = by_side(decs, inside, events, [("e", (1,)), ("e", (2,)), ("b", (1,)), ("b", (2,))])
+    return header, np.column_stack([e_r, e_th / r, b_r, b_th / r]), (radii, thetas)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from emforms import dual
-from emforms.fields import ScalarField, event_array
+from emforms.fields import Batch, ScalarField, event_array
 from emforms.forms import DifferentialForm, basis_indices
 from one_event import value
 
@@ -53,7 +53,7 @@ def dense_partial(field: ScalarField, axis: int, events) -> np.ndarray:
     seeded = list(events.T)
     seeded[axis] = dual.Dual(seeded[axis], 1.0, tag)
     out = np.empty(len(events))
-    out[...] = dual.real(dual.extract(field.fn(tuple(seeded)), tag))
+    out[...] = dual.real(dual.extract(field.fn(Batch(seeded)), tag))
     return out
 
 

@@ -6,6 +6,7 @@ kernel on the one-row array of each event, so a row that leaks into
 another, where batching goes wrong, shows as a difference.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from emforms import dual, solutions
 from emforms.cylinder import CylinderScenario, solve_cylinder
 from emforms.dual import Dual
-from emforms.fields import ScalarField
+from emforms.fields import Batch, ScalarField, sin
 from emforms.forms import (
     DegenerateMetricError,
     component_max,
@@ -30,6 +31,7 @@ from emforms.junction import (
     DegenerateInterfaceError,
     Interface,
     InterfaceSampleError,
+    JumpReport,
     covariant_jump_residual,
     gibbs_jump_residual,
     interface_normal_velocity,
@@ -326,3 +328,92 @@ def test_nan_event_fails_its_interface(shell):
         assert not report.max_rel <= 1e-10
         rel = np.array(list(report.residuals_rel.values()))
         assert np.isfinite(rel).all(axis=0).tolist() == [True, True, False, True, True]
+
+
+# -- the batch cache ----------------------------------------------------------
+
+
+def polar_field() -> ScalarField:
+    r, th = ScalarField.coordinate(1), ScalarField.coordinate(2)
+    return r * r * sin(th) + sin(th) / r
+
+
+def test_a_field_alternating_between_two_event_arrays_gives_each_its_values(rng):
+    f = polar_field()
+    arrays = [rng.uniform(0.5, 2.0, size=(5, 4)) for _ in range(2)]
+    want = [[one_event.value(f, ev) for ev in events] for events in arrays]
+    batches = [Batch.of(events) for events in arrays]
+    for k in (0, 1, 0, 1):
+        assert f.eval(arrays[k]).tolist() == want[k]
+        assert f.eval(batches[k]).tolist() == want[k]
+
+
+def test_a_field_and_its_first_and_second_partials_share_one_batch(rng):
+    f = polar_field()
+    d1 = f.partial_field(1)
+    d2 = d1.partial_field(1)
+    events = rng.uniform(0.5, 2.0, size=(6, 4))
+    for order in ((f, d1, d2), (d2, d1, f)):
+        batch = Batch.of(events)
+        for g in order:
+            assert g.eval(batch).view(np.int64).tolist() == g.eval(events).view(np.int64).tolist()
+
+
+def test_a_guard_raises_again_on_a_second_evaluation_of_its_batch(shell):
+    _, sol = shell
+    metric = sol.chart.metric
+    # the interior decomposition past the light cylinder, as a profile may reach it
+    dec = EMDecomposition.of(sol.f_in, sol.g_in, lab_frame(sol.chart), metric)
+    past = Batch.of(five_events((0.0, 2.0 * C / 100.0, 0.6, 0.01)))
+    # the cylindrical metric degenerates at r = 0
+    star = hodge_star(metric, form(2, sol.chart.name, {(0, 1): 1.0, (1, 2): 1.0}))
+    axis = Batch.of(five_events((0.0, 0.0, 0.6, 0.01)))
+    for error, a, batch in ((LightConeError, dec.d, past), (DegenerateMetricError, star, axis)):
+        for _ in range(2):
+            with pytest.raises(error):
+                evaluate(a, batch)
+
+
+def test_reports_on_a_shared_batch_and_on_blocks_equal_the_report_on_the_array(shell):
+    sc, sol = shell
+    metric, frame = sol.chart.metric, lab_frame(sol.chart)
+    sides = ((sol.f_in, sol.g_in), (sol.f_out, sol.g_out))
+    decs = [EMDecomposition.of(f, g, frame, metric) for f, g in sides]
+    iface = sol.interfaces[1]
+    events = sc.interface_events(12, seed=2)[1]
+
+    def reports(samples):
+        return (
+            covariant_jump_residual(sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, samples),
+            gibbs_jump_residual(*decs, iface, frame, metric, samples),
+        )
+
+    whole = reports(events)
+    halves = [reports(Batch.of(events[rows])) for rows in (slice(0, 5), slice(5, None))]
+    for k, want in enumerate(whole):
+        for got in (reports(Batch.of(events))[k], JumpReport.concat([half[k] for half in halves])):
+            assert got.samples.tolist() == want.samples.tolist()
+            assert not got.samples.flags.writeable
+            assert got.to_json_dict() == want.to_json_dict()
+            for name, values in want.residuals_rel.items():
+                assert got.residuals_rel[name].view(np.int64).tolist() == values.view(np.int64).tolist()
+
+
+def test_cached_nodes_and_batches_are_freed_without_the_cycle_collector(shell, rng):
+    """A run builds thousands of nodes; were each a reference cycle, the
+    cyclic collector would run many times per run and stretch its tail."""
+    _, sol = shell
+    events = rng.uniform(0.5, 2.0, size=(6, 4)) * [1.0, 0.03, 1.0, 1.0]
+    gc.collect()
+    gc.disable()
+    try:
+        f = polar_field()
+        star = hodge_star(sol.chart.metric, sol.g_in)
+        batch = Batch.of(events)
+        for g in (f, f.partial_field(1).partial_field(2)):
+            g.eval(batch)
+        evaluate(exterior_derivative(star), batch)
+        del f, g, star, batch
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -251,18 +251,18 @@ def test_profile_row_ceiling_counts_the_scenario_grid(tmp_path, make_config, sam
             RunConfig.from_dict(cfg)
 
 
-def test_profile_at_the_row_ceiling_stays_under_256_mb(tmp_path):
+def run_in_child(path: str, out, flags: str) -> tuple[int, int]:
+    """Exit code and peak resident set in KiB of ``cli.run(path, <flags>,
+    out_dir=out)`` in a fresh interpreter. The child reports its own
+    VmHWM; its ru_maxrss would carry over the peak of the process that
+    spawned it."""
     import emforms
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(emforms.__file__)))
-    path, _ = cylinder_config(tmp_path, sampling={"radial_points": MAX_PROFILE_ROWS})
-    out = tmp_path / "out"
-    # the child reports its own peak resident set, VmHWM in KiB; its
-    # ru_maxrss would carry over the peak of the process that spawned it
     child = (
         "import sys\n"
         "from emforms.cli import run\n"
-        "code = run(sys.argv[1], samples=8, out_dir=sys.argv[2])\n"
+        f"code = run(sys.argv[1], {flags}, out_dir=sys.argv[2])\n"
         "with open('/proc/self/status') as fh:\n"
         "    print(code, next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
     )
@@ -274,10 +274,34 @@ def test_profile_at_the_row_ceiling_stays_under_256_mb(tmp_path):
         check=True,
     )
     code, peak_kib = map(int, result.stdout.split())
+    return code, peak_kib
+
+
+def test_profile_at_the_row_ceiling_stays_under_256_mb(tmp_path):
+    path, _ = cylinder_config(tmp_path, sampling={"radial_points": MAX_PROFILE_ROWS})
+    out = tmp_path / "out"
+    code, peak_kib = run_in_child(path, out, "samples=8")
     assert code == 0
     assert peak_kib < 256 * 1024
     with open(out / "profile.csv", "rb") as fh:
         assert sum(1 for _ in fh) == 1 + MAX_PROFILE_ROWS
+
+
+@pytest.mark.parametrize(
+    "make_config, bound_mb",
+    [
+        # VmHWM before values were cached per batch: 102.8 MB; bound 1.25x, rounded up to 8 MB
+        (cylinder_config, 136),
+        # VmHWM before values were cached per batch: 84.6 MB; bound 1.25x, rounded up to 8 MB
+        (sphere_config, 112),
+    ],
+    ids=["shell", "sphere"],
+)
+def test_verify_only_at_the_sample_ceiling_stays_under_its_bound(tmp_path, make_config, bound_mb):
+    path, _ = make_config(tmp_path)
+    code, peak_kib = run_in_child(path, tmp_path / "out", f"verify_only=True, samples={MAX_SAMPLES}")
+    assert code == 0
+    assert peak_kib < bound_mb * 1024
 
 
 def test_cli_import_loads_no_scipy():

@@ -2,10 +2,11 @@
 
 Constant operands captured in closures, the index tables of ``forms``,
 metric constants checked once, the interface grids built as array
-expressions and the shared junction matcher's rows must give what the
-generic construction gives: bit for bit where the floating-point
-operations are the same, to rounding where the matcher's columns are no
-longer differences of full assemblies or per-basis forms.
+expressions, the shared junction matcher's rows and the values cached on
+a shared batch must give what the generic construction gives: bit for bit
+where the floating-point operations are the same, to rounding where the
+matcher's columns are no longer differences of full assemblies or
+per-basis forms.
 """
 
 import itertools
@@ -17,21 +18,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emforms import forms, solutions, sphere
+from emforms import fields, forms, solutions, sphere
 from emforms.cylinder import CylinderScenario, interface_sample_events, match_cylinder_amplitudes
-from emforms.fields import ScalarField
+from emforms.fields import Batch, ScalarField, blockwise
 from emforms.forms import (
     DegenerateMetricError,
     GradeMismatchError,
     basis_indices,
     evaluate,
+    exterior_derivative,
     form,
     hodge_star,
     perm_parity,
 )
-from emforms.media import MaterialParams
+from emforms.media import EMDecomposition, MaterialParams
 from emforms.solutions import MATCH_SAMPLES
-from emforms.spacetime import cartesian_chart, cylindrical_chart
+from emforms.spacetime import cartesian_chart, cylindrical_chart, lab_frame
 from emforms.sphere import SphereScenario, match_sphere_constants, sphere_interface_events
 from oracles import (
     dense_partial,
@@ -56,23 +58,36 @@ trees = st.recursive(
         st.tuples(st.sampled_from("+-*/"), numbers, children),  # reflected: k op f
         st.tuples(st.sampled_from("+-*/"), children, numbers),
         st.tuples(st.just("neg"), children),
+        st.tuples(st.just("twice"), st.sampled_from("+-*/"), children),  # f op f, one subtree
+        st.tuples(st.just("d"), st.integers(0, 3), children),  # a partial derivative
     ),
     max_leaves=12,
 )
 
 
-def build(tree, binary):
-    """The field of ``tree``; ``binary(op, a, b)`` combines two operands."""
+def build(tree, binary, built=None):
+    """The field of ``tree``; ``binary(op, a, b)`` combines two operands.
+    Every field built on the way, the last one included, is appended to
+    the list ``built`` when one is given."""
     if tree[0] == "x":
-        return ScalarField.coordinate(tree[1])
-    if tree[0] == "c":
-        return ScalarField.constant(tree[1])
-    if tree[0] == "neg":
-        return -build(tree[1], binary)
-    op, a, b = tree
-    a = a if isinstance(a, float) else build(a, binary)
-    b = b if isinstance(b, float) else build(b, binary)
-    return binary(op, a, b)
+        field = ScalarField.coordinate(tree[1])
+    elif tree[0] == "c":
+        field = ScalarField.constant(tree[1])
+    elif tree[0] == "neg":
+        field = -build(tree[1], binary, built)
+    elif tree[0] == "twice":
+        sub = build(tree[2], binary, built)
+        field = binary(tree[1], sub, sub)
+    elif tree[0] == "d":
+        field = build(tree[2], binary, built).partial_field(tree[1])
+    else:
+        op, a, b = tree
+        a = a if isinstance(a, float) else build(a, binary, built)
+        b = b if isinstance(b, float) else build(b, binary, built)
+        field = binary(op, a, b)
+    if built is not None:
+        built.append(field)
+    return field
 
 
 def python_operator(op, a, b):
@@ -109,6 +124,28 @@ def test_captured_constants_match_two_closure_nodes_bit_for_bit(tree, events):
             if fast.deps >> axis & 1:
                 got = fast.partial_field(axis).eval(events)
                 assert bits(got) == bits(dense_partial(slow, axis, events))
+
+
+def int64_bits(values: np.ndarray) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=150)
+@given(st.lists(trees, min_size=1, max_size=3), arrays(np.float64, (5, 4), elements=st.floats(-3.0, 3.0)))
+def test_fields_sharing_one_batch_equal_each_on_a_fresh_batch(forest, events):
+    with np.errstate(all="ignore"):
+        built = []
+        for tree in forest:
+            try:
+                build(tree, python_operator, built)
+            except ZeroDivisionError:
+                pass
+        built += [f.partial_field(axis) for f in list(built) for axis in range(4)]
+        shared = Batch.of(events)
+        # the largest trees first, so that their walks fill the cache that
+        # the subtrees evaluated after them read
+        for f in reversed(built):
+            assert np.array_equal(int64_bits(f.eval(shared)), int64_bits(f.eval(events)))
 
 
 def test_a_constant_operand_is_not_called_at_evaluation():
@@ -277,3 +314,48 @@ def test_array_grids_equal_the_per_event_grids_bit_for_bit(half):
         ball = SphereScenario(a=a, omega=rng.uniform(0.0, 0.05) * C / a, e0=1.0, mat=MaterialParams(4.0, 1.0))
         events = sphere_interface_events(ball, 2 * half, seed=3)
         assert_grid_bits(events, half, per_event_sphere_grid(ball, half, sphere._POLE_MARGIN))
+
+
+# -- every component of a solution on one shared batch -------------------------
+
+CACHE_SCENARIOS = {
+    "cylinder": CylinderScenario(
+        r1=0.02, r2=0.04, omega=0.3 * C / 0.04, b0=1.5, mat=MaterialParams(6.0, 2.0)
+    ),
+    "sphere": SphereScenario(a=0.05, omega=0.01 * C / 0.05, e0=1000.0, mat=MaterialParams(4.0, 2.0)),
+}
+
+
+def side_components(sol, interior: bool) -> list:
+    """((form name, index), field) of every component of F, G, star G, dF,
+    d star G and the lab-frame e, b, d, h on one side of a solution."""
+    metric = sol.chart.metric
+    f, g = (sol.f_in, sol.g_in) if interior else (sol.f_out, sol.g_out)
+    star_g = hodge_star(metric, g)
+    dec = EMDecomposition.of(f, g, lab_frame(sol.chart), metric)
+    named = {
+        "F": f,
+        "G": g,
+        "star_G": star_g,
+        "dF": exterior_derivative(f),
+        "dstar_G": exterior_derivative(star_g),
+        **{name: getattr(dec, name) for name in "ebdh"},
+    }
+    return [((name, idx), comp) for name, a in named.items() for idx, comp in a.components.items()]
+
+
+@pytest.mark.parametrize("n", [64, fields.BLOCK_EVENTS + 1], ids=["one-block", "block-plus-one"])
+@pytest.mark.parametrize("scenario", list(CACHE_SCENARIOS))
+def test_solution_components_on_one_shared_batch_equal_each_alone(scenario, n):
+    sol, _ = CACHE_SCENARIOS[scenario].solve(seed=1)
+    rng = np.random.default_rng(4)
+    for region in sol.regions:
+        events = solutions.sample_box(region.box, n, rng)
+        comps = side_components(sol, region.interior)
+        # every component on one batch per block, against each alone on one
+        # fresh batch over all the events
+        together = blockwise(lambda batch: [f.eval(batch) for _, f in comps], events)
+        assert {name for (name, _), _ in comps} >= {"F", "G", "star_G", "dstar_G", "b", "h"}
+        for (name, f), values in zip(comps, together):
+            alone = f.eval(Batch.of(events))
+            assert np.array_equal(int64_bits(values), int64_bits(alone)), (region.name, name)

@@ -2,8 +2,9 @@
 
 One ``cli.run`` of the shell and of the sphere config of ``test_cli`` at
 ``--samples 8`` is counted under ``sys.setprofile``: every Python frame
-entered, the ``first_bad_event`` guards among them, and the generator
-expressions of ``forms.py``. The ceilings sit about 10 % above the counts
+entered, the ``first_bad_event`` guards among them, the derivative passes
+(``dual.fresh_tag`` calls) and the generator expressions of
+``forms.py``. The ceilings sit about 10 % above the counts
 of the code as it stands, so that a change which brings per-evaluation
 bookkeeping back into the form algebra fails here, not only in the
 benchmark. Counts that fall far below a ceiling are a cue to lower it.
@@ -15,11 +16,12 @@ from collections import Counter
 
 import pytest
 
-from emforms import forms
+from emforms import dual, forms
 from emforms.cli import run
 from test_cli import cylinder_config, sphere_config
 
 FORMS_PY = forms.__file__
+DUAL_PY = dual.__file__
 
 
 def count_frames(fn) -> Counter:
@@ -31,6 +33,8 @@ def count_frames(fn) -> Counter:
             counts["calls"] += 1
             if code.co_name == "first_bad_event":
                 counts["first_bad_event"] += 1
+            elif code.co_name == "fresh_tag" and code.co_filename == DUAL_PY:
+                counts["passes"] += 1
             elif code.co_name == "<genexpr>" and code.co_filename == FORMS_PY:
                 counts["forms_genexpr"] += 1
 
@@ -46,10 +50,10 @@ def count_frames(fn) -> Counter:
 @pytest.mark.parametrize(
     "make_config, ceilings",
     [
-        # counts of the code as it stands: 4663 calls, 84 guards, 25 generator frames
-        (cylinder_config, {"calls": 4900, "first_bad_event": 93, "forms_genexpr": 28}),
-        # counts of the code as it stands: 5176 calls, 38 guards, 70 generator frames
-        (sphere_config, {"calls": 5650, "first_bad_event": 42, "forms_genexpr": 77}),
+        # counts of the code as it stands: 4468 calls, 31 guards, 7 passes, 25 generator frames
+        (cylinder_config, {"calls": 4900, "first_bad_event": 34, "passes": 8, "forms_genexpr": 28}),
+        # counts of the code as it stands: 5354 calls, 28 guards, 20 passes, 70 generator frames
+        (sphere_config, {"calls": 5650, "first_bad_event": 31, "passes": 22, "forms_genexpr": 77}),
     ],
     ids=["cylinder", "sphere"],
 )
