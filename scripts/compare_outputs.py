@@ -10,7 +10,7 @@ written under that directory (name or bytes) differs. Every differing case
 is printed; the exit code is 1 if any case differs, else 0. ``-k TEXT``
 keeps the cases whose name contains TEXT.
 
-The 80 cases:
+The 81 cases:
   * 14 configs of each benchmark workload (``perfbench/workloads.py``),
     drawn from its stream at seed 7, run with that workload's flags;
   * the shell and sphere configs of ``tests/test_cli.py``, full and
@@ -27,10 +27,11 @@ The 80 cases:
     at ``--samples 8``;
   * the samples file (``outputs.samples_json``) of the shell and the
     sphere at ``--samples 512``;
-  * 2 runs whose event arrays span more than one evaluation block
+  * 3 runs whose event arrays span more than one evaluation block
     (``emforms.fields.BLOCK_EVENTS``): the sphere ``--verify-only`` at
-    ``--samples 10000``, with its samples file, and a shell profile at
-    10,000 radii.
+    ``--samples 10000``, with its samples file, a shell profile at
+    10,000 radii, and the shell ``--verify-only`` at ``--samples 2100``,
+    whose two vacuum regions are evaluated together on 4200 events.
 
 Standard library only.
 """
@@ -131,6 +132,7 @@ FLAGGED_OVERRIDES = {
         {"sampling": {"radial_points": 10000, "angular_points": 8, "seed": 3}},
         TEST_SAMPLES,
     ),
+    "blocks/shell-verify-2100": (SHELL, {}, ["--samples", "2100", "--verify-only"]),
 }
 BAD_FLAGS = {
     "samples-0": ["--samples", "0"],

@@ -176,7 +176,8 @@ def _interior_family(sc: CylinderScenario, chart: Chart):
 def match_cylinder_amplitudes(sc: CylinderScenario, seed: int = 0) -> tuple[float, float]:
     """Least-squares junction match of the interior family amplitudes
     (k1, k2) at ``MATCH_SAMPLES`` events on each radius, at the scenario's
-    own B0, by :func:`~emforms.solutions.match_junctions`."""
+    own B0, by :func:`~emforms.solutions.match_junctions`, from one
+    assembly of the family basis at the matcher's amplitude fields."""
     chart = sc.chart()
     f_basis, g_basis = _interior_family(sc, chart)
     f_out = exterior_maxwell_form(sc, chart)

@@ -126,8 +126,9 @@ def batches(events):
 
 def blockwise(fn, events):
     """``fn(batch)`` on a batch, or on each of the :func:`batches` of an
-    (N, 4) event array in turn. The results, arrays over the events or
-    lists, tuples and dicts of them, are joined block after block."""
+    (N, 4) event array in turn. The results, arrays with the events on
+    their last axis or lists, tuples and dicts of them, are joined block
+    after block."""
     if isinstance(events, Batch):
         return fn(events)
     parts = [fn(batch) for batch in batches(events)]
@@ -140,7 +141,7 @@ def _join(parts: list):
         return {key: _join([part[key] for part in parts]) for key in first}
     if isinstance(first, (list, tuple)):
         return type(first)(_join(list(column)) for column in zip(*parts))
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=-1)
 
 
 def _cached(compute: Callable) -> Callable:

@@ -5,17 +5,18 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .fields import blockwise
+from . import dual
+from .fields import Batch, ScalarField, blockwise
 from .forms import (
     DiagonalMetric,
     DifferentialForm,
     basis_indices,
     component_max,
-    evaluate,
     exterior_derivative,
     hodge_star,
     max_or_nan,
@@ -36,8 +37,9 @@ MATCH_SAMPLES = 16
 # the larger of the closed form and one physical unit of the constant.
 CLOSED_FORM_REL_TOL = 1e-9
 
-# (amplitudes, drive) -> (f_in, f_out, g_in, g_out), linear in both together.
-Builder = Callable[[list[float], float], tuple[DifferentialForm, ...]]
+# (amplitudes, drive) -> (f_in, f_out, g_in, g_out), linear in both together;
+# the amplitudes are fields, the drive a number.
+Builder = Callable[[list[ScalarField], float], tuple[DifferentialForm, ...]]
 
 # One coordinate slot of a sampling box: a fixed value or a (lo, hi) range.
 BoxSlot = float | tuple[float, float]
@@ -159,38 +161,61 @@ def match_junctions(
 
     ``build(amplitudes, drive)`` is linear in both together, so the jumps
     are those of the applied piece (drive 1, every amplitude 0) plus, for
-    each amplitude, its value in ``units`` times the jumps of one unit of
-    it alone (drive 0). Each piece's jumps are formed once and wedged with
-    each interface's dPhi at its (N, 4) events, from the (interface,
-    events) pairs ``junctions``. Columns carry one physical unit of each
-    amplitude, floored at 1e-300, so that every row's entries are
-    commensurate; otherwise a weak coupling falls below working precision
-    after row equilibration. Rows run event by event, then condition, then
-    3-form component. Solved by :func:`solve_matching_system`, which names
+    each amplitude, its value in ``units`` times one column of the
+    Jacobian in the amplitudes. One assembly at drive 1 gives them all:
+    amplitude j is a field whose value is a dual number of value 0, under
+    one fresh tag, with an (n, 1) column holding ``units[j]`` in row j as
+    its dual part. The jumps,
+    formed once and wedged with each interface's dPhi at its (N, 4) events
+    from the (interface, events) pairs ``junctions``, then carry the
+    applied piece as their value and the columns as their dual part; the
+    products are those of one assembly per piece, the other amplitudes
+    adding exact zeros. Columns carry one physical unit of each amplitude,
+    floored at 1e-300, so that every row's entries are commensurate;
+    otherwise a weak coupling falls below working precision after row
+    equilibration. Rows run event by event, then condition, then 3-form
+    component. Solved by :func:`solve_matching_system`, which names
     ``what`` in its errors.
     """
     units = [max(u, 1e-300) for u in units]
-    zeros = [0.0] * len(units)
-    pieces = [build(zeros, 1.0)] + [
-        build([u if k == j else 0.0 for k, u in enumerate(units)], 0.0) for j in range(len(units))
-    ]
-    jumps = [
-        field_jumps(f_in, f_out, hodge_star(metric, g_in), hodge_star(metric, g_out))
-        for f_in, f_out, g_in, g_out in pieces
-    ]
-    idxs = basis_indices(3)
+    tag = dual.fresh_tag()
+    seeds = np.diag(units)
+    amplitudes = [_amplitude(dual.Dual(0.0, seeds[:, [j]], tag)) for j in range(len(units))]
+    f_in, f_out, g_in, g_out = build(amplitudes, 1.0)
+    jumps = field_jumps(f_in, f_out, hodge_star(metric, g_in), hodge_star(metric, g_out))
     blocks = []
     for iface, events in junctions:
         dphi = iface.gradient()
-        wedges = [[wedge(jump, dphi) for jump in pair] for pair in jumps]
-        # every piece on one batch per block of the interface's events
-        values = blockwise(lambda batch: [[evaluate(w, batch) for w in pair] for pair in wedges], events)
-        a = np.array([[[v[i] for i in idxs] for v in pair] for pair in values])
+        wedges = [wedge(jump, dphi) for jump in jumps]
         # (piece, condition, component, event) -> event-major rows, a column per piece
-        blocks.append(a.transpose(3, 1, 2, 0).reshape(-1, len(pieces)))
+        values = blockwise(partial(_pieces, wedges, tag, len(units)), events)
+        blocks.append(values.transpose(3, 1, 2, 0).reshape(-1, len(units) + 1))
     rows = np.concatenate(blocks)
     # residual(x) = applied + sum_j x_j column_j; move the applied piece right
     return solve_matching_system(rows[:, 1:], -rows[:, 0], what) * units
+
+
+def _amplitude(value: dual.Dual) -> ScalarField:
+    """A field that reads no coordinate and takes ``value`` on every batch."""
+    return ScalarField(lambda event: value, deps=0)
+
+
+def _pieces(wedges, tag: int, n: int, batch: Batch) -> np.ndarray:
+    """Each wedge's 3-form components on a batch as a (1 + n, condition,
+    component, event) array: the value, then the ``n`` rows of the dual
+    part under ``tag``; absent components and every zero are 0.0."""
+    idxs = basis_indices(3)
+    out = np.zeros((1 + n, len(wedges), len(idxs), len(batch.events)))
+    for c, w in enumerate(wedges):
+        for k, idx in enumerate(idxs):
+            f = w.components.get(idx)
+            if f is not None:
+                y = f.fn(batch)
+                out[0, c, k] = dual.real(y)
+                out[1:, c, k] = dual.extract(y, tag)
+    # -0.0 left by the other pieces' zero terms becomes the 0.0 of an absent
+    # term, as the least-squares solution can depend on the sign of a zero
+    return out + 0.0
 
 
 def require_finite(what: str, **constants: float) -> None:
@@ -285,33 +310,37 @@ def verify_solution(
     Each region's entry holds its maxima, both field scales and the event
     of the largest dF and d star G residual, so that its verdict can be
     re-derived from the entry and the tolerances alone.
+    Every region's events are drawn first, in region order; the regions
+    on one side of the interfaces are then evaluated together, on one
+    array of their events, so a guard that regions of one side reach
+    names the first offending event of that array.
     """
     metric = sol.chart.metric
     rng = np.random.default_rng(seed)
     tol_f = EXACT_RESIDUAL_TOL
     tol_g = junction_tolerance(sol)
 
-    pairs = {
-        True: (sol.f_in, sol.g_in),
-        False: (sol.f_out, sol.g_out),
-    }
-    star_g = {interior: hodge_star(metric, g) for interior, (_, g) in pairs.items()}
-    derivatives = {
-        interior: (exterior_derivative(f), exterior_derivative(star_g[interior]))
-        for interior, (f, _) in pairs.items()
-    }
+    events = [sample_box(region.box, samples_per_region, rng) for region in sol.regions]
+    # regions on one side share their fields, so each side is evaluated on
+    # one array of its regions' events, sides in the order of their first region
+    values: list = [None] * len(sol.regions)
+    for interior in dict.fromkeys(region.interior for region in sol.regions):
+        f_form, g_form = (sol.f_in, sol.g_in) if interior else (sol.f_out, sol.g_out)
+        sg = hodge_star(metric, g_form)
+        # the four forms on one batch per block, sharing their nodes' values
+        forms = (exterior_derivative(f_form), f_form, exterior_derivative(sg), sg)
+        members = [k for k, region in enumerate(sol.regions) if region.interior == interior]
+        pooled = blockwise(
+            lambda batch: [component_max(form, batch) for form in forms],
+            np.concatenate([events[k] for k in members]),
+        )
+        for i, k in enumerate(members):
+            values[k] = [v[i * samples_per_region : (i + 1) * samples_per_region] for v in pooled]
 
     regions: dict[str, dict] = {}
     passed = True
-    for region in sol.regions:
-        f_form, _ = pairs[region.interior]
-        df, dsg = derivatives[region.interior]
-        sg = star_g[region.interior]
-        events = sample_box(region.box, samples_per_region, rng)
-        # the four forms on one batch per block, sharing their nodes' values
-        forms = (df, f_form, dsg, sg)
-        values = blockwise(lambda batch: [component_max(form, batch) for form in forms], events)
-        max_df, max_f, max_dsg, max_sg = map(max_or_nan, values)
+    for region, at, region_values in zip(sol.regions, events, values):
+        max_df, max_f, max_dsg, max_sg = map(max_or_nan, region_values)
         rel_df = sol.length_scale * max_df / max(max_f, 1e-300)
         rel_dsg = sol.length_scale * max_dsg / max(max_sg, 1e-300)
         entry = {
@@ -322,8 +351,8 @@ def verify_solution(
             "f_scale": max_f,
             "star_g_scale": max_sg,
             # argmax names the first NaN event, as the maxima keep a NaN
-            "df_worst_event": events[values[0].argmax()].tolist() if len(events) else None,
-            "dstar_g_worst_event": events[values[2].argmax()].tolist() if len(events) else None,
+            "df_worst_event": at[region_values[0].argmax()].tolist() if len(at) else None,
+            "dstar_g_worst_event": at[region_values[2].argmax()].tolist() if len(at) else None,
         }
         # the square of a tiny expansion parameter underflows to 0
         if sol.order != "exact" and sol.expansion_parameter**2 > 0.0:

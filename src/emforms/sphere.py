@@ -206,7 +206,9 @@ def match_sphere_constants(sc: SphereScenario, seed: int = 0) -> SphereConstants
     events on r = a, by :func:`~emforms.solutions.match_junctions`.
 
     The junction residual is affine in the four amplitudes because the
-    truncated excitation is linear in the potentials. The constants do not
+    truncated excitation is linear in the potentials, so the builder is
+    called once, with the matcher's amplitude fields, and its forms give
+    the applied field and all four columns. The constants do not
     depend on the rotation rate, but the first-order amplitudes decouple
     from the data at omega = 0 and their columns underflow at a tiny
     omega, so every sphere is matched at the probe rate a omega / c = 0.01.

@@ -2,15 +2,18 @@
 
 Constant operands captured in closures, the index tables of ``forms``,
 metric constants checked once, the interface grids built as array
-expressions, the shared junction matcher's rows and the values cached on
-a shared batch must give what the generic construction gives: bit for bit
-where the floating-point operations are the same, to rounding where the
-matcher's columns are no longer differences of full assemblies or
-per-basis forms.
+expressions, the shared junction matcher's rows from one dual-seeded
+assembly, the values cached on a shared batch and the regions of a side
+verified on one array must give what the generic construction gives: bit
+for bit where the floating-point operations are the same, to rounding
+where the matcher's columns are no longer differences of full assemblies
+or per-basis forms.
 """
 
+import dataclasses
 import itertools
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emforms import fields, forms, solutions, sphere
+from emforms import cylinder, fields, forms, solutions, sphere
+from emforms.cli import _json_text
 from emforms.cylinder import CylinderScenario, interface_sample_events, match_cylinder_amplitudes
 from emforms.fields import Batch, ScalarField, blockwise
 from emforms.forms import (
@@ -32,7 +36,7 @@ from emforms.forms import (
     perm_parity,
 )
 from emforms.media import EMDecomposition, MaterialParams
-from emforms.solutions import MATCH_SAMPLES
+from emforms.solutions import MATCH_SAMPLES, Region
 from emforms.spacetime import cartesian_chart, cylindrical_chart, lab_frame
 from emforms.sphere import SphereScenario, match_sphere_constants, sphere_interface_events
 from oracles import (
@@ -42,6 +46,8 @@ from oracles import (
     per_basis_cylinder_rows,
     per_event_cylinder_grid,
     per_event_sphere_grid,
+    per_piece_match_rows,
+    per_region_verify_solution,
     two_closure_op,
 )
 
@@ -285,6 +291,56 @@ def test_shared_cylinder_rows_equal_per_basis_rows(monkeypatch, beta):
     assert_rows_close(rows, rhs, -want_rows, -want_rhs)
 
 
+# -- the one dual-seeded assembly against one assembly per piece -----------------
+
+match_rates = st.sampled_from([0.0, 1e-300, 0.3]) | st.floats(0.0, 0.9)
+match_materials = st.tuples(st.floats(1.0, 50.0), st.floats(0.05, 20.0))
+
+
+def matcher_call(mp, module, match):
+    """The arguments of the one ``match_junctions`` call that ``match()``
+    makes through ``module``, the rows and right-hand side it hands to
+    ``solve_matching_system``, and the amplitudes it returns."""
+    calls = []
+
+    def spy(*args):
+        amplitudes = solutions.match_junctions(*args)
+        calls.append((args, amplitudes))
+        return amplitudes
+
+    mp.setattr(module, "match_junctions", spy)
+    rows, rhs = matcher_rows(mp, match)
+    ((args, amplitudes),) = calls
+    return args, rows, rhs, amplitudes
+
+
+def assert_one_assembly_equals_per_piece(module, match):
+    with pytest.MonkeyPatch.context() as mp:
+        (build, units, junctions, metric, what), rows, rhs, amplitudes = matcher_call(mp, module, match)
+    want_rows, want_rhs = per_piece_match_rows(build, units, junctions, metric)
+    # ==, under which zeros of either sign are equal; the constants are compared bit for bit
+    assert rows.shape == want_rows.shape and np.array_equal(rows, want_rows)
+    assert rhs.shape == want_rhs.shape and np.array_equal(rhs, want_rhs)
+    want = solutions.solve_matching_system(want_rows, want_rhs, what) * [max(u, 1e-300) for u in units]
+    assert bits(amplitudes) == bits(want)
+
+
+@settings(max_examples=30)
+@given(material=match_materials, beta=match_rates)
+def test_one_assembly_shell_matcher_equals_one_assembly_per_piece(material, beta):
+    sc = CylinderScenario(r1=0.02, r2=0.04, omega=beta * C / 0.04, b0=1.5, mat=MaterialParams(*material))
+    assert_one_assembly_equals_per_piece(cylinder, lambda: match_cylinder_amplitudes(sc, seed=3))
+
+
+@settings(max_examples=30)
+@given(material=match_materials, beta=match_rates)
+def test_one_assembly_sphere_matcher_equals_one_assembly_per_piece(material, beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # rim speeds above 0.1 c
+        sc = SphereScenario(a=0.05, omega=beta * C / 0.05, e0=1000.0, mat=MaterialParams(*material))
+    assert_one_assembly_equals_per_piece(sphere, lambda: match_sphere_constants(sc, seed=2))
+
+
 # -- interface grids as one array expression -----------------------------------
 
 GRID_HALVES = [0, 1, 2, 4, 8, 12, 256]
@@ -359,3 +415,33 @@ def test_solution_components_on_one_shared_batch_equal_each_alone(scenario, n):
         for (name, f), values in zip(comps, together):
             alone = f.eval(Batch.of(events))
             assert np.array_equal(int64_bits(values), int64_bits(alone)), (region.name, name)
+
+
+# -- the regions of a side on one array against each region alone ---------------
+
+
+@pytest.mark.parametrize("samples", [8, 512, 2100])
+@pytest.mark.parametrize("scenario", list(CACHE_SCENARIOS))
+def test_pooled_verification_equals_per_region_verification(scenario, samples):
+    # at 2100 the shell's two vacuum regions span two blocks together, one each alone
+    sol, _ = CACHE_SCENARIOS[scenario].solve(seed=1)
+    got = solutions.verify_solution(sol, samples, seed=6)
+    want = per_region_verify_solution(sol, samples, seed=6)
+    assert _json_text(got.to_json_dict()) == _json_text(want.to_json_dict())
+
+
+@pytest.mark.parametrize("pinned", ["vacuum_inner", "vacuum_outer"])
+def test_pooled_verification_raises_what_the_degenerate_region_raises(pinned):
+    # r = 0 in one exterior region only: g_22 = r^2 vanishes at its events
+    sol, _ = CACHE_SCENARIOS["cylinder"].solve(seed=1)
+    regions = tuple(
+        Region(r.name, r.interior, (r.box[0], 0.0, *r.box[2:])) if r.name == pinned else r
+        for r in sol.regions
+    )
+    sol = dataclasses.replace(sol, regions=regions)
+    with pytest.raises(DegenerateMetricError) as want:
+        per_region_verify_solution(sol, 16, seed=6)
+    with pytest.raises(DegenerateMetricError) as got:
+        solutions.verify_solution(sol, 16, seed=6)
+    assert str(got.value) == str(want.value)
+    assert "g_22 vanishes at event (" in str(got.value)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from emforms import junction
 from emforms.cli import _json_text
 from emforms.fields import ScalarField
 from emforms.forms import form, scale, zero_form
@@ -378,6 +379,83 @@ def test_gibbs_sphere_solution():
     events = [(0.0, a, th, 0.4) for th in np.linspace(0.3, math.pi - 0.3, 10)]
     rep = gibbs_jump_residual(dec_in, dec_out, sol.interfaces[0], u, sol.chart.metric, events)
     assert rep.max_rel <= 1e-9
+
+
+# -- the Gibbs relations on stacked arrays against lists of arrays ------------
+
+
+def assert_gibbs_equals_lists(dec_in, dec_out, iface, frame, metric, events):
+    """The normal, v_N and every Gibbs residual of the stacked kernel equal
+    those of the list oracle, value for value."""
+    from oracles import list_gibbs_residuals, list_normal_velocity
+
+    events = np.array(events, dtype=float)
+    normal, v_n = junction.interface_normal_velocity(iface, frame, metric, events)
+    want_normal, want_v = list_normal_velocity(iface, frame, metric, events)
+    assert normal.shape == (4, len(events))
+    for got, want in zip(normal, want_normal):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(v_n, want_v, equal_nan=True)
+    rep = gibbs_jump_residual(dec_in, dec_out, iface, frame, metric, events)
+    wanted = list_gibbs_residuals(dec_in, dec_out, iface, frame, metric, events)
+    for got, want in zip((rep.residuals, rep.residuals_rel), wanted):
+        assert list(got) == list(want)
+        for name, values in want.items():
+            assert np.array_equal(got[name], values, equal_nan=True), name
+
+
+def side_pairs(sol):
+    return (sol.f_in, sol.g_in), (sol.f_out, sol.g_out)
+
+
+@pytest.mark.parametrize("n", [1, 12, 4097])
+def test_stacked_gibbs_equals_lists_on_the_shell(shell, n):
+    sc, sol = shell
+    u = lab_frame(sol.chart)
+    decs = [EMDecomposition.of(f, g, u, sol.chart.metric) for f, g in side_pairs(sol)]
+    for iface, radius in zip(sol.interfaces, (sc.r1, sc.r2)):
+        events = interface_sample_events(sc, radius, n, seed=1)
+        assert_gibbs_equals_lists(*decs, iface, u, sol.chart.metric, events)
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_stacked_gibbs_equals_lists_on_the_sphere(n):
+    from emforms.sphere import SphereScenario, solve_sphere
+
+    mat = MaterialParams(eps_r=4.0, mu_r=2.0)
+    sc = SphereScenario(a=0.05, omega=0.01 * C / 0.05, e0=1000.0, mat=mat)
+    sol, _ = solve_sphere(sc)
+    u = lab_frame(sol.chart)
+    decs = [EMDecomposition.of(f, g, u, sol.chart.metric) for f, g in side_pairs(sol)]
+    events = sc.interface_events(n, seed=4)[0]
+    assert_gibbs_equals_lists(*decs, sol.interfaces[0], u, sol.chart.metric, events)
+
+
+def test_stacked_gibbs_equals_lists_on_a_light_front():
+    # the light front of test_light_front_pins_cross_handedness, where v_N = c
+    ch = cartesian_chart(C)
+    f_in = form(2, ch.name, {(1, 2): 7.0 / C, (0, 2): -7.0})
+    u = lab_frame(ch)
+    dec_in = EMDecomposition.of(f_in, scale(EPS0, f_in), u, ch.metric)
+    dec_out = EMDecomposition.of(zero_form(2, ch.name), zero_form(2, ch.name), u, ch.metric)
+    phi = ScalarField.coordinate(1) - C * ScalarField.coordinate(0)
+    iface = Interface(phi=phi, chart=ch.name, name="front")
+    samples = [(1e-9, C * 1e-9, 0.3, -0.2), (2e-9, C * 2e-9, 1.0, 0.5)]
+    assert_gibbs_equals_lists(dec_in, dec_out, iface, u, ch.metric, samples)
+
+
+def test_stacked_gibbs_equals_lists_on_random_decompositions(cyl, rng):
+    from oracles import random_form
+
+    u = lab_frame(cyl)
+    iface = radial_interface(cyl.name, 1.0)
+    events = [(0, 1.0, 0.5, 0.2), (0.3, 1.0, 2.5, -0.7), (1.0, 1.0, 0.1, 0.9)]
+    for _ in range(10):
+        f, other = random_form(rng, 2, cyl.name), random_form(rng, 2, cyl.name)
+        dec = EMDecomposition.of(f, scale(EPS0, f), u, cyl.metric)
+        assert_gibbs_equals_lists(dec, dec, iface, u, cyl.metric, events)
+        dec_other = EMDecomposition.of(other, scale(EPS0, other), u, cyl.metric)
+        assert_gibbs_equals_lists(dec, dec_other, iface, u, cyl.metric, events)
 
 
 def test_gibbs_vanishes_on_covariant_kernel(cyl):

@@ -3,11 +3,13 @@
 One ``cli.run`` of the shell and of the sphere config of ``test_cli`` at
 ``--samples 8`` is counted under ``sys.setprofile``: every Python frame
 entered, the ``first_bad_event`` guards among them, the derivative passes
-(``dual.fresh_tag`` calls) and the generator expressions of
-``forms.py``. The ceilings sit about 10 % above the counts
-of the code as it stands, so that a change which brings per-evaluation
-bookkeeping back into the form algebra fails here, not only in the
-benchmark. Counts that fall far below a ceiling are a cue to lower it.
+(``dual.fresh_tag`` calls), the generator expressions of ``forms.py`` and
+the forms built (``DifferentialForm.__post_init__`` frames). The ceilings
+sit about 10 % above the counts of the code as it stands, so that a change
+which brings per-evaluation bookkeeping back into the form algebra, or one
+assembly per matched amplitude back into the junction matcher, fails here,
+not only in the benchmark. Counts that fall far below a ceiling are a cue
+to lower it.
 """
 
 import os
@@ -22,6 +24,7 @@ from test_cli import cylinder_config, sphere_config
 
 FORMS_PY = forms.__file__
 DUAL_PY = dual.__file__
+FORM_INIT = forms.DifferentialForm.__post_init__.__code__
 
 
 def count_frames(fn) -> Counter:
@@ -31,7 +34,9 @@ def count_frames(fn) -> Counter:
         if event == "call":
             code = frame.f_code
             counts["calls"] += 1
-            if code.co_name == "first_bad_event":
+            if code is FORM_INIT:
+                counts["forms"] += 1
+            elif code.co_name == "first_bad_event":
                 counts["first_bad_event"] += 1
             elif code.co_name == "fresh_tag" and code.co_filename == DUAL_PY:
                 counts["passes"] += 1
@@ -50,10 +55,18 @@ def count_frames(fn) -> Counter:
 @pytest.mark.parametrize(
     "make_config, ceilings",
     [
-        # counts of the code as it stands: 4468 calls, 31 guards, 7 passes, 25 generator frames
-        (cylinder_config, {"calls": 4900, "first_bad_event": 34, "passes": 8, "forms_genexpr": 28}),
-        # counts of the code as it stands: 5354 calls, 28 guards, 20 passes, 70 generator frames
-        (sphere_config, {"calls": 5650, "first_bad_event": 31, "passes": 22, "forms_genexpr": 77}),
+        # counts of the code as it stands: 4069 calls, 29 guards, 7 passes,
+        # 25 generator frames, 78 forms
+        (
+            cylinder_config,
+            {"calls": 4480, "first_bad_event": 34, "passes": 8, "forms_genexpr": 28, "forms": 86},
+        ),
+        # counts of the code as it stands: 4134 calls, 28 guards, 21 passes,
+        # 30 generator frames, 100 forms
+        (
+            sphere_config,
+            {"calls": 4550, "first_bad_event": 31, "passes": 22, "forms_genexpr": 33, "forms": 110},
+        ),
     ],
     ids=["cylinder", "sphere"],
 )
