@@ -10,7 +10,7 @@ written under that directory (name or bytes) differs. Every differing case
 is printed; the exit code is 1 if any case differs, else 0. ``-k TEXT``
 keeps the cases whose name contains TEXT.
 
-The 81 cases:
+The 91 cases:
   * 14 configs of each benchmark workload (``perfbench/workloads.py``),
     drawn from its stream at seed 7, run with that workload's flags;
   * the shell and sphere configs of ``tests/test_cli.py``, full and
@@ -31,7 +31,15 @@ The 81 cases:
     (``emforms.fields.BLOCK_EVENTS``): the sphere ``--verify-only`` at
     ``--samples 10000``, with its samples file, a shell profile at
     10,000 radii, and the shell ``--verify-only`` at ``--samples 2100``,
-    whose two vacuum regions are evaluated together on 4200 events.
+    whose two vacuum regions are evaluated together on 4200 events;
+  * 2 configs, a shell and a sphere, with no ``sampling`` or ``outputs``
+    section and integer-valued numbers, whose echo holds floats and the
+    defaults;
+  * 8 edge inputs: 6 that exit 2, where older trees exit 1 with a
+    traceback (a config nested too deeply to parse, output names with a
+    NUL or a lone surrogate, a shell and a sphere rotating one ulp below
+    c / 0.05 m) or exit 2 without naming the file (a UTF-16 config); and
+    2 runs one ulp below c / 0.04 m, which the rim-speed check accepts.
 
 Standard library only.
 """
@@ -134,6 +142,48 @@ FLAGGED_OVERRIDES = {
     ),
     "blocks/shell-verify-2100": (SHELL, {}, ["--samples", "2100", "--verify-only"]),
 }
+# configs with no sampling or outputs section and integer-valued numbers
+MINIMAL = {
+    "shell": {
+        "scenario": "cylinder",
+        "geometry": {"r1_m": 1, "r2_m": 2},
+        "omega_rad_per_s": 100,
+        "b0_tesla": 1,
+        "material": {"eps_r": 6, "mu_r": 1},
+    },
+    "sphere": {
+        "scenario": "sphere",
+        "geometry": {"a_m": 1},
+        "omega_rad_per_s": -100,
+        "e0_volt_per_m": 1000,
+        "material": {"eps_r": 4, "mu_r": 2},
+    },
+}
+# rotation rates one ulp below c / rim, where c*c - (r*r)*(omega*omega) is
+# 0.0 at r2 = a = 0.05 m, and 16.0 at 0.04 m
+C = 299792458.0
+RIM_005 = math.nextafter(C / 0.05, 0.0)
+RIM_004 = math.nextafter(C / 0.04, 0.0)
+DIELECTRIC = {"material": {"eps_r": 4.0, "mu_r": 2.0}}
+# (base, overrides, flags) of output names and rim speeds that exit 2, where
+# a tree without their checks exits 1 with a traceback (after writing two
+# reports, for the names), and of the runs one ulp below c / 0.04 m
+EDGE_OVERRIDES = {
+    "edge/outputs-nul": (SHELL, {"outputs": {"profile_csv": "a\u0000b.csv"}}, TEST_SAMPLES),
+    "edge/outputs-surrogate": (SHELL, {"outputs": {"profile_csv": "\ud800.csv"}}, TEST_SAMPLES),
+    "edge/rim-ulp/shell-0.05": (
+        SHELL,
+        {"geometry": {"r1_m": 0.02, "r2_m": 0.05}, "omega_rad_per_s": RIM_005},
+        TEST_SAMPLES,
+    ),
+    "edge/rim-ulp/sphere-0.05": (SPHERE, {"omega_rad_per_s": RIM_005, **DIELECTRIC}, ["--samples", "14"]),
+    "edge/rim-ulp/shell-0.04": (SHELL, {"omega_rad_per_s": RIM_004}, TEST_SAMPLES),
+    "edge/rim-ulp/sphere-0.04": (
+        SPHERE,
+        {"geometry": {"a_m": 0.04}, "omega_rad_per_s": RIM_004, **DIELECTRIC},
+        ["--samples", "14"],
+    ),
+}
 BAD_FLAGS = {
     "samples-0": ["--samples", "0"],
     "samples-negative": ["--samples", "-5"],
@@ -142,8 +192,8 @@ BAD_FLAGS = {
 }
 
 
-def cases() -> list[tuple[str, str, list[str]]]:
-    """(name, config text, flags) of every case, in a fixed order."""
+def cases() -> list[tuple[str, str | bytes, list[str]]]:
+    """(name, config text or bytes, flags) of every case, in a fixed order."""
     out = []
     for name, workload in WORKLOADS.items():
         flags = ["--samples", str(workload.samples)] + ["--verify-only"] * workload.verify_only
@@ -166,10 +216,14 @@ def cases() -> list[tuple[str, str, list[str]]]:
             config = copy.deepcopy(base)
             config.update(overrides)
             out.append((f"{group}/{name}", json.dumps(config), TEST_SAMPLES))
-    for name, (base, overrides, flags) in FLAGGED_OVERRIDES.items():
+    for name, (base, overrides, flags) in (FLAGGED_OVERRIDES | EDGE_OVERRIDES).items():
         config = copy.deepcopy(base)
         config.update(overrides)
         out.append((name, json.dumps(config), flags))
+    for name, config in MINIMAL.items():
+        out.append((f"minimal/{name}", json.dumps(config), TEST_SAMPLES))
+    out.append(("edge/deep-json", "[" * 100_000 + "]" * 100_000, TEST_SAMPLES))
+    out.append(("edge/utf-16-bom", b"\xff\xfe" + json.dumps(SHELL).encode("utf-16-le"), TEST_SAMPLES))
     out.append(("bad/malformed-json", "{not json", TEST_SAMPLES))
     out.append(("bad/missing-sections", json.dumps({"scenario": "cylinder"}), TEST_SAMPLES))
     for name, flags in BAD_FLAGS.items():
@@ -177,10 +231,10 @@ def cases() -> list[tuple[str, str, list[str]]]:
     return out
 
 
-def start(src: str, case_dir: str, config: str, flags: list[str]) -> subprocess.Popen:
+def start(src: str, case_dir: str, config: str | bytes, flags: list[str]) -> subprocess.Popen:
     os.makedirs(case_dir)
-    with open(os.path.join(case_dir, "config.json"), "w", encoding="utf-8") as fh:
-        fh.write(config)
+    with open(os.path.join(case_dir, "config.json"), "wb") as fh:
+        fh.write(config if isinstance(config, bytes) else config.encode("utf-8"))
     cmd = [sys.executable, "-m", "emforms.cli", "run", "config.json", *flags, "--out-dir", "out"]
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     return subprocess.Popen(cmd, cwd=case_dir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)

@@ -7,18 +7,21 @@ Config keys carry their SI units explicitly. Example cylinder config:
       "geometry": {"r1_m": 0.02, "r2_m": 0.04},
       "omega_rad_per_s": 100.0,
       "b0_tesla": 1.0,
-      "material": {"eps_r": 6.0, "mu_r": 1.0},
-      "sampling": {"radial_points": 64, "angular_points": 16, "seed": 0},
-      "outputs": {"profile_csv": "profile.csv",
-                  "observables_json": "observables.json",
-                  "verification_json": "verification.json"}
+      "material": {"eps_r": 6.0, "mu_r": 1.0}
     }
+
+The optional "sampling" and "outputs" sections take the keys of
+``SAMPLING`` and ``OUTPUTS``, which hold their defaults; "outputs" may
+also name "samples_json". A config is validated once, into the echo the
+reports write (``RunConfig.echo``): the config with every number a float
+and the defaults filled in.
 
 Each scenario declares its own geometry keys and drive key; a sphere
 config uses "geometry": {"a_m": ...} and "e0_volt_per_m". The driver
 reaches a scenario only through the interface of :class:`Scenario`.
 Unknown keys and non-finite numbers are rejected, and so are output
-names that are not non-empty strings or that name the same file.
+names that are not non-empty strings, that hold a NUL or cannot be
+encoded as file names, or that name the same file.
 
 ``verification.json`` summarises each junction report: its maxima, per
 condition too, and its worst event. The per-sample event and residual
@@ -26,7 +29,9 @@ arrays go to a fourth file only when ``outputs.samples_json`` names one;
 it is written with ``--verify-only`` too. A warning raised while the
 config is built, such as the sphere's rim-speed warning, is printed as one
 ``warning: <message>`` line on stderr. Exit
-codes: 0 on success; 2 on config errors, including geometry so small that
+codes: 0 on success; 2 on config errors, including a config file that is
+not UTF-8 or is nested too deeply to parse, a rim speed at which
+``c*c - (r*r)*(omega*omega)`` is not positive, geometry so small that
 the metric degenerates, numbers whose arithmetic fails (an
 ``ArithmeticError``, such as a float overflow), and sampling above
 ``MAX_SAMPLES`` or ``MAX_PROFILE_ROWS`` (no outputs are written); 3 when residual
@@ -111,15 +116,20 @@ def _number(section: dict, key: str, where: str) -> float:
     return float(value)
 
 
-def _output_names(outputs: dict, defaults: dict[str, str]) -> dict[str, str]:
-    """The output file names, ``defaults`` overridden by ``outputs``: each a
-    non-empty string, no two naming the same file once normalised (one
-    report would overwrite another)."""
-    names = {**defaults, **outputs}
+def _output_names(names: dict) -> dict[str, str]:
+    """The output file names, each a non-empty string that holds no NUL
+    and that the file system encoding can encode, no two naming the same
+    file once normalised (one report would overwrite another)."""
     seen: dict[str, str] = {}
     for key, name in names.items():
         if not isinstance(name, str) or not name:
             raise ConfigError(f"outputs.{key} must be a non-empty string, got {name!r}")
+        if "\0" in name:
+            raise ConfigError(f"outputs.{key} must not hold a NUL character, got {name!r}")
+        try:
+            os.fsencode(name)
+        except UnicodeEncodeError:
+            raise ConfigError(f"outputs.{key} is not encodable as a file name, got {name!r}") from None
         path = os.path.normpath(name)
         if path in seen:
             raise ConfigError(f"outputs.{seen[path]} and outputs.{key} both name {path!r}")
@@ -135,8 +145,8 @@ def _integer(section: dict, key: str, where: str, default: int, minimum: int) ->
 
 
 class Scenario(Protocol):
-    """What the driver needs of a scenario. The config is read and echoed
-    through ``GEOMETRY_KEYS`` (geometry key -> field) and ``DRIVE_KEY``
+    """What the driver needs of a scenario. It is built from ``omega``,
+    ``mat`` and the fields of ``GEOMETRY_KEYS`` (geometry key -> field) and ``DRIVE_KEY``
     (config key, field); ``interface_events`` gives one (N, 4) event array
     per interface, in ``FieldSolution.interfaces`` order. ``profile`` takes
     the (interior, exterior) lab-frame decompositions and one point count
@@ -147,8 +157,6 @@ class Scenario(Protocol):
     GEOMETRY_KEYS: ClassVar[dict[str, str]]
     DRIVE_KEY: ClassVar[tuple[str, str]]
     PROFILE_GRID: ClassVar[tuple[str, ...]]
-    omega: float
-    mat: MaterialParams
 
     def solve(self, seed: int) -> tuple[FieldSolution, object]: ...
     def interface_events(self, samples: int, seed: int) -> list[np.ndarray]: ...
@@ -157,23 +165,27 @@ class Scenario(Protocol):
 
 
 SCENARIOS: dict[str, type[Scenario]] = {"cylinder": CylinderScenario, "sphere": SphereScenario}
+# sampling key -> (default, minimum): the profile grid's point counts, then the seed
+SAMPLING = {"radial_points": (64, 1), "angular_points": (16, 1), "seed": (0, 0)}
+# output key -> default file name; "samples_json" has none and is written only when named
+OUTPUTS = {
+    "profile_csv": "profile.csv",
+    "observables_json": "observables.json",
+    "verification_json": "verification.json",
+}
+# material keys, also the fields of MaterialParams
+MATERIAL = ("eps_r", "mu_r")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration: the scenario, its name, sampling and
-    output file names; mirrors the JSON schema. ``samples_json`` is None
-    unless the config names the opt-in samples file."""
+    """A validated run: the scenario, and the ``echo`` of its config that
+    the reports write. The echo is the config with every number a float
+    and the ``SAMPLING`` and ``OUTPUTS`` defaults filled in;
+    ``outputs.samples_json`` is in it only when the config names it."""
 
-    kind: str
     scenario: Scenario
-    radial_points: int = 64
-    angular_points: int = 16
-    seed: int = 0
-    profile_csv: str = "profile.csv"
-    observables_json: str = "observables.json"
-    verification_json: str = "verification.json"
-    samples_json: str | None = None
+    echo: dict
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -187,71 +199,43 @@ class RunConfig:
         scenario_cls = SCENARIOS[kind]
         drive_key, drive_field = scenario_cls.DRIVE_KEY
         required = {"scenario", "geometry", "omega_rad_per_s", drive_key, "material"}
-        optional = {"sampling", "outputs"}
-        _require_keys(raw, required | optional, required, "config")
+        _require_keys(raw, required | {"sampling", "outputs"}, required, "config")
 
         geometry = raw["geometry"]
         keys = scenario_cls.GEOMETRY_KEYS
         _require_keys(geometry, set(keys), set(keys), "geometry")
-        kwargs = {field: _number(geometry, key, "geometry") for key, field in keys.items()}
-        kwargs[drive_field] = _number(raw, drive_key, "config")
-
+        echo = {
+            "scenario": kind,
+            "geometry": {key: _number(geometry, key, "geometry") for key in keys},
+            drive_key: _number(raw, drive_key, "config"),
+        }
         material = raw["material"]
-        _require_keys(material, {"eps_r", "mu_r"}, {"eps_r", "mu_r"}, "material")
-
+        _require_keys(material, set(MATERIAL), set(MATERIAL), "material")
         sampling = raw.get("sampling", {})
-        _require_keys(sampling, {"radial_points", "angular_points", "seed"}, set(), "sampling")
+        _require_keys(sampling, set(SAMPLING), set(), "sampling")
         outputs = raw.get("outputs", {})
-        defaults = {
-            "profile_csv": cls.profile_csv,
-            "observables_json": cls.observables_json,
-            "verification_json": cls.verification_json,
-        }
-        _require_keys(outputs, {*defaults, "samples_json"}, set(), "outputs")
-        names = _output_names(outputs, defaults)
+        _require_keys(outputs, {*OUTPUTS, "samples_json"}, set(), "outputs")
+        echo["outputs"] = _output_names({**OUTPUTS, **outputs})
+        echo["omega_rad_per_s"] = _number(raw, "omega_rad_per_s", "config")
+        echo["material"] = {key: _number(material, key, "material") for key in MATERIAL}
 
-        kwargs["omega"] = _number(raw, "omega_rad_per_s", "config")
-        eps_r = _number(material, "eps_r", "material")
-        mu_r = _number(material, "mu_r", "material")
-        points = {
-            key: _integer(sampling, key, "sampling", getattr(cls, key), 1)
-            for key in ("radial_points", "angular_points")
-        }
-        rows = math.prod([points[key] for key in scenario_cls.PROFILE_GRID])
+        # the seed is checked after the profile-row ceiling
+        *grid, seed = SAMPLING
+        echo["sampling"] = {key: _integer(sampling, key, "sampling", *SAMPLING[key]) for key in grid}
+        rows = math.prod([echo["sampling"][key] for key in scenario_cls.PROFILE_GRID])
         if rows > MAX_PROFILE_ROWS:
             product = " * ".join(f"sampling.{key}" for key in scenario_cls.PROFILE_GRID)
             raise ConfigError(f"profile rows ({product}) must be at most {MAX_PROFILE_ROWS}, got {rows}")
-        return cls(
-            kind=kind,
-            **points,
-            seed=_integer(sampling, "seed", "sampling", 0, 0),
-            **names,
-            # built last, after every config value has been validated
-            scenario=scenario_cls(mat=MaterialParams(eps_r=eps_r, mu_r=mu_r), **kwargs),
-        )
+        echo["sampling"][seed] = _integer(sampling, seed, "sampling", *SAMPLING[seed])
 
-    def echo(self) -> dict:
-        """Field-for-field echo of the parsed config for the reports."""
-        sc = self.scenario
-        drive_key, drive_field = sc.DRIVE_KEY
-        return {
-            "scenario": self.kind,
-            "geometry": {key: getattr(sc, field) for key, field in sc.GEOMETRY_KEYS.items()},
-            "omega_rad_per_s": sc.omega,
-            drive_key: getattr(sc, drive_field),
-            "material": {"eps_r": sc.mat.eps_r, "mu_r": sc.mat.mu_r},
-            "sampling": {
-                "radial_points": self.radial_points,
-                "angular_points": self.angular_points,
-                "seed": self.seed,
-            },
-            "outputs": {
-                "profile_csv": self.profile_csv,
-                "observables_json": self.observables_json,
-                "verification_json": self.verification_json,
-                **({} if self.samples_json is None else {"samples_json": self.samples_json}),
-            },
-        }
+        # built last, after every config value has been validated
+        scenario = scenario_cls(
+            **{field: echo["geometry"][key] for key, field in keys.items()},
+            **{drive_field: echo[drive_key]},
+            omega=echo["omega_rad_per_s"],
+            mat=MaterialParams(**echo["material"]),
+        )
+        return cls(scenario, echo)
 
 
 def load_config(path: str) -> RunConfig:
@@ -260,7 +244,8 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # a config too deeply nested for the parser is rejected as invalid JSON too
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return RunConfig.from_dict(raw)
 
@@ -419,9 +404,10 @@ def run(
     except ValueError as exc:  # a ConfigError or a scenario's range check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    sc = cfg.scenario
+    sc, echo = cfg.scenario, cfg.echo
+    sampling, outputs = echo["sampling"], echo["outputs"]
 
-    seed = cfg.seed if seed is None else seed
+    seed = sampling["seed"] if seed is None else seed
     n_samples = 64 if samples is None else samples
     if n_samples < 1 or seed < 0:
         print(
@@ -467,7 +453,7 @@ def run(
                 gibbs.append(JumpReport.concat([report for _, report in reports]))
             if not verify_only:
                 observables = sc.observables(constants)
-                header, values, axes = sc.profile(decs, *[getattr(cfg, key) for key in sc.PROFILE_GRID])
+                header, values, axes = sc.profile(decs, *[sampling[key] for key in sc.PROFILE_GRID])
     except MatchingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -481,7 +467,6 @@ def run(
     junction_ok = all(rep.max_rel <= maxwell.tolerance_g for rep in junctions)
     within_tolerance = maxwell.passed and junction_ok
 
-    echo = cfg.echo()
     verification = {
         "config": echo,
         "provenance": {
@@ -496,11 +481,11 @@ def run(
         "within_tolerance": within_tolerance,
     }
 
-    path = out_path(cfg.verification_json)
+    path = out_path(outputs["verification_json"])
     try:
         _write_json(path, verification)
-        if cfg.samples_json is not None:
-            path = out_path(cfg.samples_json)
+        if "samples_json" in outputs:
+            path = out_path(outputs["samples_json"])
             _write_json(
                 path,
                 {
@@ -509,9 +494,9 @@ def run(
                 },
             )
         if not verify_only:
-            path = out_path(cfg.observables_json)
+            path = out_path(outputs["observables_json"])
             _write_json(path, {"config": echo, **observables})
-            path = out_path(cfg.profile_csv)
+            path = out_path(outputs["profile_csv"])
             write_csv(path, header, values, axes)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)

@@ -69,6 +69,16 @@ def lab_frame(chart: Chart) -> VectorField4:
     return VectorField4((inv_c, zero, zero, zero), chart.name)
 
 
+def check_rim_speed(omega: float, radius: float, c: float) -> None:
+    """Raise ValueError unless rigid rotation at ``omega`` stays below light
+    speed out to ``radius``: ``|omega| radius < c``, and the argument of the
+    :func:`rotating_velocity` root there, ``c*c - (radius*radius)*(omega*omega)``,
+    is positive. One ulp below ``c / radius`` the second can round to 0
+    while the first holds."""
+    if abs(omega) * radius >= c or c * c - (radius * radius) * (omega * omega) <= 0.0:
+        raise ValueError(f"rim speed {abs(omega) * radius:.3e} m/s reaches light speed")
+
+
 def rotating_velocity(chart: Chart, omega: float, azimuth_axis: int) -> VectorField4:
     """Unit 4-velocity of rigid rotation about the chart's axis.
 

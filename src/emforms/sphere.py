@@ -48,7 +48,7 @@ from .solutions import (
     grid_and_box_events,
     match_junctions,
 )
-from .spacetime import Chart, lab_frame, rotating_velocity, spherical_chart
+from .spacetime import Chart, check_rim_speed, lab_frame, rotating_velocity, spherical_chart
 
 AZIMUTH_AXIS = 3  # phi slot of the spherical chart
 
@@ -78,10 +78,7 @@ class SphereScenario:
                 self.a**power
             except OverflowError:
                 raise ValueError(f"geometry.a_m: a**{power} overflows a float for a = {self.a}") from None
-        if abs(self.omega) * self.a >= self.mat.c:
-            raise ValueError(
-                f"rim speed {abs(self.omega) * self.a:.3e} m/s reaches light speed"
-            )
+        check_rim_speed(self.omega, self.a, self.mat.c)
         if abs(self.omega) * self.a > 0.1 * self.mat.c:
             # level 2 is the generated dataclass __init__; 3 is its caller
             warnings.warn(

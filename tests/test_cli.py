@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -89,6 +90,51 @@ def test_config_echo_round_trip(tmp_path, make_config):
     assert ver["config"] == cfg
     obs = json.loads((out / "obs.json").read_text())
     assert obs["config"] == cfg
+
+
+# configs with no sampling or outputs section and integer-valued numbers,
+# and the numbers each echo holds: every one a float
+MINIMAL_CONFIGS = {
+    "cylinder": (
+        {"geometry": {"r1_m": 1, "r2_m": 2}, "omega_rad_per_s": 100, "b0_tesla": 1},
+        {"geometry": {"r1_m": 1.0, "r2_m": 2.0}, "omega_rad_per_s": 100.0, "b0_tesla": 1.0},
+    ),
+    "sphere": (
+        {"geometry": {"a_m": 1}, "omega_rad_per_s": -100, "e0_volt_per_m": 1000},
+        {"geometry": {"a_m": 1.0}, "omega_rad_per_s": -100.0, "e0_volt_per_m": 1000.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", MINIMAL_CONFIGS)
+def test_echo_of_a_minimal_config_has_floats_and_the_defaults(tmp_path, kind):
+    raw, numbers = MINIMAL_CONFIGS[kind]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": kind, **raw, "material": {"eps_r": 4, "mu_r": 2}}))
+    out = tmp_path / "out"
+    assert run(str(path), samples=8, out_dir=str(out)) == 0
+    outputs = {
+        "profile_csv": "profile.csv",
+        "observables_json": "observables.json",
+        "verification_json": "verification.json",
+    }
+    expected = {
+        "scenario": kind,
+        **numbers,
+        "material": {"eps_r": 4.0, "mu_r": 2.0},
+        "sampling": {"radial_points": 64, "angular_points": 16, "seed": 0},
+        "outputs": outputs,
+    }
+    # json.dumps tells 1 from 1.0, which == does not
+    expected_text = json.dumps(expected, indent=2, sort_keys=True)
+    assert sorted(p.name for p in out.iterdir()) == sorted(outputs.values())
+    for name in ("verification.json", "observables.json"):
+        echo = json.loads((out / name).read_text())["config"]
+        assert json.dumps(echo, indent=2, sort_keys=True) == expected_text
+    digest = json.loads((out / "verification.json").read_text())["provenance"]["config_sha256"]
+    assert digest == hashlib.sha256(expected_text.encode("ascii")).hexdigest()
+    rows = len((out / "profile.csv").read_text().splitlines()) - 1
+    assert rows == (64 if kind == "cylinder" else 64 * 16)
 
 
 def test_profile_row_count_and_vacuum_gap(tmp_path):
@@ -245,7 +291,7 @@ def test_oversized_sampling_prints_one_error_line(tmp_path, capsys, make_config,
 def test_profile_row_ceiling_counts_the_scenario_grid(tmp_path, make_config, sampling, accepted):
     _, cfg = make_config(tmp_path, sampling=sampling)
     if accepted:
-        assert RunConfig.from_dict(cfg).radial_points == sampling["radial_points"]
+        assert RunConfig.from_dict(cfg).echo["sampling"]["radial_points"] == sampling["radial_points"]
     else:
         with pytest.raises(ConfigError, match="profile rows"):
             RunConfig.from_dict(cfg)
@@ -388,7 +434,7 @@ def test_run_config_parsing_types(tmp_path):
     path, _ = cylinder_config(tmp_path)
     cfg = load_config(path)
     assert isinstance(cfg, RunConfig)
-    assert cfg.kind == "cylinder"
+    assert cfg.echo["scenario"] == "cylinder"
     assert cfg.scenario.r1 == 0.02
     sc = cfg.scenario
     assert sc.r2 == 0.04
@@ -592,16 +638,77 @@ def test_numpy_overflow_prints_no_warning(tmp_path, overrides, code, stderr):
         ({"samples_json": ""}, "outputs.samples_json must be a non-empty string, got ''"),
         ({"samples_json": None}, "outputs.samples_json must be a non-empty string, got None"),
         ({"verification_json": "ver.json", "samples_json": "./ver.json"}, "both name 'ver.json'"),
+        # the NUL and the lone surrogate once failed with a traceback after two reports were written
+        ({"profile_csv": "a\0b.csv"}, "outputs.profile_csv must not hold a NUL character, got 'a\\x00b.csv'"),
+        ({"verification_json": "v\0.json"}, "outputs.verification_json must not hold a NUL character"),
+        ({"profile_csv": "\ud800.csv"}, "outputs.profile_csv is not encodable as a file name, got '\\ud800.csv'"),
     ],
-    ids=["all-same", "dot-slash", "dot-dot", "empty", "number", "null", "samples-empty", "samples-null", "samples-same"],
+    ids=[
+        "all-same", "dot-slash", "dot-dot", "empty", "number", "null", "samples-empty", "samples-null", "samples-same",
+        "nul", "nul-verification", "surrogate",
+    ],
 )
 @pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
 def test_bad_output_names_exit_2_without_outputs(tmp_path, capsys, outputs, message, verify_only):
     path, _ = cylinder_config(tmp_path, outputs=outputs)
     out = tmp_path / "out"
     assert run(path, samples=8, out_dir=str(out), verify_only=verify_only) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        (b"\xff\xfe" + '{"scenario": "cylinder"}'.encode("utf-16-le"), "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["deep", "utf-16"],
+)
+def test_unreadable_config_text_exits_2_naming_the_file(tmp_path, capsys, data, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    out = tmp_path / "out"
+    assert run(str(bad), samples=8, out_dir=str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {bad} is not valid JSON: {reason}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# one ulp below c / 0.05 m, c*c - (r*r)*(omega*omega) rounds to 0.0 at r = 0.05 m
+RIM_ULP = math.nextafter(299792458.0 / 0.05, 0.0)
+
+
+@pytest.mark.parametrize(
+    "make_config, overrides, samples",
+    [
+        (cylinder_config, {"geometry": {"r1_m": 0.02, "r2_m": 0.05}}, 8),
+        # a sampled event sits at theta = pi/2, on the rim
+        (sphere_config, {"eps_r": 4.0, "mu_r": 2.0}, 14),
+    ],
+    ids=["cylinder", "sphere"],
+)
+def test_rim_speed_one_ulp_below_c_exits_2(tmp_path, capsys, make_config, overrides, samples):
+    path, _ = make_config(tmp_path, omega_rad_per_s=RIM_ULP, **overrides)
+    out = tmp_path / "out"
+    assert run(path, samples=samples, out_dir=str(out)) == 2
+    assert capsys.readouterr().err == f"error: rim speed {RIM_ULP * 0.05:.3e} m/s reaches light speed\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "make_config, overrides, code",
+    [(cylinder_config, {}, 3), (sphere_config, {"geometry": {"a_m": 0.04}, "eps_r": 4.0, "mu_r": 2.0}, 0)],
+    ids=["cylinder", "sphere"],
+)
+def test_rim_speed_one_ulp_below_c_at_0_04_m_keeps_its_verdict(tmp_path, make_config, overrides, code):
+    # there c*c - (r*r)*(omega*omega) is 16.0, which the light-speed guard accepts
+    omega = math.nextafter(299792458.0 / 0.04, 0.0)
+    path, _ = make_config(tmp_path, omega_rad_per_s=omega, **overrides)
+    out = tmp_path / "out"
+    assert run(path, samples=14, out_dir=str(out)) == code
+    assert sorted(p.name for p in out.iterdir()) == ["obs.json", "profile.csv", "ver.json"]
 
 
 def test_dot_dot_output_name_is_written_at_its_normalised_path(tmp_path):
