@@ -23,10 +23,13 @@ Unknown keys and non-finite numbers are rejected, and so are output
 names that are not non-empty strings, that hold a NUL or cannot be
 encoded as file names, or that name the same file.
 
-``verification.json`` summarises each junction report: its maxima, per
-condition too, and its worst event. The per-sample event and residual
-arrays go to a fourth file only when ``outputs.samples_json`` names one;
-it is written with ``--verify-only`` too. A warning raised while the
+``verification.json`` summarises the covariant junction report of each
+interface, [F] ^ dPhi and [star G] ^ dPhi: its maxima, per condition too,
+and its worst event. The 3-vector (Gibbs) relations are a library
+cross-check, not part of a run. The per-sample event and residual arrays
+go to a fourth file only when ``outputs.samples_json`` names one; it is
+written with ``--verify-only`` too, which builds no profile and no
+lab-frame decomposition. A warning raised while the
 config is built, such as the sphere's rim-speed warning, is printed as one
 ``warning: <message>`` line on stderr. Exit
 codes: 0 on success; 2 on config errors, including a config file that is
@@ -58,12 +61,10 @@ from . import __version__, g17
 
 # The profile builders live with their scenarios and stay importable from here.
 from .cylinder import CylinderScenario, cylinder_profile  # noqa: F401
-from .fields import batches
 from .forms import DegenerateMetricError
-from .junction import JumpReport, covariant_jump_residual, gibbs_jump_residual
-from .media import EMDecomposition, MaterialParams
+from .junction import covariant_jump_residual
+from .media import MaterialParams
 from .solutions import FieldSolution, MatchingError, verify_solution
-from .spacetime import lab_frame
 from .sphere import SphereScenario, sphere_profile  # noqa: F401
 
 EXIT_OK = 0
@@ -149,10 +150,9 @@ class Scenario(Protocol):
     ``mat`` and the fields of ``GEOMETRY_KEYS`` (geometry key -> field) and ``DRIVE_KEY``
     (config key, field); ``interface_events`` gives one (N, 4) event array
     per interface, in ``FieldSolution.interfaces`` order. ``profile`` takes
-    the (interior, exterior) lab-frame decompositions and one point count
-    per ``PROFILE_GRID`` sampling key, and returns the CSV header, the field
-    values (one row per grid point, C order) and the grid axes, as
-    :func:`write_csv` takes them."""
+    the solution and one point count per ``PROFILE_GRID`` sampling key, and
+    returns the CSV header, the field values (one row per grid point, C
+    order) and the grid axes, as :func:`write_csv` takes them."""
 
     GEOMETRY_KEYS: ClassVar[dict[str, str]]
     DRIVE_KEY: ClassVar[tuple[str, str]]
@@ -160,7 +160,7 @@ class Scenario(Protocol):
 
     def solve(self, seed: int) -> tuple[FieldSolution, object]: ...
     def interface_events(self, samples: int, seed: int) -> list[np.ndarray]: ...
-    def profile(self, decs, *points: int) -> tuple[list[str], np.ndarray, tuple[np.ndarray, ...]]: ...
+    def profile(self, sol, *points: int) -> tuple[list[str], np.ndarray, tuple[np.ndarray, ...]]: ...
     def observables(self, constants) -> dict: ...
 
 
@@ -431,29 +431,14 @@ def run(
         with np.errstate(all="ignore"):
             sol, constants = sc.solve(seed)
             maxwell = verify_solution(sol, samples_per_region=n_samples, seed=seed)
-            metric, frame = sol.chart.metric, lab_frame(sol.chart)
-            # one frame decomposition per side, shared by the Gibbs check and the profile
-            decs = tuple(
-                EMDecomposition.of(f, g, frame, metric)
-                for f, g in ((sol.f_in, sol.g_in), (sol.f_out, sol.g_out))
-            )
-            junctions, gibbs = [], []
-            for iface, events in zip(sol.interfaces, sc.interface_events(n_samples, seed)):
-                # both checks on one batch per block, sharing their nodes' values
-                reports = [
-                    (
-                        covariant_jump_residual(
-                            sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, batch
-                        ),
-                        gibbs_jump_residual(*decs, iface, frame, metric, batch),
-                    )
-                    for batch in batches(events)
-                ]
-                junctions.append(JumpReport.concat([covariant for covariant, _ in reports]))
-                gibbs.append(JumpReport.concat([report for _, report in reports]))
+            metric = sol.chart.metric
+            junctions = [
+                covariant_jump_residual(sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, events)
+                for iface, events in zip(sol.interfaces, sc.interface_events(n_samples, seed))
+            ]
             if not verify_only:
                 observables = sc.observables(constants)
-                header, values, axes = sc.profile(decs, *[sampling[key] for key in sc.PROFILE_GRID])
+                header, values, axes = sc.profile(sol, *[sampling[key] for key in sc.PROFILE_GRID])
     except MatchingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -477,7 +462,6 @@ def run(
         "maxwell": maxwell.to_json_dict(),
         "junction_tolerance_rel": maxwell.tolerance_g,
         "junction": [rep.to_json_dict() for rep in junctions],
-        "junction_gibbs": [rep.to_json_dict() for rep in gibbs],
         "within_tolerance": within_tolerance,
     }
 
@@ -486,13 +470,7 @@ def run(
         _write_json(path, verification)
         if "samples_json" in outputs:
             path = out_path(outputs["samples_json"])
-            _write_json(
-                path,
-                {
-                    "junction": [rep.arrays_json_dict() for rep in junctions],
-                    "junction_gibbs": [rep.arrays_json_dict() for rep in gibbs],
-                },
-            )
+            _write_json(path, {"junction": [rep.arrays_json_dict() for rep in junctions]})
         if not verify_only:
             path = out_path(outputs["observables_json"])
             _write_json(path, {"config": echo, **observables})

@@ -23,10 +23,11 @@ from typing import ClassVar
 import numpy as np
 
 from .fields import ScalarField
-from .forms import DifferentialForm, form, linear_combine, scale
+from .forms import _METRIC_FLOOR, DifferentialForm, form, linear_combine, scale
 from .junction import Interface
 from .media import MaterialParams, apply_constitutive
 from .solutions import (
+    INNER_BOX_FRACTION,
     MATCH_SAMPLES,
     CylinderConstants,
     FieldSolution,
@@ -59,6 +60,12 @@ class CylinderScenario:
     def __post_init__(self):
         if not 0.0 < self.r1 < self.r2:
             raise ValueError(f"need 0 < r1 < r2, got r1={self.r1}, r2={self.r2}")
+        r = INNER_BOX_FRACTION * self.r1  # where the inner vacuum region starts
+        if r * r < _METRIC_FLOOR:
+            raise ValueError(
+                f"geometry.r1_m: r1 = {self.r1!r} m is too small for the metric floor: the inner vacuum "
+                f"region reaches r = {r!r} m, where g_22 = r*r = {r * r!r} < {_METRIC_FLOOR!r}"
+            )
         if not self.mat.eps0 * self.mat.eps_r > 0.0:  # the solution divides by it
             raise ValueError(f"material.eps_r: eps0 * eps_r underflows to 0 for eps_r = {self.mat.eps_r}")
         check_rim_speed(self.omega, self.r2, self.mat.c)
@@ -72,8 +79,8 @@ class CylinderScenario:
     def interface_events(self, samples: int, seed: int) -> list[np.ndarray]:
         return [interface_sample_events(self, r, samples, seed) for r in (self.r1, self.r2)]
 
-    def profile(self, decs, radial_points: int):
-        return cylinder_profile(self, decs, radial_points)
+    def profile(self, sol: FieldSolution, radial_points: int):
+        return cylinder_profile(self, sol, radial_points)
 
     def observables(self, constants: CylinderConstants) -> dict:
         """Matched constants, the shell voltage V12 (leading and exact) and
@@ -259,7 +266,7 @@ def solve_cylinder(sc: CylinderScenario, seed: int = 0) -> tuple[FieldSolution, 
         order="exact",
         regions=(
             Region("medium", True, _sampling_box(sc, (1.001 * r1, 0.999 * r2))),
-            Region("vacuum_inner", False, _sampling_box(sc, (0.05 * r1, 0.999 * r1))),
+            Region("vacuum_inner", False, _sampling_box(sc, (INNER_BOX_FRACTION * r1, 0.999 * r1))),
             Region("vacuum_outer", False, _sampling_box(sc, (1.001 * r2, 3.0 * r2))),
         ),
         length_scale=r2,
@@ -308,10 +315,10 @@ def pellegrini_swift_field(sc: CylinderScenario, r: float) -> float:
     return sc.mat.mu_r * (1.0 / sc.mat.eps_r - 1.0) * r * sc.omega * sc.b0
 
 
-def cylinder_profile(sc: CylinderScenario, decs, radial_points: int):
-    """Radial profile across all three regions, physical SI components,
-    from the (interior, exterior) lab-frame decompositions ``decs``: the
-    header, the field columns at each radius, and the axes ``(radii,)``."""
+def cylinder_profile(sc: CylinderScenario, sol: FieldSolution, radial_points: int):
+    """Radial profile across all three regions, physical SI components of
+    the solution's lab-frame fields: the header, the field columns at each
+    radius, and the axes ``(radii,)``."""
     header = ["r", "e_r", "b_z", "d_r", "h_z", "p_r", "m_z", "rho_bound", "j_bound"]
     current, rho, p_form, m_form = cylinder_bound_sources(sc)
 
@@ -327,7 +334,7 @@ def cylinder_profile(sc: CylinderScenario, decs, radial_points: int):
     sources[2, inside] = rho.component((1, 2, 3)).eval(medium) / radii[inside]
     # azimuthal flux density on dz^dr
     sources[3, inside] = -current.component((1, 3)).eval(medium)
-    columns = by_side(decs, inside, events, [("e", (1,)), ("b", (3,)), ("d", (1,)), ("h", (3,))])
+    columns = by_side(sol, inside, events, [("e", (1,)), ("b", (3,)), ("d", (1,)), ("h", (3,))])
     return header, np.column_stack([*columns, *sources]), (radii,)
 
 

@@ -12,8 +12,10 @@ The equivalent 3-vector (Gibbs) relations
     N . [b] = 0        v_N [b] - N x [e] = 0
 
 are computed independently in the orthonormal spatial frame of a
-lab-aligned observer as a cross-check, with N the outward unit normal
-(pointing from Phi < 0 to Phi > 0) and v_N the normal interface speed.
+lab-aligned observer, with N the outward unit normal (pointing from
+Phi < 0 to Phi > 0) and v_N the normal interface speed. They are a library
+cross-check and the oracle the tests hold the covariant residuals to; a CLI
+run checks and reports the covariant conditions only.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ class JumpReport:
     ``samples`` is the (N, 4) event array and each residual an array over
     those events. The residual functions store them read-only, so the
     maxima and the summary, computed once on first use, cannot go stale.
-    :meth:`concat` joins the reports of consecutive blocks of events.
     :meth:`to_json_dict` is the summary that ``verification.json`` holds;
     :meth:`arrays_json_dict` the per-sample arrays of the opt-in samples
     output.
@@ -95,21 +96,6 @@ class JumpReport:
     samples: np.ndarray
     residuals: dict[str, np.ndarray]
     residuals_rel: dict[str, np.ndarray]
-
-    @classmethod
-    def concat(cls, parts: Sequence["JumpReport"]) -> "JumpReport":
-        """One report over the events of reports on one interface, in order."""
-        if len(parts) == 1:
-            return parts[0]
-        names = parts[0].residuals
-        return _report(
-            parts[0].interface,
-            np.concatenate([part.samples for part in parts]),
-            *(
-                {name: np.concatenate([getattr(part, attr)[name] for part in parts]) for name in names}
-                for attr in ("residuals", "residuals_rel")
-            ),
-        )
 
     @cached_property
     def max_abs(self) -> float:
@@ -156,14 +142,11 @@ class JumpReport:
         }
 
 
-def _on_interface(iface: Interface, samples) -> tuple[np.ndarray, Batch | np.ndarray]:
-    """The events of ``samples``, a batch or a sequence of events, as a new
-    (N, 4) event array, each checked to lie on the interface; and what the
-    checks evaluate on: the batch, or that array."""
-    shared = isinstance(samples, Batch)
-    events = event_array(np.array(samples.events if shared else samples, dtype=float))
-    on = samples if shared else events
-    phi = iface.phi.eval(on)
+def _on_interface(iface: Interface, samples: Sequence[Event]) -> np.ndarray:
+    """``samples`` as a new (N, 4) event array, each event checked to lie
+    on the interface."""
+    events = event_array(np.array(samples, dtype=float))
+    phi = iface.phi.eval(events)
     off = np.abs(phi) > ON_INTERFACE_TOL
     if off.any():
         k = int(off.argmax())
@@ -171,7 +154,7 @@ def _on_interface(iface: Interface, samples) -> tuple[np.ndarray, Batch | np.nda
             f"event {tuple(events[k].tolist())} is off interface {iface.name!r}: "
             f"Phi = {phi[k]:.3e}"
         )
-    return events, on
+    return events
 
 
 def _require_nondegenerate(bad: np.ndarray, batch: Batch, what: str) -> None:
@@ -238,10 +221,10 @@ def covariant_jump_residual(
     g_out: DifferentialForm,
     iface: Interface,
     metric: DiagonalMetric,
-    samples: Sequence[Event] | Batch,
+    samples: Sequence[Event],
 ) -> JumpReport:
     """Residuals of [F] ^ dPhi and [star G] ^ dPhi at interface events,
-    ``samples`` being a batch or a sequence of events.
+    ``samples`` being a sequence of events or an (N, 4) event array.
 
     Relative residuals are normalised per condition by the exterior-field
     scale at each sample: |F_out| |dPhi| for the first condition and
@@ -270,8 +253,8 @@ def covariant_jump_residual(
             },
         )
 
-    events, on = _on_interface(iface, samples)
-    return _report(iface.name, events, *blockwise(residuals, on))
+    events = _on_interface(iface, samples)
+    return _report(iface.name, events, *blockwise(residuals, events))
 
 
 def _report(
@@ -319,18 +302,18 @@ def gibbs_jump_residual(
     iface: Interface,
     frame: VectorField4,
     g: DiagonalMetric,
-    samples: Sequence[Event] | Batch,
+    samples: Sequence[Event],
 ) -> JumpReport:
     """3-vector jump relations evaluated in the observer's spatial frame,
-    ``samples`` being a batch or a sequence of events.
+    ``samples`` being a sequence of events or an (N, 4) event array.
 
     Both decompositions must use the same lab-aligned frame. Relative
     residuals are normalised per condition by the larger of the two
     sides' field scales at the sample.
     """
-    events, on = _on_interface(iface, samples)
+    events = _on_interface(iface, samples)
     residuals = partial(_gibbs_residuals, dec_in, dec_out, iface, frame, g)
-    return _report(iface.name, events, *blockwise(residuals, on))
+    return _report(iface.name, events, *blockwise(residuals, events))
 
 
 def _gibbs_residuals(dec_in, dec_out, iface, frame, g, batch: Batch) -> tuple[dict, dict]:

@@ -23,7 +23,8 @@ from .forms import (
     wedge,
 )
 from .junction import Interface, field_jumps
-from .spacetime import Chart
+from .media import EMDecomposition
+from .spacetime import Chart, lab_frame
 
 EXACT_RESIDUAL_TOL = 1e-10
 # Dimensionless ceiling on (residual / expansion_parameter^2) accepted for
@@ -43,6 +44,10 @@ Builder = Callable[[list[ScalarField], float], tuple[DifferentialForm, ...]]
 
 # One coordinate slot of a sampling box: a fixed value or a (lo, hi) range.
 BoxSlot = float | tuple[float, float]
+# Inner edge of the sampling box of the region that reaches toward the axis
+# (the shell's inner vacuum) or the centre (the sphere's medium), as a
+# fraction of the inner radius; each scenario checks the metric there.
+INNER_BOX_FRACTION = 0.05
 
 
 class MatchingError(RuntimeError):
@@ -108,12 +113,16 @@ def grid_and_box_events(grid, box: Sequence[BoxSlot], n: int, seed: int) -> np.n
     return np.concatenate([gridded, sample_box(box, n - half, np.random.default_rng(seed))])
 
 
-def by_side(decs, inside: np.ndarray, events: np.ndarray, components) -> np.ndarray:
-    """Components of the frame fields over the events, one row per
-    ``(attr, idx)`` of ``components``, each of the (interior, exterior)
-    decompositions ``decs`` evaluated only on its own side (the interior
-    one raises past the light cylinder, which a profile may reach), with
-    all components of a side evaluated on one batch per block."""
+def by_side(sol: FieldSolution, inside: np.ndarray, events: np.ndarray, components) -> np.ndarray:
+    """Components of the lab-frame fields of a solution over the events,
+    one row per ``(attr, idx)`` of ``components``, each side's
+    :class:`~emforms.media.EMDecomposition` evaluated only on its own side
+    (the interior one raises past the light cylinder, which a profile may
+    reach), with all components of a side evaluated on one batch per
+    block."""
+    frame, metric = lab_frame(sol.chart), sol.chart.metric
+    sides = ((sol.f_in, sol.g_in), (sol.f_out, sol.g_out))
+    decs = [EMDecomposition.of(f, g, frame, metric) for f, g in sides]
     out = np.empty((len(components), len(events)))
     for dec, mask in zip(decs, (inside, ~inside)):
         fields = [getattr(dec, attr).component(idx) for attr, idx in components]

@@ -26,6 +26,7 @@ import numpy as np
 
 from .fields import ScalarField, cos, sin
 from .forms import (
+    _METRIC_FLOOR,
     DifferentialForm,
     VectorField4,
     add,
@@ -39,6 +40,7 @@ from .forms import (
 from .junction import Interface
 from .media import MaterialParams, apply_constitutive
 from .solutions import (
+    INNER_BOX_FRACTION,
     MATCH_SAMPLES,
     FieldSolution,
     Region,
@@ -71,6 +73,15 @@ class SphereScenario:
     def __post_init__(self):
         if self.a <= 0.0:
             raise ValueError(f"radius must be positive, got {self.a}")
+        # where the medium region starts, at its polar margin
+        r = INNER_BOX_FRACTION * self.a
+        rs = r * math.sin(_POLE_MARGIN)
+        if rs * rs < _METRIC_FLOOR:
+            raise ValueError(
+                f"geometry.a_m: a = {self.a!r} m is too small for the metric floor: the medium region "
+                f"reaches r = {r!r} m at theta = {_POLE_MARGIN!r}, where g_33 = (r*sin(theta))**2 = "
+                f"{rs * rs!r} < {_METRIC_FLOOR!r}"
+            )
         if not math.isfinite(self.omega):
             raise ValueError(f"rotation rate must be finite, got {self.omega}")
         for power in (3, 5):  # the scales of the multipole amplitudes
@@ -99,8 +110,8 @@ class SphereScenario:
     def interface_events(self, samples: int, seed: int) -> list[np.ndarray]:
         return [sphere_interface_events(self, samples, seed)]
 
-    def profile(self, decs, radial_points: int, angular_points: int):
-        return sphere_profile(self, decs, radial_points, angular_points)
+    def profile(self, sol: FieldSolution, radial_points: int, angular_points: int):
+        return sphere_profile(self, sol, radial_points, angular_points)
 
     def observables(self, constants: SphereConstants) -> dict:
         """The matched multipole amplitudes."""
@@ -305,7 +316,7 @@ def solve_sphere(sc: SphereScenario, seed: int = 0) -> tuple[FieldSolution, Sphe
         interfaces=(sphere_interface(sc, chart),),
         order="first-order",
         regions=(
-            Region("medium", True, _sampling_box(sc, (0.05 * sc.a, 0.999 * sc.a))),
+            Region("medium", True, _sampling_box(sc, (INNER_BOX_FRACTION * sc.a, 0.999 * sc.a))),
             Region("vacuum", False, _sampling_box(sc, (1.001 * sc.a, 10.0 * sc.a))),
         ),
         length_scale=sc.a,
@@ -314,11 +325,10 @@ def solve_sphere(sc: SphereScenario, seed: int = 0) -> tuple[FieldSolution, Sphe
     return solution, closed
 
 
-def sphere_profile(sc: SphereScenario, decs, radial_points: int, angular_points: int):
-    """(r, theta) grid of orthonormal field components, in SI over c, from
-    the (interior, exterior) lab-frame decompositions ``decs``: the header,
-    the field columns at each grid point (theta fastest), and the axes
-    ``(radii, thetas)``."""
+def sphere_profile(sc: SphereScenario, sol: FieldSolution, radial_points: int, angular_points: int):
+    """(r, theta) grid of orthonormal components of the solution's lab-frame
+    fields, in SI over c: the header, the field columns at each grid point
+    (theta fastest), and the axes ``(radii, thetas)``."""
     header = ["r", "theta", "e_r", "e_theta", "b_r", "b_theta"]
     radii = np.linspace(0.1 * sc.a, 2.0 * sc.a, radial_points)
     thetas = np.linspace(0.15, math.pi - 0.15, angular_points)
@@ -326,5 +336,5 @@ def sphere_profile(sc: SphereScenario, decs, radial_points: int, angular_points:
     th = np.tile(thetas, radial_points)
     events = np.column_stack([np.zeros_like(r), r, th, np.zeros_like(r)])
     inside = r < sc.a
-    e_r, e_th, b_r, b_th = by_side(decs, inside, events, [("e", (1,)), ("e", (2,)), ("b", (1,)), ("b", (2,))])
+    e_r, e_th, b_r, b_th = by_side(sol, inside, events, [("e", (1,)), ("e", (2,)), ("b", (1,)), ("b", (2,))])
     return header, np.column_stack([e_r, e_th / r, b_r, b_th / r]), (radii, thetas)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from emforms import dual, solutions
+from emforms import dual, fields, solutions
 from emforms.cylinder import CylinderScenario, solve_cylinder
 from emforms.dual import Dual
 from emforms.fields import Batch, ScalarField, sin
@@ -31,7 +31,6 @@ from emforms.junction import (
     DegenerateInterfaceError,
     Interface,
     InterfaceSampleError,
-    JumpReport,
     covariant_jump_residual,
     gibbs_jump_residual,
     interface_normal_velocity,
@@ -374,7 +373,7 @@ def test_a_guard_raises_again_on_a_second_evaluation_of_its_batch(shell):
                 evaluate(a, batch)
 
 
-def test_reports_on_a_shared_batch_and_on_blocks_equal_the_report_on_the_array(shell):
+def test_reports_on_blocks_equal_the_report_on_one_block(shell, monkeypatch):
     sc, sol = shell
     metric, frame = sol.chart.metric, lab_frame(sol.chart)
     sides = ((sol.f_in, sol.g_in), (sol.f_out, sol.g_out))
@@ -382,21 +381,22 @@ def test_reports_on_a_shared_batch_and_on_blocks_equal_the_report_on_the_array(s
     iface = sol.interfaces[1]
     events = sc.interface_events(12, seed=2)[1]
 
-    def reports(samples):
+    def reports():
         return (
-            covariant_jump_residual(sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, samples),
-            gibbs_jump_residual(*decs, iface, frame, metric, samples),
+            covariant_jump_residual(sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, events),
+            gibbs_jump_residual(*decs, iface, frame, metric, events),
         )
 
-    whole = reports(events)
-    halves = [reports(Batch.of(events[rows])) for rows in (slice(0, 5), slice(5, None))]
-    for k, want in enumerate(whole):
-        for got in (reports(Batch.of(events))[k], JumpReport.concat([half[k] for half in halves])):
-            assert got.samples.tolist() == want.samples.tolist()
-            assert not got.samples.flags.writeable
-            assert got.to_json_dict() == want.to_json_dict()
-            for name, values in want.residuals_rel.items():
-                assert got.residuals_rel[name].view(np.int64).tolist() == values.view(np.int64).tolist()
+    whole = reports()
+    # blocks of 5, 5 and 2 events, each a fresh batch
+    monkeypatch.setattr(fields, "BLOCK_EVENTS", 5)
+    for got, want in zip(reports(), whole, strict=True):
+        assert got.samples.tolist() == want.samples.tolist()
+        assert not got.samples.flags.writeable
+        assert got.to_json_dict() == want.to_json_dict()
+        for attr in ("residuals", "residuals_rel"):
+            for name, values in getattr(want, attr).items():
+                assert getattr(got, attr)[name].view(np.int64).tolist() == values.view(np.int64).tolist()
 
 
 def test_cached_nodes_and_batches_are_freed_without_the_cycle_collector(shell, rng):

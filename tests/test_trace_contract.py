@@ -62,7 +62,7 @@ def test_tracer_counts_the_kernel_calls_of_a_run(tmp_path):
         assert cli.run(path, samples=8, out_dir=str(tmp_path / "out")) == 0
     finally:
         t.uninstall()
-    for metric in ("forms.evaluate", "forms.component_max", "fields.eval", "junction.normal_velocity"):
+    for metric in ("solutions.verify", "forms.component_max", "fields.eval", "junction.covariant"):
         assert t.calls[metric] > 0, metric
 
 

@@ -1,14 +1,16 @@
 """Ceilings on the Python-level work of one CLI run.
 
 One ``cli.run`` of the shell and of the sphere config of ``test_cli`` at
-``--samples 8`` is counted under ``sys.setprofile``: every Python frame
+``--samples 8``, full and ``--verify-only``, is counted under
+``sys.setprofile``: every Python frame
 entered, the ``first_bad_event`` guards among them, the derivative passes
 (``dual.fresh_tag`` calls), the generator expressions of ``forms.py`` and
 the forms built (``DifferentialForm.__post_init__`` frames). The ceilings
 sit about 10 % above the counts of the code as it stands, so that a change
-which brings per-evaluation bookkeeping back into the form algebra, or one
-assembly per matched amplitude back into the junction matcher, fails here,
-not only in the benchmark. Counts that fall far below a ceiling are a cue
+which brings per-evaluation bookkeeping back into the form algebra, one
+assembly per matched amplitude back into the junction matcher, or the
+3-vector junction check or a lab-frame decomposition back into a
+``--verify-only`` run, fails here, not only in the benchmark. Counts that fall far below a ceiling are a cue
 to lower it.
 """
 
@@ -53,28 +55,43 @@ def count_frames(fn) -> Counter:
 
 
 @pytest.mark.parametrize(
-    "make_config, ceilings",
+    "make_config, verify_only, ceilings",
     [
-        # counts of the code as it stands: 4069 calls, 29 guards, 7 passes,
+        # counts of the code as it stands: 3473 calls, 23 guards, 7 passes,
         # 25 generator frames, 78 forms
         (
             cylinder_config,
-            {"calls": 4480, "first_bad_event": 34, "passes": 8, "forms_genexpr": 28, "forms": 86},
+            False,
+            {"calls": 3820, "first_bad_event": 26, "passes": 8, "forms_genexpr": 28, "forms": 86},
         ),
-        # counts of the code as it stands: 4134 calls, 28 guards, 21 passes,
+        # counts of the code as it stands: 3839 calls, 25 guards, 21 passes,
         # 30 generator frames, 100 forms
         (
             sphere_config,
-            {"calls": 4550, "first_bad_event": 31, "passes": 22, "forms_genexpr": 33, "forms": 110},
+            False,
+            {"calls": 4220, "first_bad_event": 28, "passes": 22, "forms_genexpr": 33, "forms": 110},
+        ),
+        # --verify-only builds no profile and no lab-frame decomposition:
+        # 2713 calls, 20 guards, 7 passes, 15 generator frames, 58 forms
+        (
+            cylinder_config,
+            True,
+            {"calls": 2980, "first_bad_event": 22, "passes": 8, "forms_genexpr": 17, "forms": 64},
+        ),
+        # 3329 calls, 25 guards, 17 passes, 25 generator frames, 84 forms
+        (
+            sphere_config,
+            True,
+            {"calls": 3660, "first_bad_event": 28, "passes": 19, "forms_genexpr": 28, "forms": 93},
         ),
     ],
-    ids=["cylinder", "sphere"],
+    ids=["cylinder", "sphere", "cylinder-verify-only", "sphere-verify-only"],
 )
-def test_python_work_per_run_stays_under_its_ceiling(tmp_path, make_config, ceilings):
+def test_python_work_per_run_stays_under_its_ceiling(tmp_path, make_config, verify_only, ceilings):
     path, _ = make_config(tmp_path)
     # a first run pays the one-time costs (lazy imports, cached tables)
-    assert run(path, samples=8, out_dir=os.path.join(tmp_path, "warm")) == 0
-    counts = count_frames(lambda: run(path, samples=8, out_dir=os.path.join(tmp_path, "out")))
+    assert run(path, verify_only=verify_only, samples=8, out_dir=os.path.join(tmp_path, "warm")) == 0
+    counts = count_frames(lambda: run(path, verify_only=verify_only, samples=8, out_dir=os.path.join(tmp_path, "out")))
     assert counts["calls"] > 0
     over = {key: counts[key] for key, most in ceilings.items() if counts[key] > most}
     assert not over, f"{over} above the ceilings {ceilings}"
