@@ -10,7 +10,7 @@ written under that directory (name or bytes) differs. Every differing case
 is printed; the exit code is 1 if any case differs, else 0. ``-k TEXT``
 keeps the cases whose name contains TEXT.
 
-The 91 cases:
+The 96 cases:
   * 14 configs of each benchmark workload (``perfbench/workloads.py``),
     drawn from its stream at seed 7, run with that workload's flags;
   * the shell and sphere configs of ``tests/test_cli.py``, full and
@@ -23,8 +23,8 @@ The 91 cases:
     whose source columns are 0 outside the medium and 22 of whose values
     take the kernel's ``%`` fallback, and a static sphere on a 64x32 grid,
     whose b columns are 0;
-  * 3 spheres rotating so slowly that (a omega / c)^2 underflows to 0,
-    at ``--samples 8``;
+  * 3 spheres and 3 shells rotating so slowly that (a omega / c)^2 or
+    (r omega / c)^2 underflows to 0, at ``--samples 8``;
   * the samples file (``outputs.samples_json``) of the shell and the
     sphere at ``--samples 512``;
   * 3 runs whose event arrays span more than one evaluation block
@@ -32,6 +32,9 @@ The 91 cases:
     ``--samples 10000``, with its samples file, a shell profile at
     10,000 radii, and the shell ``--verify-only`` at ``--samples 2100``,
     whose two vacuum regions are evaluated together on 4200 events;
+  * 2 geometries below the metric floor, which exit 2 at every seed: a
+    shell with r1 = 1e-14 m and a sphere with a = 1e-13 m, at
+    ``--verify-only --samples 64``;
   * 2 configs, a shell and a sphere, with no ``sampling`` or ``outputs``
     section and integer-valued numbers, whose echo holds floats and the
     defaults;
@@ -120,10 +123,14 @@ LARGE_PROFILE_OVERRIDES = {
         {"omega_rad_per_s": 0.0, "sampling": {"radial_points": 64, "angular_points": 32, "seed": 1}},
     ),
 }
-# spheres at rotation rates whose squared rim speed underflows, at ``--samples 8``
+# spheres and shells at rotation rates whose squared rim speed underflows, at ``--samples 8``
+SLOW_RATES = (1e-200, 1e-300, 5e-324)
 SLOW_ROTATION_OVERRIDES = {
     f"omega-{omega!r}": (SPHERE, {"omega_rad_per_s": omega, "material": {"eps_r": 4.0, "mu_r": 2.0}})
-    for omega in (1e-200, 1e-300, 5e-324)
+    for omega in SLOW_RATES
+} | {
+    f"shell-omega-{omega!r}": (SHELL, {"omega_rad_per_s": omega, "material": {"eps_r": 6.0, "mu_r": 2.0}})
+    for omega in SLOW_RATES
 }
 SAMPLES_OUTPUTS = {**TEST_OUTPUTS, "samples_json": "samples.json"}
 # (base, overrides, flags) of the cases that take flags of their own
@@ -141,6 +148,12 @@ FLAGGED_OVERRIDES = {
         TEST_SAMPLES,
     ),
     "blocks/shell-verify-2100": (SHELL, {}, ["--samples", "2100", "--verify-only"]),
+    "metric-floor/shell-r1-1e-14": (
+        SHELL,
+        {"geometry": {"r1_m": 1e-14, "r2_m": 2e-14}},
+        ["--samples", "64", "--verify-only"],
+    ),
+    "metric-floor/sphere-a-1e-13": (SPHERE, {"geometry": {"a_m": 1e-13}}, ["--samples", "64", "--verify-only"]),
 }
 # configs with no sampling or outputs section and integer-valued numbers
 MINIMAL = {

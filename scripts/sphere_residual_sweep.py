@@ -16,7 +16,7 @@ import numpy as np
 from emforms.junction import covariant_jump_residual
 from emforms.media import MaterialParams
 from emforms.solutions import verify_solution
-from emforms.sphere import SphereScenario, solve_sphere, sphere_interface_events
+from emforms.sphere import SphereScenario, solve_sphere
 
 
 def main() -> None:
@@ -39,7 +39,7 @@ def main() -> None:
         sol, _ = solve_sphere(sc)
         report = verify_solution(sol, samples_per_region=args.samples, seed=0)
         rel = report.regions["medium"]["dstar_g_max_rel"]
-        events = sphere_interface_events(sc, 16, seed=0)
+        events = sc.interface_events(16, seed=0)[0]
         jrep = covariant_jump_residual(
             sol.f_in, sol.f_out, sol.g_in, sol.g_out,
             sol.interfaces[0], sol.chart.metric, events,

@@ -149,7 +149,8 @@ class Scenario(Protocol):
     """What the driver needs of a scenario. It is built from ``omega``,
     ``mat`` and the fields of ``GEOMETRY_KEYS`` (geometry key -> field) and ``DRIVE_KEY``
     (config key, field); ``interface_events`` gives one (N, 4) event array
-    per interface, in ``FieldSolution.interfaces`` order. ``profile`` takes
+    per interface, in the order of the scenario's cached ``interfaces``,
+    the tuple its solution carries as ``FieldSolution.interfaces``. ``profile`` takes
     the solution and one point count per ``PROFILE_GRID`` sampling key, and
     returns the CSV header, the field values (one row per grid point, C
     order) and the grid axes, as :func:`write_csv` takes them."""

@@ -17,7 +17,9 @@ comparator field.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -70,14 +72,35 @@ class CylinderScenario:
             raise ValueError(f"material.eps_r: eps0 * eps_r underflows to 0 for eps_r = {self.mat.eps_r}")
         check_rim_speed(self.omega, self.r2, self.mat.c)
 
+    @cached_property
     def chart(self) -> Chart:
+        """The cylindrical chart of every form of the scenario, built on first use."""
         return cylindrical_chart(self.mat.c)
+
+    @cached_property
+    def interfaces(self) -> tuple[Interface, Interface]:
+        """The interfaces r = r1 ("inner") and r = r2 ("outer"), built on first use."""
+        r = ScalarField.coordinate(1)
+        return (
+            Interface(phi=r - self.r1, chart=self.chart.name, name="inner"),
+            Interface(phi=r - self.r2, chart=self.chart.name, name="outer"),
+        )
 
     def solve(self, seed: int) -> tuple[FieldSolution, CylinderConstants]:
         return solve_cylinder(self, seed=seed)
 
     def interface_events(self, samples: int, seed: int) -> list[np.ndarray]:
-        return [interface_sample_events(self, r, samples, seed) for r in (self.r1, self.r2)]
+        """Deterministic events on each interface, in ``interfaces`` order:
+        a (samples, 4) array per radius, an angular/axial grid plus a
+        seeded pseudorandom set."""
+
+        def on(radius):
+            def grid(j, half):
+                return (0.0, radius, 2.0 * math.pi * j / half, self.r2 * np.where(j % 2, -1.0, 1.0))
+
+            return grid_and_box_events(grid, _sampling_box(self, radius), samples, seed)
+
+        return [on(r) for r in (self.r1, self.r2)]
 
     def profile(self, sol: FieldSolution, radial_points: int):
         return cylinder_profile(self, sol, radial_points)
@@ -98,35 +121,10 @@ class CylinderScenario:
         }
 
 
-def exterior_maxwell_form(sc: CylinderScenario, chart: Chart | None = None) -> DifferentialForm:
+def exterior_maxwell_form(sc: CylinderScenario) -> DifferentialForm:
     """Uniform axial induction: F_out = c B0 r dr^dtheta."""
-    chart = chart or sc.chart()
     r = ScalarField.coordinate(1)
-    return form(2, chart.name, {(1, 2): sc.mat.c * sc.b0 * r})
-
-
-def cylinder_interfaces(sc: CylinderScenario, chart: Chart | None = None) -> tuple[Interface, Interface]:
-    chart = chart or sc.chart()
-    r = ScalarField.coordinate(1)
-    return (
-        Interface(phi=r - sc.r1, chart=chart.name, name="inner"),
-        Interface(phi=r - sc.r2, chart=chart.name, name="outer"),
-    )
-
-
-def interface_sample_events(
-    sc: CylinderScenario,
-    radius: float,
-    n: int = 64,
-    seed: int = 0,
-) -> np.ndarray:
-    """Deterministic interface events as an (n, 4) array: an angular/axial
-    grid plus a seeded pseudorandom set, all at the given radius."""
-
-    def grid(j, half):
-        return (0.0, radius, 2.0 * math.pi * j / half, sc.r2 * np.where(j % 2, -1.0, 1.0))
-
-    return grid_and_box_events(grid, _sampling_box(sc, radius), n, seed)
+    return form(2, sc.chart.name, {(1, 2): sc.mat.c * sc.b0 * r})
 
 
 def _sampling_box(sc: CylinderScenario, radius) -> tuple:
@@ -182,9 +180,8 @@ def match_cylinder_amplitudes(sc: CylinderScenario, seed: int = 0) -> tuple[floa
     (k1, k2) at ``MATCH_SAMPLES`` events on each radius, at the scenario's
     own B0, by :func:`~emforms.solutions.match_junctions`, from one
     assembly of the family basis at the matcher's amplitude fields."""
-    chart = sc.chart()
-    f_basis, g_basis = _interior_family(sc, chart)
-    f_out = exterior_maxwell_form(sc, chart)
+    f_basis, g_basis = _interior_family(sc, sc.chart)
+    f_out = exterior_maxwell_form(sc)
     g_out = scale(sc.mat.eps0, f_out)
 
     def build(k, drive):
@@ -197,9 +194,8 @@ def match_cylinder_amplitudes(sc: CylinderScenario, seed: int = 0) -> tuple[floa
 
     # one physical unit of each amplitude
     unit = sc.mat.eps0 * sc.mat.c * abs(sc.b0)
-    events = sc.interface_events(MATCH_SAMPLES, seed)
-    junctions = list(zip(cylinder_interfaces(sc, chart), events))
-    k1, k2 = match_junctions(build, (unit * sc.r2, unit), junctions, chart.metric, "junction")
+    junctions = list(zip(sc.interfaces, sc.interface_events(MATCH_SAMPLES, seed)))
+    k1, k2 = match_junctions(build, (unit * sc.r2, unit), junctions, sc.chart.metric, "junction")
     return float(k1), float(k2)
 
 
@@ -236,7 +232,7 @@ def solve_cylinder(sc: CylinderScenario, seed: int = 0) -> tuple[FieldSolution, 
     family at the closed-form amplitudes (k1, k2) = (0, eps0 c B0), and the
     returned excitation is its constitutive image.
     """
-    chart = sc.chart()
+    chart = sc.chart
     metric = chart.metric
     velocity = rotating_velocity(chart, sc.omega, AZIMUTH_AXIS)
 
@@ -252,7 +248,7 @@ def solve_cylinder(sc: CylinderScenario, seed: int = 0) -> tuple[FieldSolution, 
     f_basis, _ = _interior_family(sc, chart)
     f_in = linear_combine(closed_k, f_basis)
     g_in = apply_constitutive(f_in, velocity, sc.mat, metric)
-    f_out = exterior_maxwell_form(sc, chart)
+    f_out = exterior_maxwell_form(sc)
     g_out = scale(sc.mat.eps0, f_out)
     r1, r2 = sc.r1, sc.r2
 
@@ -262,7 +258,7 @@ def solve_cylinder(sc: CylinderScenario, seed: int = 0) -> tuple[FieldSolution, 
         g_in=g_in,
         f_out=f_out,
         g_out=g_out,
-        interfaces=cylinder_interfaces(sc, chart),
+        interfaces=sc.interfaces,
         order="exact",
         regions=(
             Region("medium", True, _sampling_box(sc, (1.001 * r1, 0.999 * r2))),
@@ -285,7 +281,11 @@ def wilson_wilson_V12(sc: CylinderScenario, mode: str = "exact") -> float:
 
         -(c^2 B0 (eps_r mu_r - 1) / (2 eps_r omega)) log1p((x1 - x2) / (1 - x1))
 
-    with xi = (ri omega / c)^2; it is 0 at omega = 0.
+    with xi = (ri omega / c)^2; it is 0 at omega = 0. Where x1 - x2 or
+    (omega / c)^2 is below the smallest normal float, log1p would lose
+    digits or return 0 and c^2 / omega may overflow, so the limit
+    -(B0 (eps_r mu_r - 1) / (2 eps_r)) (r1 - r2)(r1 + r2) omega / (1 - x1)
+    is returned there: log1p(y) / y is 1 to double precision at such y.
     """
     mu_r, eps_r = sc.mat.mu_r, sc.mat.eps_r
     if mode == "leading":
@@ -300,6 +300,9 @@ def wilson_wilson_V12(sc: CylinderScenario, mode: str = "exact") -> float:
     x1 = (sc.r1 * om / c) ** 2
     # x1 - x2 factored so that a thin shell keeps full relative precision
     x1_minus_x2 = (sc.r1 - sc.r2) * (sc.r1 + sc.r2) * (om / c) ** 2
+    if min(abs(x1_minus_x2), (om / c) ** 2) < sys.float_info.min:
+        lead = sc.b0 * (eps_r * mu_r - 1.0) / (2.0 * eps_r)
+        return -lead * (sc.r1 - sc.r2) * (sc.r1 + sc.r2) * om / (1.0 - x1)
     pref = c * c * sc.b0 * (eps_r * mu_r - 1.0) / (2.0 * eps_r * om)
     return -pref * math.log1p(x1_minus_x2 / (1.0 - x1))
 
@@ -347,7 +350,7 @@ def cylinder_bound_sources(
     shell interior. These match the module path (bound_sources applied to
     the interior polarization) and are what the CSV profiles report.
     """
-    chart = sc.chart()
+    chart = sc.chart
     c, om, b0 = sc.mat.c, sc.omega, sc.b0
     eps_r, mu_r, eps0 = sc.mat.eps_r, sc.mat.mu_r, sc.mat.eps0
     em = eps_r * mu_r
@@ -388,7 +391,7 @@ def nonrelativistic_limit(sc: CylinderScenario) -> tuple[DifferentialForm, Diffe
     exact solution approaches these with a relative defect of order
     (r omega / c)^2.
     """
-    chart = sc.chart()
+    chart = sc.chart
     em = sc.mat.eps_r * sc.mat.mu_r
     r = ScalarField.coordinate(1)
     e_leading = form(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -97,8 +98,15 @@ class SphereScenario:
                 stacklevel=3,
             )
 
+    @cached_property
     def chart(self) -> Chart:
+        """The spherical chart of every form of the scenario, built on first use."""
         return spherical_chart(self.mat.c)
+
+    @cached_property
+    def interfaces(self) -> tuple[Interface]:
+        """The one interface, the surface r = a, built on first use."""
+        return (Interface(phi=ScalarField.coordinate(1) - self.a, chart=self.chart.name, name="surface"),)
 
     @property
     def expansion_parameter(self) -> float:
@@ -108,7 +116,14 @@ class SphereScenario:
         return solve_sphere(self, seed=seed)
 
     def interface_events(self, samples: int, seed: int) -> list[np.ndarray]:
-        return [sphere_interface_events(self, samples, seed)]
+        """Deterministic events on the surface r = a, as a one-element list
+        of a (samples, 4) array: a polar grid plus a seeded random set."""
+
+        def grid(j, half):
+            theta = _POLE_MARGIN + (math.pi - 2.0 * _POLE_MARGIN) * (j + 0.5) / half
+            return (0.0, self.a, theta, 2.0 * math.pi * j / half)
+
+        return [grid_and_box_events(grid, _sampling_box(self, self.a), samples, seed)]
 
     def profile(self, sol: FieldSolution, radial_points: int, angular_points: int):
         return sphere_profile(self, sol, radial_points, angular_points)
@@ -176,21 +191,6 @@ def truncated_excitation(
     return scale(mat.eps0, add(bracket, scale(1.0 / mat.mu_r, f_total)))
 
 
-def sphere_interface_events(
-    sc: SphereScenario,
-    n: int = 64,
-    seed: int = 0,
-) -> np.ndarray:
-    """Deterministic events on r = a as an (n, 4) array: a polar grid plus
-    a seeded random set."""
-
-    def grid(j, half):
-        theta = _POLE_MARGIN + (math.pi - 2.0 * _POLE_MARGIN) * (j + 0.5) / half
-        return (0.0, sc.a, theta, 2.0 * math.pi * j / half)
-
-    return grid_and_box_events(grid, _sampling_box(sc, sc.a), n, seed)
-
-
 def _sampling_box(sc: SphereScenario, radius) -> tuple:
     """Coordinate box of sampled events: one light crossing of a in time,
     polar angles clear of the axis, a full turn, and the given radius
@@ -201,12 +201,6 @@ def _sampling_box(sc: SphereScenario, radius) -> tuple:
         (_POLE_MARGIN, math.pi - _POLE_MARGIN),
         (0.0, 2.0 * math.pi),
     )
-
-
-def sphere_interface(sc: SphereScenario, chart: Chart | None = None) -> Interface:
-    chart = chart or sc.chart()
-    r = ScalarField.coordinate(1)
-    return Interface(phi=r - sc.a, chart=chart.name, name="surface")
 
 
 def match_sphere_constants(sc: SphereScenario, seed: int = 0) -> SphereConstants:
@@ -224,7 +218,7 @@ def match_sphere_constants(sc: SphereScenario, seed: int = 0) -> SphereConstants
     the amplitudes are scaled by E0: a tiny drive would otherwise make the
     column units (K1's is E0/c^2) subnormal.
     """
-    chart = sc.chart()
+    chart = sc.chart
     basis = _field_basis(chart)
     omega = 0.01 * sc.mat.c / sc.a
 
@@ -241,7 +235,7 @@ def match_sphere_constants(sc: SphereScenario, seed: int = 0) -> SphereConstants
         return f_in, f_out, g_in, g_out
 
     units = list(vars(_constant_scales(sc, 1.0)).values())
-    junctions = list(zip((sphere_interface(sc, chart),), sc.interface_events(MATCH_SAMPLES, seed)))
+    junctions = list(zip(sc.interfaces, sc.interface_events(MATCH_SAMPLES, seed)))
     matched = match_junctions(build, units, junctions, chart.metric, "sphere junction")
     return SphereConstants(*(float(x) * sc.e0 for x in matched))
 
@@ -288,7 +282,7 @@ def solve_sphere(sc: SphereScenario, seed: int = 0) -> tuple[FieldSolution, Sphe
     constitutive map with the exact rotation 4-velocity, so Maxwell and
     junction residuals of the returned solution are O((a omega / c)^2).
     """
-    chart = sc.chart()
+    chart = sc.chart
     metric = chart.metric
     matched = match_sphere_constants(sc, seed)
     closed = closed_form_constants(sc)
@@ -313,7 +307,7 @@ def solve_sphere(sc: SphereScenario, seed: int = 0) -> tuple[FieldSolution, Sphe
         g_in=g_in,
         f_out=f_out,
         g_out=g_out,
-        interfaces=(sphere_interface(sc, chart),),
+        interfaces=sc.interfaces,
         order="first-order",
         regions=(
             Region("medium", True, _sampling_box(sc, (INNER_BOX_FRACTION * sc.a, 0.999 * sc.a))),

@@ -351,26 +351,24 @@ def per_basis_cylinder_rows(sc, seed: int = 0):
     unit of its amplitude, wedged with dPhi for [F] and Hodge-dualised first
     for [star G], against the exterior field's, with the interior family on
     the left-hand side."""
-    from emforms.cylinder import (
-        _interior_family,
-        cylinder_interfaces,
-        exterior_maxwell_form,
-        interface_sample_events,
-    )
-    from emforms.forms import evaluate, hodge_star, scale, wedge
+    from emforms.cylinder import _interior_family
+    from emforms.fields import ScalarField
+    from emforms.forms import evaluate, form, hodge_star, scale, wedge
+    from emforms.junction import Interface
     from emforms.solutions import MATCH_SAMPLES
+    from emforms.spacetime import cylindrical_chart
 
-    chart = sc.chart()
+    chart = cylindrical_chart(sc.mat.c)
     metric = chart.metric
+    r = ScalarField.coordinate(1)
     f_basis, g_basis = _interior_family(sc, chart)
-    f_out = exterior_maxwell_form(sc, chart)
+    f_out = form(2, chart.name, {(1, 2): sc.mat.c * sc.b0 * r})
     g_out = scale(sc.mat.eps0, f_out)
     unit = sc.mat.eps0 * sc.mat.c * abs(sc.b0)
     units = (max(unit * sc.r2, 1e-300), max(unit, 1e-300))
     rows, rhs = [], []
-    for iface, radius in zip(cylinder_interfaces(sc, chart), (sc.r1, sc.r2)):
-        dphi = iface.gradient()
-        events = interface_sample_events(sc, radius, MATCH_SAMPLES, seed)
+    for radius, events in zip((sc.r1, sc.r2), sc.interface_events(MATCH_SAMPLES, seed)):
+        dphi = Interface(phi=r - radius, chart=chart.name).gradient()
         conditions = [
             (
                 [evaluate(wedge(scale(u, fb), dphi), events) for u, fb in zip(units, f_basis)],
@@ -395,22 +393,19 @@ def five_assembly_sphere_rows(sc, seed: int = 0):
     events from five full assemblies: one at zero amplitudes and one at one
     unit of each amplitude, each column taken as its assembly minus the
     first."""
+    from emforms.fields import ScalarField
     from emforms.forms import add, evaluate, hodge_star, scale, subtract, wedge
+    from emforms.junction import Interface
     from emforms.solutions import MATCH_SAMPLES
-    from emforms.sphere import (
-        _constant_scales,
-        _field_basis,
-        sphere_interface,
-        sphere_interface_events,
-        truncated_excitation,
-    )
+    from emforms.spacetime import spherical_chart
+    from emforms.sphere import _constant_scales, _field_basis, truncated_excitation
 
-    chart = sc.chart()
+    chart = spherical_chart(sc.mat.c)
     metric = chart.metric
     basis = _field_basis(chart)
     omega = 0.01 * sc.mat.c / sc.a
-    dphi = sphere_interface(sc, chart).gradient()
-    events = sphere_interface_events(sc, MATCH_SAMPLES, seed)
+    dphi = Interface(phi=ScalarField.coordinate(1) - sc.a, chart=chart.name).gradient()
+    (events,) = sc.interface_events(MATCH_SAMPLES, seed)
 
     def assemble(k0, k1, p0, p1):
         f0_in = scale(k0, basis["uniform_t"])

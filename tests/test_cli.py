@@ -584,6 +584,17 @@ def test_slowly_rotating_sphere_writes_the_reports_of_a_static_one(tmp_path, cap
         assert "dstar_g_rel_over_eps2" not in region
 
 
+def test_slowly_rotating_shell_writes_a_finite_exact_voltage(tmp_path, capsys):
+    # at 1e-300 rad/s, (omega / c)^2 underflows to 0 and c^2 / omega overflows
+    path, _ = cylinder_config(tmp_path, omega_rad_per_s=1e-300, material={"eps_r": 6.0, "mu_r": 2.0})
+    out = tmp_path / "out"
+    assert run(path, samples=8, out_dir=str(out)) == 0
+    assert capsys.readouterr().err == ""
+    obs = json.loads((out / "obs.json").read_text())
+    assert obs["v12_exact_volts"] == pytest.approx(obs["v12_leading_volts"], rel=4e-16)
+    assert obs["v12_leading_volts"] == pytest.approx(1.1e-303, rel=1e-15)
+
+
 def test_overflowing_closed_form_constant_exits_2(tmp_path, capsys):
     # C2 = c^3 B0 omega (eps_r mu_r - 1) / eps_r overflows while every matching row stays finite
     path, _ = cylinder_config(tmp_path, b0_tesla=1e290, omega_rad_per_s=1e9)
@@ -822,6 +833,36 @@ def test_samples_file_holds_the_arrays_verification_json_held(tmp_path, monkeypa
             assert entry["max_abs"] == rep.max_abs == max(entry["condition_max_abs"].values())
             assert entry["worst"]["rel"] == entry["max_rel"]
             assert entry["worst"]["event"] in rep.samples.tolist()
+
+
+@BOTH_SCENARIOS
+@pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
+def test_a_run_builds_one_chart_and_each_interface_once(tmp_path, monkeypatch, make_config, verify_only):
+    # the scenario builds its chart and interfaces on first use and the
+    # matcher, the solution, the profile and the junction checks all read them
+    import emforms.cli as cli_mod
+    from emforms import cylinder, sphere
+    from emforms.junction import Interface
+
+    charts, interfaces, solved, checked = [], [], [], []
+    for module, name in ((cylinder, "cylindrical_chart"), (sphere, "spherical_chart")):
+        build = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda c, build=build: charts.append(build(c)) or charts[-1])
+    post_init = Interface.__post_init__
+    monkeypatch.setattr(Interface, "__post_init__", lambda iface: interfaces.append(iface) or post_init(iface))
+    for cls in (cylinder.CylinderScenario, sphere.SphereScenario):
+        solve = cls.solve
+        monkeypatch.setattr(
+            cls, "solve", lambda sc, seed, solve=solve: solved.append((sc, *solve(sc, seed))) or solved[-1][1:]
+        )
+    covariant = cli_mod.covariant_jump_residual
+    monkeypatch.setattr(cli_mod, "covariant_jump_residual", lambda *args: checked.append(args[4]) or covariant(*args))
+    path, _ = make_config(tmp_path)
+    assert run(path, verify_only=verify_only, samples=8, out_dir=str(tmp_path / "out")) == 0
+    ((sc, sol, _),) = solved
+    assert len(charts) == 1 and sol.chart is sc.chart is charts[0]
+    assert sol.interfaces is sc.interfaces
+    assert interfaces == checked == list(sc.interfaces)
 
 
 def rederived_within_tolerance(ver: dict) -> bool:

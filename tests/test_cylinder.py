@@ -10,7 +10,6 @@ from emforms.cylinder import (
     CylinderScenario,
     closed_form_constants,
     cylinder_bound_sources,
-    interface_sample_events,
     match_cylinder_constants,
     nonrelativistic_limit,
     pellegrini_swift_field,
@@ -314,6 +313,17 @@ def test_v12_exact_vs_leading_small_rotation():
     assert abs(exact - leading) / abs(leading) <= 1e-7
 
 
+@pytest.mark.parametrize("omega", [1e-146, 1e-150, 1e-155, 1e-160, 1e-200, 1e-300, 5e-324])
+def test_v12_exact_at_tiny_rotation_is_the_leading_term(omega):
+    # (omega / c)^2 is subnormal or 0 here, so log1p loses digits or returns 0,
+    # and below about 1e-292 rad/s c^2 / omega overflows (inf * 0 is NaN)
+    for sign in (1.0, -1.0):
+        sc = scenario(eps_r=6.0, mu_r=2.0, omega=sign * omega)
+        exact, leading = wilson_wilson_V12(sc, "exact"), wilson_wilson_V12(sc, "leading")
+        assert math.isfinite(exact) and abs(exact - leading) <= 4e-16 * abs(leading)
+        assert (exact == 0.0) == (omega == 5e-324)
+
+
 def test_v12_mode_validation():
     with pytest.raises(ValueError):
         wilson_wilson_V12(scenario(), "wrong")
@@ -373,8 +383,8 @@ def test_halving_rotation_quarters_discrepancy():
 
 def test_interface_samples_deterministic():
     sc = scenario()
-    a = interface_sample_events(sc, sc.r2, 64, seed=9)
-    b = interface_sample_events(sc, sc.r2, 64, seed=9)
+    a = sc.interface_events(64, seed=9)[1]
+    b = sc.interface_events(64, seed=9)[1]
     assert np.array_equal(a, b)
     assert len(a) == 64
     assert all(ev[1] == sc.r2 for ev in a)

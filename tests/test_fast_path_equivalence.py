@@ -23,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 
 from emforms import cylinder, fields, forms, solutions, sphere
 from emforms.cli import _json_text
-from emforms.cylinder import CylinderScenario, interface_sample_events, match_cylinder_amplitudes
+from emforms.cylinder import CylinderScenario, match_cylinder_amplitudes
 from emforms.fields import Batch, ScalarField, blockwise
 from emforms.forms import (
     DegenerateMetricError,
@@ -38,7 +38,7 @@ from emforms.forms import (
 from emforms.media import EMDecomposition, MaterialParams
 from emforms.solutions import MATCH_SAMPLES, Region
 from emforms.spacetime import cartesian_chart, cylindrical_chart, lab_frame
-from emforms.sphere import SphereScenario, match_sphere_constants, sphere_interface_events
+from emforms.sphere import SphereScenario, match_sphere_constants
 from oracles import (
     dense_partial,
     five_assembly_sphere_rows,
@@ -361,14 +361,13 @@ def test_array_grids_equal_the_per_event_grids_bit_for_bit(half):
         shell = CylinderScenario(
             r1=r1, r2=r2, omega=rng.uniform(-0.9, 0.9) * C / r2, b0=1.0, mat=MaterialParams(4.0, 1.0)
         )
-        for radius in (r1, r2):
-            # an odd count puts one more event in the random half only
-            for n in (2 * half, 2 * half + 1):
-                events = interface_sample_events(shell, radius, n, seed=3)
+        # an odd count puts one more event in the random half only
+        for n in (2 * half, 2 * half + 1):
+            for radius, events in zip((r1, r2), shell.interface_events(n, seed=3)):
                 assert_grid_bits(events, half, per_event_cylinder_grid(shell, radius, half))
         a = float(rng.uniform(1e-3, 10.0))
         ball = SphereScenario(a=a, omega=rng.uniform(0.0, 0.05) * C / a, e0=1.0, mat=MaterialParams(4.0, 1.0))
-        events = sphere_interface_events(ball, 2 * half, seed=3)
+        (events,) = ball.interface_events(2 * half, seed=3)
         assert_grid_bits(events, half, per_event_sphere_grid(ball, half, sphere._POLE_MARGIN))
 
 

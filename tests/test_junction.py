@@ -20,7 +20,6 @@ from emforms.media import EMDecomposition, MaterialParams, recompose
 from emforms.spacetime import cartesian_chart, cylindrical_chart, lab_frame
 from emforms.cylinder import (
     CylinderScenario,
-    interface_sample_events,
     solve_cylinder,
     _interior_family,
 )
@@ -115,8 +114,7 @@ def test_sample_off_interface_rejected(cyl, rng):
 
 def test_shell_solution_matches_at_both_interfaces(shell):
     sc, sol = shell
-    for iface, radius in zip(sol.interfaces, (sc.r1, sc.r2)):
-        events = interface_sample_events(sc, radius, 16, seed=2)
+    for iface, events in zip(sol.interfaces, sc.interface_events(16, seed=2)):
         rep = covariant_jump_residual(
             sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, sol.chart.metric, events
         )
@@ -125,12 +123,12 @@ def test_shell_solution_matches_at_both_interfaces(shell):
 
 def test_perturbed_constant_breaks_matching(shell):
     sc, sol = shell
-    f_basis, g_basis = _interior_family(sc, sc.chart())
+    f_basis, g_basis = _interior_family(sc, sc.chart)
     k2 = EPS0 * sc.mat.c * sc.b0
     f_in_bad = scale(1.01 * k2, f_basis[1])
     g_in_bad = scale(1.01 * k2, g_basis[1])
     iface = sol.interfaces[1]
-    events = interface_sample_events(sc, sc.r2, 8, seed=2)
+    events = sc.interface_events(8, seed=2)[1]
     rep = covariant_jump_residual(
         f_in_bad, sol.f_out, g_in_bad, sol.g_out, iface, sol.chart.metric, events
     )
@@ -142,8 +140,8 @@ def test_perturbed_constant_breaks_matching(shell):
 def test_residual_scaling_is_homogeneous(shell):
     sc, sol = shell
     iface = sol.interfaces[1]
-    events = interface_sample_events(sc, sc.r2, 8, seed=2)
-    f_basis, g_basis = _interior_family(sc, sc.chart())
+    events = sc.interface_events(8, seed=2)[1]
+    f_basis, g_basis = _interior_family(sc, sc.chart)
     k2 = EPS0 * sc.mat.c * sc.b0
     f_in_bad = scale(1.01 * k2, f_basis[1])
     g_in_bad = scale(1.01 * k2, g_basis[1])
@@ -167,7 +165,7 @@ def test_residual_scaling_is_homogeneous(shell):
 def test_report_max_is_order_invariant(shell, rng):
     sc, sol = shell
     iface = sol.interfaces[0]
-    events = interface_sample_events(sc, sc.r1, 12, seed=2)
+    events = sc.interface_events(12, seed=2)[0]
     rep = covariant_jump_residual(
         sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, sol.chart.metric, events
     )
@@ -190,7 +188,7 @@ def test_report_max_keeps_a_late_nan():
 def test_report_serializes(shell):
     sc, sol = shell
     iface = sol.interfaces[0]
-    events = interface_sample_events(sc, sc.r1, 4, seed=0)
+    events = sc.interface_events(4, seed=0)[0]
     rep = covariant_jump_residual(
         sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, sol.chart.metric, events
     )
@@ -272,7 +270,7 @@ def test_report_summary_without_samples():
 
 def test_report_arrays_are_read_only(shell):
     sc, sol = shell
-    events = np.array(interface_sample_events(sc, sc.r1, 6, seed=0))
+    events = sc.interface_events(6, seed=0)[0]
     u = lab_frame(sol.chart)
     decs = [
         EMDecomposition.of(f, g, u, sol.chart.metric)
@@ -360,8 +358,7 @@ def test_gibbs_shell_solution(shell):
     u = lab_frame(sol.chart)
     dec_in = EMDecomposition.of(sol.f_in, sol.g_in, u, sol.chart.metric)
     dec_out = EMDecomposition.of(sol.f_out, sol.g_out, u, sol.chart.metric)
-    for iface, radius in zip(sol.interfaces, (sc.r1, sc.r2)):
-        events = interface_sample_events(sc, radius, 12, seed=1)
+    for iface, events in zip(sol.interfaces, sc.interface_events(12, seed=1)):
         rep = gibbs_jump_residual(dec_in, dec_out, iface, u, sol.chart.metric, events)
         assert rep.max_rel <= 1e-10
 
@@ -413,8 +410,7 @@ def test_stacked_gibbs_equals_lists_on_the_shell(shell, n):
     sc, sol = shell
     u = lab_frame(sol.chart)
     decs = [EMDecomposition.of(f, g, u, sol.chart.metric) for f, g in side_pairs(sol)]
-    for iface, radius in zip(sol.interfaces, (sc.r1, sc.r2)):
-        events = interface_sample_events(sc, radius, n, seed=1)
+    for iface, events in zip(sol.interfaces, sc.interface_events(n, seed=1)):
         assert_gibbs_equals_lists(*decs, iface, u, sol.chart.metric, events)
 
 

@@ -15,8 +15,6 @@ from emforms.sphere import (
     closed_form_constants,
     match_sphere_constants,
     solve_sphere,
-    sphere_interface,
-    sphere_interface_events,
     truncated_excitation,
 )
 from one_event import component_max, evaluate, value
@@ -209,7 +207,7 @@ def test_vacuum_material_kills_multipoles():
 
 def test_truncated_excitation_matches_exact_to_second_order():
     sc = scenario(eps_r=3.0, mu_r=1.5, beta=1e-3)
-    chart = sc.chart()
+    chart = sc.chart
     basis = _field_basis(chart)
     closed = closed_form_constants(sc)
     from emforms.forms import add, scale
@@ -233,7 +231,7 @@ def test_junction_residual_scales_quadratically():
     for beta in betas:
         sc = scenario(eps_r=4.0, mu_r=2.0, beta=beta)
         sol, _ = solve_sphere(sc)
-        events = sphere_interface_events(sc, 12, seed=1)
+        events = sc.interface_events(12, seed=1)[0]
         rep = covariant_jump_residual(
             sol.f_in, sol.f_out, sol.g_in, sol.g_out,
             sol.interfaces[0], sol.chart.metric, events,
@@ -254,8 +252,8 @@ def test_maxwell_residual_first_order(rng):
 
 def test_interface_events_deterministic():
     sc = scenario()
-    a = sphere_interface_events(sc, 32, seed=5)
-    b = sphere_interface_events(sc, 32, seed=5)
+    a = sc.interface_events(32, seed=5)[0]
+    b = sc.interface_events(32, seed=5)[0]
     assert np.array_equal(a, b) and len(a) == 32
     assert all(ev[1] == sc.a for ev in a)
     # the seeded half keeps the reference draw order: t, theta, phi per event
@@ -266,5 +264,5 @@ def test_interface_events_deterministic():
         for _ in range(16)
     ]
     assert np.array_equal(a[16:], ref)
-    surface = sphere_interface(sc)
+    (surface,) = sc.interfaces
     assert value(surface.phi, (0.0, sc.a, 1.0, 0.0)) == 0.0

@@ -8,9 +8,10 @@ entered, the ``first_bad_event`` guards among them, the derivative passes
 the forms built (``DifferentialForm.__post_init__`` frames). The ceilings
 sit about 10 % above the counts of the code as it stands, so that a change
 which brings per-evaluation bookkeeping back into the form algebra, one
-assembly per matched amplitude back into the junction matcher, or the
-3-vector junction check or a lab-frame decomposition back into a
-``--verify-only`` run, fails here, not only in the benchmark. Counts that fall far below a ceiling are a cue
+assembly per matched amplitude back into the junction matcher, a second
+chart or a rebuilt interface (a second Hodge table, a second dPhi) back
+into a run, or the 3-vector junction check or a lab-frame decomposition
+back into a ``--verify-only`` run, fails here, not only in the benchmark. Counts that fall far below a ceiling are a cue
 to lower it.
 """
 
@@ -57,32 +58,32 @@ def count_frames(fn) -> Counter:
 @pytest.mark.parametrize(
     "make_config, verify_only, ceilings",
     [
-        # counts of the code as it stands: 3473 calls, 23 guards, 7 passes,
-        # 25 generator frames, 78 forms
+        # counts of the code as it stands: 3349 calls, 23 guards, 7 passes,
+        # 15 generator frames, 74 forms
         (
             cylinder_config,
             False,
-            {"calls": 3820, "first_bad_event": 26, "passes": 8, "forms_genexpr": 28, "forms": 86},
+            {"calls": 3680, "first_bad_event": 26, "passes": 8, "forms_genexpr": 17, "forms": 81},
         ),
-        # counts of the code as it stands: 3839 calls, 25 guards, 21 passes,
-        # 30 generator frames, 100 forms
+        # counts of the code as it stands: 3756 calls, 25 guards, 21 passes,
+        # 25 generator frames, 98 forms
         (
             sphere_config,
             False,
-            {"calls": 4220, "first_bad_event": 28, "passes": 22, "forms_genexpr": 33, "forms": 110},
+            {"calls": 4130, "first_bad_event": 28, "passes": 22, "forms_genexpr": 28, "forms": 108},
         ),
         # --verify-only builds no profile and no lab-frame decomposition:
-        # 2713 calls, 20 guards, 7 passes, 15 generator frames, 58 forms
+        # 2616 calls, 20 guards, 7 passes, 10 generator frames, 54 forms
         (
             cylinder_config,
             True,
-            {"calls": 2980, "first_bad_event": 22, "passes": 8, "forms_genexpr": 17, "forms": 64},
+            {"calls": 2880, "first_bad_event": 22, "passes": 8, "forms_genexpr": 11, "forms": 60},
         ),
-        # 3329 calls, 25 guards, 17 passes, 25 generator frames, 84 forms
+        # 3245 calls, 25 guards, 17 passes, 20 generator frames, 82 forms
         (
             sphere_config,
             True,
-            {"calls": 3660, "first_bad_event": 28, "passes": 19, "forms_genexpr": 28, "forms": 93},
+            {"calls": 3570, "first_bad_event": 28, "passes": 19, "forms_genexpr": 22, "forms": 90},
         ),
     ],
     ids=["cylinder", "sphere", "cylinder-verify-only", "sphere-verify-only"],
