@@ -10,7 +10,7 @@ written under that directory (name or bytes) differs. Every differing case
 is printed; the exit code is 1 if any case differs, else 0. ``-k TEXT``
 keeps the cases whose name contains TEXT.
 
-The 96 cases:
+The 98 cases:
   * 14 configs of each benchmark workload (``perfbench/workloads.py``),
     drawn from its stream at seed 7, run with that workload's flags;
   * the shell and sphere configs of ``tests/test_cli.py``, full and
@@ -38,11 +38,16 @@ The 96 cases:
   * 2 configs, a shell and a sphere, with no ``sampling`` or ``outputs``
     section and integer-valued numbers, whose echo holds floats and the
     defaults;
-  * 8 edge inputs: 6 that exit 2, where older trees exit 1 with a
+  * 10 edge inputs: 6 that exit 2, where older trees exit 1 with a
     traceback (a config nested too deeply to parse, output names with a
     NUL or a lone surrogate, a shell and a sphere rotating one ulp below
-    c / 0.05 m) or exit 2 without naming the file (a UTF-16 config); and
-    2 runs one ulp below c / 0.04 m, which the rim-speed check accepts.
+    c / 0.05 m) or exit 2 without naming the file (a UTF-16 config); 2
+    runs one ulp below c / 0.04 m, which the rim-speed check accepts; two
+    output names for one file once joined to ``--out-dir`` (``ver.json``
+    and ``../out/ver.json``), which exit 2, where older trees exit 0 with
+    the CSV written over the verification report; and a config whose
+    ``scenario`` is a 5,000-digit integer, which the JSON parser rejects
+    (exit 2).
 
 Standard library only.
 """
@@ -180,9 +185,15 @@ RIM_004 = math.nextafter(C / 0.04, 0.0)
 DIELECTRIC = {"material": {"eps_r": 4.0, "mu_r": 2.0}}
 # (base, overrides, flags) of output names and rim speeds that exit 2, where
 # a tree without their checks exits 1 with a traceback (after writing two
-# reports, for the names), and of the runs one ulp below c / 0.04 m
+# reports, for the names) or, for two names of one file under ``--out-dir
+# out``, exits 0 with one report lost; and of the runs one ulp below c / 0.04 m
 EDGE_OVERRIDES = {
     "edge/outputs-nul": (SHELL, {"outputs": {"profile_csv": "a\u0000b.csv"}}, TEST_SAMPLES),
+    "edge/outputs-same-file-via-out-dir": (
+        SHELL,
+        {"outputs": {"verification_json": "ver.json", "profile_csv": "../out/ver.json"}},
+        TEST_SAMPLES,
+    ),
     "edge/outputs-surrogate": (SHELL, {"outputs": {"profile_csv": "\ud800.csv"}}, TEST_SAMPLES),
     "edge/rim-ulp/shell-0.05": (
         SHELL,
@@ -237,6 +248,8 @@ def cases() -> list[tuple[str, str | bytes, list[str]]]:
         out.append((f"minimal/{name}", json.dumps(config), TEST_SAMPLES))
     out.append(("edge/deep-json", "[" * 100_000 + "]" * 100_000, TEST_SAMPLES))
     out.append(("edge/utf-16-bom", b"\xff\xfe" + json.dumps(SHELL).encode("utf-16-le"), TEST_SAMPLES))
+    # above Python's int-to-str digit limit, so the JSON parser raises a ValueError
+    out.append(("edge/int-5000-digits", '{"scenario": ' + "1" * 5000 + "}", TEST_SAMPLES))
     out.append(("bad/malformed-json", "{not json", TEST_SAMPLES))
     out.append(("bad/missing-sections", json.dumps({"scenario": "cylinder"}), TEST_SAMPLES))
     for name, flags in BAD_FLAGS.items():

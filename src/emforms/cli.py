@@ -21,7 +21,8 @@ config uses "geometry": {"a_m": ...} and "e0_volt_per_m". The driver
 reaches a scenario only through the interface of :class:`Scenario`.
 Unknown keys and non-finite numbers are rejected, and so are output
 names that are not non-empty strings, that hold a NUL or cannot be
-encoded as file names, or that name the same file.
+encoded as file names, or that name one file once resolved against
+``--out-dir``, which :func:`run` does once, for the checks and the writers.
 
 ``verification.json`` summarises the covariant junction report of each
 interface, [F] ^ dPhi and [star G] ^ dPhi: its maxima, per condition too,
@@ -36,7 +37,8 @@ codes: 0 on success; 2 on config errors, including a config file that is
 not UTF-8 or is nested too deeply to parse, a rim speed at which
 ``c*c - (r*r)*(omega*omega)`` is not positive, geometry so small that
 the metric degenerates, numbers whose arithmetic fails (an
-``ArithmeticError``, such as a float overflow), and sampling above
+``ArithmeticError``, such as a float overflow), a library input guard (a
+``ValueError``) raised while solving, and sampling above
 ``MAX_SAMPLES`` or ``MAX_PROFILE_ROWS`` (no outputs are written); 3 when residual
 tolerances are exceeded or a region's sampled field scale vanishes
 (reports are still written); 4 when an output file cannot be written.
@@ -119,9 +121,8 @@ def _number(section: dict, key: str, where: str) -> float:
 
 def _output_names(names: dict) -> dict[str, str]:
     """The output file names, each a non-empty string that holds no NUL
-    and that the file system encoding can encode, no two naming the same
-    file once normalised (one report would overwrite another)."""
-    seen: dict[str, str] = {}
+    and that the file system encoding can encode. Whether two of them name
+    one file is decided by :func:`_output_paths`."""
     for key, name in names.items():
         if not isinstance(name, str) or not name:
             raise ConfigError(f"outputs.{key} must be a non-empty string, got {name!r}")
@@ -131,11 +132,21 @@ def _output_names(names: dict) -> dict[str, str]:
             os.fsencode(name)
         except UnicodeEncodeError:
             raise ConfigError(f"outputs.{key} is not encodable as a file name, got {name!r}") from None
-        path = os.path.normpath(name)
-        if path in seen:
-            raise ConfigError(f"outputs.{seen[path]} and outputs.{key} both name {path!r}")
-        seen[path] = key
     return names
+
+
+def _output_paths(outputs: dict[str, str], out_dir: str | None) -> dict[str, str]:
+    """Each output's file: its name joined to ``out_dir`` (else the working
+    directory), absolute and normalised, so that ``a/../b`` names ``b``
+    whether or not a directory ``a`` exists. Two names for one file raise
+    ConfigError, as one report would overwrite another."""
+    base = os.path.abspath(out_dir or os.curdir)
+    paths = {key: os.path.normpath(os.path.join(base, name)) for key, name in outputs.items()}
+    owners: dict[str, str] = {}
+    for key, path in paths.items():
+        if owners.setdefault(path, key) != key:
+            raise ConfigError(f"outputs.{owners[path]} and outputs.{key} both name {os.path.relpath(path, base)!r}")
+    return paths
 
 
 def _integer(section: dict, key: str, where: str, default: int, minimum: int) -> int:
@@ -268,10 +279,9 @@ def _atomic_write(path: str, data: bytes) -> None:
     """Write ``data`` to a new file beside ``path``, then move it over
     ``path``. The file is created with mode 0o666 less the umask, as
     ``open(path, "w")`` creates it; on any failure it is removed. The path
-    is normalised once, as output names are validated, so that ``a/../b``
-    names ``b`` whether or not a directory ``a`` exists."""
-    path = os.path.abspath(path)
-    directory = os.path.dirname(path)
+    is taken as given: :func:`run` passes each report's file as
+    :func:`_output_paths` resolved it, absolute and normalised."""
+    directory = os.path.dirname(path) or os.curdir
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, ".emforms-" + os.urandom(8).hex())
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -399,31 +409,19 @@ def run(
     seed: int | None = None,
     out_dir: str | None = None,
 ) -> int:
-    """Load a config, solve, verify, and write the reports."""
+    """Load a config, resolve the output files, solve, verify, and write the
+    reports; a failure before the writes prints one ``error:`` line (exit 2)."""
     try:
         cfg = _load_config_printing_warnings(config_path)
-    except ValueError as exc:  # a ConfigError or a scenario's range check
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    sc, echo = cfg.scenario, cfg.echo
-    sampling, outputs = echo["sampling"], echo["outputs"]
+        sc, echo, sampling = cfg.scenario, cfg.echo, cfg.echo["sampling"]
+        paths = _output_paths(echo["outputs"], out_dir)
+        seed = sampling["seed"] if seed is None else seed
+        n_samples = 64 if samples is None else samples
+        if n_samples < 1 or seed < 0:
+            raise ConfigError(f"need samples >= 1 and seed >= 0, got {n_samples} and {seed}")
+        if n_samples > MAX_SAMPLES:
+            raise ConfigError(f"samples must be at most {MAX_SAMPLES}, got {n_samples}")
 
-    seed = sampling["seed"] if seed is None else seed
-    n_samples = 64 if samples is None else samples
-    if n_samples < 1 or seed < 0:
-        print(
-            f"error: need samples >= 1 and seed >= 0, got {n_samples} and {seed}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    if n_samples > MAX_SAMPLES:
-        print(f"error: samples must be at most {MAX_SAMPLES}, got {n_samples}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    def out_path(name: str) -> str:
-        return os.path.join(out_dir, name) if out_dir else name
-
-    try:
         # Non-finite values fail the run through the explicit checks (a
         # MatchingError or a failed tolerance); numpy's floating-point
         # warnings would only print ahead of that message. Python float
@@ -440,14 +438,14 @@ def run(
             if not verify_only:
                 observables = sc.observables(constants)
                 header, values, axes = sc.profile(sol, *[sampling[key] for key in sc.PROFILE_GRID])
-    except MatchingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ArithmeticError as exc:
-        print(f"error: arithmetic failure ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DegenerateMetricError as exc:
-        print(f"error: geometry too small for the metric floor: {exc}", file=sys.stderr)
+    # ConfigError, DegenerateMetricError and the scenarios' range checks are ValueErrors
+    except (ValueError, MatchingError, ArithmeticError) as exc:
+        message = str(exc)
+        if isinstance(exc, ArithmeticError):
+            message = f"arithmetic failure ({type(exc).__name__}): {message}"
+        elif isinstance(exc, DegenerateMetricError):
+            message = f"geometry too small for the metric floor: {message}"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_CONFIG
 
     junction_ok = all(rep.max_rel <= maxwell.tolerance_g for rep in junctions)
@@ -466,16 +464,16 @@ def run(
         "within_tolerance": within_tolerance,
     }
 
-    path = out_path(outputs["verification_json"])
+    path = paths["verification_json"]
     try:
         _write_json(path, verification)
-        if "samples_json" in outputs:
-            path = out_path(outputs["samples_json"])
+        if "samples_json" in paths:
+            path = paths["samples_json"]
             _write_json(path, {"junction": [rep.arrays_json_dict() for rep in junctions]})
         if not verify_only:
-            path = out_path(outputs["observables_json"])
+            path = paths["observables_json"]
             _write_json(path, {"config": echo, **observables})
-            path = out_path(outputs["profile_csv"])
+            path = paths["profile_csv"]
             write_csv(path, header, values, axes)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)

@@ -87,6 +87,8 @@ class JumpReport:
     ``samples`` is the (N, 4) event array and each residual an array over
     those events. The residual functions store them read-only, so the
     maxima and the summary, computed once on first use, cannot go stale.
+    Over no events every maximum is NaN, so that no gate on the report
+    passes: such a report has checked nothing.
     :meth:`to_json_dict` is the summary that ``verification.json`` holds;
     :meth:`arrays_json_dict` the per-sample arrays of the opt-in samples
     output.
@@ -99,11 +101,11 @@ class JumpReport:
 
     @cached_property
     def max_abs(self) -> float:
-        return max_or_nan(np.concatenate(list(self.residuals.values())))
+        return _max_over_events(self.residuals)
 
     @cached_property
     def max_rel(self) -> float:
-        return max_or_nan(np.concatenate(list(self.residuals_rel.values())))
+        return _max_over_events(self.residuals_rel)
 
     def to_json_dict(self) -> dict:
         """The maxima, overall and per condition, and the worst event: the
@@ -113,9 +115,10 @@ class JumpReport:
         names = list(self.residuals)
         # (absolute, relative) x condition x event, reduced over the events at once
         stacked = np.array([list(self.residuals.values()), list(self.residuals_rel.values())], dtype=float)
-        maxima = stacked.max(axis=2, initial=0.0).tolist()
+        maxima = [[np.nan] * len(names)] * 2
         worst = None
         if stacked.shape[2]:
+            maxima = stacked.max(axis=2, initial=0.0).tolist()
             event, condition = divmod(int(stacked[1].T.argmax()), len(names))
             worst = {
                 "condition": names[condition],
@@ -140,6 +143,12 @@ class JumpReport:
             "residuals": self.residuals,
             "residuals_rel": self.residuals_rel,
         }
+
+
+def _max_over_events(residuals: dict[str, np.ndarray]) -> float:
+    """The largest residual, NaN when any is NaN or when there is none."""
+    values = np.concatenate(list(residuals.values()))
+    return max_or_nan(values) if values.size else np.nan
 
 
 def _on_interface(iface: Interface, samples: Sequence[Event]) -> np.ndarray:

@@ -669,6 +669,66 @@ def test_bad_output_names_exit_2_without_outputs(tmp_path, capsys, outputs, mess
 
 
 @pytest.mark.parametrize(
+    "shape, message",
+    [
+        ("up-and-back", "outputs.profile_csv and outputs.verification_json both name 'ver.json'"),
+        ("absolute-no-out-dir", "outputs.profile_csv and outputs.verification_json both name 'v2.json'"),
+        ("absolute-in-out-dir", "outputs.observables_json and outputs.verification_json both name 'v.json'"),
+    ],
+    ids=["up-and-back", "absolute-no-out-dir", "absolute-in-out-dir"],
+)
+@pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
+def test_two_names_for_one_file_once_resolved_exit_2_without_outputs(
+    tmp_path, monkeypatch, capsys, shape, message, verify_only
+):
+    # names that differ as text but denote one file once joined to the output directory
+    monkeypatch.chdir(tmp_path)
+    out_dir, outputs = {
+        "up-and-back": ("out", {"verification_json": "ver.json", "profile_csv": "../out/ver.json"}),
+        "absolute-no-out-dir": (None, {"verification_json": str(tmp_path / "v2.json"), "profile_csv": "v2.json"}),
+        "absolute-in-out-dir": (
+            "out",
+            {"verification_json": str(tmp_path / "out" / "v.json"), "observables_json": "v.json"},
+        ),
+    }[shape]
+    path, _ = cylinder_config(tmp_path, outputs=outputs)
+    assert run(path, samples=8, out_dir=out_dir, verify_only=verify_only) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_range_error_and_warning_print_before_a_name_collision(tmp_path, capsys):
+    same = {"observables_json": "obs.json", "verification_json": "./obs.json"}
+    path, _ = cylinder_config(tmp_path, geometry={"r1_m": 0.04, "r2_m": 0.02}, outputs=same)
+    assert run(path, samples=8, out_dir=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "error: need 0 < r1 < r2, got r1=0.04, r2=0.02\n"
+    # rim speed 0.2 c: the config's warning prints ahead of the collision
+    path, _ = sphere_config(tmp_path, omega_rad_per_s=0.2 * 299792458.0 / 0.05, outputs=same)
+    assert run(path, samples=8, out_dir=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "warning: rim speed above 0.1 c: the first-order solution degrades\n"
+        "error: outputs.observables_json and outputs.verification_json both name 'obs.json'\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
+def test_value_error_after_the_config_exits_2_with_one_line(tmp_path, monkeypatch, capsys, verify_only):
+    import emforms.cli as cli_mod
+    from emforms.spacetime import LightConeError
+
+    def guard(*args, **kwargs):
+        raise LightConeError("event outside the light cylinder")
+
+    monkeypatch.setattr(cli_mod, "verify_solution", guard)
+    path, _ = cylinder_config(tmp_path)
+    out = tmp_path / "out"
+    assert run(path, samples=8, out_dir=str(out), verify_only=verify_only) == 2
+    assert capsys.readouterr().err == "error: event outside the light cylinder\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "data, reason",
     [
         (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),

@@ -17,6 +17,7 @@ from emforms.junction import (
     gibbs_jump_residual,
 )
 from emforms.media import EMDecomposition, MaterialParams, recompose
+from emforms.solutions import junction_tolerance
 from emforms.spacetime import cartesian_chart, cylindrical_chart, lab_frame
 from emforms.cylinder import (
     CylinderScenario,
@@ -260,12 +261,26 @@ def test_report_summary_names_the_first_nan_event():
 
 
 def test_report_summary_without_samples():
+    # a report over no events has checked nothing: every maximum is NaN
     empty = {"f_jump": np.empty(0), "star_g_jump": np.empty(0)}
     rep = JumpReport(interface="x", samples=np.empty((0, 4)), residuals=empty, residuals_rel=empty)
     summary = rep.to_json_dict()
     assert summary["count"] == 0 and summary["worst"] is None
-    assert summary["condition_max_rel"] == {"f_jump": 0.0, "star_g_jump": 0.0}
+    assert math.isnan(summary["max_abs"]) and math.isnan(summary["max_rel"])
+    for key in ("condition_max_abs", "condition_max_rel"):
+        assert list(summary[key]) == ["f_jump", "star_g_jump"]
+        assert all(math.isnan(v) for v in summary[key].values())
     assert rep.arrays_json_dict()["samples"].shape == (0, 4)
+
+
+def test_covariant_report_over_no_events_fails_its_gate(shell):
+    sc, sol = shell
+    rep = covariant_jump_residual(
+        sol.f_in, sol.f_out, sol.g_in, sol.g_out, sol.interfaces[0], sol.chart.metric, np.empty((0, 4))
+    )
+    assert rep.to_json_dict()["count"] == 0
+    assert not rep.max_rel <= junction_tolerance(sol)
+    assert not rep.max_abs <= 0.0
 
 
 def test_report_arrays_are_read_only(shell):

@@ -1,5 +1,6 @@
-"""The sweep scripts run end to end and print their expected slope, and the
-output comparison script tells a tree from a changed copy of it."""
+"""The sweep scripts run end to end and print their expected slope, the
+output comparison script tells a tree from a changed copy of it, and the
+verdict audit names a config whose exit code varies."""
 
 import os
 import pathlib
@@ -48,8 +49,49 @@ def test_compare_outputs_reports_a_changed_message(tmp_path):
     changed = tmp_path / "src"
     shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
     cli_py = changed / "emforms" / "cli.py"
-    cli_py.write_text(cli_py.read_text().replace("error: need samples", "error: want samples"))
+    cli_py.write_text(cli_py.read_text().replace("need samples >= 1", "want samples >= 1"))
     result = compare_outputs(ROOT / "src", changed, "bad/samples-0")
     assert result.returncode == 1, result.stdout + result.stderr
     assert result.stdout.startswith("bad/samples-0: stderr ")
     assert result.stdout.endswith("1 of 1 cases differ\n")
+
+
+AUDIT = ROOT / "scripts" / "verdict_audit.py"
+
+
+def python(*args, timeout):
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def test_verdict_audit_passes_two_stable_configs():
+    # 60 in-process runs, up to --samples 512, in under 10 s
+    result = python(str(AUDIT), "shell/beta-0.9", "metric-floor/shell-r1-1e-14", timeout=10)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout == "0 of 2 configs vary\n"
+
+
+def test_verdict_audit_names_a_config_whose_exit_code_varies():
+    launcher = (
+        "import runpy, sys\n"
+        "from emforms import cli\n"
+        "# every run exits 0 but those at --samples 512 and seeds 5-9\n"
+        "cli.run = lambda path, verify_only, samples, seed, out_dir: 3 * (samples == 512 and seed >= 5)\n"
+        "sys.path.insert(0, sys.argv[2])\n"
+        "sys.argv = sys.argv[1:2] + sys.argv[3:]\n"
+        "runpy.run_path(sys.argv[0], run_name='__main__')\n"
+    )
+    result = python("-c", launcher, str(AUDIT), str(AUDIT.parent), "sphere/beta-0.5", timeout=60)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert result.stdout == (
+        "sphere/beta-0.5: exit codes at seeds 0-9\n"
+        "  --samples   8: 0 0 0 0 0 0 0 0 0 0\n"
+        "  --samples  64: 0 0 0 0 0 0 0 0 0 0\n"
+        "  --samples 512: 0 0 0 0 0 3 3 3 3 3\n"
+        "1 of 1 configs vary\n"
+    )
