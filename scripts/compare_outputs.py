@@ -10,7 +10,7 @@ written under that directory (name or bytes) differs. Every differing case
 is printed; the exit code is 1 if any case differs, else 0. ``-k TEXT``
 keeps the cases whose name contains TEXT.
 
-The 98 cases:
+The 99 cases:
   * 14 configs of each benchmark workload (``perfbench/workloads.py``),
     drawn from its stream at seed 7, run with that workload's flags;
   * the shell and sphere configs of ``tests/test_cli.py``, full and
@@ -38,7 +38,7 @@ The 98 cases:
   * 2 configs, a shell and a sphere, with no ``sampling`` or ``outputs``
     section and integer-valued numbers, whose echo holds floats and the
     defaults;
-  * 10 edge inputs: 6 that exit 2, where older trees exit 1 with a
+  * 11 edge inputs: 6 that exit 2, where older trees exit 1 with a
     traceback (a config nested too deeply to parse, output names with a
     NUL or a lone surrogate, a shell and a sphere rotating one ulp below
     c / 0.05 m) or exit 2 without naming the file (a UTF-16 config); 2
@@ -47,7 +47,8 @@ The 98 cases:
     and ``../out/ver.json``), which exit 2, where older trees exit 0 with
     the CSV written over the verification report; and a config whose
     ``scenario`` is a 5,000-digit integer, which the JSON parser rejects
-    (exit 2).
+    (exit 2); and the shell at ``omega_rad_per_s: -0.0``, whose reports
+    keep the sign of the zero (``"C2": -0.0``).
 
 Standard library only.
 """
@@ -186,7 +187,8 @@ DIELECTRIC = {"material": {"eps_r": 4.0, "mu_r": 2.0}}
 # (base, overrides, flags) of output names and rim speeds that exit 2, where
 # a tree without their checks exits 1 with a traceback (after writing two
 # reports, for the names) or, for two names of one file under ``--out-dir
-# out``, exits 0 with one report lost; and of the runs one ulp below c / 0.04 m
+# out``, exits 0 with one report lost; of the runs one ulp below c / 0.04 m;
+# and of the shell at omega -0.0, which compares equal to the shell at 0.0
 EDGE_OVERRIDES = {
     "edge/outputs-nul": (SHELL, {"outputs": {"profile_csv": "a\u0000b.csv"}}, TEST_SAMPLES),
     "edge/outputs-same-file-via-out-dir": (
@@ -195,6 +197,7 @@ EDGE_OVERRIDES = {
         TEST_SAMPLES,
     ),
     "edge/outputs-surrogate": (SHELL, {"outputs": {"profile_csv": "\ud800.csv"}}, TEST_SAMPLES),
+    "edge/omega-negative-zero": (SHELL, {"omega_rad_per_s": -0.0}, TEST_SAMPLES),
     "edge/rim-ulp/shell-0.05": (
         SHELL,
         {"geometry": {"r1_m": 0.02, "r2_m": 0.05}, "omega_rad_per_s": RIM_005},

@@ -21,7 +21,13 @@ The configs:
     1.9e-14 and 2e-14 m and r2 = 2 r1 (``metric-floor/shell-r1-1e-14``
     ...), spheres with a = 1e-13 and 3e-13 m;
   * the 14 scenario-sweep configs that ``scripts/compare_outputs.py``
-    draws, under its names (``scenario-sweep/00`` ...).
+    draws, under its names (``scenario-sweep/00`` ...);
+  * the 11 spheres among the first 300 of that stream (the first 1,200
+    configs) that exit 3 with ``--samples 8`` at their own seed, all with
+    eps_r >= 8.16, under their stream index (``scenario-sweep/259`` ...);
+  * the four rim speeds one ulp below c of ``scripts/compare_outputs.py``
+    (``rim-ulp/shell-0.05`` ...): a shell and a sphere at 0.05 m, which
+    the rim-speed check rejects, and at 0.04 m, which it accepts.
 
 The stderr of the runs is discarded.
 """
@@ -37,13 +43,15 @@ import os
 import sys
 import tempfile
 
-from compare_outputs import RUNS_PER_WORKLOAD, SHELL, SPHERE, WORKLOAD_SEED, WORKLOADS
+from compare_outputs import EDGE_OVERRIDES, RUNS_PER_WORKLOAD, SHELL, SPHERE, WORKLOAD_SEED, WORKLOADS
 
 from emforms import cli
 
 SEEDS = range(10)
 SAMPLES = (8, 64, 512)
 C = 299792458.0
+# stream indices of the sweep spheres that exit 3 with --samples 8
+SWEEP_SPHERES_EXIT_3 = (259, 375, 527, 675, 747, 799, 831, 835, 887, 987, 991)
 
 
 def _with(base: dict, **overrides) -> dict:
@@ -66,8 +74,13 @@ def configs() -> dict[str, dict]:
     for a in (1e-13, 3e-13):
         out[f"metric-floor/sphere-a-{a!r}"] = _with(SPHERE, geometry={"a_m": a})
     stream = WORKLOADS["scenario-sweep"].runs(WORKLOAD_SEED)
-    for k in range(RUNS_PER_WORKLOAD):
-        out[f"scenario-sweep/{k:02d}"] = next(stream).config
+    for k in range(SWEEP_SPHERES_EXIT_3[-1] + 1):
+        config = next(stream).config
+        if k < RUNS_PER_WORKLOAD or k in SWEEP_SPHERES_EXIT_3:
+            out[f"scenario-sweep/{k:02d}"] = config
+    for name, (base, overrides, _) in EDGE_OVERRIDES.items():
+        if name.startswith("edge/rim-ulp/"):
+            out[name.removeprefix("edge/")] = _with(base, **overrides)
     return out
 
 

@@ -24,6 +24,13 @@ names that are not non-empty strings, that hold a NUL or cannot be
 encoded as file names, or that name one file once resolved against
 ``--out-dir``, which :func:`run` does once, for the checks and the writers.
 
+The seed, ``--seed`` or else ``sampling.seed``, draws the events of the
+Maxwell and junction checks, and the echo names it; the junction match
+runs at fixed events, so a scenario's solution depends on the scenario
+alone. :func:`run` keeps the scenario of its last run and reuses it, with
+its chart, interfaces and solution, when the next config builds a scenario
+of the same ``repr``; the config is still validated and the scenario built.
+
 ``verification.json`` summarises the covariant junction report of each
 interface, [F] ^ dPhi and [star G] ^ dPhi: its maxima, per condition too,
 and its worst event. The 3-vector (Gibbs) relations are a library
@@ -159,7 +166,10 @@ def _integer(section: dict, key: str, where: str, default: int, minimum: int) ->
 class Scenario(Protocol):
     """What the driver needs of a scenario. It is built from ``omega``,
     ``mat`` and the fields of ``GEOMETRY_KEYS`` (geometry key -> field) and ``DRIVE_KEY``
-    (config key, field); ``interface_events`` gives one (N, 4) event array
+    (config key, field); ``solution`` is the matched solution and its
+    constants, solved on first use at fixed match events and cached like
+    ``chart`` and ``interfaces``, so it depends on the scenario alone;
+    ``interface_events`` gives one (N, 4) event array
     per interface, in the order of the scenario's cached ``interfaces``,
     the tuple its solution carries as ``FieldSolution.interfaces``. ``profile`` takes
     the solution and one point count per ``PROFILE_GRID`` sampling key, and
@@ -170,7 +180,8 @@ class Scenario(Protocol):
     DRIVE_KEY: ClassVar[tuple[str, str]]
     PROFILE_GRID: ClassVar[tuple[str, ...]]
 
-    def solve(self, seed: int) -> tuple[FieldSolution, object]: ...
+    @property
+    def solution(self) -> tuple[FieldSolution, object]: ...
     def interface_events(self, samples: int, seed: int) -> list[np.ndarray]: ...
     def profile(self, sol, *points: int) -> tuple[list[str], np.ndarray, tuple[np.ndarray, ...]]: ...
     def observables(self, constants) -> dict: ...
@@ -187,6 +198,12 @@ OUTPUTS = {
 }
 # material keys, also the fields of MaterialParams
 MATERIAL = ("eps_r", "mu_r")
+
+# The scenario of the last run, under its repr: a run whose scenario has the
+# same repr reuses it, with its chart, interfaces and solution, and any other
+# scenario takes its place. The key is the repr, not ``==``, which takes -0.0
+# for 0.0 where the reports do not.
+_kept_scenario: dict[str, Scenario] = {}
 
 
 @dataclass(frozen=True)
@@ -413,7 +430,11 @@ def run(
     reports; a failure before the writes prints one ``error:`` line (exit 2)."""
     try:
         cfg = _load_config_printing_warnings(config_path)
-        sc, echo, sampling = cfg.scenario, cfg.echo, cfg.echo["sampling"]
+        echo, sampling = cfg.echo, cfg.echo["sampling"]
+        key = repr(cfg.scenario)
+        if key not in _kept_scenario:
+            _kept_scenario.clear()
+        sc = _kept_scenario.setdefault(key, cfg.scenario)
         paths = _output_paths(echo["outputs"], out_dir)
         seed = sampling["seed"] if seed is None else seed
         n_samples = 64 if samples is None else samples
@@ -421,6 +442,7 @@ def run(
             raise ConfigError(f"need samples >= 1 and seed >= 0, got {n_samples} and {seed}")
         if n_samples > MAX_SAMPLES:
             raise ConfigError(f"samples must be at most {MAX_SAMPLES}, got {n_samples}")
+        sampling["seed"] = seed  # the echo names the seed the events are drawn with
 
         # Non-finite values fail the run through the explicit checks (a
         # MatchingError or a failed tolerance); numpy's floating-point
@@ -428,7 +450,7 @@ def run(
         # arithmetic raises instead; its ArithmeticError fails the run as
         # a config error.
         with np.errstate(all="ignore"):
-            sol, constants = sc.solve(seed)
+            sol, constants = sc.solution
             maxwell = verify_solution(sol, samples_per_region=n_samples, seed=seed)
             metric = sol.chart.metric
             junctions = [

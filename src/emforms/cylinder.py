@@ -86,8 +86,11 @@ class CylinderScenario:
             Interface(phi=r - self.r2, chart=self.chart.name, name="outer"),
         )
 
-    def solve(self, seed: int) -> tuple[FieldSolution, CylinderConstants]:
-        return solve_cylinder(self, seed=seed)
+    @cached_property
+    def solution(self) -> tuple[FieldSolution, CylinderConstants]:
+        """The matched solution and its constants, solved on first use by
+        :func:`solve_cylinder` at its fixed match events (seed 0)."""
+        return solve_cylinder(self)
 
     def interface_events(self, samples: int, seed: int) -> list[np.ndarray]:
         """Deterministic events on each interface, in ``interfaces`` order:
@@ -179,7 +182,11 @@ def match_cylinder_amplitudes(sc: CylinderScenario, seed: int = 0) -> tuple[floa
     """Least-squares junction match of the interior family amplitudes
     (k1, k2) at ``MATCH_SAMPLES`` events on each radius, at the scenario's
     own B0, by :func:`~emforms.solutions.match_junctions`, from one
-    assembly of the family basis at the matcher's amplitude fields."""
+    assembly of the family basis at the matcher's amplitude fields.
+
+    The events are ``sc.interface_events(MATCH_SAMPLES, seed)``; the CLI
+    matches at seed 0, so a scenario's match does not depend on the run's
+    ``--seed``."""
     f_basis, g_basis = _interior_family(sc, sc.chart)
     f_out = exterior_maxwell_form(sc)
     g_out = scale(sc.mat.eps0, f_out)
@@ -230,7 +237,9 @@ def solve_cylinder(sc: CylinderScenario, seed: int = 0) -> tuple[FieldSolution, 
     :class:`MatchingError`, and so does a matched amplitude or a closed-form
     constant that is not finite. The interior Maxwell form is the interior
     family at the closed-form amplitudes (k1, k2) = (0, eps0 c B0), and the
-    returned excitation is its constitutive image.
+    returned excitation is its constitutive image. ``seed`` picks the match
+    events (:func:`match_cylinder_amplitudes`); the CLI solves at the
+    default, through ``CylinderScenario.solution``.
     """
     chart = sc.chart
     metric = chart.metric

@@ -112,8 +112,11 @@ class SphereScenario:
     def expansion_parameter(self) -> float:
         return abs(self.omega) * self.a / self.mat.c
 
-    def solve(self, seed: int) -> tuple[FieldSolution, SphereConstants]:
-        return solve_sphere(self, seed=seed)
+    @cached_property
+    def solution(self) -> tuple[FieldSolution, SphereConstants]:
+        """The matched solution and its constants, solved on first use by
+        :func:`solve_sphere` at its fixed match events (seed 0)."""
+        return solve_sphere(self)
 
     def interface_events(self, samples: int, seed: int) -> list[np.ndarray]:
         """Deterministic events on the surface r = a, as a one-element list
@@ -217,6 +220,10 @@ def match_sphere_constants(sc: SphereScenario, seed: int = 0) -> SphereConstants
     The system is linear in the drive, so it is matched at unit drive and
     the amplitudes are scaled by E0: a tiny drive would otherwise make the
     column units (K1's is E0/c^2) subnormal.
+
+    The events are ``sc.interface_events(MATCH_SAMPLES, seed)``; the CLI
+    matches at seed 0, so a scenario's match does not depend on the run's
+    ``--seed``.
     """
     chart = sc.chart
     basis = _field_basis(chart)
@@ -281,6 +288,8 @@ def solve_sphere(sc: SphereScenario, seed: int = 0) -> tuple[FieldSolution, Sphe
     :class:`MatchingError`. The shipped interior excitation uses the exact
     constitutive map with the exact rotation 4-velocity, so Maxwell and
     junction residuals of the returned solution are O((a omega / c)^2).
+    ``seed`` picks the match events (:func:`match_sphere_constants`); the
+    CLI solves at the default, through ``SphereScenario.solution``.
     """
     chart = sc.chart
     metric = chart.metric

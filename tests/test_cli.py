@@ -8,6 +8,7 @@ import sys
 import pytest
 from oracles import stdlib_json
 
+import emforms.cli as cli_module
 from emforms.cli import MAX_PROFILE_ROWS, MAX_SAMPLES, ConfigError, RunConfig, load_config, run
 
 
@@ -911,10 +912,9 @@ def test_a_run_builds_one_chart_and_each_interface_once(tmp_path, monkeypatch, m
     post_init = Interface.__post_init__
     monkeypatch.setattr(Interface, "__post_init__", lambda iface: interfaces.append(iface) or post_init(iface))
     for cls in (cylinder.CylinderScenario, sphere.SphereScenario):
-        solve = cls.solve
-        monkeypatch.setattr(
-            cls, "solve", lambda sc, seed, solve=solve: solved.append((sc, *solve(sc, seed))) or solved[-1][1:]
-        )
+        solve = vars(cls)["solution"].func
+        solution = property(lambda sc, solve=solve: solved.append((sc, *solve(sc))) or solved[-1][1:])
+        monkeypatch.setattr(cls, "solution", solution)
     covariant = cli_mod.covariant_jump_residual
     monkeypatch.setattr(cli_mod, "covariant_jump_residual", lambda *args: checked.append(args[4]) or covariant(*args))
     path, _ = make_config(tmp_path)
@@ -923,6 +923,100 @@ def test_a_run_builds_one_chart_and_each_interface_once(tmp_path, monkeypatch, m
     assert len(charts) == 1 and sol.chart is sc.chart is charts[0]
     assert sol.interfaces is sc.interfaces
     assert interfaces == checked == list(sc.interfaces)
+
+
+def run_outputs(path, out_dir, **kwargs):
+    """The exit code of one run, and every file it wrote under ``out_dir``."""
+    code = run(path, out_dir=str(out_dir), **kwargs)
+    return code, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} if out_dir.exists() else {}
+
+
+@pytest.mark.parametrize(
+    "make_config, overrides, verify_only, stderr",
+    [
+        (cylinder_config, {}, False, ""),
+        (cylinder_config, {}, True, ""),
+        (
+            sphere_config,
+            {"omega_rad_per_s": 0.2 * 299792458.0 / 0.05},
+            False,
+            "warning: rim speed above 0.1 c: the first-order solution degrades\n",
+        ),
+    ],
+    ids=["cylinder-full", "cylinder-verify-only", "sphere-rim-0.2c"],
+)
+def test_a_second_run_in_one_process_writes_what_the_first_wrote(
+    tmp_path, capsys, make_config, overrides, verify_only, stderr
+):
+    # the second run reuses the first run's solution; the config is still
+    # validated and the scenario built, so its warning prints again
+    path, _ = make_config(tmp_path, **overrides)
+    first = run_outputs(path, tmp_path / "a", verify_only=verify_only, samples=8)
+    assert capsys.readouterr().err == stderr
+    assert run_outputs(path, tmp_path / "b", verify_only=verify_only, samples=8) == first
+    assert capsys.readouterr().err == stderr
+    assert first[0] == 0 and len(first[1]) == (1 if verify_only else 3)
+
+
+@pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)], ids=["zero-first", "minus-zero-first"])
+def test_a_shell_at_minus_zero_omega_is_not_the_shell_at_zero(tmp_path, order):
+    # the two scenarios compare equal, but a kept scenario is reused only for
+    # an equal repr, so each run writes what it writes in a process of its own
+    dirs = [tmp_path / repr(omega) for omega in order]
+    paths = []
+    for directory, omega in zip(dirs, order):
+        directory.mkdir()
+        paths.append(cylinder_config(directory, omega_rad_per_s=omega)[0])
+    alone = []
+    for directory, path in zip(dirs, paths):
+        cli_module._kept_scenario.clear()  # as in a process of its own
+        alone.append(run_outputs(path, directory / "alone", samples=8))
+    cli_module._kept_scenario.clear()
+    together = [run_outputs(path, directory / "together", samples=8) for directory, path in zip(dirs, paths)]
+    assert together == alone
+    c2 = [json.loads(files["obs.json"])["matching_constants"]["C2"] for _, files in alone]
+    assert [math.copysign(1.0, x) for x in c2] == [math.copysign(1.0, omega) for omega in order]
+
+
+def test_a_config_whose_solve_raises_fails_the_same_way_on_every_run(tmp_path, capsys):
+    # a failed solve is not kept: the next run solves again and fails again
+    path, _ = cylinder_config(tmp_path, b0_tesla=1e300)
+    for _ in range(2):
+        assert run(path, samples=8, out_dir=str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "error: junction system has non-finite entries\n"
+    assert not (tmp_path / "out").exists()
+
+
+@BOTH_SCENARIOS
+@pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
+def test_a_second_run_of_one_config_builds_no_chart_and_solves_nothing(
+    tmp_path, monkeypatch, make_config, verify_only
+):
+    from emforms import cylinder, sphere
+
+    built = []
+    for module, name in (
+        (cylinder, "cylindrical_chart"),
+        (sphere, "spherical_chart"),
+        (cylinder, "solve_cylinder"),
+        (sphere, "solve_sphere"),
+    ):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, f=original: built.append(name) or f(*args))
+    path, _ = make_config(tmp_path)
+    assert run(path, verify_only=verify_only, samples=8, seed=1, out_dir=str(tmp_path / "a")) == 0
+    first = list(built)
+    assert len(first) == 2
+    assert run(path, verify_only=verify_only, samples=8, seed=2, out_dir=str(tmp_path / "b")) == 0
+    assert built == first
+
+
+def test_the_report_names_the_seed_its_events_were_drawn_with(tmp_path):
+    path, cfg = cylinder_config(tmp_path)
+    assert cfg["sampling"]["seed"] == 3
+    assert run(path, samples=8, seed=11, out_dir=str(tmp_path / "out")) == 0
+    for name in ("ver.json", "obs.json"):
+        assert json.loads((tmp_path / "out" / name).read_text())["config"]["sampling"]["seed"] == 11
 
 
 def rederived_within_tolerance(ver: dict) -> bool:

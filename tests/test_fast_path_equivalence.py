@@ -402,7 +402,7 @@ def side_components(sol, interior: bool) -> list:
 @pytest.mark.parametrize("n", [64, fields.BLOCK_EVENTS + 1], ids=["one-block", "block-plus-one"])
 @pytest.mark.parametrize("scenario", list(CACHE_SCENARIOS))
 def test_solution_components_on_one_shared_batch_equal_each_alone(scenario, n):
-    sol, _ = CACHE_SCENARIOS[scenario].solve(seed=1)
+    sol, _ = CACHE_SCENARIOS[scenario].solution
     rng = np.random.default_rng(4)
     for region in sol.regions:
         events = solutions.sample_box(region.box, n, rng)
@@ -423,7 +423,7 @@ def test_solution_components_on_one_shared_batch_equal_each_alone(scenario, n):
 @pytest.mark.parametrize("scenario", list(CACHE_SCENARIOS))
 def test_pooled_verification_equals_per_region_verification(scenario, samples):
     # at 2100 the shell's two vacuum regions span two blocks together, one each alone
-    sol, _ = CACHE_SCENARIOS[scenario].solve(seed=1)
+    sol, _ = CACHE_SCENARIOS[scenario].solution
     got = solutions.verify_solution(sol, samples, seed=6)
     want = per_region_verify_solution(sol, samples, seed=6)
     assert _json_text(got.to_json_dict()) == _json_text(want.to_json_dict())
@@ -432,7 +432,7 @@ def test_pooled_verification_equals_per_region_verification(scenario, samples):
 @pytest.mark.parametrize("pinned", ["vacuum_inner", "vacuum_outer"])
 def test_pooled_verification_raises_what_the_degenerate_region_raises(pinned):
     # r = 0 in one exterior region only: g_22 = r^2 vanishes at its events
-    sol, _ = CACHE_SCENARIOS["cylinder"].solve(seed=1)
+    sol, _ = CACHE_SCENARIOS["cylinder"].solution
     regions = tuple(
         Region(r.name, r.interior, (r.box[0], 0.0, *r.box[2:])) if r.name == pinned else r
         for r in sol.regions
