@@ -6,8 +6,12 @@ batch. The callable must be written in terms of the :mod:`emforms.dual`
 elementary functions (or plain arithmetic), so that partial derivatives
 come out of a dual-number pass exactly, not from finite differences.
 
-Fields close under arithmetic. Constants are folded so that the zero
-constant stays structurally recognisable: form containers drop
+Fields close under arithmetic. A constant keeps the number it is given,
+of any type that ``numbers.Real`` accepts (or a dual number, folded from
+one): an int stays an int, and the lifted ``sin``, ``cos`` and ``sqrt``
+fold a builtin int or float through :mod:`math` and any other number
+through its :mod:`emforms.dual` function. Constants are folded so that
+the zero constant stays structurally recognisable: form containers drop
 structurally zero components, and numeric zero is never inferred from
 sampling. A constant operand of ``+``, ``*`` or ``/`` is captured by value
 in the new closure, on the side where it stands, so evaluation never calls
@@ -40,6 +44,7 @@ each a fresh batch, or a batch that the caller shares between them.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from typing import Callable, Sequence
 
@@ -177,9 +182,8 @@ class ScalarField:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def constant(value: float) -> "ScalarField":
-        v = float(value)
-        return ScalarField(lambda event: v, const=v)
+    def constant(value) -> "ScalarField":
+        return ScalarField(lambda event: value, const=value)
 
     @staticmethod
     def zero() -> "ScalarField":
@@ -308,7 +312,7 @@ ONE = ScalarField(lambda event: 1.0, const=1.0)
 def coerce(x) -> ScalarField:
     if isinstance(x, ScalarField):
         return x
-    if isinstance(x, (int, float)):
+    if isinstance(x, numbers.Real):
         return ScalarField.constant(x)
     raise TypeError(f"cannot use {type(x).__name__} as a scalar field")
 
@@ -318,8 +322,9 @@ def _lift(mf, df):
 
     def apply(field) -> ScalarField:
         field = coerce(field)
-        if field.const is not None:
-            return ScalarField.constant(mf(field.const))
+        k = field.const
+        if k is not None:  # a builtin number folds through math, as a float
+            return ScalarField.constant(mf(k) if isinstance(k, (int, float)) else df(k))
         f = field.fn
         return ScalarField(lambda event: df(f(event)), deps=field.deps)
 

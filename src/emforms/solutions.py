@@ -172,7 +172,7 @@ def match_junctions(
     are those of the applied piece (drive 1, every amplitude 0) plus, for
     each amplitude, its value in ``units`` times one column of the
     Jacobian in the amplitudes. One assembly at drive 1 gives them all:
-    amplitude j is a field whose value is a dual number of value 0, under
+    amplitude j is a constant field holding a dual number of value 0, under
     one fresh tag, with an (n, 1) column holding ``units[j]`` in row j as
     its dual part. The jumps,
     formed once and wedged with each interface's dPhi at its (N, 4) events
@@ -189,7 +189,7 @@ def match_junctions(
     units = [max(u, 1e-300) for u in units]
     tag = dual.fresh_tag()
     seeds = np.diag(units)
-    amplitudes = [_amplitude(dual.Dual(0.0, seeds[:, [j]], tag)) for j in range(len(units))]
+    amplitudes = [ScalarField.constant(dual.Dual(0.0, seeds[:, [j]], tag)) for j in range(len(units))]
     f_in, f_out, g_in, g_out = build(amplitudes, 1.0)
     jumps = field_jumps(f_in, f_out, hodge_star(metric, g_in), hodge_star(metric, g_out))
     blocks = []
@@ -202,11 +202,6 @@ def match_junctions(
     rows = np.concatenate(blocks)
     # residual(x) = applied + sum_j x_j column_j; move the applied piece right
     return solve_matching_system(rows[:, 1:], -rows[:, 0], what) * units
-
-
-def _amplitude(value: dual.Dual) -> ScalarField:
-    """A field that reads no coordinate and takes ``value`` on every batch."""
-    return ScalarField(lambda event: value, deps=0)
 
 
 def _pieces(wedges, tag: int, n: int, batch: Batch) -> np.ndarray:

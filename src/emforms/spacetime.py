@@ -29,7 +29,6 @@ class Chart:
 
 
 def _require_positive_c(c: float) -> float:
-    c = float(c)
     if c <= 0.0:
         raise ValueError(f"speed of light must be positive, got {c}")
     return c
@@ -87,7 +86,6 @@ def rotating_velocity(chart: Chart, omega: float, azimuth_axis: int) -> VectorFi
     """
     if azimuth_axis not in (1, 2, 3):
         raise ValueError(f"azimuth axis must be spatial (1..3), got {azimuth_axis}")
-    omega = float(omega)
     if omega == 0.0:
         return lab_frame(chart)
     c = chart.light_speed

@@ -351,11 +351,13 @@ def test_verify_only_at_the_sample_ceiling_stays_under_its_bound(tmp_path, make_
     assert peak_kib < bound_mb * 1024
 
 
-def test_cli_import_loads_no_scipy():
+def modules_loaded_by_cli_import(package: str) -> str:
+    """The modules of ``package`` that ``import emforms.cli`` loads in a
+    fresh interpreter, as the text of a sorted list."""
     import emforms
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(emforms.__file__)))
-    code = "import sys, emforms.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, emforms.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     result = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
@@ -363,7 +365,16 @@ def test_cli_import_loads_no_scipy():
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert modules_loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_sympy():
+    # sympy serves the symbolic certificates in tests/test_symbolic.py only
+    assert modules_loaded_by_cli_import("sympy") == "[]"
 
 
 @BOTH_SCENARIOS

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
-from emforms.fields import ScalarField, cos, sin, sqrt
+from emforms import dual
+from emforms.fields import ScalarField, coerce, cos, sin, sqrt
 
 from one_event import partial, partials, value
 from oracles import central_difference_partials, random_event, random_poly_trig_field
@@ -68,3 +71,41 @@ def test_power_validation():
     with pytest.raises(ValueError):
         r ** (-1)
     assert (r**0).const == 1.0
+
+
+@pytest.mark.parametrize("x", [1j, "1.0", None])
+def test_coerce_rejects_what_is_not_a_real_number(x):
+    with pytest.raises(TypeError):
+        coerce(x)
+
+
+@pytest.mark.parametrize("x", [3, 0, True, False, 2.5, 0.0, -0.0])
+def test_int_bool_and_float_give_the_constant_of_their_float(x):
+    field = coerce(x)
+    assert field.const == float(x)
+    assert field.is_zero == (x == 0)
+    r = ScalarField.coordinate(1)
+    ev = (0.0, 1.5, 0.0, 0.0)
+    got = value(field, ev)
+    assert type(got) is float and got == float(x)
+    assert value(field * r + field, ev) == float(x) * 1.5 + float(x)
+
+
+@pytest.mark.parametrize("lifted, folded", [(sin, math.sin), (cos, math.cos), (sqrt, math.sqrt)])
+@pytest.mark.parametrize("x", [0.7, 2])
+def test_lifted_functions_fold_a_builtin_constant_through_math(lifted, folded, x):
+    const = lifted(ScalarField.constant(x)).const
+    assert type(const) is float and const == folded(x)
+
+
+def test_sqrt_of_a_negative_float_constant_raises_when_built():
+    with pytest.raises(ValueError):
+        sqrt(ScalarField.constant(-1.0))
+
+
+def test_a_constant_holding_a_dual_is_not_zero_and_lifts_through_dual():
+    tag = dual.fresh_tag()
+    field = ScalarField.constant(dual.Dual(0.0, 1.0, tag))
+    assert not field.is_zero and field.deps == 0
+    lifted = sin(field).const
+    assert isinstance(lifted, dual.Dual) and (lifted.a, lifted.b) == (0.0, 1.0)
