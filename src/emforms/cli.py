@@ -376,7 +376,8 @@ def write_csv(path: str, header: list[str], values, axes=()) -> None:
     ``axes`` are the 1-D axes of a profile grid, whose values lead each
     row: the rows run over the grid in C order (the last axis fastest), and
     ``values`` holds the remaining columns, one row per grid point. Each
-    axis value is formatted once, into the row prefixes. Without axes,
+    axis value is formatted once, and each row gathers the texts of its
+    grid point's axis values. Without axes,
     ``values`` is the whole table. ``values`` is an array or rows of
     numbers; a row whose width differs from the header's less the axes, or
     a row count other than the grid's, raises TypeError.
@@ -391,21 +392,28 @@ def write_csv(path: str, header: list[str], values, axes=()) -> None:
         raise TypeError(f"rows must have {width} values, the header's width less the axes") from exc
     if len(table) != len(values):
         raise TypeError(f"rows must have {width} values, the header's width less the axes")
-    prefixes = [""]
-    for axis in axes:
-        texts = ["%.17g," % x for x in axis]
-        prefixes = [p + t for p in prefixes for t in texts]
-    if axes and len(prefixes) != len(table):
-        raise TypeError(f"values must have one row per grid point, {len(prefixes)}, got {len(table)}")
+    grid = [len(axis) for axis in axes]
+    if axes and math.prod(grid) != len(table):
+        raise TypeError(f"values must have one row per grid point, {math.prod(grid)}, got {len(table)}")
     chunks = [(",".join(header) + "\n").encode("utf-8")]
     if table.size < G17_MIN_VALUES:
+        prefixes = [""]
+        for axis in axes:
+            texts = ["%.17g," % x for x in axis]
+            prefixes = [p + t for p in prefixes for t in texts]
         cells = np.empty((len(table), 1 + width), dtype=object)
         cells[:, 0] = prefixes  # without axes, the one empty prefix leads every row
         cells[:, 1:] = table
         line = "%s" + ",".join(["%.17g"] * width) + "\n"
         chunks.append((line * len(table) % tuple(cells.ravel().tolist())).encode("ascii"))
     else:
-        prefix_bytes = np.array(prefixes, dtype="S").view(np.uint8).reshape(len(prefixes), -1)  # 0-padded
+        # each axis's texts as 0-padded rows of bytes; row i of the table
+        # takes those of value index[k, i] of axis k
+        index = np.indices(grid).reshape(len(axes), len(table))
+        prefixes = [
+            np.array(["%.17g," % x for x in axis], dtype="S").view(np.uint8).reshape(len(axis), -1)[i]
+            for axis, i in zip(axes, index)
+        ]
         step = max(1, G17_BLOCK_VALUES // width)
         for start in range(0, len(table), step):
             rows = g17.format_g17(table[start : start + step]).reshape(-1, width, g17.WIDTH)
@@ -414,7 +422,7 @@ def write_csv(path: str, header: list[str], values, axes=()) -> None:
             rows[:, -1, -1] = ord("\n")
             rows = rows.reshape(len(rows), -1)
             if axes:
-                rows = np.hstack([prefix_bytes[start : start + step], rows])
+                rows = np.hstack([*(prefix[start : start + step] for prefix in prefixes), rows])
             chunks.append(rows.tobytes().translate(None, b"\0"))
     _atomic_write(path, b"".join(chunks))
 

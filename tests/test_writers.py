@@ -132,7 +132,7 @@ def test_write_csv_equals_per_cell_format(tmp_path_factory, table):
 
 @pytest.mark.parametrize("row", [[1.0], [1.0, 2.0, 3.0]])
 def test_write_csv_rejects_a_row_of_the_wrong_width(tmp_path, row):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="rows must have"):
         write_csv(str(tmp_path / "p.csv"), ["a", "b"], [[0.0, 1.0], row])
 
 
@@ -227,7 +227,7 @@ def test_write_csv_keeps_signed_zeros_apart(tmp_path):
     ids=["short-row", "long-row", "wide-array", "flat-array"],
 )
 def test_write_csv_rejects_a_ragged_or_wrong_width_table(tmp_path, rows):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="rows must have"):
         write_csv(str(tmp_path / "p.csv"), ["a", "b"], rows)
 
 
@@ -273,7 +273,7 @@ def test_write_csv_of_a_grid_keeps_special_axis_values_apart(tmp_path):
     ids=["short", "long", "wide", "empty-grid"],
 )
 def test_write_csv_rejects_values_that_do_not_fit_the_grid(tmp_path, values, axes):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="rows must have|one row per grid point"):
         write_csv(str(tmp_path / "p.csv"), ["r", "t", "v"], values, axes)
     assert not (tmp_path / "p.csv").exists()
 
