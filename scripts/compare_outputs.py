@@ -5,16 +5,23 @@
 Each case runs ``python -m emforms.cli run config.json [flags] --out-dir
 out`` once with ``PYTHONPATH=OLD_SRC`` and once with ``PYTHONPATH=NEW_SRC``,
 each in a fresh directory of its own, so that paths in messages read the
-same. A case differs when the exit code, the stderr text or any file
-written under that directory (name or bytes) differs. Every differing case
+same. A reuse case instead calls ``emforms.cli.main`` twice in one
+process, with ``--seed 3 --out-dir out-3`` and then ``--seed 11 --out-dir
+out-11``, and exits with the two exit codes as the decimal digits of its
+own, the first run's leading; the second run reuses the scenario, the
+solution and the forms that the first kept. A case differs when the exit
+code, the stderr text or any file written under that directory (name or
+bytes) differs. Every differing case
 is printed; the exit code is 1 if any case differs, else 0. ``-k TEXT``
 keeps the cases whose name contains TEXT.
 
-The 99 cases:
+The 103 cases:
   * 14 configs of each benchmark workload (``perfbench/workloads.py``),
     drawn from its stream at seed 7, run with that workload's flags;
   * the shell and sphere configs of ``tests/test_cli.py``, full and
     ``--verify-only``, at ``--samples 8``;
+  * the same four runs as reuse cases (``reuse/shell/full`` ...), each
+    two runs in one process;
   * 22 bad configs and flags, which exit 2;
   * 3 configs whose floating-point arithmetic fails: two exit 2, one
     exits 3 with its reports written;
@@ -72,6 +79,15 @@ from workloads import WORKLOADS  # noqa: E402
 WORKLOAD_SEED = 7
 RUNS_PER_WORKLOAD = 14
 TEST_SAMPLES = ["--samples", "8"]
+# the seeds of the two runs of a reuse case
+REUSE_SEEDS = (3, 11)
+# runs emforms.cli.main once per argument list of the JSON list in argv[1]
+IN_ONE_PROCESS = (
+    "import json, sys\n"
+    "from emforms import cli\n"
+    "codes = [cli.main(['run', 'config.json', *args]) for args in json.loads(sys.argv[1])]\n"
+    "sys.exit(int(''.join(map(str, codes))))\n"
+)
 
 TEST_OUTPUTS = {"profile_csv": "profile.csv", "observables_json": "obs.json", "verification_json": "ver.json"}
 SHELL = {
@@ -219,8 +235,9 @@ BAD_FLAGS = {
 }
 
 
-def cases() -> list[tuple[str, str | bytes, list[str]]]:
-    """(name, config text or bytes, flags) of every case, in a fixed order."""
+def cases() -> list[tuple[str, str | bytes, list[list[str]]]]:
+    """(name, config text or bytes, the arguments of each run after the
+    config path) of every case, in a fixed order."""
     out = []
     for name, workload in WORKLOADS.items():
         flags = ["--samples", str(workload.samples)] + ["--verify-only"] * workload.verify_only
@@ -257,14 +274,22 @@ def cases() -> list[tuple[str, str | bytes, list[str]]]:
     out.append(("bad/missing-sections", json.dumps({"scenario": "cylinder"}), TEST_SAMPLES))
     for name, flags in BAD_FLAGS.items():
         out.append((f"bad/{name}", json.dumps(SHELL), flags))
-    return out
+    runs = [(name, config, [[*flags, "--out-dir", "out"]]) for name, config, flags in out]
+    for scenario, config in (("shell", SHELL), ("sphere", SPHERE)):
+        for mode, extra in (("full", []), ("verify-only", ["--verify-only"])):
+            reuse = [[*TEST_SAMPLES, *extra, "--seed", str(seed), "--out-dir", f"out-{seed}"] for seed in REUSE_SEEDS]
+            runs.append((f"reuse/{scenario}/{mode}", json.dumps(config), reuse))
+    return runs
 
 
-def start(src: str, case_dir: str, config: str | bytes, flags: list[str]) -> subprocess.Popen:
+def start(src: str, case_dir: str, config: str | bytes, runs: list[list[str]]) -> subprocess.Popen:
     os.makedirs(case_dir)
     with open(os.path.join(case_dir, "config.json"), "wb") as fh:
         fh.write(config if isinstance(config, bytes) else config.encode("utf-8"))
-    cmd = [sys.executable, "-m", "emforms.cli", "run", "config.json", *flags, "--out-dir", "out"]
+    if len(runs) == 1:
+        cmd = [sys.executable, "-m", "emforms.cli", "run", "config.json", *runs[0]]
+    else:
+        cmd = [sys.executable, "-c", IN_ONE_PROCESS, json.dumps(runs)]
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     return subprocess.Popen(cmd, cwd=case_dir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
 
@@ -310,10 +335,10 @@ def main(argv: list[str] | None = None) -> int:
     selected = [case for case in cases() if args.k in case[0]]
     differing = 0
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as work:
-        for k, (name, config, flags) in enumerate(selected):
+        for k, (name, config, runs) in enumerate(selected):
             dirs = [os.path.join(work, side, str(k)) for side in ("old", "new")]
             # the two trees run side by side, each in its own directory
-            procs = [start(src, d, config, flags) for src, d in zip((args.old_src, args.new_src), dirs)]
+            procs = [start(src, d, config, runs) for src, d in zip((args.old_src, args.new_src), dirs)]
             found = differences(*(outcome(p, d) for p, d in zip(procs, dirs)))
             if found:
                 differing += 1

@@ -40,10 +40,7 @@ def main() -> None:
         report = verify_solution(sol, samples_per_region=args.samples, seed=0)
         rel = report.regions["medium"]["dstar_g_max_rel"]
         events = sc.interface_events(16, seed=0)[0]
-        jrep = covariant_jump_residual(
-            sol.f_in, sol.f_out, sol.g_in, sol.g_out,
-            sol.interfaces[0], sol.chart.metric, events,
-        )
+        jrep = covariant_jump_residual(sol, sol.interfaces[0], events)
         rels.append(rel)
         print(f"{beta:12.3e} {rel:18.3e} {jrep.max_rel:14.3e}")
 

@@ -27,7 +27,13 @@ The configs:
     eps_r >= 8.16, under their stream index (``scenario-sweep/259`` ...);
   * the four rim speeds one ulp below c of ``scripts/compare_outputs.py``
     (``rim-ulp/shell-0.05`` ...): a shell and a sphere at 0.05 m, which
-    the rim-speed check rejects, and at 0.04 m, which it accepts.
+    the rim-speed check rejects, and at 0.04 m, which it accepts;
+  * every other config of the ``scripts/compare_outputs.py`` cases whose
+    text parses to a JSON object, once, under the name of its first case
+    (``compare/test_cli/shell/full`` ...). Configs listed above and configs
+    that differ only in the case's flags are not repeated. A compare config
+    that exits 2 in all 30 runs is one the CLI rejects; it is neither
+    printed nor counted.
 
 The stderr of the runs is discarded.
 """
@@ -43,7 +49,7 @@ import os
 import sys
 import tempfile
 
-from compare_outputs import EDGE_OVERRIDES, RUNS_PER_WORKLOAD, SHELL, SPHERE, WORKLOAD_SEED, WORKLOADS
+from compare_outputs import EDGE_OVERRIDES, RUNS_PER_WORKLOAD, SHELL, SPHERE, WORKLOAD_SEED, WORKLOADS, cases
 
 from emforms import cli
 
@@ -81,7 +87,22 @@ def configs() -> dict[str, dict]:
     for name, (base, overrides, _) in EDGE_OVERRIDES.items():
         if name.startswith("edge/rim-ulp/"):
             out[name.removeprefix("edge/")] = _with(base, **overrides)
+    seen = {json.dumps(config) for config in out.values()}
+    for name, text, _ in cases():
+        config = _json_object(text)
+        if isinstance(config, dict) and json.dumps(config) not in seen:
+            out[f"compare/{name}"] = config
+            seen.add(json.dumps(config))
     return out
+
+
+def _json_object(text: str | bytes):
+    """What a compare case's config text parses to, or None when the JSON
+    parser rejects it (malformed, nested too deeply, an integer too long)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        return None
 
 
 def exit_codes(config: dict, work: str) -> dict[int, list[int]]:
@@ -107,16 +128,19 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown config name(s): {', '.join(unknown)}")
     selected = args.names or list(table)
-    varying = 0
+    varying = rejected = 0
     with tempfile.TemporaryDirectory(prefix="verdict-audit-") as work:
         for name in selected:
             codes = exit_codes(table[name], work)
-            if len({code for row in codes.values() for code in row}) > 1:
+            distinct = {code for row in codes.values() for code in row}
+            if name.startswith("compare/") and distinct == {2}:
+                rejected += 1
+            elif len(distinct) > 1:
                 varying += 1
                 print(f"{name}: exit codes at seeds {SEEDS.start}-{SEEDS.stop - 1}")
                 for n, row in codes.items():
                     print(f"  --samples {n:>3}: " + " ".join(map(str, row)))
-    print(f"{varying} of {len(selected)} configs vary")
+    print(f"{varying} of {len(selected) - rejected} configs vary")
     return 1 if varying else 0
 
 

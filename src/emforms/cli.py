@@ -28,8 +28,9 @@ The seed, ``--seed`` or else ``sampling.seed``, draws the events of the
 Maxwell and junction checks, and the echo names it; the junction match
 runs at fixed events, so a scenario's solution depends on the scenario
 alone. :func:`run` keeps the scenario of its last run and reuses it, with
-its chart, interfaces and solution, when the next config builds a scenario
-of the same ``repr``; the config is still validated and the scenario built.
+its chart, interfaces and solution, and the forms that the solution keeps
+for the checks, when the next config builds a scenario of the same
+``repr``; the config is still validated and the scenario built.
 
 ``verification.json`` summarises the covariant junction report of each
 interface, [F] ^ dPhi and [star G] ^ dPhi: its maxima, per condition too,
@@ -200,9 +201,9 @@ OUTPUTS = {
 MATERIAL = ("eps_r", "mu_r")
 
 # The scenario of the last run, under its repr: a run whose scenario has the
-# same repr reuses it, with its chart, interfaces and solution, and any other
-# scenario takes its place. The key is the repr, not ``==``, which takes -0.0
-# for 0.0 where the reports do not.
+# same repr reuses it, with its chart, interfaces, solution and the solution's
+# forms, and any other scenario takes its place. The key is the repr, not
+# ``==``, which takes -0.0 for 0.0 where the reports do not.
 _kept_scenario: dict[str, Scenario] = {}
 
 
@@ -460,9 +461,8 @@ def run(
         with np.errstate(all="ignore"):
             sol, constants = sc.solution
             maxwell = verify_solution(sol, samples_per_region=n_samples, seed=seed)
-            metric = sol.chart.metric
             junctions = [
-                covariant_jump_residual(sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, events)
+                covariant_jump_residual(sol, iface, events)
                 for iface, events in zip(sol.interfaces, sc.interface_events(n_samples, seed))
             ]
             if not verify_only:

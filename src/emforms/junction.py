@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -35,11 +35,12 @@ from .forms import (
     component_max,
     evaluate,
     exterior_derivative,
-    hodge_star,
     max_or_nan,
     subtract,
-    wedge,
 )
+
+if TYPE_CHECKING:
+    from .solutions import FieldSolution
 
 ON_INTERFACE_TOL = 1e-12
 
@@ -223,36 +224,32 @@ def field_jumps(
     return subtract(f_out, f_in), subtract(star_g_out, star_g_in)
 
 
-def covariant_jump_residual(
-    f_in: DifferentialForm,
-    f_out: DifferentialForm,
-    g_in: DifferentialForm,
-    g_out: DifferentialForm,
-    iface: Interface,
-    metric: DiagonalMetric,
-    samples: Sequence[Event],
-) -> JumpReport:
-    """Residuals of [F] ^ dPhi and [star G] ^ dPhi at interface events,
-    ``samples`` being a sequence of events or an (N, 4) event array.
+def covariant_jump_residual(sol: FieldSolution, iface: Interface, samples: Sequence[Event]) -> JumpReport:
+    """Residuals of [F] ^ dPhi and [star G] ^ dPhi of a solution at events
+    of one of its interfaces, ``samples`` being a sequence of events or an
+    (N, 4) event array.
 
-    Relative residuals are normalised per condition by the exterior-field
-    scale at each sample: |F_out| |dPhi| for the first condition and
+    The forms evaluated are the solution's ``junction_forms`` of the
+    interface and its exterior ``star_g``; none is built here. Relative
+    residuals are normalised per condition by the exterior-field scale at
+    each sample: |F_out| |dPhi| for the first condition and
     |star G_out| |dPhi| for the second.
     """
-    for f in (f_in, f_out, g_in, g_out):
+    for f in (sol.f_in, sol.f_out, sol.g_in, sol.g_out):
         if f.grade != 2:
             raise GradeMismatchError("junction conditions expect grade-2 forms")
+    if iface not in sol.interfaces:
+        raise ValueError(f"interface {iface.name!r} is not an interface of the solution")
     dphi = iface.gradient()
-    star_g_out = hodge_star(metric, g_out)
-    jumps = field_jumps(f_in, f_out, hodge_star(metric, g_in), star_g_out)
-    jump_f, jump_g = [wedge(jump, dphi) for jump in jumps]
+    star_g_out = sol.star_g[1]
+    jump_f, jump_g = sol.junction_forms[iface]
 
     def residuals(batch):
         dphi_scale = component_max(dphi, batch)
         _require_nondegenerate(dphi_scale <= 0.0, batch, "vanishes")
         rf = component_max(jump_f, batch)
         rg = component_max(jump_g, batch)
-        sf = component_max(f_out, batch) * dphi_scale
+        sf = component_max(sol.f_out, batch) * dphi_scale
         sg = component_max(star_g_out, batch) * dphi_scale
         return (
             {"f_jump": rf, "star_g_jump": rg},

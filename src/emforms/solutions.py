@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -257,6 +257,12 @@ class FieldSolution:
     ``order`` is "exact" or "first-order"; for first-order solutions
     ``expansion_parameter`` holds the peripheral speed over c, and the
     excitation residual scales with its square.
+
+    The forms that the checks evaluate depend on the solution alone, so
+    each is built on first use and kept with it, as the cached attributes
+    ``star_g``, ``maxwell_forms`` and ``junction_forms``: a solution that a
+    scenario keeps is checked again without building a form. A build that
+    raises keeps nothing.
     """
 
     chart: Chart
@@ -269,6 +275,25 @@ class FieldSolution:
     regions: tuple[Region, ...]
     length_scale: float
     expansion_parameter: float = 0.0
+
+    @cached_property
+    def star_g(self) -> tuple[DifferentialForm, DifferentialForm]:
+        """star G inside, then outside."""
+        metric = self.chart.metric
+        return hodge_star(metric, self.g_in), hodge_star(metric, self.g_out)
+
+    @cached_property
+    def maxwell_forms(self) -> dict[bool, tuple[DifferentialForm, ...]]:
+        """dF, F, d star G and star G of each side, under the
+        ``Region.interior`` flag of its regions."""
+        sides = ((True, self.f_in, self.star_g[0]), (False, self.f_out, self.star_g[1]))
+        return {interior: (exterior_derivative(f), f, exterior_derivative(sg), sg) for interior, f, sg in sides}
+
+    @cached_property
+    def junction_forms(self) -> dict[Interface, tuple[DifferentialForm, DifferentialForm]]:
+        """[F] ^ dPhi and [star G] ^ dPhi of each interface, from one pair of jumps."""
+        jump_f, jump_g = field_jumps(self.f_in, self.f_out, *self.star_g)
+        return {iface: (wedge(jump_f, iface.gradient()), wedge(jump_g, iface.gradient())) for iface in self.interfaces}
 
 
 def junction_tolerance(sol: FieldSolution) -> float:
@@ -317,9 +342,9 @@ def verify_solution(
     Every region's events are drawn first, in region order; the regions
     on one side of the interfaces are then evaluated together, on one
     array of their events, so a guard that regions of one side reach
-    names the first offending event of that array.
+    names the first offending event of that array. The forms evaluated
+    are the solution's ``maxwell_forms``; none is built here.
     """
-    metric = sol.chart.metric
     rng = np.random.default_rng(seed)
     tol_f = EXACT_RESIDUAL_TOL
     tol_g = junction_tolerance(sol)
@@ -329,10 +354,8 @@ def verify_solution(
     # one array of its regions' events, sides in the order of their first region
     values: list = [None] * len(sol.regions)
     for interior in dict.fromkeys(region.interior for region in sol.regions):
-        f_form, g_form = (sol.f_in, sol.g_in) if interior else (sol.f_out, sol.g_out)
-        sg = hodge_star(metric, g_form)
         # the four forms on one batch per block, sharing their nodes' values
-        forms = (exterior_derivative(f_form), f_form, exterior_derivative(sg), sg)
+        forms = sol.maxwell_forms[interior]
         members = [k for k, region in enumerate(sol.regions) if region.interior == interior]
         pooled = blockwise(
             lambda batch: [component_max(form, batch) for form in forms],

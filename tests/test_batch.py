@@ -47,6 +47,7 @@ from emforms.spacetime import (
 from emforms.sphere import SphereScenario, solve_sphere
 
 import one_event
+from jumps import jump_residual
 
 C = 299792458.0
 REL_TOL = 1e-13
@@ -222,9 +223,8 @@ def test_light_cone_guard_names_event():
 def test_off_interface_guard_names_event(shell):
     sc, sol = shell
     events = five_events((0.0, 1.5 * sc.r1, 0.6, 0.01), good=(0.0, sc.r1, 0.4, 0.01))
-    args = (sol.f_in, sol.f_out, sol.g_in, sol.g_out, sol.interfaces[0], sol.chart.metric)
     with pytest.raises(InterfaceSampleError) as excinfo:
-        covariant_jump_residual(*args, events)
+        covariant_jump_residual(sol, sol.interfaces[0], events)
     assert_names_event(excinfo, events[2])
 
 
@@ -237,7 +237,7 @@ def test_degenerate_dphi_guards_name_event():
     vanishing = Interface(phi=(r - 1.0) * z, chart=cyl.name)
     events = five_events((0.0, 1.0, 0.6, 0.0), good=(0.0, 1.0, 0.4, 0.5))
     with pytest.raises(DegenerateInterfaceError, match="vanishes") as excinfo:
-        covariant_jump_residual(two, two, two, two, vanishing, cyl.metric, events)
+        jump_residual(two, two, two, two, vanishing, cyl, events)
     assert_names_event(excinfo, events[2])
     with pytest.raises(DegenerateInterfaceError, match="vanishes") as excinfo:
         interface_normal_velocity(vanishing, frame, cyl.metric, events)
@@ -316,9 +316,7 @@ def test_nan_event_fails_its_interface(shell):
     frame = lab_frame(sol.chart)
     iface = sol.interfaces[0]
     events = five_events((0.0, math.nan, 0.6, 0.01), good=(0.0, sc.r1, 0.4, 0.01))
-    covariant = covariant_jump_residual(
-        sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, events
-    )
+    covariant = covariant_jump_residual(sol, iface, events)
     dec_in = EMDecomposition.of(sol.f_in, sol.g_in, frame, metric)
     dec_out = EMDecomposition.of(sol.f_out, sol.g_out, frame, metric)
     gibbs = gibbs_jump_residual(dec_in, dec_out, iface, frame, metric, events)
@@ -383,7 +381,7 @@ def test_reports_on_blocks_equal_the_report_on_one_block(shell, monkeypatch):
 
     def reports():
         return (
-            covariant_jump_residual(sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, metric, events),
+            covariant_jump_residual(sol, iface, events),
             gibbs_jump_residual(*decs, iface, frame, metric, events),
         )
 

@@ -927,7 +927,7 @@ def test_a_run_builds_one_chart_and_each_interface_once(tmp_path, monkeypatch, m
         solution = property(lambda sc, solve=solve: solved.append((sc, *solve(sc))) or solved[-1][1:])
         monkeypatch.setattr(cls, "solution", solution)
     covariant = cli_mod.covariant_jump_residual
-    monkeypatch.setattr(cli_mod, "covariant_jump_residual", lambda *args: checked.append(args[4]) or covariant(*args))
+    monkeypatch.setattr(cli_mod, "covariant_jump_residual", lambda *args: checked.append(args[1]) or covariant(*args))
     path, _ = make_config(tmp_path)
     assert run(path, verify_only=verify_only, samples=8, out_dir=str(tmp_path / "out")) == 0
     ((sc, sol, _),) = solved
@@ -1020,6 +1020,40 @@ def test_a_second_run_of_one_config_builds_no_chart_and_solves_nothing(
     assert len(first) == 2
     assert run(path, verify_only=verify_only, samples=8, seed=2, out_dir=str(tmp_path / "b")) == 0
     assert built == first
+
+
+@BOTH_SCENARIOS
+@pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
+def test_a_second_run_at_a_new_seed_writes_what_a_cold_run_writes(tmp_path, monkeypatch, make_config, verify_only):
+    # the checks of the second run evaluate the forms that the first built
+    # and kept with the solution, and build none; only the profile builds its
+    # own. A cold run, with nothing kept, builds the checks' forms too.
+    from emforms.forms import DifferentialForm
+
+    path, _ = make_config(tmp_path, outputs=WITH_SAMPLES)
+    assert run(path, verify_only=verify_only, samples=8, seed=3, out_dir=str(tmp_path / "first")) == 0
+    built, checking = {True: [], False: []}, [False]
+    post_init = DifferentialForm.__post_init__
+    monkeypatch.setattr(DifferentialForm, "__post_init__", lambda form: built[checking[0]].append(form) or post_init(form))
+    for name in ("verify_solution", "covariant_jump_residual"):
+        check = getattr(cli_module, name)
+
+        def spy(*args, check=check, **kwargs):
+            checking[0] = True
+            try:
+                return check(*args, **kwargs)
+            finally:
+                checking[0] = False
+
+        monkeypatch.setattr(cli_module, name, spy)
+    warm = run_outputs(path, tmp_path / "warm", verify_only=verify_only, samples=8, seed=11)
+    assert built[True] == []
+    assert (built[False] == []) == verify_only
+    cli_module._kept_scenario.clear()
+    cold = run_outputs(path, tmp_path / "cold", verify_only=verify_only, samples=8, seed=11)
+    assert built[True]
+    assert warm == cold
+    assert warm[0] == 0 and len(warm[1]) == (2 if verify_only else 4)
 
 
 def test_the_report_names_the_seed_its_events_were_drawn_with(tmp_path):

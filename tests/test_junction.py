@@ -24,6 +24,7 @@ from emforms.cylinder import (
     solve_cylinder,
     _interior_family,
 )
+from jumps import jump_residual, solution_of
 from one_event import evaluate, interface_normal_velocity
 
 
@@ -100,7 +101,7 @@ def test_zero_jump_is_exactly_zero(cyl, rng):
     g = random_form(rng, 2, cyl.name)
     iface = radial_interface(cyl.name, 1.0)
     samples = [(0.0, 1.0, 0.4, 0.2), (0.5, 1.0, 2.0, -0.3)]
-    rep = covariant_jump_residual(f, f, g, g, iface, cyl.metric, samples)
+    rep = jump_residual(f, f, g, g, iface, cyl, samples)
     assert rep.max_abs == 0.0 and rep.max_rel == 0.0
 
 
@@ -110,15 +111,13 @@ def test_sample_off_interface_rejected(cyl, rng):
     f = random_form(rng, 2, cyl.name)
     iface = radial_interface(cyl.name, 1.0)
     with pytest.raises(InterfaceSampleError):
-        covariant_jump_residual(f, f, f, f, iface, cyl.metric, [(0.0, 1.5, 0.0, 0.0)])
+        jump_residual(f, f, f, f, iface, cyl, [(0.0, 1.5, 0.0, 0.0)])
 
 
 def test_shell_solution_matches_at_both_interfaces(shell):
     sc, sol = shell
     for iface, events in zip(sol.interfaces, sc.interface_events(16, seed=2)):
-        rep = covariant_jump_residual(
-            sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, sol.chart.metric, events
-        )
+        rep = covariant_jump_residual(sol, iface, events)
         assert rep.max_rel <= 1e-10
 
 
@@ -130,9 +129,7 @@ def test_perturbed_constant_breaks_matching(shell):
     g_in_bad = scale(1.01 * k2, g_basis[1])
     iface = sol.interfaces[1]
     events = sc.interface_events(8, seed=2)[1]
-    rep = covariant_jump_residual(
-        f_in_bad, sol.f_out, g_in_bad, sol.g_out, iface, sol.chart.metric, events
-    )
+    rep = jump_residual(f_in_bad, sol.f_out, g_in_bad, sol.g_out, iface, sol.chart, events)
     # the violated condition lives on the excitation side, scale eps0 c^2 B0
     assert rep.max_abs > 1e-4 * EPS0 * sc.mat.c**2 * abs(sc.b0)
     assert rep.max_rel > 1e-4
@@ -147,16 +144,14 @@ def test_residual_scaling_is_homogeneous(shell):
     f_in_bad = scale(1.01 * k2, f_basis[1])
     g_in_bad = scale(1.01 * k2, g_basis[1])
     lam = 3.5
-    rep = covariant_jump_residual(
-        f_in_bad, sol.f_out, g_in_bad, sol.g_out, iface, sol.chart.metric, events
-    )
-    rep_scaled = covariant_jump_residual(
+    rep = jump_residual(f_in_bad, sol.f_out, g_in_bad, sol.g_out, iface, sol.chart, events)
+    rep_scaled = jump_residual(
         scale(lam, f_in_bad),
         scale(lam, sol.f_out),
         scale(lam, g_in_bad),
         scale(lam, sol.g_out),
         iface,
-        sol.chart.metric,
+        sol.chart,
         events,
     )
     assert rep_scaled.max_abs == pytest.approx(lam * rep.max_abs, rel=1e-12)
@@ -167,16 +162,35 @@ def test_report_max_is_order_invariant(shell, rng):
     sc, sol = shell
     iface = sol.interfaces[0]
     events = sc.interface_events(12, seed=2)[0]
-    rep = covariant_jump_residual(
-        sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, sol.chart.metric, events
-    )
+    rep = covariant_jump_residual(sol, iface, events)
     shuffled = list(events)
     rng.shuffle(shuffled)
-    rep2 = covariant_jump_residual(
-        sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, sol.chart.metric, shuffled
-    )
+    rep2 = covariant_jump_residual(sol, iface, shuffled)
     assert rep.max_abs == rep2.max_abs
     assert rep.max_rel == rep2.max_rel
+
+
+def test_an_interface_of_another_solution_is_rejected(shell, cyl):
+    sc, sol = shell
+    other = radial_interface(cyl.name, sc.r1, name="inner")
+    with pytest.raises(ValueError, match="'inner' is not an interface of the solution"):
+        covariant_jump_residual(sol, other, [(0.0, sc.r1, 0.0, 0.0)])
+
+
+def test_a_junction_form_whose_build_raises_is_not_kept(cyl):
+    # a constant metric component below the floor fails the Hodge dual when
+    # star G is built; every check of the solution raises again
+    from emforms.forms import DegenerateMetricError, DiagonalMetric
+    from emforms.spacetime import Chart
+
+    degenerate = Chart(cyl.name, DiagonalMetric((-1e-40, 1.0, 1.0, 1.0)), C)
+    two = form(2, cyl.name, {(0, 1): 1.0})
+    iface = radial_interface(cyl.name, 1.0)
+    sol = solution_of(two, two, two, two, iface, degenerate)
+    for _ in range(2):
+        with pytest.raises(DegenerateMetricError):
+            covariant_jump_residual(sol, iface, [(0.0, 1.0, 0.0, 0.0)])
+    assert not {"star_g", "junction_forms"} & set(vars(sol))
 
 
 def test_report_max_keeps_a_late_nan():
@@ -190,9 +204,7 @@ def test_report_serializes(shell):
     sc, sol = shell
     iface = sol.interfaces[0]
     events = sc.interface_events(4, seed=0)[0]
-    rep = covariant_jump_residual(
-        sol.f_in, sol.f_out, sol.g_in, sol.g_out, iface, sol.chart.metric, events
-    )
+    rep = covariant_jump_residual(sol, iface, events)
     payload = json.loads(_json_text(rep.to_json_dict()))
     assert payload["interface"] == "inner"
     assert payload["count"] == 4
@@ -275,9 +287,7 @@ def test_report_summary_without_samples():
 
 def test_covariant_report_over_no_events_fails_its_gate(shell):
     sc, sol = shell
-    rep = covariant_jump_residual(
-        sol.f_in, sol.f_out, sol.g_in, sol.g_out, sol.interfaces[0], sol.chart.metric, np.empty((0, 4))
-    )
+    rep = covariant_jump_residual(sol, sol.interfaces[0], np.empty((0, 4)))
     assert rep.to_json_dict()["count"] == 0
     assert not rep.max_rel <= junction_tolerance(sol)
     assert not rep.max_abs <= 0.0
@@ -292,9 +302,7 @@ def test_report_arrays_are_read_only(shell):
         for f, g in ((sol.f_in, sol.g_in), (sol.f_out, sol.g_out))
     ]
     reports = [
-        covariant_jump_residual(
-            sol.f_in, sol.f_out, sol.g_in, sol.g_out, sol.interfaces[0], sol.chart.metric, events
-        ),
+        covariant_jump_residual(sol, sol.interfaces[0], events),
         gibbs_jump_residual(*decs, sol.interfaces[0], u, sol.chart.metric, events),
     ]
     for rep in reports:
@@ -327,7 +335,7 @@ def test_light_front_pins_cross_handedness():
     iface = Interface(phi=phi, chart=ch.name, name="front")
     samples = [(1e-9, C * 1e-9, 0.3, -0.2), (2e-9, C * 2e-9, 1.0, 0.5)]
     u = lab_frame(ch)
-    cov = covariant_jump_residual(f_in, f_out, g_in, g_out, iface, ch.metric, samples)
+    cov = jump_residual(f_in, f_out, g_in, g_out, iface, ch, samples)
     assert cov.max_abs == 0.0
     _, v_n = interface_normal_velocity(iface, u, ch.metric, samples[0])
     assert v_n == pytest.approx(C)

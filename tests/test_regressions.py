@@ -80,6 +80,29 @@ def test_verify_solution_builds_each_star_g_once(monkeypatch):
     assert built == [sol.g_in, sol.g_out]  # one star G per side
 
 
+@pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
+def test_a_shell_run_dualizes_each_g_once_for_its_checks(tmp_path, monkeypatch, verify_only):
+    # the Maxwell check and both junction checks read the star G of each side
+    # that the solution keeps; the second run, which reuses the solution,
+    # dualizes nothing. The profile's lab-frame decomposition takes its own
+    # dual of G, in media.decompose.
+    import sys
+
+    from emforms import cli, forms
+
+    dualized = []
+    hodge_star = forms.hodge_star
+    for name, module in list(sys.modules.items()):
+        if name.startswith("emforms.") and name != "emforms.media" and vars(module).get("hodge_star") is hodge_star:
+            monkeypatch.setattr(module, "hodge_star", lambda g, form: dualized.append(form) or hodge_star(g, form))
+    path = write_config(tmp_path, 0.02, 0.04)
+    for seed in (1, 2):
+        assert run(path, verify_only=verify_only, samples=4, seed=seed, out_dir=str(tmp_path / "out")) == 0
+    (sc,) = cli._kept_scenario.values()
+    sol, _ = sc.solution
+    assert [form for form in dualized if form in (sol.g_in, sol.g_out)] == [sol.g_in, sol.g_out]
+
+
 def test_every_exported_name_resolves():
     import emforms
 

@@ -232,10 +232,7 @@ def test_junction_residual_scales_quadratically():
         sc = scenario(eps_r=4.0, mu_r=2.0, beta=beta)
         sol, _ = solve_sphere(sc)
         events = sc.interface_events(12, seed=1)[0]
-        rep = covariant_jump_residual(
-            sol.f_in, sol.f_out, sol.g_in, sol.g_out,
-            sol.interfaces[0], sol.chart.metric, events,
-        )
+        rep = covariant_jump_residual(sol, sol.interfaces[0], events)
         assert rep.max_rel <= 10.0 * sc.expansion_parameter**2
         rels.append(rep.max_rel)
     assert rels[1] / rels[0] == pytest.approx(100.0, rel=0.05)

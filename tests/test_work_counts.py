@@ -11,7 +11,8 @@ the forms built (``DifferentialForm.__post_init__`` frames). The ceilings
 sit about 10 % above the counts of the code as it stands, so that a change
 which brings per-evaluation bookkeeping back into the form algebra, one
 assembly per matched amplitude back into the junction matcher, a solve
-back into a second run of one config, a second
+back into a second run of one config, a check form (star G, dF, d star G
+or a junction wedge) rebuilt in a second run of one config, a second
 chart or a rebuilt interface (a second Hodge table, a second dPhi) back
 into a run, or the 3-vector junction check or a lab-frame decomposition
 back into a ``--verify-only`` run, fails here, not only in the benchmark. Counts that fall far below a ceiling are a cue
@@ -67,40 +68,41 @@ OTHER_SCENARIO = {cylinder_config: sphere_config, sphere_config: cylinder_config
 @pytest.mark.parametrize(
     "make_config, verify_only, cold, warm",
     [
-        # counts of the code as it stands: 3341 calls, 23 guards, 7 passes,
-        # 15 generator frames, 74 forms; a second run: 2266 calls, 19
-        # guards, 4 passes, 38 forms
+        # counts of the code as it stands: 3373 calls, 23 guards, 7 passes,
+        # 15 generator frames, 68 forms; a second run: 2040 calls, 19
+        # guards, 4 passes, 20 forms (the profile's decompositions and
+        # bound sources)
         (
             cylinder_config,
             False,
-            {"calls": 3680, "first_bad_event": 26, "passes": 8, "forms_genexpr": 17, "forms": 81},
-            {"calls": 2490, "first_bad_event": 21, "passes": 5, "forms": 42},
+            {"calls": 3680, "first_bad_event": 26, "passes": 8, "forms_genexpr": 17, "forms": 75},
+            {"calls": 2240, "first_bad_event": 21, "passes": 5, "forms": 22},
         ),
-        # counts of the code as it stands: 3746 calls, 25 guards, 21 passes,
-        # 25 generator frames, 98 forms; a second run: 1991 calls, 21
-        # guards, 18 passes, 28 forms
+        # counts of the code as it stands: 3826 calls, 25 guards, 21 passes,
+        # 25 generator frames, 96 forms; a second run: 1767 calls, 21
+        # guards, 18 passes, 16 forms (the profile's decompositions)
         (
             sphere_config,
             False,
-            {"calls": 4130, "first_bad_event": 28, "passes": 22, "forms_genexpr": 28, "forms": 108},
-            {"calls": 2190, "first_bad_event": 23, "passes": 20, "forms": 31},
+            {"calls": 4130, "first_bad_event": 28, "passes": 22, "forms_genexpr": 28, "forms": 106},
+            {"calls": 1940, "first_bad_event": 23, "passes": 20, "forms": 18},
         ),
         # --verify-only builds no profile and no lab-frame decomposition:
-        # 2622 calls, 20 guards, 7 passes, 10 generator frames, 54 forms;
-        # a second run: 1547 calls, 16 guards, 4 passes, 18 forms
+        # 2631 calls, 20 guards, 7 passes, 10 generator frames, 48 forms;
+        # a second run: 1298 calls, 16 guards, 4 passes, no form
         (
             cylinder_config,
             True,
-            {"calls": 2880, "first_bad_event": 22, "passes": 8, "forms_genexpr": 11, "forms": 60},
-            {"calls": 1700, "first_bad_event": 18, "passes": 5, "forms": 20},
+            {"calls": 2880, "first_bad_event": 22, "passes": 8, "forms_genexpr": 11, "forms": 53},
+            {"calls": 1430, "first_bad_event": 18, "passes": 5, "forms": 0},
         ),
-        # 3249 calls, 25 guards, 17 passes, 20 generator frames, 82 forms;
-        # a second run: 1494 calls, 21 guards, 14 passes, 12 forms
+        # 3324 calls, 25 guards, 17 passes, 20 generator frames, 80 forms;
+        # a second run: 1265 calls, 21 guards, 14 passes, no form
         (
             sphere_config,
             True,
-            {"calls": 3570, "first_bad_event": 28, "passes": 19, "forms_genexpr": 22, "forms": 90},
-            {"calls": 1640, "first_bad_event": 23, "passes": 16, "forms": 14},
+            {"calls": 3570, "first_bad_event": 28, "passes": 19, "forms_genexpr": 22, "forms": 88},
+            {"calls": 1390, "first_bad_event": 23, "passes": 16, "forms": 0},
         ),
     ],
     ids=["cylinder", "sphere", "cylinder-verify-only", "sphere-verify-only"],
