@@ -39,8 +39,8 @@ def main() -> None:
         sol, _ = solve_sphere(sc)
         report = verify_solution(sol, samples_per_region=args.samples, seed=0)
         rel = report.regions["medium"]["dstar_g_max_rel"]
-        events = sc.interface_events(16, seed=0)[0]
-        jrep = covariant_jump_residual(sol, sol.interfaces[0], events)
+        (iface,) = sol.interfaces
+        jrep = covariant_jump_residual(sol, iface, iface.events(16, seed=0))
         rels.append(rel)
         print(f"{beta:12.3e} {rel:18.3e} {jrep.max_rel:14.3e}")
 

@@ -26,11 +26,13 @@ encoded as file names, or that name one file once resolved against
 
 The seed, ``--seed`` or else ``sampling.seed``, draws the events of the
 Maxwell and junction checks, and the echo names it; the junction match
-runs at fixed events, so a scenario's solution depends on the scenario
-alone. :func:`run` keeps the scenario of its last run and reuses it, with
-its chart, interfaces and solution, and the forms that the solution keeps
-for the checks, when the next config builds a scenario of the same
-``repr``; the config is still validated and the scenario built.
+runs at fixed events (seed 0), so a scenario's solution depends on the
+scenario alone. Each interface draws its events, for the match and for
+its check, by ``Interface.events``. :func:`run` keeps the scenario of its
+last run and reuses it, with its chart, interfaces and solution, and the
+forms that the solution keeps for the checks, when the next config
+builds a scenario of the same ``repr``; the config is still validated
+and the scenario built.
 
 ``verification.json`` summarises the covariant junction report of each
 interface, [F] ^ dPhi and [star G] ^ dPhi: its maxima, per condition too,
@@ -169,10 +171,9 @@ class Scenario(Protocol):
     ``mat`` and the fields of ``GEOMETRY_KEYS`` (geometry key -> field) and ``DRIVE_KEY``
     (config key, field); ``solution`` is the matched solution and its
     constants, solved on first use at fixed match events and cached like
-    ``chart`` and ``interfaces``, so it depends on the scenario alone;
-    ``interface_events`` gives one (N, 4) event array
-    per interface, in the order of the scenario's cached ``interfaces``,
-    the tuple its solution carries as ``FieldSolution.interfaces``. ``profile`` takes
+    ``chart`` and ``interfaces``, so it depends on the scenario alone; its
+    solution carries those interfaces as ``FieldSolution.interfaces``, each
+    drawing its own events by ``Interface.events``. ``profile`` takes
     the solution and one point count per ``PROFILE_GRID`` sampling key, and
     returns the CSV header, the field values (one row per grid point, C
     order) and the grid axes, as :func:`write_csv` takes them."""
@@ -183,7 +184,6 @@ class Scenario(Protocol):
 
     @property
     def solution(self) -> tuple[FieldSolution, object]: ...
-    def interface_events(self, samples: int, seed: int) -> list[np.ndarray]: ...
     def profile(self, sol, *points: int) -> tuple[list[str], np.ndarray, tuple[np.ndarray, ...]]: ...
     def observables(self, constants) -> dict: ...
 
@@ -462,8 +462,7 @@ def run(
             sol, constants = sc.solution
             maxwell = verify_solution(sol, samples_per_region=n_samples, seed=seed)
             junctions = [
-                covariant_jump_residual(sol, iface, events)
-                for iface, events in zip(sol.interfaces, sc.interface_events(n_samples, seed))
+                covariant_jump_residual(sol, iface, iface.events(n_samples, seed)) for iface in sol.interfaces
             ]
             if not verify_only:
                 observables = sc.observables(constants)

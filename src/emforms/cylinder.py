@@ -30,13 +30,11 @@ from .junction import Interface
 from .media import MaterialParams, apply_constitutive
 from .solutions import (
     INNER_BOX_FRACTION,
-    MATCH_SAMPLES,
     CylinderConstants,
     FieldSolution,
     Region,
     by_side,
     check_closed_forms,
-    grid_and_box_events,
     match_junctions,
     require_finite,
 )
@@ -79,31 +77,24 @@ class CylinderScenario:
 
     @cached_property
     def interfaces(self) -> tuple[Interface, Interface]:
-        """The interfaces r = r1 ("inner") and r = r2 ("outer"), built on first use."""
-        r = ScalarField.coordinate(1)
-        return (
-            Interface(phi=r - self.r1, chart=self.chart.name, name="inner"),
-            Interface(phi=r - self.r2, chart=self.chart.name, name="outer"),
-        )
+        """The interfaces r = r1 ("inner") and r = r2 ("outer"), built on
+        first use, each sampled on an angular/axial grid and in its box."""
+        r, r2 = ScalarField.coordinate(1), self.r2  # a grid holds numbers, never the scenario
+
+        def on(radius, name):
+            def grid(j, half):
+                return (0.0, radius, 2.0 * math.pi * j / half, r2 * np.where(j % 2, -1.0, 1.0))
+
+            box = _sampling_box(self, radius)
+            return Interface(phi=r - radius, chart=self.chart.name, name=name, box=box, grid=grid)
+
+        return on(self.r1, "inner"), on(self.r2, "outer")
 
     @cached_property
     def solution(self) -> tuple[FieldSolution, CylinderConstants]:
         """The matched solution and its constants, solved on first use by
         :func:`solve_cylinder` at its fixed match events (seed 0)."""
         return solve_cylinder(self)
-
-    def interface_events(self, samples: int, seed: int) -> list[np.ndarray]:
-        """Deterministic events on each interface, in ``interfaces`` order:
-        a (samples, 4) array per radius, an angular/axial grid plus a
-        seeded pseudorandom set."""
-
-        def on(radius):
-            def grid(j, half):
-                return (0.0, radius, 2.0 * math.pi * j / half, self.r2 * np.where(j % 2, -1.0, 1.0))
-
-            return grid_and_box_events(grid, _sampling_box(self, radius), samples, seed)
-
-        return [on(r) for r in (self.r1, self.r2)]
 
     def profile(self, sol: FieldSolution, radial_points: int):
         return cylinder_profile(self, sol, radial_points)
@@ -184,9 +175,9 @@ def match_cylinder_amplitudes(sc: CylinderScenario, seed: int = 0) -> tuple[floa
     own B0, by :func:`~emforms.solutions.match_junctions`, from one
     assembly of the family basis at the matcher's amplitude fields.
 
-    The events are ``sc.interface_events(MATCH_SAMPLES, seed)``; the CLI
-    matches at seed 0, so a scenario's match does not depend on the run's
-    ``--seed``."""
+    The events are ``iface.events(MATCH_SAMPLES, seed)`` of each of
+    ``sc.interfaces``; the CLI matches at seed 0, so a scenario's match
+    does not depend on the run's ``--seed``."""
     f_basis, g_basis = _interior_family(sc, sc.chart)
     f_out = exterior_maxwell_form(sc)
     g_out = scale(sc.mat.eps0, f_out)
@@ -201,8 +192,7 @@ def match_cylinder_amplitudes(sc: CylinderScenario, seed: int = 0) -> tuple[floa
 
     # one physical unit of each amplitude
     unit = sc.mat.eps0 * sc.mat.c * abs(sc.b0)
-    junctions = list(zip(sc.interfaces, sc.interface_events(MATCH_SAMPLES, seed)))
-    k1, k2 = match_junctions(build, (unit * sc.r2, unit), junctions, sc.chart.metric, "junction")
+    k1, k2 = match_junctions(build, (unit * sc.r2, unit), sc.interfaces, seed, sc.chart.metric, "junction")
     return float(k1), float(k2)
 
 

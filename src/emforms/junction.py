@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -61,16 +61,56 @@ class DegenerateInterfaceError(ValueError):
     """dPhi vanishes or is purely temporal at a sample event."""
 
 
+# One coordinate slot of a sampling box: a fixed value or a (lo, hi) range.
+BoxSlot = float | tuple[float, float]
+
+
+def sample_box(box: Sequence[BoxSlot], n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` events drawn uniformly from a coordinate box, as an (n, 4) array.
+
+    Ranges are drawn in slot order, one event after another; a fixed slot
+    draws no random number, so pinning a coordinate leaves the draws of the
+    others unchanged. One ``rng.random`` draw of shape (n, number of
+    ranges), mapped as ``lo + (hi - lo) * u``, gives the same numbers as one
+    ``rng.uniform(lo, hi)`` call per range and event.
+    """
+    draws = iter(rng.random((n, sum(isinstance(s, tuple) for s in box))).T)
+    events = np.empty((n, len(box)))
+    for i, s in enumerate(box):
+        if isinstance(s, tuple):
+            lo, hi = s
+            events[:, i] = lo + (hi - lo) * next(draws)
+        else:
+            events[:, i] = s
+    return events
+
+
 @dataclass(frozen=True, eq=False)
 class Interface:
-    """Hypersurface Phi = 0; the Phi < 0 side is the medium interior."""
+    """Hypersurface Phi = 0; the Phi < 0 side is the medium interior. Its
+    scenario declares where it is sampled, ``grid`` and ``box``, which
+    :meth:`events` draws from."""
 
     phi: ScalarField
     chart: str
     name: str = "interface"
+    box: tuple[BoxSlot, ...] | None = None
+    grid: Callable[[np.ndarray, int], tuple] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "phi", coerce(self.phi))
+
+    def events(self, n: int, seed: int) -> np.ndarray:
+        """``n`` deterministic events on the interface as an (n, 4) array:
+        the four coordinates ``grid(j, half)`` gives for ``j =
+        np.arange(half)``, ``half = n // 2``, each an array over ``j`` or a
+        scalar, then ``n - half`` drawn from ``box`` by :func:`sample_box`
+        with a generator seeded by ``seed``."""
+        half = n // 2
+        gridded = np.empty((half, 4))
+        for axis, values in enumerate(self.grid(np.arange(half), half)):
+            gridded[:, axis] = values
+        return np.concatenate([gridded, sample_box(self.box, n - half, np.random.default_rng(seed))])
 
     def gradient(self) -> DifferentialForm:
         """dPhi, built once, so that every check on a batch shares its nodes."""

@@ -22,7 +22,7 @@ from .forms import (
     max_or_nan,
     wedge,
 )
-from .junction import Interface, field_jumps
+from .junction import BoxSlot, Interface, field_jumps, sample_box
 from .media import EMDecomposition
 from .spacetime import Chart, lab_frame
 
@@ -42,8 +42,6 @@ CLOSED_FORM_REL_TOL = 1e-9
 # the amplitudes are fields, the drive a number.
 Builder = Callable[[list[ScalarField], float], tuple[DifferentialForm, ...]]
 
-# One coordinate slot of a sampling box: a fixed value or a (lo, hi) range.
-BoxSlot = float | tuple[float, float]
 # Inner edge of the sampling box of the region that reaches toward the axis
 # (the shell's inner vacuum) or the centre (the sphere's medium), as a
 # fraction of the inner radius; each scenario checks the metric there.
@@ -79,38 +77,6 @@ class Region:
     name: str
     interior: bool
     box: tuple[BoxSlot, BoxSlot, BoxSlot, BoxSlot]
-
-
-def sample_box(box: Sequence[BoxSlot], n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` events drawn uniformly from a coordinate box, as an (n, 4) array.
-
-    Ranges are drawn in slot order, one event after another; a fixed slot
-    draws no random number, so pinning a coordinate leaves the draws of the
-    others unchanged. One ``rng.random`` draw of shape (n, number of
-    ranges), mapped as ``lo + (hi - lo) * u``, gives the same numbers as one
-    ``rng.uniform(lo, hi)`` call per range and event.
-    """
-    draws = iter(rng.random((n, sum(isinstance(s, tuple) for s in box))).T)
-    events = np.empty((n, len(box)))
-    for i, s in enumerate(box):
-        if isinstance(s, tuple):
-            lo, hi = s
-            events[:, i] = lo + (hi - lo) * next(draws)
-        else:
-            events[:, i] = s
-    return events
-
-
-def grid_and_box_events(grid, box: Sequence[BoxSlot], n: int, seed: int) -> np.ndarray:
-    """``n`` deterministic events as an (n, 4) array: the four coordinates
-    ``grid(j, half)`` gives for ``j = np.arange(half)``, ``half = n // 2``,
-    each an array over ``j`` or a scalar, then ``n - half`` drawn from
-    ``box`` by :func:`sample_box` with a generator seeded by ``seed``."""
-    half = n // 2
-    gridded = np.empty((half, 4))
-    for axis, values in enumerate(grid(np.arange(half), half)):
-        gridded[:, axis] = values
-    return np.concatenate([gridded, sample_box(box, n - half, np.random.default_rng(seed))])
 
 
 def by_side(sol: FieldSolution, inside: np.ndarray, events: np.ndarray, components) -> np.ndarray:
@@ -162,11 +128,14 @@ def solve_matching_system(rows, rhs, what: str) -> np.ndarray:
 def match_junctions(
     build: Builder,
     units: Sequence[float],
-    junctions: Sequence[tuple[Interface, np.ndarray]],
+    interfaces: Sequence[Interface],
+    seed: int,
     metric: DiagonalMetric,
     what: str,
 ) -> np.ndarray:
-    """Amplitudes that zero [F] ^ dPhi and [star G] ^ dPhi at sampled events.
+    """Amplitudes that zero [F] ^ dPhi and [star G] ^ dPhi at the
+    ``MATCH_SAMPLES`` events ``Interface.events`` draws on each interface
+    at ``seed``.
 
     ``build(amplitudes, drive)`` is linear in both together, so the jumps
     are those of the applied piece (drive 1, every amplitude 0) plus, for
@@ -174,15 +143,13 @@ def match_junctions(
     Jacobian in the amplitudes. One assembly at drive 1 gives them all:
     amplitude j is a constant field holding a dual number of value 0, under
     one fresh tag, with an (n, 1) column holding ``units[j]`` in row j as
-    its dual part. The jumps,
-    formed once and wedged with each interface's dPhi at its (N, 4) events
-    from the (interface, events) pairs ``junctions``, then carry the
-    applied piece as their value and the columns as their dual part; the
-    products are those of one assembly per piece, the other amplitudes
-    adding exact zeros. Columns carry one physical unit of each amplitude,
-    floored at 1e-300, so that every row's entries are commensurate;
-    otherwise a weak coupling falls below working precision after row
-    equilibration. Rows run event by event, then condition, then 3-form
+    its dual part. The jumps, formed once and wedged with each interface's
+    dPhi at its events, then carry the applied piece as their value and the
+    columns as their dual part; the products are those of one assembly per
+    piece, the other amplitudes adding exact zeros. Columns carry one
+    physical unit of each amplitude, floored at 1e-300, so that every row's
+    entries are commensurate; otherwise a weak coupling falls below working
+    precision after row equilibration. Rows run event by event, then condition, then 3-form
     component. Solved by :func:`solve_matching_system`, which names
     ``what`` in its errors.
     """
@@ -193,11 +160,11 @@ def match_junctions(
     f_in, f_out, g_in, g_out = build(amplitudes, 1.0)
     jumps = field_jumps(f_in, f_out, hodge_star(metric, g_in), hodge_star(metric, g_out))
     blocks = []
-    for iface, events in junctions:
+    for iface in interfaces:
         dphi = iface.gradient()
         wedges = [wedge(jump, dphi) for jump in jumps]
         # (piece, condition, component, event) -> event-major rows, a column per piece
-        values = blockwise(partial(_pieces, wedges, tag, len(units)), events)
+        values = blockwise(partial(_pieces, wedges, tag, len(units)), iface.events(MATCH_SAMPLES, seed))
         blocks.append(values.transpose(3, 1, 2, 0).reshape(-1, len(units) + 1))
     rows = np.concatenate(blocks)
     # residual(x) = applied + sum_j x_j column_j; move the applied piece right

@@ -42,13 +42,11 @@ from .junction import Interface
 from .media import MaterialParams, apply_constitutive
 from .solutions import (
     INNER_BOX_FRACTION,
-    MATCH_SAMPLES,
     FieldSolution,
     Region,
     SphereConstants,
     by_side,
     check_closed_forms,
-    grid_and_box_events,
     match_junctions,
 )
 from .spacetime import Chart, check_rim_speed, lab_frame, rotating_velocity, spherical_chart
@@ -105,8 +103,16 @@ class SphereScenario:
 
     @cached_property
     def interfaces(self) -> tuple[Interface]:
-        """The one interface, the surface r = a, built on first use."""
-        return (Interface(phi=ScalarField.coordinate(1) - self.a, chart=self.chart.name, name="surface"),)
+        """The one interface, the surface r = a, built on first use and
+        sampled on a polar grid and in its box."""
+        a = self.a  # the grid holds the radius, never the scenario
+
+        def grid(j, half):
+            theta = _POLE_MARGIN + (math.pi - 2.0 * _POLE_MARGIN) * (j + 0.5) / half
+            return (0.0, a, theta, 2.0 * math.pi * j / half)
+
+        phi = ScalarField.coordinate(1) - a
+        return (Interface(phi=phi, chart=self.chart.name, name="surface", box=_sampling_box(self, a), grid=grid),)
 
     @property
     def expansion_parameter(self) -> float:
@@ -117,16 +123,6 @@ class SphereScenario:
         """The matched solution and its constants, solved on first use by
         :func:`solve_sphere` at its fixed match events (seed 0)."""
         return solve_sphere(self)
-
-    def interface_events(self, samples: int, seed: int) -> list[np.ndarray]:
-        """Deterministic events on the surface r = a, as a one-element list
-        of a (samples, 4) array: a polar grid plus a seeded random set."""
-
-        def grid(j, half):
-            theta = _POLE_MARGIN + (math.pi - 2.0 * _POLE_MARGIN) * (j + 0.5) / half
-            return (0.0, self.a, theta, 2.0 * math.pi * j / half)
-
-        return [grid_and_box_events(grid, _sampling_box(self, self.a), samples, seed)]
 
     def profile(self, sol: FieldSolution, radial_points: int, angular_points: int):
         return sphere_profile(self, sol, radial_points, angular_points)
@@ -221,9 +217,9 @@ def match_sphere_constants(sc: SphereScenario, seed: int = 0) -> SphereConstants
     the amplitudes are scaled by E0: a tiny drive would otherwise make the
     column units (K1's is E0/c^2) subnormal.
 
-    The events are ``sc.interface_events(MATCH_SAMPLES, seed)``; the CLI
-    matches at seed 0, so a scenario's match does not depend on the run's
-    ``--seed``.
+    The events are ``iface.events(MATCH_SAMPLES, seed)`` of the surface;
+    the CLI matches at seed 0, so a scenario's match does not depend on the
+    run's ``--seed``.
     """
     chart = sc.chart
     basis = _field_basis(chart)
@@ -242,8 +238,7 @@ def match_sphere_constants(sc: SphereScenario, seed: int = 0) -> SphereConstants
         return f_in, f_out, g_in, g_out
 
     units = list(vars(_constant_scales(sc, 1.0)).values())
-    junctions = list(zip(sc.interfaces, sc.interface_events(MATCH_SAMPLES, seed)))
-    matched = match_junctions(build, units, junctions, chart.metric, "sphere junction")
+    matched = match_junctions(build, units, sc.interfaces, seed, chart.metric, "sphere junction")
     return SphereConstants(*(float(x) * sc.e0 for x in matched))
 
 

@@ -367,7 +367,8 @@ def per_basis_cylinder_rows(sc, seed: int = 0):
     unit = sc.mat.eps0 * sc.mat.c * abs(sc.b0)
     units = (max(unit * sc.r2, 1e-300), max(unit, 1e-300))
     rows, rhs = [], []
-    for radius, events in zip((sc.r1, sc.r2), sc.interface_events(MATCH_SAMPLES, seed)):
+    for radius, iface in zip((sc.r1, sc.r2), sc.interfaces):
+        events = iface.events(MATCH_SAMPLES, seed)
         dphi = Interface(phi=r - radius, chart=chart.name).gradient()
         conditions = [
             (
@@ -405,7 +406,7 @@ def five_assembly_sphere_rows(sc, seed: int = 0):
     basis = _field_basis(chart)
     omega = 0.01 * sc.mat.c / sc.a
     dphi = Interface(phi=ScalarField.coordinate(1) - sc.a, chart=chart.name).gradient()
-    (events,) = sc.interface_events(MATCH_SAMPLES, seed)
+    events = sc.interfaces[0].events(MATCH_SAMPLES, seed)
 
     def assemble(k0, k1, p0, p1):
         f0_in = scale(k0, basis["uniform_t"])

@@ -377,7 +377,7 @@ def test_reports_on_blocks_equal_the_report_on_one_block(shell, monkeypatch):
     sides = ((sol.f_in, sol.g_in), (sol.f_out, sol.g_out))
     decs = [EMDecomposition.of(f, g, frame, metric) for f, g in sides]
     iface = sol.interfaces[1]
-    events = sc.interface_events(12, seed=2)[1]
+    events = sc.interfaces[1].events(12, seed=2)
 
     def reports():
         return (

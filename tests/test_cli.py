@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 
+import numpy as np
 import pytest
 from oracles import stdlib_json
 
@@ -934,6 +937,56 @@ def test_a_run_builds_one_chart_and_each_interface_once(tmp_path, monkeypatch, m
     assert len(charts) == 1 and sol.chart is sc.chart is charts[0]
     assert sol.interfaces is sc.interfaces
     assert interfaces == checked == list(sc.interfaces)
+
+
+@BOTH_SCENARIOS
+def test_the_matcher_and_the_checks_draw_through_interface_events(tmp_path, monkeypatch, make_config):
+    # a cold run draws each interface's match events and check events by the
+    # one Interface.events, and the samples file holds the check events
+    from emforms.junction import Interface
+    from emforms.solutions import MATCH_SAMPLES
+
+    calls = []
+    draw = Interface.events
+
+    def spy(iface, n, seed):
+        calls.append((iface, n, seed))
+        return draw(iface, n, seed)
+
+    monkeypatch.setattr(Interface, "events", spy)
+    path, _ = make_config(tmp_path, outputs=WITH_SAMPLES)
+    assert run(path, samples=8, seed=11, out_dir=str(tmp_path / "out")) == 0
+    (sc,) = cli_module._kept_scenario.values()
+    matched = [(iface, MATCH_SAMPLES, 0) for iface in sc.interfaces]
+    assert calls == matched + [(iface, 8, 11) for iface in sc.interfaces]
+    written = json.loads((tmp_path / "out" / "samples.json").read_text())
+    for entry, iface in zip(written["junction"], sc.interfaces, strict=True):
+        assert entry["interface"] == iface.name
+        assert np.array_equal(entry["samples"], draw(iface, 8, 11))
+
+
+@BOTH_SCENARIOS
+@pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
+def test_a_run_of_another_config_frees_the_last_scenario_without_the_cycle_collector(
+    tmp_path, make_config, verify_only
+):
+    # the kept scenario is replaced; its solution and its interfaces, whose
+    # sampling grids hold numbers and not the scenario, go with it at once
+    path, _ = make_config(tmp_path)
+    (tmp_path / "other").mkdir()
+    other, _ = make_config(tmp_path / "other", omega_rad_per_s=50.0)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert run(path, verify_only=verify_only, samples=8, out_dir=str(tmp_path / "a")) == 0
+        (sc,) = cli_module._kept_scenario.values()
+        refs = [weakref.ref(sc), weakref.ref(sc.solution[0]), weakref.ref(sc.interfaces[0])]
+        del sc
+        assert run(other, verify_only=verify_only, samples=8, out_dir=str(tmp_path / "b")) == 0
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def run_outputs(path, out_dir, **kwargs):

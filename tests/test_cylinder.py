@@ -383,8 +383,8 @@ def test_halving_rotation_quarters_discrepancy():
 
 def test_interface_samples_deterministic():
     sc = scenario()
-    a = sc.interface_events(64, seed=9)[1]
-    b = sc.interface_events(64, seed=9)[1]
+    a = sc.interfaces[1].events(64, seed=9)
+    b = sc.interfaces[1].events(64, seed=9)
     assert np.array_equal(a, b)
     assert len(a) == 64
     assert all(ev[1] == sc.r2 for ev in a)

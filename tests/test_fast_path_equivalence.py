@@ -316,7 +316,8 @@ def matcher_call(mp, module, match):
 
 def assert_one_assembly_equals_per_piece(module, match):
     with pytest.MonkeyPatch.context() as mp:
-        (build, units, junctions, metric, what), rows, rhs, amplitudes = matcher_call(mp, module, match)
+        (build, units, interfaces, seed, metric, what), rows, rhs, amplitudes = matcher_call(mp, module, match)
+    junctions = [(iface, iface.events(MATCH_SAMPLES, seed)) for iface in interfaces]
     want_rows, want_rhs = per_piece_match_rows(build, units, junctions, metric)
     # ==, under which zeros of either sign are equal; the constants are compared bit for bit
     assert rows.shape == want_rows.shape and np.array_equal(rows, want_rows)
@@ -363,11 +364,11 @@ def test_array_grids_equal_the_per_event_grids_bit_for_bit(half):
         )
         # an odd count puts one more event in the random half only
         for n in (2 * half, 2 * half + 1):
-            for radius, events in zip((r1, r2), shell.interface_events(n, seed=3)):
-                assert_grid_bits(events, half, per_event_cylinder_grid(shell, radius, half))
+            for radius, iface in zip((r1, r2), shell.interfaces):
+                assert_grid_bits(iface.events(n, seed=3), half, per_event_cylinder_grid(shell, radius, half))
         a = float(rng.uniform(1e-3, 10.0))
         ball = SphereScenario(a=a, omega=rng.uniform(0.0, 0.05) * C / a, e0=1.0, mat=MaterialParams(4.0, 1.0))
-        (events,) = ball.interface_events(2 * half, seed=3)
+        events = ball.interfaces[0].events(2 * half, seed=3)
         assert_grid_bits(events, half, per_event_sphere_grid(ball, half, sphere._POLE_MARGIN))
 
 

@@ -115,9 +115,9 @@ def test_sample_off_interface_rejected(cyl, rng):
 
 
 def test_shell_solution_matches_at_both_interfaces(shell):
-    sc, sol = shell
-    for iface, events in zip(sol.interfaces, sc.interface_events(16, seed=2)):
-        rep = covariant_jump_residual(sol, iface, events)
+    _, sol = shell
+    for iface in sol.interfaces:
+        rep = covariant_jump_residual(sol, iface, iface.events(16, seed=2))
         assert rep.max_rel <= 1e-10
 
 
@@ -128,7 +128,7 @@ def test_perturbed_constant_breaks_matching(shell):
     f_in_bad = scale(1.01 * k2, f_basis[1])
     g_in_bad = scale(1.01 * k2, g_basis[1])
     iface = sol.interfaces[1]
-    events = sc.interface_events(8, seed=2)[1]
+    events = sc.interfaces[1].events(8, seed=2)
     rep = jump_residual(f_in_bad, sol.f_out, g_in_bad, sol.g_out, iface, sol.chart, events)
     # the violated condition lives on the excitation side, scale eps0 c^2 B0
     assert rep.max_abs > 1e-4 * EPS0 * sc.mat.c**2 * abs(sc.b0)
@@ -138,7 +138,7 @@ def test_perturbed_constant_breaks_matching(shell):
 def test_residual_scaling_is_homogeneous(shell):
     sc, sol = shell
     iface = sol.interfaces[1]
-    events = sc.interface_events(8, seed=2)[1]
+    events = sc.interfaces[1].events(8, seed=2)
     f_basis, g_basis = _interior_family(sc, sc.chart)
     k2 = EPS0 * sc.mat.c * sc.b0
     f_in_bad = scale(1.01 * k2, f_basis[1])
@@ -161,7 +161,7 @@ def test_residual_scaling_is_homogeneous(shell):
 def test_report_max_is_order_invariant(shell, rng):
     sc, sol = shell
     iface = sol.interfaces[0]
-    events = sc.interface_events(12, seed=2)[0]
+    events = sc.interfaces[0].events(12, seed=2)
     rep = covariant_jump_residual(sol, iface, events)
     shuffled = list(events)
     rng.shuffle(shuffled)
@@ -203,7 +203,7 @@ def test_report_max_keeps_a_late_nan():
 def test_report_serializes(shell):
     sc, sol = shell
     iface = sol.interfaces[0]
-    events = sc.interface_events(4, seed=0)[0]
+    events = sc.interfaces[0].events(4, seed=0)
     rep = covariant_jump_residual(sol, iface, events)
     payload = json.loads(_json_text(rep.to_json_dict()))
     assert payload["interface"] == "inner"
@@ -295,7 +295,7 @@ def test_covariant_report_over_no_events_fails_its_gate(shell):
 
 def test_report_arrays_are_read_only(shell):
     sc, sol = shell
-    events = sc.interface_events(6, seed=0)[0]
+    events = sc.interfaces[0].events(6, seed=0)
     u = lab_frame(sol.chart)
     decs = [
         EMDecomposition.of(f, g, u, sol.chart.metric)
@@ -377,12 +377,12 @@ def test_gibbs_requires_a_lab_aligned_frame_at_every_event(cyl, rng):
 
 
 def test_gibbs_shell_solution(shell):
-    sc, sol = shell
+    _, sol = shell
     u = lab_frame(sol.chart)
     dec_in = EMDecomposition.of(sol.f_in, sol.g_in, u, sol.chart.metric)
     dec_out = EMDecomposition.of(sol.f_out, sol.g_out, u, sol.chart.metric)
-    for iface, events in zip(sol.interfaces, sc.interface_events(12, seed=1)):
-        rep = gibbs_jump_residual(dec_in, dec_out, iface, u, sol.chart.metric, events)
+    for iface in sol.interfaces:
+        rep = gibbs_jump_residual(dec_in, dec_out, iface, u, sol.chart.metric, iface.events(12, seed=1))
         assert rep.max_rel <= 1e-10
 
 
@@ -430,11 +430,11 @@ def side_pairs(sol):
 
 @pytest.mark.parametrize("n", [1, 12, 4097])
 def test_stacked_gibbs_equals_lists_on_the_shell(shell, n):
-    sc, sol = shell
+    _, sol = shell
     u = lab_frame(sol.chart)
     decs = [EMDecomposition.of(f, g, u, sol.chart.metric) for f, g in side_pairs(sol)]
-    for iface, events in zip(sol.interfaces, sc.interface_events(n, seed=1)):
-        assert_gibbs_equals_lists(*decs, iface, u, sol.chart.metric, events)
+    for iface in sol.interfaces:
+        assert_gibbs_equals_lists(*decs, iface, u, sol.chart.metric, iface.events(n, seed=1))
 
 
 @pytest.mark.parametrize("n", [1, 12])
@@ -446,7 +446,7 @@ def test_stacked_gibbs_equals_lists_on_the_sphere(n):
     sol, _ = solve_sphere(sc)
     u = lab_frame(sol.chart)
     decs = [EMDecomposition.of(f, g, u, sol.chart.metric) for f, g in side_pairs(sol)]
-    events = sc.interface_events(n, seed=4)[0]
+    events = sc.interfaces[0].events(n, seed=4)
     assert_gibbs_equals_lists(*decs, sol.interfaces[0], u, sol.chart.metric, events)
 
 

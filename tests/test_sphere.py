@@ -231,7 +231,7 @@ def test_junction_residual_scales_quadratically():
     for beta in betas:
         sc = scenario(eps_r=4.0, mu_r=2.0, beta=beta)
         sol, _ = solve_sphere(sc)
-        events = sc.interface_events(12, seed=1)[0]
+        events = sc.interfaces[0].events(12, seed=1)
         rep = covariant_jump_residual(sol, sol.interfaces[0], events)
         assert rep.max_rel <= 10.0 * sc.expansion_parameter**2
         rels.append(rep.max_rel)
@@ -249,8 +249,8 @@ def test_maxwell_residual_first_order(rng):
 
 def test_interface_events_deterministic():
     sc = scenario()
-    a = sc.interface_events(32, seed=5)[0]
-    b = sc.interface_events(32, seed=5)[0]
+    a = sc.interfaces[0].events(32, seed=5)
+    b = sc.interfaces[0].events(32, seed=5)
     assert np.array_equal(a, b) and len(a) == 32
     assert all(ev[1] == sc.a for ev in a)
     # the seeded half keeps the reference draw order: t, theta, phi per event
