@@ -25,14 +25,14 @@ encoded as file names, or that name one file once resolved against
 ``--out-dir``, which :func:`run` does once, for the checks and the writers.
 
 The seed, ``--seed`` or else ``sampling.seed``, draws the events of the
-Maxwell and junction checks, and the echo names it; the junction match
-runs at fixed events (seed 0), so a scenario's solution depends on the
-scenario alone. Each interface draws its events, for the match and for
-its check, by ``Interface.events``. :func:`run` keeps the scenario of its
-last run and reuses it, with its chart, interfaces and solution, and the
-forms that the solution keeps for the checks, when the next config
-builds a scenario of the same ``repr``; the config is still validated
-and the scenario built.
+Maxwell and junction checks, and the echo names it; each interface draws
+its check events by ``Interface.events``. A solution is built from the
+closed forms of its constants, so it depends on the scenario alone; the
+junction matcher, which no run calls, is the tests' check of those closed
+forms. :func:`run` keeps the scenario of its last run and reuses it, with
+its chart, interfaces and solution, and the forms that the solution keeps
+for the checks, when the next config builds a scenario of the same
+``repr``; the config is still validated and the scenario built.
 
 ``verification.json`` summarises the covariant junction report of each
 interface, [F] ^ dPhi and [star G] ^ dPhi: its maxima, per condition too,
@@ -169,9 +169,9 @@ def _integer(section: dict, key: str, where: str, default: int, minimum: int) ->
 class Scenario(Protocol):
     """What the driver needs of a scenario. It is built from ``omega``,
     ``mat`` and the fields of ``GEOMETRY_KEYS`` (geometry key -> field) and ``DRIVE_KEY``
-    (config key, field); ``solution`` is the matched solution and its
-    constants, solved on first use at fixed match events and cached like
-    ``chart`` and ``interfaces``, so it depends on the scenario alone; its
+    (config key, field); ``solution`` is the solution and its constants,
+    built from their closed forms on first use and cached like ``chart``
+    and ``interfaces``, so it depends on the scenario alone; its
     solution carries those interfaces as ``FieldSolution.interfaces``, each
     drawing its own events by ``Interface.events``. ``profile`` takes
     the solution and one point count per ``PROFILE_GRID`` sampling key, and

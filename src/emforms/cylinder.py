@@ -4,9 +4,9 @@ The exterior field is the applied uniform induction B0 along z, written
 F_out = c B0 r dr^dtheta. The interior admits a two-parameter family of
 stationary axisymmetric solutions; imposing the covariant junction
 conditions at both radii fixes the parameters and yields the exact
-interior solution in closed form. Constants are also matched numerically
-by least squares on sampled junction residuals and cross-checked against
-the closed forms before a solution is returned.
+interior solution in closed form, from which a solution is built. A
+least-squares match on sampled junction residuals, which no run calls,
+checks those closed forms in the tests.
 
 Observables: the radial potential difference across the shell (exact
 closed form and its non-relativistic leading term) and, for
@@ -34,7 +34,6 @@ from .solutions import (
     FieldSolution,
     Region,
     by_side,
-    check_closed_forms,
     match_junctions,
     require_finite,
 )
@@ -92,15 +91,15 @@ class CylinderScenario:
 
     @cached_property
     def solution(self) -> tuple[FieldSolution, CylinderConstants]:
-        """The matched solution and its constants, solved on first use by
-        :func:`solve_cylinder` at its fixed match events (seed 0)."""
+        """The solution and its constants, built on first use by
+        :func:`solve_cylinder` from the closed forms."""
         return solve_cylinder(self)
 
     def profile(self, sol: FieldSolution, radial_points: int):
         return cylinder_profile(self, sol, radial_points)
 
     def observables(self, constants: CylinderConstants) -> dict:
-        """Matched constants, the shell voltage V12 (leading and exact) and
+        """Integration constants, the shell voltage V12 (leading and exact) and
         the mid-shell radial field next to the falsified comparator."""
         mid = 0.5 * (self.r1 + self.r2)
         mu_r, eps_r = self.mat.mu_r, self.mat.eps_r
@@ -175,9 +174,7 @@ def match_cylinder_amplitudes(sc: CylinderScenario, seed: int = 0) -> tuple[floa
     own B0, by :func:`~emforms.solutions.match_junctions`, from one
     assembly of the family basis at the matcher's amplitude fields.
 
-    The events are ``iface.events(MATCH_SAMPLES, seed)`` of each of
-    ``sc.interfaces``; the CLI matches at seed 0, so a scenario's match
-    does not depend on the run's ``--seed``."""
+    The events are ``iface.events(MATCH_SAMPLES, seed)`` of each of ``sc.interfaces``."""
     f_basis, g_basis = _interior_family(sc, sc.chart)
     f_out = exterior_maxwell_form(sc)
     g_out = scale(sc.mat.eps0, f_out)
@@ -211,6 +208,11 @@ def match_cylinder_constants(sc: CylinderScenario, seed: int = 0) -> CylinderCon
     return _amplitudes_to_constants(sc, k1, k2)
 
 
+def closed_form_amplitudes(sc: CylinderScenario) -> tuple[float, float]:
+    """Interior family amplitudes (k1, k2) = (0, eps0 c B0), which satisfy the junctions exactly."""
+    return 0.0, sc.mat.eps0 * sc.mat.c * sc.b0
+
+
 def closed_form_constants(sc: CylinderScenario) -> CylinderConstants:
     em = sc.mat.eps_r * sc.mat.mu_r
     return CylinderConstants(
@@ -220,32 +222,25 @@ def closed_form_constants(sc: CylinderScenario) -> CylinderConstants:
 
 
 def solve_cylinder(sc: CylinderScenario, seed: int = 0) -> tuple[FieldSolution, CylinderConstants]:
-    """Exact matched solution of the rotating shell.
+    """Exact solution of the rotating shell, built from its closed forms.
 
-    The integration constants come out of the numeric junction match and
-    are cross-checked against their closed forms; disagreement raises
-    :class:`MatchingError`, and so does a matched amplitude or a closed-form
-    constant that is not finite. The interior Maxwell form is the interior
-    family at the closed-form amplitudes (k1, k2) = (0, eps0 c B0), and the
-    returned excitation is its constitutive image. ``seed`` picks the match
-    events (:func:`match_cylinder_amplitudes`); the CLI solves at the
-    default, through ``CylinderScenario.solution``.
+    The interior Maxwell form is the interior family at
+    :func:`closed_form_amplitudes`, and the returned excitation is its
+    constitutive image; an amplitude or a constant that is not finite
+    raises :class:`MatchingError`. No junction match runs: the closed forms
+    are proven symbolically and checked against
+    :func:`match_cylinder_amplitudes` by the tests. ``seed`` is ignored.
     """
     chart = sc.chart
     metric = chart.metric
     velocity = rotating_velocity(chart, sc.omega, AZIMUTH_AXIS)
 
-    k1, k2 = match_cylinder_amplitudes(sc, seed)
-    closed_k = (0.0, sc.mat.eps0 * sc.mat.c * sc.b0)
-    unit = abs(closed_k[1])
-    check_closed_forms(
-        {"k1": k1, "k2": k2}, {"k1": closed_k[0], "k2": closed_k[1]}, {"k1": unit, "k2": unit}
-    )
+    k1, k2 = closed_form_amplitudes(sc)
     constants = closed_form_constants(sc)
-    require_finite("closed-form", C1=constants.c1, C2=constants.c2)
+    require_finite("closed-form", k1=k1, k2=k2, C1=constants.c1, C2=constants.c2)
 
     f_basis, _ = _interior_family(sc, chart)
-    f_in = linear_combine(closed_k, f_basis)
+    f_in = linear_combine((k1, k2), f_basis)
     g_in = apply_constitutive(f_in, velocity, sc.mat, metric)
     f_out = exterior_maxwell_form(sc)
     g_out = scale(sc.mat.eps0, f_out)

@@ -192,7 +192,8 @@ def _pieces(wedges, tag: int, n: int, batch: Batch) -> np.ndarray:
 def require_finite(what: str, **constants: float) -> None:
     """Raise :class:`MatchingError` when a named constant is NaN or infinite.
 
-    A tolerance comparison against a NaN is false, so without this a
+    The solvers call it on the closed forms before they build a form. A
+    tolerance comparison against a NaN is false, so without this a
     non-finite constant would pass its cross-check.
     """
     for name, value in constants.items():

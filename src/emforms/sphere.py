@@ -10,9 +10,10 @@ quadrupole. The potential ansatz is
     A_out = E0 r cos(th) dt + P0 cos(th)/r^2 dt
             + omega P1 cos(th) sin^2(th)/r^2 dphi
 
-with (K0, K1, P0, P1) independent of omega. Matching uses the excitation
-truncated to first order in omega; the shipped solution carries the full
-constitutive excitation, so its residuals scale as (a omega / c)^2.
+with (K0, K1, P0, P1) independent of omega and in closed form. Their test,
+the numeric match, uses the excitation truncated to first order in omega;
+the shipped solution carries the full constitutive excitation, so its
+residuals scale as (a omega / c)^2.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .solutions import (
     Region,
     SphereConstants,
     by_side,
-    check_closed_forms,
     match_junctions,
+    require_finite,
 )
 from .spacetime import Chart, check_rim_speed, lab_frame, rotating_velocity, spherical_chart
 
@@ -120,15 +121,15 @@ class SphereScenario:
 
     @cached_property
     def solution(self) -> tuple[FieldSolution, SphereConstants]:
-        """The matched solution and its constants, solved on first use by
-        :func:`solve_sphere` at its fixed match events (seed 0)."""
+        """The solution and its constants, built on first use by
+        :func:`solve_sphere` from the closed forms."""
         return solve_sphere(self)
 
     def profile(self, sol: FieldSolution, radial_points: int, angular_points: int):
         return sphere_profile(self, sol, radial_points, angular_points)
 
     def observables(self, constants: SphereConstants) -> dict:
-        """The matched multipole amplitudes."""
+        """The multipole amplitudes."""
         return {
             "matching_constants": {
                 "K0": constants.k0,
@@ -217,9 +218,7 @@ def match_sphere_constants(sc: SphereScenario, seed: int = 0) -> SphereConstants
     the amplitudes are scaled by E0: a tiny drive would otherwise make the
     column units (K1's is E0/c^2) subnormal.
 
-    The events are ``iface.events(MATCH_SAMPLES, seed)`` of the surface;
-    the CLI matches at seed 0, so a scenario's match does not depend on the
-    run's ``--seed``.
+    The events are ``iface.events(MATCH_SAMPLES, seed)`` of the surface.
     """
     chart = sc.chart
     basis = _field_basis(chart)
@@ -276,21 +275,19 @@ def _constant_scales(sc: SphereScenario, e0: float) -> SphereConstants:
 
 
 def solve_sphere(sc: SphereScenario, seed: int = 0) -> tuple[FieldSolution, SphereConstants]:
-    """First-order matched solution of the rotating sphere.
-
-    Constants are matched numerically and cross-checked against their
-    closed forms; a constant that is not finite raises
-    :class:`MatchingError`. The shipped interior excitation uses the exact
+    """First-order solution of the rotating sphere, built from the closed
+    forms of its constants; a constant that is not finite raises
+    :class:`MatchingError`. No junction match runs: the closed forms are
+    proven symbolically and checked against :func:`match_sphere_constants`
+    by the tests. The shipped interior excitation uses the exact
     constitutive map with the exact rotation 4-velocity, so Maxwell and
     junction residuals of the returned solution are O((a omega / c)^2).
-    ``seed`` picks the match events (:func:`match_sphere_constants`); the
-    CLI solves at the default, through ``SphereScenario.solution``.
+    ``seed`` is ignored.
     """
     chart = sc.chart
     metric = chart.metric
-    matched = match_sphere_constants(sc, seed)
     closed = closed_form_constants(sc)
-    check_closed_forms(vars(matched), vars(closed), vars(_constant_scales(sc, sc.e0)))
+    require_finite("closed-form", **vars(closed))
 
     basis = _field_basis(chart)
     f_in = add(

@@ -622,7 +622,7 @@ def test_overflowing_closed_form_constant_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "overrides, code, stderr",
     [
-        ({"b0_tesla": 1e305}, 2, "error: junction system has non-finite entries\n"),
+        ({"b0_tesla": 1e305}, 2, "error: closed-form C2 = inf is not finite\n"),
         # products with 1 / mu_r = 1e300 overflow: the medium's residuals read
         # NaN, and the profile, computed after the solve, overflows too
         ({"material": {"eps_r": 6.0, "mu_r": 1e-300}}, 3, ""),
@@ -941,10 +941,13 @@ def test_a_run_builds_one_chart_and_each_interface_once(tmp_path, monkeypatch, m
 
 @BOTH_SCENARIOS
 def test_the_matcher_and_the_checks_draw_through_interface_events(tmp_path, monkeypatch, make_config):
-    # a cold run draws each interface's match events and check events by the
-    # one Interface.events, and the samples file holds the check events
+    # a cold run draws each interface's check events by Interface.events, and
+    # the samples file holds them; the matcher, which no run calls, draws its
+    # match events by the same method
+    from emforms.cylinder import match_cylinder_amplitudes
     from emforms.junction import Interface
     from emforms.solutions import MATCH_SAMPLES
+    from emforms.sphere import match_sphere_constants
 
     calls = []
     draw = Interface.events
@@ -957,12 +960,62 @@ def test_the_matcher_and_the_checks_draw_through_interface_events(tmp_path, monk
     path, _ = make_config(tmp_path, outputs=WITH_SAMPLES)
     assert run(path, samples=8, seed=11, out_dir=str(tmp_path / "out")) == 0
     (sc,) = cli_module._kept_scenario.values()
-    matched = [(iface, MATCH_SAMPLES, 0) for iface in sc.interfaces]
-    assert calls == matched + [(iface, 8, 11) for iface in sc.interfaces]
+    assert calls == [(iface, 8, 11) for iface in sc.interfaces]
     written = json.loads((tmp_path / "out" / "samples.json").read_text())
     for entry, iface in zip(written["junction"], sc.interfaces, strict=True):
         assert entry["interface"] == iface.name
         assert np.array_equal(entry["samples"], draw(iface, 8, 11))
+    calls.clear()
+    match = match_cylinder_amplitudes if make_config is cylinder_config else match_sphere_constants
+    match(sc, seed=5)
+    assert calls == [(iface, MATCH_SAMPLES, 5) for iface in sc.interfaces]
+
+
+@BOTH_SCENARIOS
+@pytest.mark.parametrize("verify_only", [False, True], ids=["full", "verify-only"])
+def test_a_cold_run_matches_no_junction_system(tmp_path, monkeypatch, make_config, verify_only):
+    # the solvers build from the closed forms; the matcher is the tests' oracle
+    from emforms import cylinder, solutions, sphere
+
+    matches = []
+    match = solutions.match_junctions
+    for module in (solutions, cylinder, sphere):
+        monkeypatch.setattr(module, "match_junctions", lambda *args: matches.append(args) or match(*args))
+    path, _ = make_config(tmp_path)
+    assert run(path, verify_only=verify_only, samples=8, out_dir=str(tmp_path / "out")) == 0
+    assert matches == []
+
+
+def test_a_shell_whose_k2_is_moved_by_5e_9_relative_exits_3_at_every_seed(tmp_path, monkeypatch):
+    # without a match in the run, the shell's junction gate catches an
+    # interior amplitude off its closed form by 5e-9 of itself
+    from emforms import cylinder
+
+    closed = cylinder.closed_form_amplitudes
+    monkeypatch.setattr(cylinder, "closed_form_amplitudes", lambda sc: (closed(sc)[0], closed(sc)[1] * (1.0 + 5e-9)))
+    path, _ = cylinder_config(tmp_path)
+    for seed in range(10):
+        assert run(path, verify_only=True, samples=8, seed=seed, out_dir=str(tmp_path / "out")) == 3, seed
+
+
+def test_a_sphere_whose_k1_is_moved_by_1e_2_relative_exits_3_at_every_seed(tmp_path, monkeypatch):
+    # at a omega / c = 0.01 the first-order gate is 1e-3; K1 off its closed
+    # form by 1e-2 of itself fails it at 64 samples and every seed. A smaller
+    # error (1e-6 exits 0) is caught only by tests/test_symbolic.py and the
+    # acceptance gate, which check the closed forms themselves
+    from emforms import sphere
+    from emforms.solutions import SphereConstants
+
+    closed = sphere.closed_form_constants
+
+    def moved(sc):
+        constants = vars(closed(sc))
+        return SphereConstants(**{**constants, "k1": constants["k1"] * (1.0 + 1e-2)})
+
+    monkeypatch.setattr(sphere, "closed_form_constants", moved)
+    path, _ = sphere_config(tmp_path, eps_r=4.0, mu_r=2.0, omega_rad_per_s=0.01 * C / 0.05)
+    for seed in range(10):
+        assert run(path, verify_only=True, samples=64, seed=seed, out_dir=str(tmp_path / "out")) == 3, seed
 
 
 @BOTH_SCENARIOS
@@ -1047,7 +1100,7 @@ def test_a_config_whose_solve_raises_fails_the_same_way_on_every_run(tmp_path, c
     path, _ = cylinder_config(tmp_path, b0_tesla=1e300)
     for _ in range(2):
         assert run(path, samples=8, out_dir=str(tmp_path / "out")) == 2
-        assert capsys.readouterr().err == "error: junction system has non-finite entries\n"
+        assert capsys.readouterr().err == "error: closed-form C2 = inf is not finite\n"
     assert not (tmp_path / "out").exists()
 
 

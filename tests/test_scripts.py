@@ -1,9 +1,11 @@
 """The sweep scripts run end to end and print their expected slope, the
-output comparison script tells a tree from a changed copy of it, and the
-verdict audit names a config whose exit code varies."""
+output comparison script tells a tree from a changed copy of it, the
+verdict audit names a config whose exit code varies, and the exit fuzz
+prints one line per config and its histogram."""
 
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -95,3 +97,16 @@ def test_verdict_audit_names_a_config_whose_exit_code_varies():
         "  --samples 512: 0 0 0 0 0 3 3 3 3 3\n"
         "1 of 1 configs vary\n"
     )
+
+
+def test_exit_fuzz_prints_a_line_per_config_and_a_histogram():
+    # 100 in-process runs, most of them rejected configs, in under a second
+    result = python(str(ROOT / "scripts" / "exit_fuzz.py"), "--count", "100", "--seed", "3", timeout=60)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    runs = [line.split() for line in lines if re.fullmatch(r"\d+ \d+", line)]
+    assert [int(index) for index, _ in runs] == list(range(100))
+    codes = sorted(code for _, code in runs)
+    histogram = [line for line in lines if line.startswith("exit ")]
+    assert histogram == [f"exit {code}: {codes.count(code)}" for code in sorted(set(codes))]
+    assert not [line for line in lines if "exception" in line]

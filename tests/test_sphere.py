@@ -6,7 +6,7 @@ import pytest
 from emforms.junction import covariant_jump_residual
 from emforms.media import EMDecomposition, MaterialParams, apply_constitutive
 from emforms import sphere
-from emforms.solutions import MatchingError, SphereConstants, verify_solution
+from emforms.solutions import MatchingError, check_closed_forms, verify_solution
 from emforms.spacetime import lab_frame, rotating_velocity
 from emforms.sphere import (
     AZIMUTH_AXIS,
@@ -51,21 +51,23 @@ def test_non_finite_constants_raise():
     mat = MaterialParams(4.0, 2.0)
     with pytest.raises(ValueError, match="rotation rate must be finite, got nan"):
         SphereScenario(a=0.05, omega=math.nan, e0=1000.0, mat=mat)
-    # matched at unit drive the rows stay finite; P0 = -E0 a^3 (eps_r - 1)/(eps_r + 2) overflows
-    with pytest.raises(MatchingError, match="matched p0 = -inf is not finite"):
+    # 3 E0 overflows in K0 = 3 E0 / (eps_r + 2), the first constant checked
+    with pytest.raises(MatchingError, match="closed-form k0 = inf is not finite"):
         solve_sphere(SphereScenario(a=10.0, omega=1.0, e0=1e308, mat=mat))
 
 
 @pytest.mark.parametrize("name", ["k0", "k1", "p0", "p1"])
-def test_closed_form_off_by_5e_9_relative_fails_the_cross_check(monkeypatch, name):
+def test_closed_form_off_by_5e_9_relative_fails_the_cross_check(name):
     # matched constants agree with their closed forms to about 1e-14; a
     # closed form moved by 5e-9 of itself must not pass as a match
     sc = scenario(beta=0.01)
-    closed = vars(sphere.closed_form_constants(sc))
+    matched = vars(match_sphere_constants(sc))
+    closed = vars(closed_form_constants(sc))
+    scales = vars(sphere._constant_scales(sc, sc.e0))
+    check_closed_forms(matched, closed, scales)
     closed[name] *= 1.0 + 5e-9
-    monkeypatch.setattr(sphere, "closed_form_constants", lambda _: SphereConstants(**closed))
     with pytest.raises(MatchingError, match=f"matched {name} = .* disagrees with closed form"):
-        solve_sphere(sc)
+        check_closed_forms(matched, closed, scales)
 
 
 def test_vacuum_sphere_constants():

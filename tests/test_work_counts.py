@@ -9,14 +9,17 @@ entered, the ``first_bad_event`` guards among them, the derivative passes
 (``dual.fresh_tag`` calls), the generator expressions of ``forms.py`` and
 the forms built (``DifferentialForm.__post_init__`` frames). The ceilings
 sit about 10 % above the counts of the code as it stands, so that a change
-which brings per-evaluation bookkeeping back into the form algebra, one
-assembly per matched amplitude back into the junction matcher, a solve
-back into a second run of one config, a check form (star G, dF, d star G
-or a junction wedge) rebuilt in a second run of one config, a second
-chart or a rebuilt interface (a second Hodge table, a second dPhi) back
-into a run, or the 3-vector junction check or a lab-frame decomposition
-back into a ``--verify-only`` run, fails here, not only in the benchmark. Counts that fall far below a ceiling are a cue
-to lower it.
+which brings per-evaluation bookkeeping back into the form algebra, a
+junction match back into a run (the solvers build from the closed forms;
+a match adds about 650 calls, 3 passes and 18 forms to a cold shell run),
+one assembly per matched amplitude into the junction matcher, which the
+tests call directly and count on their own,
+a solve back into a second run of one config, a check form (star G, dF,
+d star G or a junction wedge) rebuilt in a second run of one config, a
+second chart or a rebuilt interface (a second Hodge table, a second dPhi)
+back into a run, or the 3-vector junction check or a lab-frame
+decomposition back into a ``--verify-only`` run, fails here, not only in
+the benchmark. Counts that fall far below a ceiling are a cue to lower it.
 """
 
 import os
@@ -68,40 +71,40 @@ OTHER_SCENARIO = {cylinder_config: sphere_config, sphere_config: cylinder_config
 @pytest.mark.parametrize(
     "make_config, verify_only, cold, warm",
     [
-        # counts of the code as it stands: 3373 calls, 23 guards, 7 passes,
-        # 15 generator frames, 68 forms; a second run: 2040 calls, 19
+        # counts of the code as it stands: 2720 calls, 19 guards, 4 passes,
+        # 15 generator frames, 50 forms; a second run: 2034 calls, 19
         # guards, 4 passes, 20 forms (the profile's decompositions and
         # bound sources)
         (
             cylinder_config,
             False,
-            {"calls": 3680, "first_bad_event": 26, "passes": 8, "forms_genexpr": 17, "forms": 75},
+            {"calls": 2990, "first_bad_event": 21, "passes": 5, "forms_genexpr": 17, "forms": 55},
             {"calls": 2240, "first_bad_event": 21, "passes": 5, "forms": 22},
         ),
-        # counts of the code as it stands: 3826 calls, 25 guards, 21 passes,
-        # 25 generator frames, 96 forms; a second run: 1767 calls, 21
+        # counts of the code as it stands: 2500 calls, 21 guards, 18 passes,
+        # 15 generator frames, 52 forms; a second run: 1765 calls, 21
         # guards, 18 passes, 16 forms (the profile's decompositions)
         (
             sphere_config,
             False,
-            {"calls": 4130, "first_bad_event": 28, "passes": 22, "forms_genexpr": 28, "forms": 106},
+            {"calls": 2750, "first_bad_event": 23, "passes": 20, "forms_genexpr": 17, "forms": 58},
             {"calls": 1940, "first_bad_event": 23, "passes": 20, "forms": 18},
         ),
         # --verify-only builds no profile and no lab-frame decomposition:
-        # 2631 calls, 20 guards, 7 passes, 10 generator frames, 48 forms;
-        # a second run: 1298 calls, 16 guards, 4 passes, no form
+        # 1978 calls, 16 guards, 4 passes, 10 generator frames, 30 forms;
+        # a second run: 1292 calls, 16 guards, 4 passes, no form
         (
             cylinder_config,
             True,
-            {"calls": 2880, "first_bad_event": 22, "passes": 8, "forms_genexpr": 11, "forms": 53},
+            {"calls": 2180, "first_bad_event": 18, "passes": 5, "forms_genexpr": 11, "forms": 33},
             {"calls": 1430, "first_bad_event": 18, "passes": 5, "forms": 0},
         ),
-        # 3324 calls, 25 guards, 17 passes, 20 generator frames, 80 forms;
-        # a second run: 1265 calls, 21 guards, 14 passes, no form
+        # 1998 calls, 21 guards, 14 passes, 10 generator frames, 36 forms;
+        # a second run: 1263 calls, 21 guards, 14 passes, no form
         (
             sphere_config,
             True,
-            {"calls": 3570, "first_bad_event": 28, "passes": 19, "forms_genexpr": 22, "forms": 88},
+            {"calls": 2200, "first_bad_event": 23, "passes": 16, "forms_genexpr": 11, "forms": 40},
             {"calls": 1390, "first_bad_event": 23, "passes": 16, "forms": 0},
         ),
     ],
@@ -118,3 +121,34 @@ def test_python_work_per_run_stays_under_its_ceiling(tmp_path, make_config, veri
         assert counts["calls"] > 0
         over = {key: counts[key] for key, most in ceilings.items() if counts[key] > most}
         assert not over, f"{label} run: {over} above the ceilings {ceilings}"
+
+
+@pytest.mark.parametrize(
+    "make_config, ceilings",
+    [
+        # one junction match of the shell's two amplitudes: 644 calls,
+        # 4 guards, 3 passes, 18 forms
+        (cylinder_config, {"calls": 710, "first_bad_event": 5, "passes": 3, "forms": 20}),
+        # of the sphere's four: 1310 calls, 4 guards, 3 passes, 10
+        # generator frames, 44 forms
+        (sphere_config, {"calls": 1440, "first_bad_event": 5, "passes": 3, "forms_genexpr": 11, "forms": 48}),
+    ],
+    ids=["cylinder", "sphere"],
+)
+def test_python_work_per_junction_match_stays_under_its_ceiling(tmp_path, make_config, ceilings):
+    # no run matches, so the matcher is counted on the scenario of a run,
+    # whose chart and interfaces are built, after one match pays its
+    # one-time costs
+    from emforms import cli
+    from emforms.cylinder import match_cylinder_amplitudes
+    from emforms.sphere import match_sphere_constants
+
+    path, _ = make_config(tmp_path)
+    assert run(path, verify_only=True, samples=8, out_dir=os.path.join(tmp_path, "out")) == 0
+    (sc,) = cli._kept_scenario.values()
+    match = match_cylinder_amplitudes if make_config is cylinder_config else match_sphere_constants
+    match(sc)
+    counts = count_frames(lambda: match(sc, seed=1))
+    assert counts["calls"] > 0
+    over = {key: counts[key] for key, most in ceilings.items() if counts[key] > most}
+    assert not over, f"{over} above the ceilings {ceilings}"
