@@ -15,6 +15,13 @@ bytes) differs. Every differing case
 is printed; the exit code is 1 if any case differs, else 0. ``-k TEXT``
 keeps the cases whose name contains TEXT.
 
+A differing file is named with how far its numbers moved, where both
+sides parse: a CSV of one shape with, for each column that moved, its
+largest |old - new| over its largest |old|; a JSON file with up to
+``JSON_KEYS_SHOWN`` of the numbers that differ, each as the dotted path
+of its keys and list indices with its old and new value, and the count
+of the others.
+
 The 103 cases:
   * 14 configs of each benchmark workload (``perfbench/workloads.py``),
     drawn from its stream at seed 7, run with that workload's flags;
@@ -78,6 +85,8 @@ from workloads import WORKLOADS  # noqa: E402
 
 WORKLOAD_SEED = 7
 RUNS_PER_WORKLOAD = 14
+# the moved numbers of a differing JSON file printed with their paths
+JSON_KEYS_SHOWN = 5
 TEST_SAMPLES = ["--samples", "8"]
 # the seeds of the two runs of a reuse case
 REUSE_SEEDS = (3, 11)
@@ -321,8 +330,77 @@ def differences(old, new) -> list[str]:
         elif rel not in old_files:
             found.append(f"{rel} newly written")
         elif old_files[rel] != new_files[rel]:
-            found.append(f"{rel} differs")
+            moved = number_moves(rel, old_files[rel], new_files[rel])
+            found.append(f"{rel} differs" + (f" ({moved})" if moved else ""))
     return found
+
+
+def number_moves(rel: str, old: bytes, new: bytes) -> str | None:
+    """How far the numbers of a differing CSV or JSON file moved, or None
+    when a side does not parse, two tables differ in shape or no number
+    moved."""
+    try:
+        if rel.endswith(".csv"):
+            return csv_moves(old.decode(), new.decode())
+        if rel.endswith(".json"):
+            return json_moves(json.loads(old), json.loads(new))
+    except ValueError:
+        pass
+    return None
+
+
+def csv_moves(old: str, new: str) -> str | None:
+    """Each column whose values moved, with its largest |old - new| over
+    its largest |old|, for two tables of one header and row count."""
+    (old_header, *old_rows), (new_header, *new_rows) = old.splitlines(), new.splitlines()
+    if old_header != new_header or len(old_rows) != len(new_rows):
+        return None
+    old_columns = zip(*(map(float, row.split(",")) for row in old_rows))
+    new_columns = zip(*(map(float, row.split(",")) for row in new_rows))
+    moves = []
+    for name, a, b in zip(old_header.split(","), old_columns, new_columns):
+        largest_move = max(map(_gap, a, b))
+        if largest_move:
+            largest_old = max((abs(x) for x in a if not math.isnan(x)), default=0.0)
+            moves.append(f"{name} {largest_move / largest_old if largest_old else math.inf:.2g}")
+    return "largest |old - new| / largest |old| by column: " + ", ".join(moves) if moves else None
+
+
+def json_moves(old, new) -> str | None:
+    """Up to ``JSON_KEYS_SHOWN`` numbers that differ between two parsed
+    JSON documents, as ``path old -> new``, and the count of the others."""
+    moved = list(_numbers_moved(old, new, ""))
+    shown = [f"{path} {a!r} -> {b!r}" for path, a, b in moved[:JSON_KEYS_SHOWN]]
+    if len(moved) > JSON_KEYS_SHOWN:
+        shown.append(f"{len(moved) - JSON_KEYS_SHOWN} more differ")
+    return "; ".join(shown) or None
+
+
+def _numbers_moved(old, new, path: str):
+    """(dotted path, old, new) of each number found at one path of both
+    documents whose value differs."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        pairs = [(key, old[key], new[key]) for key in old if key in new]
+    elif isinstance(old, list) and isinstance(new, list):
+        pairs = list(zip(map(str, range(len(old))), old, new))
+    else:
+        if _is_number(old) and _is_number(new) and _gap(old, new):
+            yield path, old, new
+        return
+    for key, a, b in pairs:
+        yield from _numbers_moved(a, b, f"{path}.{key}" if path else key)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _gap(x: float, y: float) -> float:
+    """|x - y|: 0 where both are NaN, inf where one is."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    gap = abs(x - y)
+    return math.inf if math.isnan(gap) else gap
 
 
 def main(argv: list[str] | None = None) -> int:

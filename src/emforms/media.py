@@ -99,15 +99,20 @@ def decompose(
     frame: VectorField4,
     g: DiagonalMetric,
     kind: str,
+    star: DifferentialForm | None = None,
 ) -> tuple[DifferentialForm, DifferentialForm]:
     """Split a 2-form into its frame-relative 1-form pair.
 
     ``kind="field"`` returns (e, b); ``kind="excitation"`` returns (d, h).
+    ``star`` is the Hodge dual of ``two_form`` when the caller keeps it;
+    otherwise it is taken here.
     """
     if two_form.grade != 2:
         raise GradeMismatchError(f"can only decompose 2-forms, got grade {two_form.grade}")
+    if star is None:
+        star = hodge_star(g, two_form)
     first = interior_product(frame, two_form)
-    star_part = interior_product(frame, hodge_star(g, two_form))
+    star_part = interior_product(frame, star)
     c_field = light_speed_field(g)
     if kind == "field":
         return first, scale(1.0 / c_field, star_part)

@@ -23,7 +23,7 @@ from .forms import (
     wedge,
 )
 from .junction import BoxSlot, Interface, field_jumps, sample_box
-from .media import EMDecomposition
+from .media import decompose
 from .spacetime import Chart, lab_frame
 
 EXACT_RESIDUAL_TOL = 1e-10
@@ -81,17 +81,21 @@ class Region:
 
 def by_side(sol: FieldSolution, inside: np.ndarray, events: np.ndarray, components) -> np.ndarray:
     """Components of the lab-frame fields of a solution over the events,
-    one row per ``(attr, idx)`` of ``components``, each side's
-    :class:`~emforms.media.EMDecomposition` evaluated only on its own side
-    (the interior one raises past the light cylinder, which a profile may
-    reach), with all components of a side evaluated on one batch per
-    block."""
+    one row per ``(attr, idx)`` of ``components``, ``attr`` one of e, b, d
+    and h. Each side's F is decomposed into e and b, and its G into d and
+    h, with the solution's kept star G, only when a column reads d or h.
+    Each side's fields are evaluated only on its own side (the interior
+    ones raise past the light cylinder, which a profile may reach), all
+    components of a side on one batch per block."""
     frame, metric = lab_frame(sol.chart), sol.chart.metric
-    sides = ((sol.f_in, sol.g_in), (sol.f_out, sol.g_out))
-    decs = [EMDecomposition.of(f, g, frame, metric) for f, g in sides]
+    reads_g = any(attr in ("d", "h") for attr, _ in components)
+    sides = ((sol.f_in, sol.g_in, inside), (sol.f_out, sol.g_out, ~inside))
     out = np.empty((len(components), len(events)))
-    for dec, mask in zip(decs, (inside, ~inside)):
-        fields = [getattr(dec, attr).component(idx) for attr, idx in components]
+    for k, (f, g, mask) in enumerate(sides):
+        parts = dict(zip("eb", decompose(f, frame, metric, "field")))
+        if reads_g:
+            parts.update(zip("dh", decompose(g, frame, metric, "excitation", sol.star_g[k])))
+        fields = [parts[attr].component(idx) for attr, idx in components]
         out[:, mask] = blockwise(lambda batch: [f.eval(batch) for f in fields], events[mask])
     return out
 

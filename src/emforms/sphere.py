@@ -10,7 +10,16 @@ quadrupole. The potential ansatz is
     A_out = E0 r cos(th) dt + P0 cos(th)/r^2 dt
             + omega P1 cos(th) sin^2(th)/r^2 dphi
 
-with (K0, K1, P0, P1) independent of omega and in closed form. Their test,
+with (K0, K1, P0, P1) independent of omega and in closed form. The field
+strength F = dA is written from its components, so that no evaluation of
+F differentiates a potential; with s = sin(th), k = cos(th),
+
+    F_in  = K0 (-k dt^dr + r s dt^dth)
+            + omega K1 (3 r^2 k s^2 dr^dphi + r^3 s (2 k^2 - s^2) dth^dphi)
+    F_out = E0 (-k dt^dr + r s dt^dth) + P0 (2 k/r^3 dt^dr + s/r^2 dt^dth)
+            + omega P1 (-2 k s^2/r^3 dr^dphi + s (2 k^2 - s^2)/r^2 dth^dphi)
+
+and the tests check each component against d of its potential. Their test,
 the numeric match, uses the excitation truncated to first order in omega;
 the shipped solution carries the full constitutive excitation, so its
 residuals scale as (a omega / c)^2.
@@ -32,7 +41,6 @@ from .forms import (
     DifferentialForm,
     VectorField4,
     add,
-    exterior_derivative,
     form,
     interior_product,
     lower_index,
@@ -140,22 +148,20 @@ class SphereScenario:
         }
 
 
-def _potential_basis(chart: Chart) -> dict[str, DifferentialForm]:
-    """omega-stripped 1-form potentials of the multipole ansatz."""
+def _field_basis(chart: Chart) -> dict[str, DifferentialForm]:
+    """omega-stripped field 2-forms of the multipole ansatz: d of each
+    potential of the module docstring, written from its components."""
     r = ScalarField.coordinate(1)
     cth = cos(ScalarField.coordinate(2))
     sth = sin(ScalarField.coordinate(2))
+    polar = sth * (2 * cth**2 - sth**2)  # d/dth of cos(th) sin^2(th)
     name = chart.name
     return {
-        "uniform_t": form(1, name, {(0,): r * cth}),
-        "quad_in": form(1, name, {(3,): r**3 * cth * sth**2}),
-        "dipole_t": form(1, name, {(0,): cth / (r * r)}),
-        "quad_out": form(1, name, {(3,): cth * sth**2 / (r * r)}),
+        "uniform_t": form(2, name, {(0, 1): -cth, (0, 2): r * sth}),
+        "quad_in": form(2, name, {(1, 3): 3 * r**2 * cth * sth**2, (2, 3): r**3 * polar}),
+        "dipole_t": form(2, name, {(0, 1): 2 * cth / r**3, (0, 2): sth / (r * r)}),
+        "quad_out": form(2, name, {(1, 3): -2 * cth * sth**2 / r**3, (2, 3): polar / (r * r)}),
     }
-
-
-def _field_basis(chart: Chart) -> dict[str, DifferentialForm]:
-    return {k: exterior_derivative(v) for k, v in _potential_basis(chart).items()}
 
 
 def truncated_excitation(

@@ -15,8 +15,10 @@ expression, the shell's per-basis rows, the sphere's five full assemblies
 and one assembly per matching piece, each laid out one event at a time,
 instead of the shared junction matcher's one dual-seeded assembly, each
 region's Maxwell residuals on its own events instead of the regions of a
-side on one array, and the Gibbs relations on lists of per-component
-arrays instead of stacked ones.
+side on one array, the Gibbs relations on lists of per-component
+arrays instead of stacked ones, and the sphere's multipole potentials,
+whose exterior derivatives the written components of its field basis
+must equal.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from emforms import dual
-from emforms.fields import Batch, ScalarField, event_array
-from emforms.forms import DifferentialForm, basis_indices
+from emforms.fields import Batch, ScalarField, cos, event_array, sin
+from emforms.forms import DifferentialForm, basis_indices, form
 from one_event import value
 
 
@@ -387,6 +389,22 @@ def per_basis_cylinder_rows(sc, seed: int = 0):
         rows.append(iface_rows)
         rhs.append(iface_rhs)
     return np.concatenate(rows), np.concatenate(rhs)
+
+
+def sphere_potential_basis(chart) -> dict[str, DifferentialForm]:
+    """omega-stripped 1-form potentials of the sphere's multipole ansatz,
+    under the names of ``sphere._field_basis``, whose forms are their
+    exterior derivatives written out."""
+    r = ScalarField.coordinate(1)
+    cth = cos(ScalarField.coordinate(2))
+    sth = sin(ScalarField.coordinate(2))
+    name = chart.name
+    return {
+        "uniform_t": form(1, name, {(0,): r * cth}),
+        "quad_in": form(1, name, {(3,): r**3 * cth * sth**2}),
+        "dipole_t": form(1, name, {(0,): cth / (r * r)}),
+        "quad_out": form(1, name, {(3,): cth * sth**2 / (r * r)}),
+    }
 
 
 def five_assembly_sphere_rows(sc, seed: int = 0):

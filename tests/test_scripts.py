@@ -1,7 +1,8 @@
 """The sweep scripts run end to end and print their expected slope, the
-output comparison script tells a tree from a changed copy of it, the
-verdict audit names a config whose exit code varies, and the exit fuzz
-prints one line per config and its histogram."""
+output comparison script tells a tree from a changed copy of it and says
+how far the numbers of two hand-made trees moved, the verdict audit
+names a config whose exit code varies, and the exit fuzz prints one line
+per config and its histogram."""
 
 import os
 import pathlib
@@ -56,6 +57,46 @@ def test_compare_outputs_reports_a_changed_message(tmp_path):
     assert result.returncode == 1, result.stdout + result.stderr
     assert result.stdout.startswith("bad/samples-0: stderr ")
     assert result.stdout.endswith("1 of 1 cases differ\n")
+
+
+# a stand-in for emforms.cli that writes one CSV and one JSON report into
+# the --out-dir of its run, with the numbers given here
+FAKE_CLI = """import os, sys
+out = sys.argv[sys.argv.index("--out-dir") + 1]
+os.makedirs(out)
+with open(os.path.join(out, "profile.csv"), "w") as fh:
+    fh.write("r,e_r,b_r\\n0.5,{e_r},0\\n1,-4,{b_r}\\n")
+with open(os.path.join(out, "ver.json"), "w") as fh:
+    fh.write('{{"maxwell": {{"regions": {{"vacuum": {{"df_max_rel": {df}}}}}}}, "passed": true, "scales": {scales}}}')
+"""
+
+
+def fake_tree(root, **numbers):
+    package = root / "emforms"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(FAKE_CLI.format(**numbers))
+    return root
+
+
+def test_compare_outputs_shows_how_far_the_numbers_moved(tmp_path):
+    old = fake_tree(tmp_path / "old", e_r=2, b_r=0, df=1e-17, scales=[1, 2, 3, 4, 5, 6, 7])
+    new = fake_tree(tmp_path / "new", e_r=2.5, b_r=1e-300, df=1.5e-17, scales=[1, 2, 3, 4, 5, 6, 7.5])
+    result = compare_outputs(old, new, "test_cli/sphere/full")
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert result.stdout == (
+        "test_cli/sphere/full: out/profile.csv differs (largest |old - new| / largest |old| by column:"
+        " e_r 0.12, b_r inf); out/ver.json differs (maxwell.regions.vacuum.df_max_rel 1e-17 -> 1.5e-17;"
+        " scales.6 7 -> 7.5)\n"
+        "1 of 1 cases differ\n"
+    )
+    many = fake_tree(tmp_path / "many", e_r=2, b_r=0, df=1e-17, scales=[0, 1, 2, 3, 4, 5, 6])
+    result = compare_outputs(old, many, "test_cli/sphere/full")
+    assert result.stdout == (
+        "test_cli/sphere/full: out/ver.json differs (scales.0 1 -> 0; scales.1 2 -> 1; scales.2 3 -> 2;"
+        " scales.3 4 -> 3; scales.4 5 -> 4; 2 more differ)\n"
+        "1 of 1 cases differ\n"
+    )
 
 
 AUDIT = ROOT / "scripts" / "verdict_audit.py"

@@ -14,19 +14,25 @@ failing that in the half-angle u = tan(theta / 2) > 0, which reads
 sin^2 + cos^2 = 1 exact.
 
 The sphere is first order in beta = omega a / c. Its Taylor coefficients
-in beta come from repeated ``diff`` and ``subs(beta, 0)``.
+in beta come from repeated ``diff`` and ``subs(beta, 0)``. Its field
+basis is written from its components; a certificate checks each against
+d of its multipole potential (``oracles.sphere_potential_basis``), so
+that dF = 0 tests what the solver writes rather than d^2 = 0.
 """
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import sympy
 
-from emforms import cylinder, forms, media, sphere
+from emforms import cli, cylinder, forms, media, sphere
+from emforms.fields import ScalarField, cos
 from emforms.forms import (
     add,
     exterior_derivative,
+    form,
     hodge_star,
     linear_combine,
     scale,
@@ -37,7 +43,9 @@ from emforms.junction import field_jumps
 from emforms.media import MaterialParams
 from emforms.spacetime import rotating_velocity, spherical_chart
 
+from oracles import sphere_potential_basis
 from symbolic import Sym, components
+from test_cli import sphere_config
 
 C, EPS0, OMEGA, B0, E0, EPS_R, MU_R, R1, DELTA, A, BETA = sympy.symbols(
     "c epsilon_0 omega B_0 E_0 epsilon_r mu_r r_1 Delta a beta", positive=True
@@ -209,13 +217,34 @@ BETA2 = {
 
 def test_sphere_is_first_order_with_the_derived_beta2_residual(symbolic_vacuum):
     conditions = sphere_conditions(symbolic_sphere())
-    # F is d of a potential and the surface potential is continuous: exact at every order
+    # F's written components are those of d of a potential, and the surface
+    # potential is continuous: exact at every order
     assert failing({name: conditions.pop(name) for name in ("dF_in", "[F]^dPhi")}) == []
     coefficients = sphere_coefficients(conditions, 2)
     assert set(BETA2) <= set(coefficients)
     for key, (b0, b1, b2) in coefficients.items():
         assert vanishes(b0) and vanishes(b1), key
         assert vanishes(b2 - BETA2.get(key, 0)), key
+
+
+def field_basis_conditions(chart) -> dict:
+    """Each sphere field basis form minus d of its potential, and d of the
+    form, as conditions over all events."""
+    basis = sphere._field_basis(chart)
+    conditions = {}
+    for name, potential in sphere_potential_basis(chart).items():
+        conditions[f"{name} - dA"] = (subtract(basis[name], exterior_derivative(potential)), None)
+        conditions[f"d {name}"] = (exterior_derivative(basis[name]), None)
+    return conditions
+
+
+def test_sphere_field_basis_is_d_of_its_potentials(symbolic_vacuum):
+    """With r and theta symbolic, each written component of the four basis
+    forms equals that of d of its potential exactly, and each form is
+    closed, so dF = 0 holds of the written F on both sides."""
+    conditions = field_basis_conditions(symbolic_sphere().chart)
+    assert len(conditions) == 8
+    assert failing(conditions) == []
 
 
 # -- the certified forms are the solvers' forms --------------------------------
@@ -282,6 +311,45 @@ def _wrong_c2(closed_form_constants):
         return cylinder.CylinderConstants(c1=k.c1, c2=k.c2 * sc.mat.mu_r)
 
     return mutated
+
+
+def _nudged_dipole(field_basis):
+    """The field basis with the 2 of dipole_t's dt^dr component, 2 cos(theta)
+    / r^3, moved by 1e-6 of itself."""
+
+    def mutated(chart):
+        basis = field_basis(chart)
+        r, cth = ScalarField.coordinate(1), cos(ScalarField.coordinate(2))
+        dipole = basis["dipole_t"].components
+        basis["dipole_t"] = form(2, chart.name, {**dipole, (0, 1): 2.000002 * cth / r**3})
+        return basis
+
+    return mutated
+
+
+def test_a_nudged_dipole_coefficient_breaks_df(symbolic_vacuum, monkeypatch):
+    monkeypatch.setattr(sphere, "_field_basis", _nudged_dipole(sphere._field_basis))
+    sc = symbolic_sphere()
+    assert failing(field_basis_conditions(sc.chart)) == ["dipole_t - dA", "d dipole_t"]
+    f_out = sphere_forms(sc)[1]
+    assert failing({"dF_out": (exterior_derivative(f_out), None)}) == ["dF_out"]
+
+
+def test_a_nudged_dipole_coefficient_fails_every_run(monkeypatch, tmp_path):
+    """The nudge fails the sampled dF check of the vacuum of a dielectric
+    sphere at every seed; it also moves the normal D, which the exterior d
+    star G and the junction check see at most seeds. Unnudged, the run
+    passes."""
+    path, _ = sphere_config(tmp_path, eps_r=4.0, mu_r=2.0)
+    monkeypatch.setattr(cli, "_kept_scenario", {})
+    assert cli.run(path, samples=8, out_dir=str(tmp_path / "unchanged")) == 0
+    monkeypatch.setattr(cli, "_kept_scenario", {})
+    monkeypatch.setattr(sphere, "_field_basis", _nudged_dipole(sphere._field_basis))
+    for seed in range(10):
+        out = tmp_path / str(seed)
+        assert cli.run(path, samples=8, seed=seed, out_dir=str(out)) == 3, seed
+        maxwell = json.loads((out / "ver.json").read_text())["maxwell"]
+        assert maxwell["regions"]["vacuum"]["df_max_rel"] > maxwell["tolerance_f"], seed
 
 
 def test_a_wrong_sign_on_the_sphere_k1_breaks_the_first_order(symbolic_vacuum, monkeypatch):
