@@ -359,10 +359,17 @@ def _json_text(o, nl: str = "\n") -> str:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
         inner = nl + "  "
-        items = ("," + inner).join(
-            [encode_basestring_ascii(key) + ": " + _json_text(o[key], inner) for key in sorted(o)]
-        )
-        return "{" + inner + items + nl + "}"
+        items = []
+        for key in sorted(o):
+            v = o[key]
+            if type(v) is float:  # the common leaves, written without a call
+                text = _json_numbers(float.__repr__(v))
+            elif type(v) is str:
+                text = encode_basestring_ascii(v)
+            else:
+                text = _json_text(v, inner)
+            items.append(encode_basestring_ascii(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 

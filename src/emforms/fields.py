@@ -18,7 +18,9 @@ in the new closure, on the side where it stands, so evaluation never calls
 a constant's closure and each sum and product is the same IEEE operation
 as with the constant evaluated. In the same way the Hodge dual
 (:mod:`emforms.forms`) checks a constant metric component against the
-metric floor once, when the dual is built, and only the others per event.
+metric floor once, when the dual is built, and the others once per batch,
+in the volume element that every Hodge coefficient shares, naming the
+first bad event.
 
 Each field also carries a dependency mask, ``deps``: bit k is set when its
 value may depend on coordinate k. A coordinate sets its own bit, a

@@ -12,8 +12,10 @@ Conventions
   with ``J`` the increasing complement of ``I`` and ``sigma`` the
   permutation ``(I, J)``. The test suite checks this closed form against
   a brute-force Levi-Civita sum.
-  A constant diagonal component is checked against the metric floor once,
-  when the dual is built; the others at every evaluated event.
+  ``sqrt(|det g|)`` is one node of the metric, which every coefficient
+  shares, so a batch computes it once. A constant diagonal component is
+  checked against the metric floor once, when the dual is built; the
+  others once per batch, in that node, which names the first bad event.
 * Degenerate grades stay total: wedges past grade 4, the exterior
   derivative of a 4-form and the interior product of a 0-form all return
   the appropriate zero form.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -155,6 +157,41 @@ class DiagonalMetric:
             raise GradeMismatchError("a diagonal 4-metric needs 4 components")
         object.__setattr__(self, "diag", diag)
 
+    @cached_property
+    def volume(self) -> ScalarField:
+        """``sqrt(|g00 g11 g22 g33|)``, the one node that every Hodge
+        coefficient of the metric divides, guarded against degeneracy.
+
+        A constant component below the metric floor raises here, when the
+        first dual is built; the others are checked each time the node is
+        evaluated, once per batch, naming the first bad event.
+        """
+        consts = [gi.const for gi in self.diag]
+        for i, v in enumerate(consts):
+            if v is not None and abs(v) < _METRIC_FLOOR:
+                raise DegenerateMetricError(f"metric component g_{i}{i} = {v!r} vanishes")
+        varying = [(i, gi.fn) for i, gi in enumerate(self.diag) if gi.const is None]
+        # a constant of exactly 1 is left out of the product: x * 1 is x, bit for bit
+        factors = [i for i, v in enumerate(consts) if v != 1.0] or [0]
+
+        def fn(event):
+            vals = consts.copy()
+            for i, f in varying:
+                vals[i] = f(event)
+            for i, _ in varying:
+                where = first_bad_event(abs(real(vals[i])) < _METRIC_FLOOR, event)
+                if where is not None:
+                    raise DegenerateMetricError(
+                        f"metric component g_{i}{i} vanishes at event {where}"
+                    )
+            det = vals[factors[0]]
+            for i in factors[1:]:
+                det = det * vals[i]
+            return dual_sqrt(abs(det))
+
+        diag = self.diag
+        return ScalarField(fn, deps=diag[0].deps | diag[1].deps | diag[2].deps | diag[3].deps)
+
 
 def form(grade: int, chart: str, components: Mapping[MultiIndex, object]) -> DifferentialForm:
     """Build a form, coercing numeric component values to constants."""
@@ -253,12 +290,10 @@ def interior_product(v: VectorField4, a: DifferentialForm) -> DifferentialForm:
 
 
 def _hodge_coefficient(g: DiagonalMetric, idx: MultiIndex) -> ScalarField:
-    """sqrt(|det g|) / prod_{i in idx} g_ii, guarded against degeneracy;
-    the same field object for the same metric and index.
-
-    A constant diagonal component is checked against the floor here, once;
-    the others are checked at every evaluation, naming the first bad event.
-    """
+    """sqrt(|det g|) / prod_{i in idx} g_ii: the metric's volume node
+    (:attr:`DiagonalMetric.volume`), whose degeneracy guard it shares,
+    divided by each g_ii in turn; the same field object for the same
+    metric and index."""
     coefficient = g._hodge.get(idx)
     if coefficient is None:
         coefficient = g._hodge[idx] = _build_hodge_coefficient(g, idx)
@@ -266,30 +301,17 @@ def _hodge_coefficient(g: DiagonalMetric, idx: MultiIndex) -> ScalarField:
 
 
 def _build_hodge_coefficient(g: DiagonalMetric, idx: MultiIndex) -> ScalarField:
-    diag = g.diag
-    consts = [gi.const for gi in diag]
-    for i, v in enumerate(consts):
-        if v is not None and abs(v) < _METRIC_FLOOR:
-            raise DegenerateMetricError(f"metric component g_{i}{i} = {v!r} vanishes")
-    varying = [(i, gi.fn) for i, gi in enumerate(diag) if gi.const is None]
+    volume = g.volume.fn
+    # as in the volume, a constant of exactly 1 divides nothing: x / 1 is x
+    divisors = [(g.diag[i].const, g.diag[i].fn) for i in idx if g.diag[i].const != 1.0]
 
     def fn(event):
-        vals = consts.copy()
-        for i, f in varying:
-            vals[i] = f(event)
-        for i, _ in varying:
-            where = first_bad_event(abs(real(vals[i])) < _METRIC_FLOOR, event)
-            if where is not None:
-                raise DegenerateMetricError(
-                    f"metric component g_{i}{i} vanishes at event {where}"
-                )
-        det = vals[0] * vals[1] * vals[2] * vals[3]
-        out = dual_sqrt(abs(det))
-        for i in idx:
-            out = out / vals[i]
+        out = volume(event)
+        for const, f in divisors:
+            out = out / (f(event) if const is None else const)
         return out
 
-    return ScalarField(fn, deps=diag[0].deps | diag[1].deps | diag[2].deps | diag[3].deps)
+    return ScalarField(fn, deps=g.volume.deps)
 
 
 def hodge_star(g: DiagonalMetric, a: DifferentialForm) -> DifferentialForm:
@@ -369,8 +391,12 @@ def component_max(a: DifferentialForm, events) -> np.ndarray:
 
 def _component_max(a: DifferentialForm, batch: Batch) -> np.ndarray:
     out = np.zeros(len(batch.events))
-    for f in a.components.values():
-        out = np.maximum(out, np.abs(f.eval(batch)))  # propagates NaN
+    for k, f in enumerate(a.components.values()):
+        value = real(f.fn(batch))
+        if k:
+            np.maximum(out, np.abs(value), out=out)  # propagates NaN
+        else:  # max(0, |x|) is |x|, a NaN included
+            np.abs(value, out=out)
     return out
 
 

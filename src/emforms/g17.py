@@ -160,11 +160,14 @@ def format_g17(values) -> np.ndarray:
     t = _tables()
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     digits, X, ok = _digits(x)
+    # each remainder as a - (a // k) * k: the same integers, as numpy's % by
+    # a scalar is several times slower than its //
     lead = digits // 10**16
     digits -= lead * 10**16
-    low = digits % 10**8
-    digits //= 10**8
-    groups = [digits // 10**4, digits % 10**4, low // 10**4, low % 10**4]
+    high = digits // 10**8
+    low = digits - high * 10**8
+    high_4, low_4 = high // 10**4, low // 10**4
+    groups = [high_4, high - high_4 * 10**4, low_4, low - low_4 * 10**4]
     chars, chars_high, last = t["chars"], t["chars_high"], t["last"]
     tail_lo = chars[groups[0]]
     tail_lo |= chars_high[groups[1]]
@@ -173,7 +176,7 @@ def format_g17(values) -> np.ndarray:
     nonzero = last[0][groups[0]]  # tail digits up to the last nonzero one
     for k in range(1, 4):
         np.maximum(nonzero, last[k][groups[k]], out=nonzero)
-    del groups, low, digits
+    del groups, high, low, digits
 
     xi = X - _X_MIN
     kept = np.maximum(t["before"][xi], nonzero)

@@ -16,9 +16,11 @@ and one assembly per matching piece, each laid out one event at a time,
 instead of the shared junction matcher's one dual-seeded assembly, each
 region's Maxwell residuals on its own events instead of the regions of a
 side on one array, the Gibbs relations on lists of per-component
-arrays instead of stacked ones, and the sphere's multipole potentials,
+arrays instead of stacked ones, the sphere's multipole potentials,
 whose exterior derivatives the written components of its field basis
-must equal.
+must equal, each Hodge coefficient recomputing sqrt(|det g|) and its
+guard instead of dividing the metric's one volume node, and component
+maxima folded from a fresh copy of each component instead of in place.
 """
 
 from __future__ import annotations
@@ -619,3 +621,52 @@ def list_gibbs_residuals(dec_in, dec_out, iface, frame, g, events) -> tuple[dict
             "tangential_e": tang_e / np.maximum(scale_f, _SCALE_FLOOR),
         },
     )
+
+
+# -- the per-batch work that the metric's volume node and the in-place
+#    component maxima replace ---------------------------------------------------
+
+
+def per_coefficient_hodge(g, idx) -> ScalarField:
+    """sqrt(|g00 g11 g22 g33|) / prod_{i in idx} g_ii as one closure that
+    reads every diagonal component, guards each coordinate-dependent one
+    against the metric floor, forms the product, its absolute value and
+    square root, then divides by each g_ii in turn, on every evaluation."""
+    from emforms.dual import real
+    from emforms.dual import sqrt as dual_sqrt
+    from emforms.fields import first_bad_event
+    from emforms.forms import _METRIC_FLOOR, DegenerateMetricError
+
+    consts = [gi.const for gi in g.diag]
+    for i, v in enumerate(consts):
+        if v is not None and abs(v) < _METRIC_FLOOR:
+            raise DegenerateMetricError(f"metric component g_{i}{i} = {v!r} vanishes")
+    varying = [(i, gi.fn) for i, gi in enumerate(g.diag) if gi.const is None]
+
+    def fn(event):
+        vals = consts.copy()
+        for i, f in varying:
+            vals[i] = f(event)
+        for i, _ in varying:
+            where = first_bad_event(abs(real(vals[i])) < _METRIC_FLOOR, event)
+            if where is not None:
+                raise DegenerateMetricError(f"metric component g_{i}{i} vanishes at event {where}")
+        out = dual_sqrt(abs(vals[0] * vals[1] * vals[2] * vals[3]))
+        for i in idx:
+            out = out / vals[i]
+        return out
+
+    deps = 0
+    for gi in g.diag:
+        deps |= gi.deps
+    return ScalarField(fn, deps=deps)
+
+
+def copying_component_max(a: DifferentialForm, batch: Batch) -> np.ndarray:
+    """The largest absolute component value at each event of a batch, with
+    each component evaluated into a fresh array and a new maximum array
+    made per component."""
+    out = np.zeros(len(batch.events))
+    for f in a.components.values():
+        out = np.maximum(out, np.abs(f.eval(batch)))
+    return out

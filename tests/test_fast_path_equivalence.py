@@ -1,7 +1,8 @@
 """The interpreter-level fast paths against the algebra they replace.
 
 Constant operands captured in closures, the index tables of ``forms``,
-metric constants checked once, the interface grids built as array
+metric constants checked once, the Hodge coefficients sharing one volume
+node per metric, component maxima folded in place, the interface grids built as array
 expressions, the shared junction matcher's rows from one dual-seeded
 assembly, the values cached on a shared batch and the regions of a side
 verified on one array must give what the generic construction gives: bit
@@ -12,6 +13,7 @@ or per-basis forms.
 
 import dataclasses
 import itertools
+import math
 import operator
 import warnings
 
@@ -37,13 +39,15 @@ from emforms.forms import (
 )
 from emforms.media import EMDecomposition, MaterialParams
 from emforms.solutions import MATCH_SAMPLES, Region
-from emforms.spacetime import cartesian_chart, cylindrical_chart, lab_frame
+from emforms.spacetime import cartesian_chart, cylindrical_chart, lab_frame, spherical_chart
 from emforms.sphere import SphereScenario, match_sphere_constants
 from oracles import (
+    copying_component_max,
     dense_partial,
     five_assembly_sphere_rows,
     merge_by_inversions,
     per_basis_cylinder_rows,
+    per_coefficient_hodge,
     per_event_cylinder_grid,
     per_event_sphere_grid,
     per_piece_match_rows,
@@ -227,16 +231,167 @@ def test_constant_metric_makes_no_guard_call_per_evaluation(monkeypatch, rng):
     star = hodge_star(cart.metric, form(2, cart.name, comps))
     evaluate(star, events)
     assert calls == []
-    # on a chart with a coordinate-dependent component, only that one is guarded
+    # on a chart with a coordinate-dependent component, only that one is
+    # guarded, once per batch, in the volume node that every coefficient shares
     cyl = cylindrical_chart(C)
     evaluate(hodge_star(cyl.metric, form(2, cyl.name, comps)), events)
-    assert len(calls) == len(comps)  # one guarded component (g_22) per coefficient walk
+    assert len(calls) == 1
 
 
 def test_constant_metric_component_below_the_floor_fails_when_the_dual_is_built():
     cart = cartesian_chart(1e-16)  # g_tt = -1e-32
     with pytest.raises(DegenerateMetricError, match="g_00"):
         hodge_star(cart.metric, form(1, cart.name, {(1,): 1.0}))
+
+
+# -- one volume node per metric, shared by every Hodge coefficient ---------------
+
+CHARTS = {"cartesian": cartesian_chart, "cylindrical": cylindrical_chart, "spherical": spherical_chart}
+ALL_COEFFICIENT_INDICES = [idx for grade in range(5) for idx in basis_indices(grade)]
+
+
+def chart_events(rng, n: int) -> np.ndarray:
+    """Events off every chart's axis: r in [0.01, 2], theta in [0.1, 3]."""
+    return np.column_stack(
+        [rng.uniform(-1.0, 1.0, n), rng.uniform(0.01, 2.0, n), rng.uniform(0.1, 3.0, n), rng.uniform(-3.0, 3.0, n)]
+    )
+
+
+def varying_time_metric(c: float) -> forms.DiagonalMetric:
+    """A metric whose first factor is an array and whose ones are ints."""
+    r = ScalarField.coordinate(1)
+    return forms.DiagonalMetric((-(c * c) * (1.0 + r * r), 1, r * r, 1))
+
+
+METRICS = {
+    **{name: lambda c, chart=chart: chart(c).metric for name, chart in CHARTS.items()},
+    "varying-time": varying_time_metric,
+}
+
+
+@pytest.mark.parametrize("metric", list(METRICS))
+def test_hodge_coefficients_equal_the_per_coefficient_closure_bit_for_bit(metric, rng):
+    # constants of exactly 1 are left out of the products and quotients
+    metric = METRICS[metric](C)
+    events = chart_events(rng, 257)
+    coefficients = {idx: forms._hodge_coefficient(metric, idx) for idx in ALL_COEFFICIENT_INDICES}
+    batch = Batch.of(events)  # every coefficient on one shared batch, as a run evaluates them
+    for idx, coefficient in coefficients.items():
+        want = per_coefficient_hodge(metric, idx)
+        assert bits(coefficient.eval(batch)) == bits(want.eval(events)), idx
+        # the derivative passes, first and second, where the metric varies
+        for axis in range(4):
+            got_d, want_d = coefficient.partial_field(axis), want.partial_field(axis)
+            assert bits(got_d.eval(batch)) == bits(want_d.eval(events)), (idx, axis)
+            for second in range(4):
+                got_dd = got_d.partial_field(second).eval(batch)
+                assert bits(got_dd) == bits(want_d.partial_field(second).eval(events)), (idx, axis, second)
+
+
+def test_one_batch_evaluates_the_volume_node_once(monkeypatch, rng):
+    roots = []
+    root = forms.dual_sqrt
+    monkeypatch.setattr(forms, "dual_sqrt", lambda x: roots.append(None) or root(x))
+    metric = spherical_chart(C).metric  # g_22 and g_33 vary: two guards per evaluation
+    guards = count_guard_calls(monkeypatch)
+    coefficients = [forms._hodge_coefficient(metric, idx) for idx in ALL_COEFFICIENT_INDICES]
+    batch = Batch.of(chart_events(rng, 64))
+    for coefficient in coefficients:
+        coefficient.eval(batch)
+    assert (len(roots), len(guards)) == (1, 2)
+    # the derivative pass along r seeds one batch of its own, which the
+    # coefficients' partials share
+    for coefficient in coefficients:
+        coefficient.partial_field(1).eval(batch)
+    assert (len(roots), len(guards)) == (2, 4)
+
+
+@pytest.mark.parametrize(
+    "chart, bad_rows, message",
+    [
+        ("cylindrical", {3: (1, 0.0)}, "g_22 vanishes at event"),
+        ("spherical", {5: (2, 0.0), 2: (2, math.pi)}, "g_33 vanishes at event"),
+        # g_22 is checked before g_33 over the whole batch, whichever event comes first
+        ("spherical", {1: (2, 0.0), 4: (1, 0.0)}, "g_22 vanishes at event"),
+    ],
+)
+def test_a_degenerate_metric_names_the_component_and_event_the_per_coefficient_closure_names(
+    chart, bad_rows, message, rng
+):
+    metric = CHARTS[chart](C).metric
+    events = chart_events(rng, 8)
+    for row, (column, value) in bad_rows.items():
+        events[row, column] = value
+    # the values, and the derivative pass along each axis the metric reads
+    axes = [None] + [axis for axis in range(4) if metric.volume.deps >> axis & 1]
+    for idx, axis in itertools.product(ALL_COEFFICIENT_INDICES, axes):
+        got, want = forms._hodge_coefficient(metric, idx), per_coefficient_hodge(metric, idx)
+        if axis is not None:
+            got, want = got.partial_field(axis), want.partial_field(axis)
+        with pytest.raises(DegenerateMetricError) as expected:
+            want.eval(events)
+        with pytest.raises(DegenerateMetricError) as raised:
+            got.eval(events)
+        assert str(raised.value) == str(expected.value)
+        assert message in str(raised.value)
+
+
+def test_a_constant_component_below_the_floor_raises_what_the_per_coefficient_closure_raises():
+    metric = forms.DiagonalMetric((-1e-40, 1.0, ScalarField.coordinate(1), 1.0))
+    with pytest.raises(DegenerateMetricError) as expected:
+        per_coefficient_hodge(metric, (1,))
+    for _ in range(2):  # nothing is kept from a failed build
+        with pytest.raises(DegenerateMetricError) as raised:
+            hodge_star(metric, form(1, "cartesian", {(1,): 1.0}))
+        assert str(raised.value) == str(expected.value) == "metric component g_00 = -1e-40 vanishes"
+
+
+# -- component maxima folded in place --------------------------------------------
+
+
+def component_max_cases():
+    x, y = ScalarField.coordinate(1), ScalarField.coordinate(2)
+    nan_where_negative = fields.sqrt(x) * 0.0 + 1.0  # NaN at x < 0, else 1
+    inf_where_zero = 1.0 / x  # +-inf at x = +-0
+    return {
+        "constant": form(2, "cartesian", {(0, 1): -2.5, (1, 2): x * y}),
+        "only-constants": form(2, "cartesian", {(0, 1): -2.5, (2, 3): 3}),  # an int broadcasts too
+        "nan": form(1, "cartesian", {(0,): x, (1,): nan_where_negative, (3,): -y}),
+        "nan-last": form(1, "cartesian", {(0,): y * 1e300, (2,): nan_where_negative}),
+        "inf": form(1, "cartesian", {(1,): inf_where_zero, (2,): -y}),
+        "signed-zeros": form(1, "cartesian", {(0,): x - x, (1,): -(x - x)}),
+    }
+
+
+COMPONENT_MAX_EVENTS = {
+    "mixed": np.array(
+        [
+            [0.0, 1.0, 2.0, 0.0],
+            [0.0, -1.0, -3.0, 0.0],
+            [0.0, 0.0, np.inf, 0.0],
+            [0.0, -0.0, -np.inf, 0.0],
+            [0.0, np.nan, 1.0, 0.0],
+            [0.0, 4.0, np.nan, 0.0],
+        ]
+    ),
+    "one-event": np.array([[0.0, -2.0, 0.5, 1.0]]),
+    "empty": np.empty((0, 4)),
+}
+
+
+@pytest.mark.parametrize("events", list(COMPONENT_MAX_EVENTS))
+@pytest.mark.parametrize("case", list(component_max_cases()))
+def test_in_place_component_max_equals_the_copying_fold_bit_for_bit(case, events):
+    a = component_max_cases()[case]
+    events = COMPONENT_MAX_EVENTS[events]
+    with np.errstate(all="ignore"):
+        got = forms.component_max(a, events)
+        want = copying_component_max(a, Batch.of(events))
+        values = [f.eval(events) for f in a.components.values()]
+    assert got.shape == (len(events),) and got.dtype == np.float64
+    assert bits(got) == bits(want)
+    # NaN wherever any component is NaN
+    assert np.isnan(got).tolist() == np.isnan(np.array(values)).any(axis=0).tolist()
 
 
 # -- the shared junction matcher's rows against each scenario's own ------------

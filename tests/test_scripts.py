@@ -1,8 +1,9 @@
 """The sweep scripts run end to end and print their expected slope, the
 output comparison script tells a tree from a changed copy of it and says
 how far the numbers of two hand-made trees moved, the verdict audit
-names a config whose exit code varies, and the exit fuzz prints one line
-per config and its histogram."""
+names a config whose exit code varies, the exit fuzz prints one line
+per config and its histogram, and the interleaved A/B timer prints its
+four lines for a tree timed against itself."""
 
 import os
 import pathlib
@@ -151,3 +152,23 @@ def test_exit_fuzz_prints_a_line_per_config_and_a_histogram():
     histogram = [line for line in lines if line.startswith("exit ")]
     assert histogram == [f"exit {code}: {codes.count(code)}" for code in sorted(set(codes))]
     assert not [line for line in lines if "exception" in line]
+
+
+def test_interleaved_ab_of_a_tree_against_itself_prints_its_four_lines():
+    # 2 x 41 in-process shell-verify runs, two blocks of 20 timed pairs
+    src = str(ROOT / "src")
+    result = python(
+        str(ROOT / "scripts" / "interleaved_ab.py"), src, src, "--workload", "shell-verify", "--runs", "40", timeout=60
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    number = r"\d+\.\d{3}"
+    patterns = [
+        rf"A: median {number} ms over 40 runs",
+        rf"B: median {number} ms over 40 runs",
+        rf"B/A: {number} \[{number}, {number}\] over 2 blocks \(median of the block ratios \[quartiles\]\)",
+        r"blocks won by B: [0-2] of 2",
+    ]
+    lines = result.stdout.splitlines()
+    assert len(lines) == len(patterns), result.stdout
+    for line, pattern in zip(lines, patterns):
+        assert re.fullmatch(pattern, line), line

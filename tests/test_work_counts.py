@@ -20,7 +20,10 @@ second chart or a rebuilt interface (a second Hodge table, a second dPhi)
 back into a run, a potential differentiated back into a run (the sphere's
 F is written from its components; as d of its potentials it adds 13
 passes and about 250 calls to a second full sphere run), a lab-frame
-excitation decomposed where the profile reads only e and b, or the
+excitation decomposed where the profile reads only e and b, a Hodge
+coefficient that recomputes sqrt(|det g|) or its guard (one volume node
+per metric serves every coefficient; a guard per coefficient adds 4
+guards to a second shell ``--verify-only`` run), or the
 3-vector junction check or a lab-frame decomposition back into a
 ``--verify-only`` run, fails here, not only in the benchmark. Counts that fall far below a ceiling are a cue to lower it.
 """
@@ -74,41 +77,41 @@ OTHER_SCENARIO = {cylinder_config: sphere_config, sphere_config: cylinder_config
 @pytest.mark.parametrize(
     "make_config, verify_only, cold, warm",
     [
-        # counts of the code as it stands: 2692 calls, 19 guards, 4 passes,
-        # 15 generator frames, 48 forms; a second run: 2006 calls, 19
+        # counts of the code as it stands: 2512 calls, 15 guards, 4 passes,
+        # 15 generator frames, 48 forms; a second run: 1821 calls, 15
         # guards, 4 passes, 18 forms (the profile's decompositions, G's with
         # the kept star G, and bound sources)
         (
             cylinder_config,
             False,
-            {"calls": 2990, "first_bad_event": 21, "passes": 5, "forms_genexpr": 17, "forms": 53},
-            {"calls": 2240, "first_bad_event": 21, "passes": 5, "forms": 20},
+            {"calls": 2760, "first_bad_event": 17, "passes": 5, "forms_genexpr": 17, "forms": 53},
+            {"calls": 2000, "first_bad_event": 17, "passes": 5, "forms": 20},
         ),
-        # counts of the code as it stands: 2161 calls, 21 guards, 5 passes,
-        # 15 generator frames, 40 forms; a second run: 1409 calls, 21
+        # counts of the code as it stands: 2010 calls, 15 guards, 5 passes,
+        # 15 generator frames, 40 forms; a second run: 1253 calls, 15
         # guards, 5 passes, 8 forms (the profile's decompositions of F)
         (
             sphere_config,
             False,
-            {"calls": 2380, "first_bad_event": 23, "passes": 6, "forms_genexpr": 17, "forms": 44},
-            {"calls": 1550, "first_bad_event": 23, "passes": 6, "forms": 9},
+            {"calls": 2210, "first_bad_event": 17, "passes": 6, "forms_genexpr": 17, "forms": 44},
+            {"calls": 1380, "first_bad_event": 17, "passes": 6, "forms": 9},
         ),
         # --verify-only builds no profile and no lab-frame decomposition:
-        # 1978 calls, 16 guards, 4 passes, 10 generator frames, 30 forms;
-        # a second run: 1292 calls, 16 guards, 4 passes, no form
+        # 1813 calls, 12 guards, 4 passes, 10 generator frames, 30 forms;
+        # a second run: 1122 calls, 12 guards, 4 passes, no form
         (
             cylinder_config,
             True,
-            {"calls": 2180, "first_bad_event": 18, "passes": 5, "forms_genexpr": 11, "forms": 33},
-            {"calls": 1430, "first_bad_event": 18, "passes": 5, "forms": 0},
+            {"calls": 1990, "first_bad_event": 13, "passes": 5, "forms_genexpr": 11, "forms": 33},
+            {"calls": 1230, "first_bad_event": 13, "passes": 5, "forms": 0},
         ),
-        # 1813 calls, 21 guards, 5 passes, 10 generator frames, 32 forms;
-        # a second run: 1061 calls, 21 guards, 5 passes, no form
+        # 1678 calls, 15 guards, 5 passes, 10 generator frames, 32 forms;
+        # a second run: 921 calls, 15 guards, 5 passes, no form
         (
             sphere_config,
             True,
-            {"calls": 2000, "first_bad_event": 23, "passes": 6, "forms_genexpr": 11, "forms": 35},
-            {"calls": 1170, "first_bad_event": 23, "passes": 6, "forms": 0},
+            {"calls": 1840, "first_bad_event": 17, "passes": 6, "forms_genexpr": 11, "forms": 35},
+            {"calls": 1010, "first_bad_event": 17, "passes": 6, "forms": 0},
         ),
     ],
     ids=["cylinder", "sphere", "cylinder-verify-only", "sphere-verify-only"],
@@ -129,12 +132,12 @@ def test_python_work_per_run_stays_under_its_ceiling(tmp_path, make_config, veri
 @pytest.mark.parametrize(
     "make_config, ceilings",
     [
-        # one junction match of the shell's two amplitudes: 644 calls,
-        # 4 guards, 3 passes, 18 forms
-        (cylinder_config, {"calls": 710, "first_bad_event": 5, "passes": 3, "forms": 20}),
-        # of the sphere's four: 1239 calls, 4 guards, 2 passes, 10
+        # one junction match of the shell's two amplitudes: 642 calls,
+        # 2 guards, 3 passes, 18 forms
+        (cylinder_config, {"calls": 706, "first_bad_event": 3, "passes": 3, "forms": 20}),
+        # of the sphere's four: 1234 calls, 2 guards, 2 passes, 10
         # generator frames, 40 forms
-        (sphere_config, {"calls": 1370, "first_bad_event": 5, "passes": 3, "forms_genexpr": 11, "forms": 44}),
+        (sphere_config, {"calls": 1360, "first_bad_event": 3, "passes": 3, "forms_genexpr": 11, "forms": 44}),
     ],
     ids=["cylinder", "sphere"],
 )

@@ -82,6 +82,32 @@ def test_json_text_edge_cases(value):
     assert _json_text(value) == stdlib(value)
 
 
+class Text(str):
+    """A str subclass, which a dict value of exact type str does not match."""
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        np.float64(0.1),  # a float subclass: written through the recursive path
+        np.float64(-0.0),
+        np.float64(math.nan),
+        Text("é\x00\""),
+        True,
+        False,
+        math.nan,
+        math.inf,
+        -math.inf,
+        -0.0,
+        "é\x00\"\\",
+    ],
+    ids=repr,
+)
+def test_json_text_of_a_dict_leaf_equals_json_dumps(value):
+    payload = {"b": value, "a": [value], "c": {"d": value}}
+    assert _json_text(payload) == stdlib(payload)
+
+
 @pytest.mark.parametrize("value", [{1: 0.0}, {None: 1}, {1.5: 1}, {"a": [{(1, 2): 1}]}])
 def test_json_text_rejects_non_str_keys(value):
     with pytest.raises(TypeError):
