@@ -22,7 +22,7 @@ largest |old - new| over its largest |old|; a JSON file with up to
 of its keys and list indices with its old and new value, and the count
 of the others.
 
-The 103 cases:
+The 104 cases:
   * 14 configs of each benchmark workload (``perfbench/workloads.py``),
     drawn from its stream at seed 7, run with that workload's flags;
   * the shell and sphere configs of ``tests/test_cli.py``, full and
@@ -41,11 +41,13 @@ The 103 cases:
     (r omega / c)^2 underflows to 0, at ``--samples 8``;
   * the samples file (``outputs.samples_json``) of the shell and the
     sphere at ``--samples 512``;
-  * 3 runs whose event arrays span more than one evaluation block
-    (``emforms.fields.BLOCK_EVENTS``): the sphere ``--verify-only`` at
-    ``--samples 10000``, with its samples file, a shell profile at
-    10,000 radii, and the shell ``--verify-only`` at ``--samples 2100``,
-    whose two vacuum regions are evaluated together on 4200 events;
+  * 4 runs whose event arrays or grids span more than one evaluation
+    block (``emforms.fields.BLOCK_EVENTS``): the sphere ``--verify-only``
+    at ``--samples 10000``, with its samples file, a shell profile at
+    10,000 radii, the shell ``--verify-only`` at ``--samples 2100``,
+    whose two vacuum regions are evaluated together on 4200 events, and
+    a dielectric sphere's profile on a 128x64 grid (8,192 points), whose
+    sides are evaluated in sub-grids of whole radial rows;
   * 2 geometries below the metric floor, which exit 2 at every seed: a
     shell with r1 = 1e-14 m and a sphere with a = 1e-13 m, at
     ``--verify-only --samples 64``;
@@ -179,6 +181,11 @@ FLAGGED_OVERRIDES = {
         TEST_SAMPLES,
     ),
     "blocks/shell-verify-2100": (SHELL, {}, ["--samples", "2100", "--verify-only"]),
+    "blocks/sphere-profile-128x64": (
+        SPHERE,
+        {"sampling": {"radial_points": 128, "angular_points": 64, "seed": 1}, "material": {"eps_r": 4.0, "mu_r": 2.0}},
+        TEST_SAMPLES,
+    ),
     "metric-floor/shell-r1-1e-14": (
         SHELL,
         {"geometry": {"r1_m": 1e-14, "r2_m": 2e-14}},

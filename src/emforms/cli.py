@@ -293,19 +293,19 @@ def _load_config_printing_warnings(path: str) -> RunConfig:
                 print(f"warning: {warning.message}", file=sys.stderr)
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    """Write ``data`` to a new file beside ``path``, then move it over
-    ``path``. The file is created with mode 0o666 less the umask, as
-    ``open(path, "w")`` creates it; on any failure it is removed. The path
-    is taken as given: :func:`run` passes each report's file as
-    :func:`_output_paths` resolved it, absolute and normalised."""
+def _atomic_write(path: str, *chunks: bytes) -> None:
+    """Write ``chunks``, one after another, to a new file beside ``path``,
+    then move it over ``path``. The file is created with mode 0o666 less
+    the umask, as ``open(path, "w")`` creates it; on any failure it is
+    removed. The path is taken as given: :func:`run` passes each report's
+    file as :func:`_output_paths` resolved it, absolute and normalised."""
     directory = os.path.dirname(path) or os.curdir
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, ".emforms-" + os.urandom(8).hex())
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -392,7 +392,8 @@ def write_csv(path: str, header: list[str], values, axes=()) -> None:
 
     A table of fewer than ``G17_MIN_VALUES`` values is formatted in one
     ``%`` pass; a larger one by :func:`g17.format_g17`, in blocks of
-    ``G17_BLOCK_VALUES`` values, whose text is the same."""
+    ``G17_BLOCK_VALUES`` values, whose text is the same. The header and
+    each block's text go to the file one after another, never joined."""
     width = len(header) - len(axes)
     try:
         table = np.asarray(values, dtype=np.float64).reshape(-1, width)
@@ -432,7 +433,7 @@ def write_csv(path: str, header: list[str], values, axes=()) -> None:
             if axes:
                 rows = np.hstack([*(prefix[start : start + step] for prefix in prefixes), rows])
             chunks.append(rows.tobytes().translate(None, b"\0"))
-    _atomic_write(path, b"".join(chunks))
+    _atomic_write(path, *chunks)
 
 
 def run(

@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fields import ScalarField
+from .fields import Batch, ScalarField, blockwise
 from .forms import _METRIC_FLOOR, DifferentialForm, form, linear_combine, scale
 from .junction import Interface
 from .media import MaterialParams, apply_constitutive
@@ -320,18 +320,16 @@ def cylinder_profile(sc: CylinderScenario, sol: FieldSolution, radial_points: in
     current, rho, p_form, m_form = cylinder_bound_sources(sc)
 
     radii = np.linspace(0.5 * sc.r1, 1.5 * sc.r2, radial_points)
-    events = np.zeros((radial_points, 4))
-    events[:, 1] = radii
+    fixed = np.zeros(1)  # t, theta and z are 0 at every radius
+    grid = Batch((fixed, radii, fixed, fixed), (radial_points,))
     inside = (sc.r1 < radii) & (radii < sc.r2)
-    medium = events[inside]
+    fields = [p_form.component((1,)), m_form.component((3,)), rho.component((1, 2, 3)), current.component((1, 3))]
+    p_r, m_z, rho_3, current_13 = blockwise(lambda batch: [f.eval(batch) for f in fields], grid.sub(inside))
     sources = np.zeros((4, radial_points))  # p_r, m_z, rho_bound, j_bound; zero outside
-    sources[0, inside] = p_form.component((1,)).eval(medium)
-    sources[1, inside] = m_form.component((3,)).eval(medium)
-    # scalar density: rho / (r dr^dth^dz)
-    sources[2, inside] = rho.component((1, 2, 3)).eval(medium) / radii[inside]
+    # rho_bound is the scalar density rho / (r dr^dth^dz), j_bound the
     # azimuthal flux density on dz^dr
-    sources[3, inside] = -current.component((1, 3)).eval(medium)
-    columns = by_side(sol, inside, events, [("e", (1,)), ("b", (3,)), ("d", (1,)), ("h", (3,))])
+    sources[:, inside] = [p_r, m_z, rho_3 / radii[inside], -current_13]
+    columns = by_side(sol, inside, grid, [("e", (1,)), ("b", (3,)), ("d", (1,)), ("h", (3,))])
     return header, np.column_stack([*columns, *sources]), (radii,)
 
 

@@ -31,21 +31,31 @@ axis whose bit is clear is the structural zero, so no derivative pass is
 ever spent on a coordinate the field does not read.
 
 Fields are evaluated on a :class:`Batch`: the four coordinate arrays of a
-block of at most ``BLOCK_EVENTS`` events, with a cache of the values the
-closure nodes have taken on them. Every node but a coordinate or a
-constant keeps its value in the batch's cache, so a node reached twice on
-one batch, by one field or by several evaluated on the same batch, is
-computed once; each element still goes through the same IEEE operations.
-A derivative pass seeds a batch of its own, with its own cache, once per
-batch and axis, and every partial along that axis on the batch shares it;
-no dual value leaves its pass. A node that raises stores nothing, so its guard
-raises again on the next evaluation that reaches it. The evaluators take
-either an (N, 4) event array, which :func:`blockwise` splits into blocks,
-each a fresh batch, or a batch that the caller shares between them.
+grid of events, which broadcast against one another to the grid's
+``shape``, with a cache of the values the closure nodes have taken on them.
+An (N, 4) event array is the 1-D grid of its rows; a profile's grid has its
+radii along the first axis and its angles along the second, with the
+coordinates it holds fixed of size 1 on every axis. Each node takes the
+shape of the coordinates it reads, so a node that reads only r is computed
+once per radius, not once per grid point; each grid point still goes
+through the same IEEE operations as its row would. Every node but a
+coordinate or a constant keeps its value in the batch's cache, so a node
+reached twice on one batch, by one field or by several evaluated on the
+same batch, is computed once. A derivative pass seeds a batch of its own,
+with its own cache, once per batch and axis, and every partial along that
+axis on the batch shares it; no dual value leaves its pass. A node that
+raises stores nothing, so its guard raises again on the next evaluation
+that reaches it, and a guard names the first bad event in the grid's row
+order, the event that the grid's flattened rows would name. The
+evaluators take a batch or an (N, 4) event array; :func:`blockwise`
+evaluates a grid of more than ``BLOCK_EVENTS`` events in sub-grids of whole
+rows of its first axis, a row longer than that in pieces along the next,
+each a fresh batch.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from typing import Callable, Sequence
@@ -69,17 +79,21 @@ def event_array(events) -> np.ndarray:
 
 
 def first_bad_event(bad, event) -> tuple[float, ...] | None:
-    """The first event at which ``bad`` holds, or None when it holds nowhere.
+    """The first event at which ``bad`` holds, in the row order of the
+    batch's grid, or None when it holds nowhere.
 
-    ``event`` holds the four coordinate arrays of a batch (possibly with
-    dual parts) and ``bad`` is a bool array over the batch, or one bool,
-    which holds at every event of the batch or at none.
+    ``event`` is a batch (possibly seeded for a derivative pass) and ``bad``
+    a bool array that broadcasts to its shape, or one bool, which holds at
+    every event of the batch or at none.
     """
     if not (bad.any() if isinstance(bad, np.ndarray) else bad):
         return None
-    coords = [real(x) for x in event]
-    rows = np.flatnonzero(np.broadcast_to(bad, np.shape(coords[0])))
-    return tuple(float(x[rows[0]]) for x in coords) if rows.size else None
+    shape = event.shape
+    rows = np.flatnonzero(np.broadcast_to(bad, shape))
+    if not rows.size:
+        return None
+    at = np.unravel_index(rows[0], shape)
+    return tuple(float(np.broadcast_to(real(x), shape)[at]) for x in event)
 
 
 ALL_AXES = 0b1111
@@ -90,16 +104,18 @@ BLOCK_EVENTS = 4096
 
 
 class Batch(tuple):
-    """The four coordinate arrays of a block of events, and the cache of the
+    """The four coordinate arrays of a grid of events, and the cache of the
     values that closure nodes have taken on them, keyed by node.
 
-    ``events`` is the (n, 4) block itself; a batch seeded for a derivative
-    pass has none. ``passes`` holds the passes seeded on the batch.
+    ``shape`` is the grid's shape, to which the coordinates broadcast; each
+    is a number or an array with one axis per grid axis, of the grid's
+    length along each axis it varies on and of length 1 along the others.
+    ``passes`` holds the derivative passes seeded on the batch.
     """
 
-    def __new__(cls, coords, events: np.ndarray | None = None):
+    def __new__(cls, coords, shape: tuple[int, ...]):
         batch = super().__new__(cls, coords)
-        batch.events = events
+        batch.shape = shape
         batch.cache = {}
         batch.passes = {}
         return batch
@@ -113,42 +129,65 @@ class Batch(tuple):
             tag = dual.fresh_tag()
             coords = list(self)
             coords[axis] = Dual(coords[axis], 1.0, tag)
-            seeded = self.passes[axis] = (Batch(coords), tag)
+            seeded = self.passes[axis] = (Batch(coords, self.shape), tag)
         return seeded
+
+    def sub(self, *index) -> "Batch":
+        """A fresh batch over the sub-grid that ``index`` selects: a slice
+        or a bool mask for each leading axis of the grid, in order."""
+        coords, shape = list(self), list(self.shape)
+        for axis, i in enumerate(index):
+            length = shape[axis]
+            shape[axis] = len(range(length)[i]) if isinstance(i, slice) else int(np.count_nonzero(i))
+            key = (slice(None),) * axis + (i,)
+            for k, x in enumerate(coords):
+                # a coordinate of length 1 along the axis holds for all of it
+                if isinstance(x, np.ndarray) and x.ndim > axis and x.shape[axis] == length:
+                    coords[k] = x[key]
+        return Batch(coords, tuple(shape))
 
     @classmethod
     def of(cls, events: np.ndarray) -> "Batch":
-        """A fresh batch over the rows of an (n, 4) event array."""
-        return cls(tuple(events.T), events)
-
-
-def batches(events):
-    """A fresh batch for each block of ``BLOCK_EVENTS`` rows of an (N, 4)
-    event array, in order, made as it is reached; no events give one empty
-    batch."""
-    events = event_array(events)
-    for start in range(0, len(events) or 1, BLOCK_EVENTS):
-        yield Batch.of(events[start : start + BLOCK_EVENTS])
+        """A fresh batch over the rows of an (n, 4) event array, the 1-D grid
+        of its rows."""
+        return cls(tuple(events.T), events.shape[:1])
 
 
 def blockwise(fn, events):
-    """``fn(batch)`` on a batch, or on each of the :func:`batches` of an
-    (N, 4) event array in turn. The results, arrays with the events on
-    their last axis or lists, tuples and dicts of them, are joined block
+    """``fn(batch)`` on a batch, or on a fresh batch over the rows of an
+    (N, 4) event array; no events give one empty batch. A grid of more than
+    ``BLOCK_EVENTS`` events is evaluated in sub-grids of whole rows along
+    its first axis, and a row of more than that in pieces along the next
+    axis, each a fresh batch, in row order. The results, arrays with the
+    grid's axes last or lists, tuples and dicts of them, are joined block
     after block."""
-    if isinstance(events, Batch):
-        return fn(events)
-    parts = [fn(batch) for batch in batches(events)]
-    return parts[0] if len(parts) == 1 else _join(parts)
+    batch = events if isinstance(events, Batch) else Batch.of(event_array(events))
+    if math.prod(batch.shape) <= BLOCK_EVENTS:
+        return fn(batch)
+    return _split(fn, batch, 0)
 
 
-def _join(parts: list):
+def _split(fn, batch: Batch, axis: int):
+    """:func:`blockwise` on a grid too large for one block, in runs of whole
+    rows along ``axis``; a single row still too large is split along the
+    next axis."""
+    shape = batch.shape
+    step = max(1, BLOCK_EVENTS // math.prod(shape[axis + 1 :]))
+    lead = (slice(None),) * axis
+    parts = []
+    for start in range(0, shape[axis], step):
+        block = batch.sub(*lead, slice(start, start + step))
+        parts.append(fn(block) if math.prod(block.shape) <= BLOCK_EVENTS else _split(fn, block, axis + 1))
+    return parts[0] if len(parts) == 1 else _join(parts, axis - len(shape))
+
+
+def _join(parts: list, axis: int):
     first = parts[0]
     if isinstance(first, dict):
-        return {key: _join([part[key] for part in parts]) for key in first}
+        return {key: _join([part[key] for part in parts], axis) for key in first}
     if isinstance(first, (list, tuple)):
-        return type(first)(_join(list(column)) for column in zip(*parts))
-    return np.concatenate(parts, axis=-1)
+        return type(first)(_join(list(column), axis) for column in zip(*parts))
+    return np.concatenate(parts, axis=axis)
 
 
 def _cached(compute: Callable) -> Callable:
@@ -207,12 +246,12 @@ class ScalarField:
     # -- evaluation ------------------------------------------------------
 
     def eval(self, events) -> np.ndarray:
-        """Values at the events of a batch, or at the rows of an (N, 4) event
-        array, block by block."""
+        """Values at the events of a batch, an array of its grid's shape, or
+        at the rows of an (N, 4) event array, block by block."""
         return blockwise(self._values, events)
 
     def _values(self, batch: Batch) -> np.ndarray:
-        out = np.empty(len(batch.events))
+        out = np.empty(batch.shape)
         out[...] = real(self.fn(batch))
         return out
 
@@ -333,8 +372,6 @@ def _lift(mf, df):
     return apply
 
 
-import math as _math  # noqa: E402  (constant folding only)
-
-sin = _lift(_math.sin, dual.sin)
-cos = _lift(_math.cos, dual.cos)
-sqrt = _lift(_math.sqrt, dual.sqrt)
+sin = _lift(math.sin, dual.sin)
+cos = _lift(math.cos, dual.cos)
+sqrt = _lift(math.sqrt, dual.sqrt)

@@ -360,9 +360,9 @@ def subtract(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
 
 
 def evaluate(a: DifferentialForm, events) -> dict[MultiIndex, np.ndarray]:
-    """Component values at the events of a batch or the rows of an (N, 4)
-    event array, zeros for absent indices; every component of a block is
-    evaluated on one batch."""
+    """Component values at the events of a batch, arrays of its grid's
+    shape, or at the rows of an (N, 4) event array, zeros for absent
+    indices; every component of a block is evaluated on one batch."""
     return blockwise(partial(_evaluate, a), events)
 
 
@@ -370,7 +370,7 @@ def _evaluate(a: DifferentialForm, batch: Batch) -> dict[MultiIndex, np.ndarray]
     out: dict[MultiIndex, np.ndarray] = {}
     for idx in _VALID[a.grade]:
         f = a.components.get(idx)
-        out[idx] = np.zeros(len(batch.events)) if f is None else f.eval(batch)
+        out[idx] = np.zeros(batch.shape) if f is None else f.eval(batch)
     return out
 
 
@@ -385,12 +385,13 @@ def max_or_nan(values: np.ndarray) -> float:
 
 def component_max(a: DifferentialForm, events) -> np.ndarray:
     """Largest absolute component value at each event of a batch or row of
-    an (N, 4) event array; NaN where any component is NaN."""
+    an (N, 4) event array, in the batch's grid shape; NaN where any
+    component is NaN."""
     return blockwise(partial(_component_max, a), events)
 
 
 def _component_max(a: DifferentialForm, batch: Batch) -> np.ndarray:
-    out = np.zeros(len(batch.events))
+    out = np.zeros(batch.shape)
     for k, f in enumerate(a.components.values()):
         value = real(f.fn(batch))
         if k:

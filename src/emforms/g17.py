@@ -80,7 +80,6 @@ def _tables() -> dict[str, np.ndarray]:
         "c": np.array(c, dtype=np.uint64),
         "s0": np.array(s0, dtype=np.int64),
         "chars": chars,
-        "chars_high": chars << _U(32),
         "last": np.where(last > 0, last + np.arange(0, 16, 4, dtype=np.uint8)[:, None], np.uint8(0)),
         "lead": (np.arange(10, dtype=np.uint64) + _U(ord("0"))) << _U(56),
         # the lowest `kept` of the 16 tail digits, by `kept`
@@ -122,29 +121,36 @@ def _product(m, c):
 def _digits(x):
     """``(digits, X, ok)``: the 17 significant digits of each value of
     ``x`` as an integer in [10**16, 10**17) (0 for a zero), its decimal
-    exponent, and whether both are exact; where not, the digits are 10**16."""
+    exponent, and whether both are exact; where not, the digits are 10**16.
+    Its uint64 temporaries are reused in place once their values are spent."""
     t = _tables()
     bits = x.view(np.uint64)
-    biased = ((bits >> _U(52)) & _U(0x7FF)).view(np.int64)
+    biased = (bits >> _U(52)).view(np.int64)
+    biased &= 0x7FF
     ok = (biased != 0) & (biased != 0x7FF)  # normal
     X = np.floor(np.log10(np.abs(np.where(ok, x, 1.0)))).astype(np.int64)
-    s = t["s0"][308 - X]
+    row = 308 - X
+    s = t["s0"][row]
     s -= biased
     del biased
     ok &= (s - 59).view(np.uint64) <= _U(4)  # s in [59, 63]
     s = s.view(np.uint64)
     m = bits & _U(2**52 - 1)
     m |= _U(2**52)
-    hi, lo = _product(m, t["c"][308 - X])
-    del m
+    hi, lo = _product(m, t["c"][row])
+    del m, row
     up = _U(64) - s
-    digits = hi << up
+    digits = hi
+    digits <<= up
     digits |= lo >> s
-    rest = lo << up  # the remainder, scaled so that the half is 2**63
+    rest = lo
+    rest <<= up  # the remainder, scaled so that the half is 2**63
     # X was right when the unrounded digits are 17; the remainder must be
     # farther than the error of P, 2**52 before scaling, from the half
     ok &= (digits >= _TEN16) & (digits < _TEN17)
-    ok &= np.abs((rest ^ _TOP).view(np.int64)).view(np.uint64) > (_U(2**52) << up)
+    distance = (rest ^ _TOP).view(np.int64)
+    np.abs(distance, out=distance)
+    ok &= distance.view(np.uint64) > np.left_shift(_U(2**52), up, out=up)
     digits += rest > _TOP
     X += digits == _TEN17  # a carry to 10**17 is 10**16 at the next exponent
     digits[~ok | (digits == _TEN17)] = _TEN16
@@ -160,23 +166,31 @@ def format_g17(values) -> np.ndarray:
     t = _tables()
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     digits, X, ok = _digits(x)
-    # each remainder as a - (a // k) * k: the same integers, as numpy's % by
-    # a scalar is several times slower than its //
+    # each remainder as a - (a // k) * k, in place: the same integers, as
+    # numpy's % by a scalar is several times slower than its //
     lead = digits // 10**16
     digits -= lead * 10**16
     high = digits // 10**8
-    low = digits - high * 10**8
+    digits -= high * 10**8
+    low = digits
     high_4, low_4 = high // 10**4, low // 10**4
-    groups = [high_4, high - high_4 * 10**4, low_4, low - low_4 * 10**4]
-    chars, chars_high, last = t["chars"], t["chars_high"], t["last"]
-    tail_lo = chars[groups[0]]
-    tail_lo |= chars_high[groups[1]]
-    tail_hi = chars[groups[2]]
-    tail_hi |= chars_high[groups[3]]
-    nonzero = last[0][groups[0]]  # tail digits up to the last nonzero one
+    high -= high_4 * 10**4
+    low -= low_4 * 10**4
+    groups = [high_4, high, low_4, low]
+    chars, last = t["chars"], t["last"]
+    # a group's four characters in the high half of its word
+    shifted = chars[high]
+    shifted <<= _U(32)
+    tail_lo = chars[high_4]
+    tail_lo |= shifted
+    np.take(chars, low, out=shifted)
+    shifted <<= _U(32)
+    tail_hi = chars[low_4]
+    tail_hi |= shifted
+    nonzero = last[0][high_4]  # tail digits up to the last nonzero one
     for k in range(1, 4):
         np.maximum(nonzero, last[k][groups[k]], out=nonzero)
-    del groups, high, low, digits
+    del groups, high, low, digits, shifted
 
     xi = X - _X_MIN
     kept = np.maximum(t["before"][xi], nonzero)

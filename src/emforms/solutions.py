@@ -79,24 +79,25 @@ class Region:
     box: tuple[BoxSlot, BoxSlot, BoxSlot, BoxSlot]
 
 
-def by_side(sol: FieldSolution, inside: np.ndarray, events: np.ndarray, components) -> np.ndarray:
-    """Components of the lab-frame fields of a solution over the events,
-    one row per ``(attr, idx)`` of ``components``, ``attr`` one of e, b, d
-    and h. Each side's F is decomposed into e and b, and its G into d and
-    h, with the solution's kept star G, only when a column reads d or h.
-    Each side's fields are evaluated only on its own side (the interior
-    ones raise past the light cylinder, which a profile may reach), all
-    components of a side on one batch per block."""
+def by_side(sol: FieldSolution, inside: np.ndarray, grid: Batch, components) -> np.ndarray:
+    """Components of the lab-frame fields of a solution over a grid of
+    events, one array of the grid's shape per ``(attr, idx)`` of
+    ``components``, ``attr`` one of e, b, d and h; ``inside`` is a bool mask
+    over the grid's first (radial) axis. Each side's F is decomposed into e
+    and b, and its G into d and h, with the solution's kept star G, only
+    when a column reads d or h. Each side's fields are evaluated only on its
+    own sub-grid (the interior ones raise past the light cylinder, which a
+    profile may reach), all components of a side on one batch per block."""
     frame, metric = lab_frame(sol.chart), sol.chart.metric
     reads_g = any(attr in ("d", "h") for attr, _ in components)
     sides = ((sol.f_in, sol.g_in, inside), (sol.f_out, sol.g_out, ~inside))
-    out = np.empty((len(components), len(events)))
+    out = np.empty((len(components), *grid.shape))
     for k, (f, g, mask) in enumerate(sides):
         parts = dict(zip("eb", decompose(f, frame, metric, "field")))
         if reads_g:
             parts.update(zip("dh", decompose(g, frame, metric, "excitation", sol.star_g[k])))
         fields = [parts[attr].component(idx) for attr, idx in components]
-        out[:, mask] = blockwise(lambda batch: [f.eval(batch) for f in fields], events[mask])
+        out[:, mask] = blockwise(lambda batch: [f.eval(batch) for f in fields], grid.sub(mask))
     return out
 
 
@@ -180,7 +181,7 @@ def _pieces(wedges, tag: int, n: int, batch: Batch) -> np.ndarray:
     component, event) array: the value, then the ``n`` rows of the dual
     part under ``tag``; absent components and every zero are 0.0."""
     idxs = basis_indices(3)
-    out = np.zeros((1 + n, len(wedges), len(idxs), len(batch.events)))
+    out = np.zeros((1 + n, len(wedges), len(idxs), *batch.shape))
     for c, w in enumerate(wedges):
         for k, idx in enumerate(idxs):
             f = w.components.get(idx)

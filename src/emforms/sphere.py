@@ -35,7 +35,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fields import ScalarField, cos, sin
+from .fields import Batch, ScalarField, cos, sin
 from .forms import (
     _METRIC_FLOOR,
     DifferentialForm,
@@ -333,9 +333,11 @@ def sphere_profile(sc: SphereScenario, sol: FieldSolution, radial_points: int, a
     header = ["r", "theta", "e_r", "e_theta", "b_r", "b_theta"]
     radii = np.linspace(0.1 * sc.a, 2.0 * sc.a, radial_points)
     thetas = np.linspace(0.15, math.pi - 0.15, angular_points)
-    r = np.repeat(radii, angular_points)  # rows run over theta within each radius
-    th = np.tile(thetas, radial_points)
-    events = np.column_stack([np.zeros_like(r), r, th, np.zeros_like(r)])
-    inside = r < sc.a
-    e_r, e_th, b_r, b_th = by_side(sol, inside, events, [("e", (1,)), ("e", (2,)), ("b", (1,)), ("b", (2,))])
-    return header, np.column_stack([e_r, e_th / r, b_r, b_th / r]), (radii, thetas)
+    r, fixed = radii[:, None], np.zeros((1, 1))  # t and phi are 0 at every grid point
+    grid = Batch((fixed, r, thetas[None, :], fixed), (radial_points, angular_points))
+    e_r, e_th, b_r, b_th = by_side(sol, radii < sc.a, grid, [("e", (1,)), ("e", (2,)), ("b", (1,)), ("b", (2,))])
+    values = np.empty((radial_points, angular_points, 4))  # rows run over theta within each radius
+    values[..., 0], values[..., 2] = e_r, b_r
+    np.divide(e_th, r, out=values[..., 1])
+    np.divide(b_th, r, out=values[..., 3])
+    return header, values.reshape(-1, 4), (radii, thetas)

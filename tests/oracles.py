@@ -19,8 +19,11 @@ side on one array, the Gibbs relations on lists of per-component
 arrays instead of stacked ones, the sphere's multipole potentials,
 whose exterior derivatives the written components of its field basis
 must equal, each Hodge coefficient recomputing sqrt(|det g|) and its
-guard instead of dividing the metric's one volume node, and component
-maxima folded from a fresh copy of each component instead of in place.
+guard instead of dividing the metric's one volume node, component
+maxima folded from a fresh copy of each component instead of in place,
+and a profile's lab-frame fields decomposed afresh and evaluated at the
+flattened rows of its grid, one event per row, instead of the kept
+decompositions on the grid itself.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ def dense_partial(field: ScalarField, axis: int, events) -> np.ndarray:
     seeded = list(events.T)
     seeded[axis] = dual.Dual(seeded[axis], 1.0, tag)
     out = np.empty(len(events))
-    out[...] = dual.real(dual.extract(field.fn(Batch(seeded)), tag))
+    out[...] = dual.real(dual.extract(field.fn(Batch(seeded, out.shape)), tag))
     return out
 
 
@@ -666,7 +669,26 @@ def copying_component_max(a: DifferentialForm, batch: Batch) -> np.ndarray:
     """The largest absolute component value at each event of a batch, with
     each component evaluated into a fresh array and a new maximum array
     made per component."""
-    out = np.zeros(len(batch.events))
+    out = np.zeros(batch.shape)
     for f in a.components.values():
         out = np.maximum(out, np.abs(f.eval(batch)))
+    return out
+
+
+def flattened_by_side(sol, inside: np.ndarray, events: np.ndarray, components) -> np.ndarray:
+    """The lab-frame field components of a solution at the rows of an
+    (N, 4) event array, one row per ``(attr, idx)`` of ``components``: each
+    side's F and G decomposed afresh, each component evaluated at the rows
+    of its side (``inside`` holds one bool per row) on the rows' own
+    batches."""
+    from emforms.media import decompose
+    from emforms.spacetime import lab_frame
+
+    frame, metric = lab_frame(sol.chart), sol.chart.metric
+    out = np.empty((len(components), len(events)))
+    for (f, g), mask in (((sol.f_in, sol.g_in), inside), ((sol.f_out, sol.g_out), ~inside)):
+        parts = dict(zip("eb", decompose(f, frame, metric, "field")))
+        parts.update(zip("dh", decompose(g, frame, metric, "excitation")))
+        for row, (attr, idx) in enumerate(components):
+            out[row, mask] = parts[attr].component(idx).eval(events[mask])
     return out

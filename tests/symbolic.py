@@ -102,5 +102,5 @@ numbers.Real.register(Sym)
 def components(form, coords) -> dict:
     """Each component of ``form`` as a sympy expression in the four
     coordinate symbols ``coords``, by its own closure on one batch."""
-    batch = Batch(tuple(Sym(x) for x in coords))
+    batch = Batch(tuple(Sym(x) for x in coords), ())
     return {idx: _expr(f.fn(batch)) for idx, f in form.components.items()}

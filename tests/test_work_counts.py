@@ -77,41 +77,41 @@ OTHER_SCENARIO = {cylinder_config: sphere_config, sphere_config: cylinder_config
 @pytest.mark.parametrize(
     "make_config, verify_only, cold, warm",
     [
-        # counts of the code as it stands: 2512 calls, 15 guards, 4 passes,
-        # 15 generator frames, 48 forms; a second run: 1821 calls, 15
+        # counts of the code as it stands: 2459 calls, 15 guards, 4 passes,
+        # 15 generator frames, 48 forms; a second run: 1768 calls, 15
         # guards, 4 passes, 18 forms (the profile's decompositions, G's with
         # the kept star G, and bound sources)
         (
             cylinder_config,
             False,
-            {"calls": 2760, "first_bad_event": 17, "passes": 5, "forms_genexpr": 17, "forms": 53},
-            {"calls": 2000, "first_bad_event": 17, "passes": 5, "forms": 20},
+            {"calls": 2700, "first_bad_event": 17, "passes": 5, "forms_genexpr": 17, "forms": 53},
+            {"calls": 1945, "first_bad_event": 17, "passes": 5, "forms": 20},
         ),
-        # counts of the code as it stands: 2010 calls, 15 guards, 5 passes,
-        # 15 generator frames, 40 forms; a second run: 1253 calls, 15
+        # counts of the code as it stands: 1970 calls, 15 guards, 5 passes,
+        # 15 generator frames, 40 forms; a second run: 1213 calls, 15
         # guards, 5 passes, 8 forms (the profile's decompositions of F)
         (
             sphere_config,
             False,
-            {"calls": 2210, "first_bad_event": 17, "passes": 6, "forms_genexpr": 17, "forms": 44},
-            {"calls": 1380, "first_bad_event": 17, "passes": 6, "forms": 9},
+            {"calls": 2165, "first_bad_event": 17, "passes": 6, "forms_genexpr": 17, "forms": 44},
+            {"calls": 1335, "first_bad_event": 17, "passes": 6, "forms": 9},
         ),
         # --verify-only builds no profile and no lab-frame decomposition:
-        # 1813 calls, 12 guards, 4 passes, 10 generator frames, 30 forms;
-        # a second run: 1122 calls, 12 guards, 4 passes, no form
+        # 1795 calls, 12 guards, 4 passes, 10 generator frames, 30 forms;
+        # a second run: 1104 calls, 12 guards, 4 passes, no form
         (
             cylinder_config,
             True,
-            {"calls": 1990, "first_bad_event": 13, "passes": 5, "forms_genexpr": 11, "forms": 33},
-            {"calls": 1230, "first_bad_event": 13, "passes": 5, "forms": 0},
+            {"calls": 1975, "first_bad_event": 13, "passes": 5, "forms_genexpr": 11, "forms": 33},
+            {"calls": 1215, "first_bad_event": 13, "passes": 5, "forms": 0},
         ),
-        # 1678 calls, 15 guards, 5 passes, 10 generator frames, 32 forms;
-        # a second run: 921 calls, 15 guards, 5 passes, no form
+        # 1666 calls, 15 guards, 5 passes, 10 generator frames, 32 forms;
+        # a second run: 909 calls, 15 guards, 5 passes, no form
         (
             sphere_config,
             True,
-            {"calls": 1840, "first_bad_event": 17, "passes": 6, "forms_genexpr": 11, "forms": 35},
-            {"calls": 1010, "first_bad_event": 17, "passes": 6, "forms": 0},
+            {"calls": 1835, "first_bad_event": 17, "passes": 6, "forms_genexpr": 11, "forms": 35},
+            {"calls": 1000, "first_bad_event": 17, "passes": 6, "forms": 0},
         ),
     ],
     ids=["cylinder", "sphere", "cylinder-verify-only", "sphere-verify-only"],
