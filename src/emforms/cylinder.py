@@ -171,8 +171,7 @@ def _interior_family(sc: CylinderScenario, chart: Chart):
 def match_cylinder_amplitudes(sc: CylinderScenario, seed: int = 0) -> tuple[float, float]:
     """Least-squares junction match of the interior family amplitudes
     (k1, k2) at ``MATCH_SAMPLES`` events on each radius, at the scenario's
-    own B0, by :func:`~emforms.solutions.match_junctions`, from one
-    assembly of the family basis at the matcher's amplitude fields.
+    own B0, by :func:`~emforms.solutions.match_junctions`.
 
     The events are ``iface.events(MATCH_SAMPLES, seed)`` of each of ``sc.interfaces``."""
     f_basis, g_basis = _interior_family(sc, sc.chart)

@@ -230,26 +230,20 @@ def interface_normal_velocity(
     return blockwise(partial(_normal_velocity, iface, frame, g), events)
 
 
-def _stacked(fields: Sequence[ScalarField], batch: Batch) -> np.ndarray:
-    """The values of ``fields`` on a batch, one row per field."""
-    return np.array([f.eval(batch) for f in fields])
-
-
 def _normal_velocity(iface, frame, g, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
-    u_vec = _stacked(frame.components, batch)
-    g_vec = _stacked(g.diag, batch)
+    u_vec = [u.eval(batch) for u in frame.components]
+    g_vec = [gi.eval(batch) for gi in g.diag]
     dphi = evaluate(iface.gradient(), batch)
-    dphi_vec = np.array([dphi[(a,)] for a in range(4)])
-    scale_dphi = np.abs(dphi_vec).max(axis=0)
+    dphi_vec = [dphi[(a,)] for a in range(4)]
+    scale_dphi = np.max(np.abs(dphi_vec), axis=0)
     _require_nondegenerate(scale_dphi <= 0.0, batch, "vanishes")
-    # rows add in row order from 0.0, as Python's sum does, sign of a zero included
-    contracted = (dphi_vec * u_vec).sum(axis=0, initial=0.0)
-    projected = dphi_vec + contracted * (g_vec * u_vec)
-    norm_sq = (projected * projected / g_vec).sum(axis=0, initial=0.0)
+    contracted = sum(d * u for d, u in zip(dphi_vec, u_vec))
+    projected = [d + contracted * (gv * uv) for d, gv, uv in zip(dphi_vec, g_vec, u_vec)]
+    norm_sq = sum(p * p / gv for p, gv in zip(projected, g_vec))
     _require_nondegenerate(norm_sq <= (1e-14 * scale_dphi) ** 2, batch, "is purely temporal")
     norm = norm_sq**0.5
     c = (-g_vec[0]) ** 0.5
-    normal = projected / norm
+    normal = np.array([p / norm for p in projected])
     v_n = -contracted * c / norm
     return normal, v_n
 
@@ -316,9 +310,9 @@ def _report(
     )
 
 
-def _require_lab_aligned(u_vec: np.ndarray, batch: Batch) -> None:
+def _require_lab_aligned(u_vec: list[np.ndarray], batch: Batch) -> None:
     """Raise unless the frame components ``u_vec`` have no spatial part at any event."""
-    bad = np.abs(u_vec[1:]).max(axis=0) > 1e-12 * np.abs(u_vec[0])
+    bad = np.max(np.abs(u_vec[1:]), axis=0) > 1e-12 * np.abs(u_vec[0])
     where = first_bad_event(bad, batch)
     if where is not None:
         raise ValueError(
@@ -327,19 +321,19 @@ def _require_lab_aligned(u_vec: np.ndarray, batch: Batch) -> None:
         )
 
 
-def _orthonormal_spatial(one_form: DifferentialForm, batch: Batch, root_g: np.ndarray) -> np.ndarray:
-    """Orthonormal spatial components of a 1-form, (3, N); ``root_g`` holds sqrt(g_ii), i = 1..3."""
+def _orthonormal_spatial(one_form: DifferentialForm, batch: Batch, root_g: list[np.ndarray]) -> list[np.ndarray]:
+    """Orthonormal spatial components of a 1-form, three arrays; ``root_g`` holds sqrt(g_ii), i = 1..3."""
     vals = evaluate(one_form, batch)
-    return np.array([vals[(i,)] for i in (1, 2, 3)]) / root_g
+    return [vals[(i,)] / rg for i, rg in zip((1, 2, 3), root_g)]
 
 
-def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _cross(x: list[np.ndarray], y: list[np.ndarray]) -> list[np.ndarray]:
     rh = [
         x[1] * y[2] - x[2] * y[1],
         x[2] * y[0] - x[0] * y[2],
         x[0] * y[1] - x[1] * y[0],
     ]
-    return _CROSS_SIGN * np.array(rh)
+    return [_CROSS_SIGN * v for v in rh]
 
 
 def gibbs_jump_residual(
@@ -363,29 +357,29 @@ def gibbs_jump_residual(
 
 
 def _gibbs_residuals(dec_in, dec_out, iface, frame, g, batch: Batch) -> tuple[dict, dict]:
-    u_vec = _stacked(frame.components, batch)
+    u_vec = [u.eval(batch) for u in frame.components]
     _require_lab_aligned(u_vec, batch)
-    g_vec = _stacked(g.diag, batch)
+    g_vec = [gi.eval(batch) for gi in g.diag]
     c = (-g_vec[0]) ** 0.5
     normal, v_n = interface_normal_velocity(iface, frame, g, batch)
-    root_g = g_vec[1:] ** 0.5
-    n_hat = normal[1:] / root_g
+    root_g = [gv**0.5 for gv in g_vec[1:]]
+    n_hat = [n / rg for n, rg in zip(normal[1:], root_g)]
 
     def jump_and_scale(attr):
         a = _orthonormal_spatial(getattr(dec_in, attr), batch, root_g)
         b = _orthonormal_spatial(getattr(dec_out, attr), batch, root_g)
-        scale = np.maximum(np.abs(a).max(axis=0), np.abs(b).max(axis=0))
-        return b - a, scale
+        scale = np.maximum(np.max(np.abs(a), axis=0), np.max(np.abs(b), axis=0))
+        return [bv - av for av, bv in zip(a, b)], scale
 
     je, se = jump_and_scale("e")
     jb, sb = jump_and_scale("b")
     jd, sd = jump_and_scale("d")
     jh, sh = jump_and_scale("h")
 
-    normal_d = np.abs((n_hat * jd).sum(axis=0))
-    tang_h = np.abs(v_n * jd + _cross(n_hat, jh)).max(axis=0)
-    normal_b = np.abs((n_hat * jb).sum(axis=0))
-    tang_e = np.abs(v_n * jb - _cross(n_hat, je)).max(axis=0)
+    normal_d = np.abs(sum(n * v for n, v in zip(n_hat, jd)))
+    tang_h = np.max([np.abs(v_n * dv + cv) for dv, cv in zip(jd, _cross(n_hat, jh))], axis=0)
+    normal_b = np.abs(sum(n * v for n, v in zip(n_hat, jb)))
+    tang_e = np.max([np.abs(v_n * bv - cv) for bv, cv in zip(jb, _cross(n_hat, je))], axis=0)
 
     # Unified field-pair scales: d and h/c share units, so do e and c b.
     # Normalising per condition against the pair keeps the relative

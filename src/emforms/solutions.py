@@ -5,18 +5,17 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import dual
-from .fields import Batch, ScalarField, blockwise
+from .fields import Batch, blockwise
 from .forms import (
     DiagonalMetric,
     DifferentialForm,
-    basis_indices,
     component_max,
+    evaluate,
     exterior_derivative,
     hodge_star,
     max_or_nan,
@@ -38,9 +37,9 @@ MATCH_SAMPLES = 16
 # the larger of the closed form and one physical unit of the constant.
 CLOSED_FORM_REL_TOL = 1e-9
 
-# (amplitudes, drive) -> (f_in, f_out, g_in, g_out), linear in both together;
-# the amplitudes are fields, the drive a number.
-Builder = Callable[[list[ScalarField], float], tuple[DifferentialForm, ...]]
+# (amplitudes, drive) -> (f_in, f_out, g_in, g_out), linear in both
+# together; the amplitudes and the drive are numbers.
+Builder = Callable[[list[float], float], tuple[DifferentialForm, ...]]
 
 # Inner edge of the sampling box of the region that reaches toward the axis
 # (the shell's inner vacuum) or the centre (the sphere's medium), as a
@@ -144,54 +143,34 @@ def match_junctions(
 
     ``build(amplitudes, drive)`` is linear in both together, so the jumps
     are those of the applied piece (drive 1, every amplitude 0) plus, for
-    each amplitude, its value in ``units`` times one column of the
-    Jacobian in the amplitudes. One assembly at drive 1 gives them all:
-    amplitude j is a constant field holding a dual number of value 0, under
-    one fresh tag, with an (n, 1) column holding ``units[j]`` in row j as
-    its dual part. The jumps, formed once and wedged with each interface's
-    dPhi at its events, then carry the applied piece as their value and the
-    columns as their dual part; the products are those of one assembly per
-    piece, the other amplitudes adding exact zeros. Columns carry one
-    physical unit of each amplitude, floored at 1e-300, so that every row's
-    entries are commensurate; otherwise a weak coupling falls below working
-    precision after row equilibration. Rows run event by event, then condition, then 3-form
+    each amplitude, its value in ``units`` times the jumps of that unit
+    alone at drive 0. Columns carry one physical unit of each amplitude,
+    floored at 1e-300, so that every row's entries are commensurate;
+    otherwise a weak coupling falls below working precision after row
+    equilibration. Rows run event by event, then condition, then 3-form
     component. Solved by :func:`solve_matching_system`, which names
     ``what`` in its errors.
     """
     units = [max(u, 1e-300) for u in units]
-    tag = dual.fresh_tag()
-    seeds = np.diag(units)
-    amplitudes = [ScalarField.constant(dual.Dual(0.0, seeds[:, [j]], tag)) for j in range(len(units))]
-    f_in, f_out, g_in, g_out = build(amplitudes, 1.0)
-    jumps = field_jumps(f_in, f_out, hodge_star(metric, g_in), hodge_star(metric, g_out))
+    n = len(units)
+    pieces = [build([0.0] * n, 1.0)]
+    pieces += [build([u if k == j else 0.0 for k, u in enumerate(units)], 0.0) for j in range(n)]
+    jumps = [
+        field_jumps(f_in, f_out, hodge_star(metric, g_in), hodge_star(metric, g_out))
+        for f_in, f_out, g_in, g_out in pieces
+    ]
     blocks = []
     for iface in interfaces:
         dphi = iface.gradient()
-        wedges = [wedge(jump, dphi) for jump in jumps]
-        # (piece, condition, component, event) -> event-major rows, a column per piece
-        values = blockwise(partial(_pieces, wedges, tag, len(units)), iface.events(MATCH_SAMPLES, seed))
-        blocks.append(values.transpose(3, 1, 2, 0).reshape(-1, len(units) + 1))
+        wedges = [wedge(jump, dphi) for pair in jumps for jump in pair]
+        events = iface.events(MATCH_SAMPLES, seed)
+        # every piece's wedges on one batch: (piece and condition, component, event)
+        values = np.array(blockwise(lambda batch: [list(evaluate(w, batch).values()) for w in wedges], events))
+        # -> event-major rows, a column per piece
+        blocks.append(values.reshape(n + 1, -1, len(events)).T.reshape(-1, n + 1))
     rows = np.concatenate(blocks)
     # residual(x) = applied + sum_j x_j column_j; move the applied piece right
     return solve_matching_system(rows[:, 1:], -rows[:, 0], what) * units
-
-
-def _pieces(wedges, tag: int, n: int, batch: Batch) -> np.ndarray:
-    """Each wedge's 3-form components on a batch as a (1 + n, condition,
-    component, event) array: the value, then the ``n`` rows of the dual
-    part under ``tag``; absent components and every zero are 0.0."""
-    idxs = basis_indices(3)
-    out = np.zeros((1 + n, len(wedges), len(idxs), *batch.shape))
-    for c, w in enumerate(wedges):
-        for k, idx in enumerate(idxs):
-            f = w.components.get(idx)
-            if f is not None:
-                y = f.fn(batch)
-                out[0, c, k] = dual.real(y)
-                out[1:, c, k] = dual.extract(y, tag)
-    # -0.0 left by the other pieces' zero terms becomes the 0.0 of an absent
-    # term, as the least-squares solution can depend on the sign of a zero
-    return out + 0.0
 
 
 def require_finite(what: str, **constants: float) -> None:

@@ -155,12 +155,13 @@ def _field_basis(chart: Chart) -> dict[str, DifferentialForm]:
     cth = cos(ScalarField.coordinate(2))
     sth = sin(ScalarField.coordinate(2))
     polar = sth * (2 * cth**2 - sth**2)  # d/dth of cos(th) sin^2(th)
+    r2, r3 = r * r, r**3  # one node each, which every form below shares
     name = chart.name
     return {
         "uniform_t": form(2, name, {(0, 1): -cth, (0, 2): r * sth}),
-        "quad_in": form(2, name, {(1, 3): 3 * r**2 * cth * sth**2, (2, 3): r**3 * polar}),
-        "dipole_t": form(2, name, {(0, 1): 2 * cth / r**3, (0, 2): sth / (r * r)}),
-        "quad_out": form(2, name, {(1, 3): -2 * cth * sth**2 / r**3, (2, 3): polar / (r * r)}),
+        "quad_in": form(2, name, {(1, 3): 3 * r2 * cth * sth**2, (2, 3): r3 * polar}),
+        "dipole_t": form(2, name, {(0, 1): 2 * cth / r3, (0, 2): sth / r2}),
+        "quad_out": form(2, name, {(1, 3): -2 * cth * sth**2 / r3, (2, 3): polar / r2}),
     }
 
 
@@ -214,9 +215,7 @@ def match_sphere_constants(sc: SphereScenario, seed: int = 0) -> SphereConstants
     events on r = a, by :func:`~emforms.solutions.match_junctions`.
 
     The junction residual is affine in the four amplitudes because the
-    truncated excitation is linear in the potentials, so the builder is
-    called once, with the matcher's amplitude fields, and its forms give
-    the applied field and all four columns. The constants do not
+    truncated excitation is linear in the potentials. The constants do not
     depend on the rotation rate, but the first-order amplitudes decouple
     from the data at omega = 0 and their columns underflow at a tiny
     omega, so every sphere is matched at the probe rate a omega / c = 0.01.

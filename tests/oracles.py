@@ -11,12 +11,11 @@ repeated to one value per row instead of the CSV writer's per-axis row
 prefixes, arithmetic nodes that call both operand
 closures instead of captured constants, the inversion count instead of the
 index tables, the interface grids one event at a time instead of one array
-expression, the shell's per-basis rows, the sphere's five full assemblies
-and one assembly per matching piece, each laid out one event at a time,
-instead of the shared junction matcher's one dual-seeded assembly, each
+expression, the shell's per-basis rows and the sphere's five full
+assemblies, each laid out one event at a time, instead of the shared
+junction matcher's pieces, each
 region's Maxwell residuals on its own events instead of the regions of a
-side on one array, the Gibbs relations on lists of per-component
-arrays instead of stacked ones, the sphere's multipole potentials,
+side on one array, the sphere's multipole potentials,
 whose exterior derivatives the written components of its field basis
 must equal, each Hodge coefficient recomputing sqrt(|det g|) and its
 guard instead of dividing the metric's one volume node, component
@@ -462,38 +461,6 @@ def five_assembly_sphere_rows(sc, seed: int = 0):
     return _per_event_rows(conditions, len(events))
 
 
-def per_piece_match_rows(build, units, junctions, metric):
-    """The matching rows and right-hand side from one assembly per piece:
-    the applied piece (drive 1, every amplitude 0) and, for each amplitude,
-    one of its ``units`` (floored at 1e-300) alone at drive 0, with
-    constant amplitudes. Each piece's jumps are wedged with each
-    interface's dPhi and evaluated; rows run event by event, then
-    condition, then 3-form component, one column per amplitude, with the
-    applied piece moved to the right-hand side."""
-    from emforms.forms import evaluate, hodge_star, wedge
-    from emforms.junction import field_jumps
-
-    units = [max(u, 1e-300) for u in units]
-    zeros = [0.0] * len(units)
-    pieces = [build(zeros, 1.0)] + [
-        build([u if k == j else 0.0 for k, u in enumerate(units)], 0.0) for j in range(len(units))
-    ]
-    jumps = [
-        field_jumps(f_in, f_out, hodge_star(metric, g_in), hodge_star(metric, g_out))
-        for f_in, f_out, g_in, g_out in pieces
-    ]
-    rows, rhs = [], []
-    for iface, events in junctions:
-        dphi = iface.gradient()
-        values = [[evaluate(wedge(jump, dphi), events) for jump in pair] for pair in jumps]
-        for e in range(len(events)):
-            for condition in range(2):
-                for idx in basis_indices(3):
-                    rows.append([values[j][condition][idx][e] for j in range(1, len(pieces))])
-                    rhs.append(-values[0][condition][idx][e])
-    return np.array(rows), np.array(rhs)
-
-
 def per_region_verify_solution(sol, samples_per_region: int, seed: int = 0):
     """The Maxwell report of a solution with each region evaluated on its
     own events, one region after another, every form built up front."""
@@ -549,80 +516,6 @@ def per_region_verify_solution(sol, samples_per_region: int, seed: int = 0):
         tolerance_f=tol_f,
         tolerance_g=tol_g,
         passed=passed,
-    )
-
-
-# -- the Gibbs relations on lists of per-component arrays ---------------------
-
-
-def list_normal_velocity(iface, frame, g, events):
-    """The unit normal 1-form, as a list of four arrays, and v_N at the rows
-    of an (N, 4) event array, on one batch, with every sum over components
-    a Python ``sum``."""
-    from emforms.forms import evaluate
-    from emforms.junction import _require_nondegenerate
-
-    batch = Batch.of(event_array(events))
-    u_vec = [frame.components[a].eval(batch) for a in range(4)]
-    g_vec = [g.diag[a].eval(batch) for a in range(4)]
-    dphi = evaluate(iface.gradient(), batch)
-    dphi_vec = [dphi[(a,)] for a in range(4)]
-    scale_dphi = np.max(np.abs(dphi_vec), axis=0)
-    _require_nondegenerate(scale_dphi <= 0.0, batch, "vanishes")
-    contracted = sum(d * u for d, u in zip(dphi_vec, u_vec))
-    u_flat = [gv * uv for gv, uv in zip(g_vec, u_vec)]
-    projected = [d + contracted * uf for d, uf in zip(dphi_vec, u_flat)]
-    norm_sq = sum(p * p / gv for p, gv in zip(projected, g_vec))
-    _require_nondegenerate(norm_sq <= (1e-14 * scale_dphi) ** 2, batch, "is purely temporal")
-    norm = norm_sq**0.5
-    c = (-g_vec[0]) ** 0.5
-    return [p / norm for p in projected], -contracted * c / norm
-
-
-def list_gibbs_residuals(dec_in, dec_out, iface, frame, g, events) -> tuple[dict, dict]:
-    """The absolute and relative Gibbs residuals at the rows of an (N, 4)
-    event array, on one batch, with each 3-vector a list of three arrays."""
-    from emforms.forms import evaluate
-    from emforms.junction import _CROSS_SIGN, _SCALE_FLOOR
-
-    batch = Batch.of(event_array(events))
-    g_vec = [g.diag[a].eval(batch) for a in range(4)]
-    c = (-g_vec[0]) ** 0.5
-    normal, v_n = list_normal_velocity(iface, frame, g, events)
-    n_hat = [normal[i] / g_vec[i] ** 0.5 for i in (1, 2, 3)]
-
-    def spatial(one_form):
-        vals = evaluate(one_form, batch)
-        return [vals[(i,)] / g_vec[i] ** 0.5 for i in (1, 2, 3)]
-
-    def cross(x, y):
-        rh = [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
-        return [_CROSS_SIGN * v for v in rh]
-
-    def jump_and_scale(attr):
-        a = spatial(getattr(dec_in, attr))
-        b = spatial(getattr(dec_out, attr))
-        jump = [bv - av for av, bv in zip(a, b)]
-        return jump, np.maximum(np.max(np.abs(a), axis=0), np.max(np.abs(b), axis=0))
-
-    je, se = jump_and_scale("e")
-    jb, sb = jump_and_scale("b")
-    jd, sd = jump_and_scale("d")
-    jh, sh = jump_and_scale("h")
-    normal_d = abs(sum(n * v for n, v in zip(n_hat, jd)))
-    tang_h = np.max([abs(v_n * dv + cv) for dv, cv in zip(jd, cross(n_hat, jh))], axis=0)
-    normal_b = abs(sum(n * v for n, v in zip(n_hat, jb)))
-    tang_e = np.max([abs(v_n * bv - cv) for bv, cv in zip(jb, cross(n_hat, je))], axis=0)
-    scale_g = np.maximum(sd, sh / c)
-    scale_f = np.maximum(se, c * sb)
-    return (
-        {"normal_d": normal_d, "tangential_h": tang_h, "normal_b": normal_b, "tangential_e": tang_e},
-        {
-            "normal_d": normal_d / np.maximum(scale_g, _SCALE_FLOOR),
-            "tangential_h": tang_h / np.maximum(c * scale_g, _SCALE_FLOOR),
-            "normal_b": normal_b / np.maximum(scale_f / c, _SCALE_FLOOR),
-            "tangential_e": tang_e / np.maximum(scale_f, _SCALE_FLOOR),
-        },
     )
 
 

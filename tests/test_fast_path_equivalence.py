@@ -3,12 +3,12 @@
 Constant operands captured in closures, the index tables of ``forms``,
 metric constants checked once, the Hodge coefficients sharing one volume
 node per metric, component maxima folded in place, the interface grids built as array
-expressions, the shared junction matcher's rows from one dual-seeded
-assembly, the values cached on a shared batch and the regions of a side
+expressions, the values cached on a shared batch and the regions of a side
 verified on one array must give what the generic construction gives: bit
-for bit where the floating-point operations are the same, to rounding
-where the matcher's columns are no longer differences of full assemblies
-or per-basis forms.
+for bit where the floating-point operations are the same. The shared
+junction matcher's rows must equal each scenario's own to rounding, as
+its columns are no longer differences of full assemblies or per-basis
+forms.
 """
 
 import dataclasses
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emforms import cylinder, fields, forms, solutions, sphere
+from emforms import fields, forms, solutions, sphere
 from emforms.cli import _json_text
 from emforms.cylinder import CylinderScenario, match_cylinder_amplitudes
 from emforms.fields import Batch, ScalarField, blockwise
@@ -50,7 +50,6 @@ from oracles import (
     per_coefficient_hodge,
     per_event_cylinder_grid,
     per_event_sphere_grid,
-    per_piece_match_rows,
     per_region_verify_solution,
     two_closure_op,
 )
@@ -423,19 +422,33 @@ def assert_rows_close(rows, rhs, want_rows, want_rhs):
         assert np.abs(got - want).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("beta", [0.01, 0.0, 1e-300], ids=["rotating", "probe-rate", "slow-rotation"])
-def test_per_amplitude_sphere_rows_equal_five_assembly_rows(monkeypatch, beta):
-    sc = SphereScenario(a=0.05, omega=beta * C / 0.05, e0=1000.0, mat=MaterialParams(4.0, 2.0))
+# (eps_r, mu_r) across the range the matchers are held to
+MATCH_MATERIALS = list(itertools.product([1.0, 6.0, 50.0], [0.05, 2.0, 20.0]))
+
+
+@pytest.mark.parametrize("eps_r, mu_r", [(4.0, 2.0), *MATCH_MATERIALS])
+@pytest.mark.parametrize(
+    "beta",
+    [0.01, 0.0, 1e-300, 0.3, 0.9],
+    ids=["rotating", "probe-rate", "slow-rotation", "fast-rotation", "near-light"],
+)
+def test_per_amplitude_sphere_rows_equal_five_assembly_rows(monkeypatch, beta, eps_r, mu_r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # rim speeds above 0.1 c
+        sc = SphereScenario(a=0.05, omega=beta * C / 0.05, e0=1000.0, mat=MaterialParams(eps_r, mu_r))
     rows, rhs = matcher_rows(monkeypatch, lambda: match_sphere_constants(sc, seed=2))
     want_rows, want_rhs = five_assembly_sphere_rows(sc, seed=2)
     assert rows.shape == (MATCH_SAMPLES * 2 * 4, 4)
     assert_rows_close(rows, rhs, want_rows, want_rhs)
 
 
-@pytest.mark.parametrize("beta", [0.3, 0.0], ids=["rotating", "static"])
-def test_shared_cylinder_rows_equal_per_basis_rows(monkeypatch, beta):
+@pytest.mark.parametrize("eps_r, mu_r", MATCH_MATERIALS)
+@pytest.mark.parametrize(
+    "beta", [0.3, 0.0, 1e-300, 0.9], ids=["rotating", "static", "slow-rotation", "near-light"]
+)
+def test_shared_cylinder_rows_equal_per_basis_rows(monkeypatch, beta, eps_r, mu_r):
     sc = CylinderScenario(
-        r1=0.02, r2=0.04, omega=beta * C / 0.04, b0=1.5, mat=MaterialParams(6.0, 2.0)
+        r1=0.02, r2=0.04, omega=beta * C / 0.04, b0=1.5, mat=MaterialParams(eps_r, mu_r)
     )
     rows, rhs = matcher_rows(monkeypatch, lambda: match_cylinder_amplitudes(sc, seed=3))
     want_rows, want_rhs = per_basis_cylinder_rows(sc, seed=3)
@@ -444,57 +457,6 @@ def test_shared_cylinder_rows_equal_per_basis_rows(monkeypatch, beta):
     # applied field on the right; the shared one moves the applied piece
     # right instead, so the same equations carry the opposite sign
     assert_rows_close(rows, rhs, -want_rows, -want_rhs)
-
-
-# -- the one dual-seeded assembly against one assembly per piece -----------------
-
-match_rates = st.sampled_from([0.0, 1e-300, 0.3]) | st.floats(0.0, 0.9)
-match_materials = st.tuples(st.floats(1.0, 50.0), st.floats(0.05, 20.0))
-
-
-def matcher_call(mp, module, match):
-    """The arguments of the one ``match_junctions`` call that ``match()``
-    makes through ``module``, the rows and right-hand side it hands to
-    ``solve_matching_system``, and the amplitudes it returns."""
-    calls = []
-
-    def spy(*args):
-        amplitudes = solutions.match_junctions(*args)
-        calls.append((args, amplitudes))
-        return amplitudes
-
-    mp.setattr(module, "match_junctions", spy)
-    rows, rhs = matcher_rows(mp, match)
-    ((args, amplitudes),) = calls
-    return args, rows, rhs, amplitudes
-
-
-def assert_one_assembly_equals_per_piece(module, match):
-    with pytest.MonkeyPatch.context() as mp:
-        (build, units, interfaces, seed, metric, what), rows, rhs, amplitudes = matcher_call(mp, module, match)
-    junctions = [(iface, iface.events(MATCH_SAMPLES, seed)) for iface in interfaces]
-    want_rows, want_rhs = per_piece_match_rows(build, units, junctions, metric)
-    # ==, under which zeros of either sign are equal; the constants are compared bit for bit
-    assert rows.shape == want_rows.shape and np.array_equal(rows, want_rows)
-    assert rhs.shape == want_rhs.shape and np.array_equal(rhs, want_rhs)
-    want = solutions.solve_matching_system(want_rows, want_rhs, what) * [max(u, 1e-300) for u in units]
-    assert bits(amplitudes) == bits(want)
-
-
-@settings(max_examples=30)
-@given(material=match_materials, beta=match_rates)
-def test_one_assembly_shell_matcher_equals_one_assembly_per_piece(material, beta):
-    sc = CylinderScenario(r1=0.02, r2=0.04, omega=beta * C / 0.04, b0=1.5, mat=MaterialParams(*material))
-    assert_one_assembly_equals_per_piece(cylinder, lambda: match_cylinder_amplitudes(sc, seed=3))
-
-
-@settings(max_examples=30)
-@given(material=match_materials, beta=match_rates)
-def test_one_assembly_sphere_matcher_equals_one_assembly_per_piece(material, beta):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # rim speeds above 0.1 c
-        sc = SphereScenario(a=0.05, omega=beta * C / 0.05, e0=1000.0, mat=MaterialParams(*material))
-    assert_one_assembly_equals_per_piece(sphere, lambda: match_sphere_constants(sc, seed=2))
 
 
 # -- interface grids as one array expression -----------------------------------

@@ -2,8 +2,9 @@
 output comparison script tells a tree from a changed copy of it and says
 how far the numbers of two hand-made trees moved, the verdict audit
 names a config whose exit code varies, the exit fuzz prints one line
-per config and its histogram, and the interleaved A/B timer prints its
-four lines for a tree timed against itself."""
+per config and its histogram, the interleaved A/B timer prints its
+four lines for a tree timed against itself, and the reach audit prints
+one line per definition that no run calls and their count."""
 
 import os
 import pathlib
@@ -172,3 +173,22 @@ def test_interleaved_ab_of_a_tree_against_itself_prints_its_four_lines():
     assert len(lines) == len(patterns), result.stdout
     for line, pattern in zip(lines, patterns):
         assert re.fullmatch(pattern, line), line
+
+
+def test_reach_audit_prints_a_line_per_uncalled_definition_and_a_count():
+    # two compare cases and the first 300 fuzz configs, in process, in a few seconds
+    audit = str(ROOT / "scripts" / "reach_audit.py")
+    result = python(audit, "test_cli/shell/full", "test_cli/sphere/verify-only", timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    *lines, last = result.stdout.splitlines()
+    count = re.fullmatch(r"(\d+) of \d+ definitions never called by a run \((\d+) of them only at import\)", last)
+    assert count and int(count[1]) == len(lines), last
+    files = r"(-|[\w/]+\.py(, [\w/]+\.py)*)"
+    for line in lines:
+        assert re.fullmatch(rf"src/emforms/\w+\.py:\d+ [\w.]+( \(import only\))?: {files}", line), line
+    assert int(count[2]) == sum(" (import only): " in line for line in lines)
+    # no run matches, and the index tables are built at import
+    assert [line for line in lines if re.match(r"src/emforms/solutions\.py:\d+ match_junctions: ", line)]
+    assert [line for line in lines if re.match(r"src/emforms/forms\.py:\d+ basis_indices \(import only\): ", line)]
+    result = python(audit, "test_cli/no-such-case", timeout=60)
+    assert result.returncode == 2 and result.stderr == "error: no compare case named test_cli/no-such-case\n"

@@ -11,9 +11,7 @@ the forms built (``DifferentialForm.__post_init__`` frames). The ceilings
 sit about 10 % above the counts of the code as it stands, so that a change
 which brings per-evaluation bookkeeping back into the form algebra, a
 junction match back into a run (the solvers build from the closed forms;
-a match adds about 650 calls, 3 passes and 18 forms to a cold shell run),
-one assembly per matched amplitude into the junction matcher, which the
-tests call directly and count on their own,
+a match adds about 860 calls, 2 passes and 42 forms to a cold shell run),
 a solve back into a second run of one config, a check form (star G, dF,
 d star G or a junction wedge) rebuilt in a second run of one config, a
 second chart or a rebuilt interface (a second Hodge table, a second dPhi)
@@ -87,7 +85,7 @@ OTHER_SCENARIO = {cylinder_config: sphere_config, sphere_config: cylinder_config
             {"calls": 2700, "first_bad_event": 17, "passes": 5, "forms_genexpr": 17, "forms": 53},
             {"calls": 1945, "first_bad_event": 17, "passes": 5, "forms": 20},
         ),
-        # counts of the code as it stands: 1970 calls, 15 guards, 5 passes,
+        # counts of the code as it stands: 1957 calls, 15 guards, 5 passes,
         # 15 generator frames, 40 forms; a second run: 1213 calls, 15
         # guards, 5 passes, 8 forms (the profile's decompositions of F)
         (
@@ -105,7 +103,7 @@ OTHER_SCENARIO = {cylinder_config: sphere_config, sphere_config: cylinder_config
             {"calls": 1975, "first_bad_event": 13, "passes": 5, "forms_genexpr": 11, "forms": 33},
             {"calls": 1215, "first_bad_event": 13, "passes": 5, "forms": 0},
         ),
-        # 1666 calls, 15 guards, 5 passes, 10 generator frames, 32 forms;
+        # 1653 calls, 15 guards, 5 passes, 10 generator frames, 32 forms;
         # a second run: 909 calls, 15 guards, 5 passes, no form
         (
             sphere_config,
@@ -132,12 +130,12 @@ def test_python_work_per_run_stays_under_its_ceiling(tmp_path, make_config, veri
 @pytest.mark.parametrize(
     "make_config, ceilings",
     [
-        # one junction match of the shell's two amplitudes: 642 calls,
-        # 2 guards, 3 passes, 18 forms
-        (cylinder_config, {"calls": 706, "first_bad_event": 3, "passes": 3, "forms": 20}),
-        # of the sphere's four: 1234 calls, 2 guards, 2 passes, 10
-        # generator frames, 40 forms
-        (sphere_config, {"calls": 1360, "first_bad_event": 3, "passes": 3, "forms_genexpr": 11, "forms": 44}),
+        # one junction match of the shell's two amplitudes, one assembly
+        # per piece: 864 calls, 2 guards, 2 passes, 42 forms
+        (cylinder_config, {"calls": 950, "first_bad_event": 3, "passes": 3, "forms": 46}),
+        # of the sphere's four: 2661 calls, 2 guards, 1 pass, 50
+        # generator frames, 184 forms
+        (sphere_config, {"calls": 2930, "first_bad_event": 3, "passes": 3, "forms_genexpr": 55, "forms": 202}),
     ],
     ids=["cylinder", "sphere"],
 )
